@@ -256,6 +256,11 @@ class NullComplex:
     edges: tuple[tuple[int, int], ...]
     maximal_cliques: tuple[tuple[frozenset[int], ...], ...]
 
+    @property
+    def nullity(self) -> int:
+        """Size of the largest maximal clique (null partition)."""
+        return max(len(c) for c in self.maximal_cliques)
+
 
 def _bron_kerbosch(adj: list[set[int]], nvert: int):
     """Maximal cliques with pivoting; yields sorted index tuples."""
@@ -298,8 +303,7 @@ def nullity(v, vertex_cap: int = DEFAULT_CLIQUE_VERTEX_CAP) -> int:
         raise ValueError("nullity needs a zero-sum vector")
     if not v:
         return 0
-    cx = null_complex(v, vertex_cap=vertex_cap)
-    return max(len(c) for c in cx.maximal_cliques)
+    return null_complex(v, vertex_cap=vertex_cap).nullity
 
 
 def relative_nullity(lam, pi) -> int:

@@ -50,7 +50,6 @@ from .affsym import (
     good_origin_split,
     minimal_null_blocks,
     null_complex,
-    nullity,
     proper_basic_null_block_count,
     reflection_length,
     relative_nullity,
@@ -231,15 +230,13 @@ def cmd_split(args) -> int:
     t, u = translation_elliptic_split(rs, w, budget=args.budget)
     rep_t = dimension_report(rs, t)
     rep_u = dimension_report(rs, u)
+    factors = min_factorization(rs, u).factors
     payload = {
         "type": str(rs.spec),
         "translation": _vec_json(t.translation),
         "translation_length": rep_t.length,
         "elliptic_length": rep_u.length,
-        "elliptic_factors": [
-            {"root": _vec_json(r.root), "level": r.level}
-            for r in min_factorization(rs, u).factors
-        ],
+        "elliptic_factors": [{"root": _vec_json(r.root), "level": r.level} for r in factors],
     }
     if args.json:
         print(json.dumps(payload))
@@ -247,7 +244,7 @@ def cmd_split(args) -> int:
         print(f"type {payload['type']}")
         print(f"translation part {_vec_str(t.translation)} of length {rep_t.length}")
         print(f"elliptic part of length {rep_u.length}, factors:")
-        for line in _refl_strs(min_factorization(rs, u).factors):
+        for line in _refl_strs(factors):
             print("  " + line)
     return 0
 
@@ -298,7 +295,7 @@ def cmd_nullity(args) -> int:
         "maximal_cliques": [
             [sorted(b) for b in c] for c in cx.maximal_cliques
         ],
-        "nullity": nullity(iv),
+        "nullity": cx.nullity,
     }
     if args.verify:
         payload["oracle_nullity"] = brute_nullity(iv)

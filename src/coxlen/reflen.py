@@ -9,9 +9,13 @@ For an element w with linear part A and translation part lam:
          containing the move-set of w;
   reflection length = 2 d(w) + e(w).
 
-The d-search enumerates subsets of projected root lines in increasing
-size, so it is exact but exponential in the worst case (the underlying
-problem contains subset-sum); ranks up to 8 stay comfortably small.
+The d-search tries subset sizes k = 1, 2, ... of the projected root
+lines.  For each k it walks prefixes of independent lines depth first,
+keeping the target and the remaining lines reduced modulo the prefix as
+primitive integer vectors (fraction-free elimination), so extending a
+prefix costs one reduction per line and its last line is a parallelism
+test.  It is exact but still exponential in the worst case (the
+underlying problem contains subset-sum).
 
 Factorisations mirror the structure above: peel d level-zero reflections
 to reach an elliptic element whose move-set is the witness subspace,
@@ -25,7 +29,7 @@ translation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from math import gcd
 from typing import Literal
 
 from .affgroup import (
@@ -73,23 +77,69 @@ def _min_span_subset(
     lines: dict[Vec, Vec], target: Vec, max_k: int, cap: int = DEFAULT_SPAN_SEARCH_CAP
 ) -> tuple[int, tuple[Vec, ...]]:
     """Smallest k and a witness set of k roots whose projected lines span
-    the (nonzero) target; the caller guarantees solvability at max_k."""
+    the (nonzero) target; the caller guarantees solvability at max_k.
+
+    The witness is the lexicographically first linearly independent
+    k-subset of the sorted line keys whose span contains the target.  For
+    each k a depth-first walk over independent prefixes, in that order,
+    carries the target and the later lines reduced modulo the prefix, as
+    primitive integer vectors; a line reducing to zero is dependent on the
+    prefix and dropped.  A prefix of k - 1 lines leaves a residual target
+    r != 0 (a smaller subset would have spanned it), and a later line
+    completes a spanning k-subset exactly when its residual is parallel
+    to r.  cap bounds the candidate k-subsets tested that way, one per
+    prefix of k - 1 lines and independent later line, summed over all k;
+    a search that needs more raises BudgetExceeded.
+    """
     tkey = line_rep(target)
     if tkey in lines:
         return 1, (lines[tkey],)
     keys = sorted(lines)
-    examined = 0
+    tested = 0
+
+    def complete(t: list[int], later: list[tuple[int, list[int]]], size: int) -> tuple[int, ...] | None:
+        """Indices of the first `size` later lines spanning t with the prefix."""
+        nonlocal tested
+        if size == 1:
+            neg = [-x for x in t]
+            hit = next((n for n, (_, v) in enumerate(later) if v == t or v == neg), None)
+            tested += len(later) if hit is None else hit + 1
+            if tested > cap:
+                raise BudgetExceeded(
+                    f"span search cap {cap} exceeded: {tested} candidate subsets tested "
+                    f"while searching subsets of size {k}"
+                )
+            return None if hit is None else (later[hit][0],)
+        for pos in range(len(later) - size + 1):
+            i, b = later[pos]
+            p = next(c for c, x in enumerate(b) if x)
+            rest = [(j, w) for j, v in later[pos + 1 :] if (w := _reduce_int(v, b, p)) is not None]
+            found = complete(_reduce_int(t, b, p), rest, size - 1)
+            if found is not None:
+                return (i,) + found
+        return None
+
+    start = [(i, [int(x) for x in key]) for i, key in enumerate(keys)]
+    t = [int(x) for x in tkey]
     for k in range(2, max_k + 1):
-        for combo in combinations(keys, k):
-            examined += 1
-            if examined > cap:
-                raise BudgetExceeded("span search cap exceeded")
-            basis, pivots = rref(combo)
-            if len(basis) < k:
-                continue  # dependent subset: its span was covered at a smaller k
-            if is_zero(reduce_against(basis, pivots, target)):
-                return k, tuple(lines[c] for c in combo)
+        found = complete(t, start, k)
+        if found is not None:
+            return k, tuple(lines[keys[i]] for i in found)
     raise AssertionError("projected root lines failed to span their own span")
+
+
+def _reduce_int(v: list[int], b: list[int], p: int) -> list[int] | None:
+    """v modulo the line through b (with b[p] != 0), fraction-free and
+    divided by the gcd; None when v lies on that line."""
+    c = v[p]
+    if c == 0:
+        return v
+    bp = b[p]
+    w = [bp * x - c * y for x, y in zip(v, b)]
+    g = gcd(*w)
+    if g == 0:
+        return None
+    return w if g == 1 else [x // g for x in w]
 
 
 def differential_dimension(rs: RootSystem, w: AffineElement) -> int:
@@ -115,15 +165,11 @@ def _root_basis_of_span(rs: RootSystem, basis: Mat) -> tuple[Vec, ...]:
     for alpha in rs.roots:
         if len(chosen) == len(basis):
             break
-        if in_span(basis, alpha) and rank_increases(chosen, alpha):
+        if in_span(basis, alpha) and not in_span(chosen, alpha):
             chosen.append(alpha)
     if len(chosen) != len(basis):
         raise AssertionError("move-set of a group element must be a root subspace")
     return tuple(chosen)
-
-
-def rank_increases(rows: list[Vec], v: Vec) -> bool:
-    return not in_span(rows, v)
 
 
 @dataclass(frozen=True)

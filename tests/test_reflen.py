@@ -8,9 +8,10 @@ translation, and the length is 2d + e.
 """
 
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coxlen.affgroup import (
@@ -20,13 +21,17 @@ from coxlen.affgroup import (
     inverse,
     is_elliptic,
     is_translation,
+    linear_move_space,
     product,
     translation_element,
 )
+from coxlen.affsym import reflection_length, window_of_element
 from coxlen.errors import BudgetExceeded
-from coxlen.linalg import vec
+from coxlen.linalg import is_zero, line_rep, reduce_against, rref, vec
 from coxlen.reflen import (
     ReflectionFactorization,
+    _min_span_subset,
+    _quotient_lines,
     dimension_report,
     factor_elliptic,
     hurwitz_move,
@@ -224,3 +229,103 @@ def test_g2_factorizations_verify(word):
     rep = dimension_report(G2, w)
     assert len(f) == rep.length
     assert f.product(w.dim) == w
+
+
+def reference_min_span_subset(lines, target, max_k):
+    """The exhaustive d search: row-reduce every k-subset of the sorted
+    projected lines in lexicographic order and return the first
+    independent one whose span contains the target."""
+    tkey = line_rep(target)
+    if tkey in lines:
+        return 1, (lines[tkey],)
+    keys = sorted(lines)
+    for k in range(2, max_k + 1):
+        for combo in combinations(keys, k):
+            basis, pivots = rref(combo)
+            if len(basis) < k:
+                continue
+            if is_zero(reduce_against(basis, pivots, target)):
+                return k, tuple(lines[c] for c in combo)
+    raise AssertionError("projected root lines failed to span their own span")
+
+
+SPAN_TYPES = ["A3", "B3", "C3", "D4", "G2", "F4"]
+
+
+@st.composite
+def span_problems(draw):
+    """Projected root lines modulo the move space of a random W0 element,
+    and a random nonzero target in their span."""
+    rs = root_system(draw(st.sampled_from(SPAN_TYPES)))
+    word = draw(st.lists(st.integers(0, rs.rank - 1), max_size=2 * rs.rank))
+    w = element_of(rs, [AffineReflection.make(rs.simple_roots[i], 0) for i in word])
+    ubasis, upivots = rref(linear_move_space(w.linear))
+    lines = _quotient_lines(rs, ubasis, upivots)
+    coeffs = draw(st.lists(st.integers(-12, 12), min_size=rs.rank, max_size=rs.rank))
+    lam = [sum((c * a[j] for c, a in zip(coeffs, rs.simple_roots)), Q(0)) for j in range(rs.ambient_dim)]
+    target = reduce_against(ubasis, upivots, tuple(lam))
+    assume(not is_zero(target))
+    return lines, target, rs.rank - len(ubasis)
+
+
+@given(span_problems())
+@settings(max_examples=150, deadline=None)
+def test_span_search_matches_exhaustive_reference(problem):
+    lines, target, max_k = problem
+    assert _min_span_subset(lines, target, max_k) == reference_min_span_subset(lines, target, max_k)
+
+
+# Witness roots of translations by sum c_i * (i-th simple coroot), as the
+# exhaustive subset search returned them; (name, c, d, witness).
+FROZEN_WITNESSES = [
+    ("A5", (39, -8, 5, 27, -37), 5,
+     ["0,0,0,0,1,-1", "0,0,0,1,-1,0", "0,0,1,-1,0,0", "0,1,-1,0,0,0", "1,-1,0,0,0,0"]),
+    ("B5", (19, -9, -34, -20, -26), 5,
+     ["0,0,0,0,1", "0,0,0,1,-1", "0,0,1,-1,0", "0,1,-1,0,0", "1,-1,0,0,0"]),
+    ("C5", (7, 20, -9, 8, 29), 5,
+     ["0,0,0,0,2", "0,0,0,1,-1", "0,0,1,-1,0", "0,1,-1,0,0", "1,-1,0,0,0"]),
+    ("D5", (-27, 33, -9, -39, -13), 5,
+     ["0,0,0,1,-1", "0,0,0,1,1", "0,0,1,-1,0", "0,1,-1,0,0", "1,-1,0,0,0"]),
+    ("F4", (-20, -31, -23, 39), 4,
+     ["0,0,0,1", "0,0,1,-1", "0,1,-1,0", "1/2,-1/2,-1/2,-1/2"]),
+    ("B5", (3, -5, 7, -9, 11), 4, ["0,0,0,1,-1", "0,0,1,0,1", "0,1,0,0,0", "1,0,-1,0,0"]),
+    ("C5", (3, -5, 7, -9, 11), 4, ["0,0,0,1,-1", "0,0,1,0,1", "0,1,-1,0,0", "2,0,0,0,0"]),
+    ("D5", (3, -5, 7, -9, 11), 4, ["0,0,1,0,-1", "0,0,1,0,1", "0,1,0,1,0", "1,-1,0,0,0"]),
+    ("F4", (3, -5, 7, -9), 3, ["0,0,1,1", "1/2,-1/2,1/2,-1/2", "1,0,-1,0"]),
+]
+
+
+@pytest.mark.parametrize("name,coeffs,d,witness", FROZEN_WITNESSES)
+def test_frozen_translation_witnesses(name, coeffs, d, witness):
+    rs = root_system(name)
+    rep = dimension_report(rs, translation_element(rs.from_lattice_coords(coeffs)))
+    assert (rep.e, rep.d) == (0, d)
+    assert rep.witness_roots == tuple(vec(Q(x) for x in r.split(",")) for r in witness)
+
+
+def test_span_search_cap():
+    # (2, 4) in B2 needs two lines; one candidate pair is tested first
+    lines = _quotient_lines(B2, (), ())
+    target = vec([2, 4])
+    assert _min_span_subset(lines, target, 2)[0] == 2
+    with pytest.raises(BudgetExceeded, match=r"cap 0\b.*\b1 candidate.*size 2"):
+        _min_span_subset(lines, target, 2, cap=0)
+    # a single line is a lookup, not a tested subset
+    assert _min_span_subset(lines, vec([1, 1]), 2, cap=0)[0] == 1
+
+
+def sum_i_coroots(rs):
+    return translation_element(rs.from_lattice_coords(range(1, rs.rank + 1)))
+
+
+def test_reach_a7_matches_window_formula():
+    rs = root_system("A7")
+    t = sum_i_coroots(rs)
+    length = dimension_report(rs, t).length
+    assert length == reflection_length(window_of_element(t)) == 14
+
+
+@pytest.mark.parametrize("name,length", [("B7", 8), ("D6", 8)])
+def test_reach_b7_d6(name, length):
+    rs = root_system(name)
+    assert dimension_report(rs, sum_i_coroots(rs)).length == length
