@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import lcm
 
 from .linalg import (
     Mat,
@@ -86,11 +87,6 @@ class AffineSubspace:
             in_span(self.directions, d) for d in other.directions
         )
 
-    def translate(self, v: Vec) -> AffineSubspace:
-        if self.is_empty:
-            return self
-        return AffineSubspace.from_point_and_directions(vadd(self.base, v), self.directions)
-
 
 @dataclass(frozen=True)
 class AffineElement:
@@ -134,13 +130,57 @@ def inverse(a: AffineElement) -> AffineElement:
 
 def product(factors) -> AffineElement:
     """Left-to-right product; factors may be elements or reflections."""
-    items = [f.to_element() if isinstance(f, AffineReflection) else f for f in factors]
+    items = list(factors)
     if not items:
         raise ValueError("empty product has no ambient dimension; use identity_element")
-    out = items[0]
+    first = items[0]
+    out = first.to_element() if isinstance(first, AffineReflection) else first
     for f in items[1:]:
-        out = compose(out, f)
+        out = times_reflection(out, f) if isinstance(f, AffineReflection) else compose(out, f)
     return out
+
+
+def times_reflection(x: AffineElement, r: AffineReflection) -> AffineElement:
+    """x r, as a rank-one update: with r = (I - a^vee a^T, j a^vee) and
+    c = A a^vee, the product is (A - c a^T, mu + j c)."""
+    c = _times_sparse(x.linear, coroot(r.root))
+    return AffineElement(
+        linear=_rank_one_update(x.linear, c, r.root),
+        translation=tuple(m + r.level * ci for m, ci in zip(x.translation, c)),
+    )
+
+
+def reflection_times(r: AffineReflection, x: AffineElement) -> AffineElement:
+    """r x, as a rank-one update: with r = (I - a^vee a^T, j a^vee), the
+    product is (A - a^vee (a^T A), mu - (<a, mu> - j) a^vee)."""
+    av = coroot(r.root)
+    row = _times_sparse(transpose(x.linear), r.root)
+    shift = dot(r.root, x.translation) - r.level
+    return AffineElement(
+        linear=_rank_one_update(x.linear, av, row),
+        translation=tuple(m - shift * a for m, a in zip(x.translation, av)),
+    )
+
+
+def _times_sparse(m: Mat, v: Vec) -> Vec:
+    """m v, summing over the nonzero entries of v only (a root has at
+    most four)."""
+    support = [(k, y) for k, y in enumerate(v) if y]
+    return tuple(sum(row[k] * y for k, y in support) for row in m)
+
+
+def _rank_one_update(m: Mat, col: Vec, row: Vec) -> Mat:
+    """m - col row^T, exactly."""
+    support = [j for j, y in enumerate(row) if y]
+    out = []
+    for mi, c in zip(m, col):
+        if c:
+            mi = list(mi)
+            for j in support:
+                mi[j] -= c * row[j]
+            mi = tuple(mi)
+        out.append(mi)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -203,11 +243,6 @@ def elliptic_rank(linear: Mat) -> int:
     return len(linear_move_space(linear))
 
 
-def elliptic_part(a: AffineElement) -> Mat:
-    """Projection to W0: forget the translation."""
-    return a.linear
-
-
 def move_set(a: AffineElement) -> AffineSubspace:
     """Mov(a) = {a(x) - x} = translation + Im(linear - I)."""
     return AffineSubspace.from_point_and_directions(a.translation, linear_move_space(a.linear))
@@ -254,13 +289,26 @@ def require_group_element(rs, a: AffineElement) -> None:
         raise ValueError(
             f"element acts on dimension {a.dim}, root system lives in {rs.ambient_dim}"
         )
-    root_set = set(rs.roots)
-    for alpha in rs.roots:
-        if mat_vec(a.linear, alpha) not in root_set:
+    # in integers: with den the lcm of the denominators of the linear
+    # part, a root r (integer after scaling) maps to a root iff
+    # (den * linear) r is den times an integer root
+    tables = rs.tables
+    den = lcm(*(x.denominator for row in a.linear for x in row))
+    columns = list(zip(*([int(x * den) for x in row] for row in a.linear)))
+    for r in tables.int_roots:
+        image = [0] * len(a.linear)
+        for x, col in zip(r, columns, strict=True):
+            if x:
+                image = [y + x * c for y, c in zip(image, col)]
+        if den != 1:
+            if any(y % den for y in image):
+                raise ValueError("linear part does not preserve the root system")
+            image = [y // den for y in image]
+        if tuple(image) not in tables.int_index:
             raise ValueError("linear part does not preserve the root system")
     if not rs.in_coroot_lattice(a.translation):
         raise ValueError(
-            f"translation part {a.translation} is not in the coroot lattice"
+            "translation part (" + ", ".join(map(str, a.translation)) + ") is not in the coroot lattice"
         )
 
 

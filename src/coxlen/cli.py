@@ -27,16 +27,15 @@ import sys
 from fractions import Fraction as Q
 
 from .errors import BudgetExceeded, ParseError, UnsupportedTypeError
-from .linalg import Vec, vec
+from .linalg import Vec, vadd, vec
 from .rootsys import RootSystem, root_system
 from .affgroup import (
     AffineElement,
     AffineReflection,
-    compose,
     identity_element,
     product,
     require_group_element,
-    translation_element,
+    times_reflection,
 )
 from .reflen import (
     DEFAULT_HURWITZ_BUDGET,
@@ -132,9 +131,9 @@ def parse_element(rs: RootSystem, text: str) -> AffineElement:
             raise ParseError(f"unknown element field {key!r}")
     el = identity_element(rs.ambient_dim)
     for i in word:
-        el = compose(el, AffineReflection.make(rs.simple_roots[i], 0).to_element())
+        el = times_reflection(el, AffineReflection.make(rs.simple_roots[i], 0))
     if lam is not None:
-        el = compose(translation_element(lam), el)
+        el = AffineElement(el.linear, vadd(lam, el.translation))
     return el
 
 
@@ -227,10 +226,9 @@ def cmd_factor(args) -> int:
 def cmd_split(args) -> int:
     rs = root_system(args.type)
     w = parse_element(rs, args.element)
-    t, u = translation_elliptic_split(rs, w, budget=args.budget)
-    rep_t = dimension_report(rs, t)
-    rep_u = dimension_report(rs, u)
-    factors = min_factorization(rs, u).factors
+    split = translation_elliptic_split(rs, w, budget=args.budget)
+    t, rep_t, rep_u = split.translation, split.translation_report, split.elliptic_report
+    factors = min_factorization(rs, split.elliptic).factors
     payload = {
         "type": str(rs.spec),
         "translation": _vec_json(t.translation),

@@ -150,9 +150,6 @@ class SphericalGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def word_of(self, m: Mat) -> tuple[int, ...]:
-        return self.words[self.elements.index(m)]
-
 
 @lru_cache(maxsize=None)
 def enumerate_w0(rs: RootSystem, cap: int = DEFAULT_W0_CAP) -> SphericalGroup:

@@ -75,10 +75,6 @@ def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
 
 
-def columns(m: Mat) -> Mat:
-    return transpose(m)
-
-
 def rref(rows: Sequence[Vec]) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form.
 
@@ -264,10 +260,6 @@ class RationalLattice:
         int_rows = [[int(x * self.scale) for x in g] for g in gens]
         self._rows = _hnf(int_rows)
         self._pivots = [next(j for j, x in enumerate(row) if x != 0) for row in self._rows]
-
-    @property
-    def basis(self) -> Mat:
-        return mat([[Q(x, self.scale) for x in row] for row in self._rows])
 
     def contains(self, v: Vec) -> bool:
         return self.coords(v) is not None

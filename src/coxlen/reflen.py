@@ -23,7 +23,9 @@ then factor the elliptic part through a common fixed point.  Hurwitz
 moves act on factorisations, and the translation-elliptic split searches
 the Hurwitz orbit for a factorisation whose leading reflection pairs
 project to equal reflections of W0, so that each pair multiplies to a
-translation.
+translation.  That search moves (root index, level) pairs through the
+integer tables of RootSystem.tables, and products with one reflection
+are rank-one updates (affgroup.times_reflection, reflection_times).
 """
 
 from __future__ import annotations
@@ -42,12 +44,13 @@ from .affgroup import (
     is_elliptic,
     is_translation,
     linear_move_space,
-    move_set,
     product,
+    reflection_times,
     require_group_element,
+    times_reflection,
 )
 from .errors import BudgetExceeded
-from .linalg import Mat, Vec, dot, in_span, is_zero, line_rep, reduce_against, rref
+from .linalg import Mat, Vec, dot, is_zero, line_rep, reduce_against, rref
 from .rootsys import RootSystem
 
 DEFAULT_HURWITZ_BUDGET = 10**6
@@ -145,11 +148,13 @@ def _reduce_int(v: list[int], b: list[int], p: int) -> list[int] | None:
 def differential_dimension(rs: RootSystem, w: AffineElement) -> int:
     """d(w): minimal number of roots spanning the translation part modulo
     the move-set of the linear part."""
-    return _differential_data(rs, w)[0]
+    return _differential_data(rs, w, *rref(linear_move_space(w.linear)))[0]
 
 
-def _differential_data(rs: RootSystem, w: AffineElement) -> tuple[int, tuple[Vec, ...]]:
-    ubasis, upivots = rref(linear_move_space(w.linear))
+def _differential_data(
+    rs: RootSystem, w: AffineElement, ubasis: Mat, upivots: tuple[int, ...]
+) -> tuple[int, tuple[Vec, ...]]:
+    """d(w) and its lifted roots, given the RREF of the linear move-set."""
     res = reduce_against(ubasis, upivots, w.translation)
     if is_zero(res):
         return 0, ()
@@ -158,15 +163,20 @@ def _differential_data(rs: RootSystem, w: AffineElement) -> tuple[int, tuple[Vec
     return _min_span_subset(lines, res, max_k)
 
 
-def _root_basis_of_span(rs: RootSystem, basis: Mat) -> tuple[Vec, ...]:
-    """Roots inside span(basis) forming a basis of it; exists because
-    every move-set of a Weyl group element is spanned by roots."""
+def _root_basis_of_span(rs: RootSystem, basis: Mat, pivots: tuple[int, ...]) -> tuple[Vec, ...]:
+    """Roots inside span(basis) forming a basis of it, for an RREF basis
+    with these pivots; exists because every move-set of a Weyl group
+    element is spanned by roots."""
     chosen: list[Vec] = []
+    cbasis, cpivots = (), ()
     for alpha in rs.roots:
         if len(chosen) == len(basis):
             break
-        if in_span(basis, alpha) and not in_span(chosen, alpha):
+        if is_zero(reduce_against(basis, pivots, alpha)) and not is_zero(
+            reduce_against(cbasis, cpivots, alpha)
+        ):
             chosen.append(alpha)
+            cbasis, cpivots = rref(chosen)
     if len(chosen) != len(basis):
         raise AssertionError("move-set of a group element must be a root subspace")
     return tuple(chosen)
@@ -191,10 +201,10 @@ class DimensionReport:
 
 
 def dimension_report(rs: RootSystem, w: AffineElement) -> DimensionReport:
-    ubasis, _ = rref(linear_move_space(w.linear))
+    ubasis, upivots = rref(linear_move_space(w.linear))
     e = len(ubasis)
-    d, lifts = _differential_data(rs, w)
-    u_roots = _root_basis_of_span(rs, ubasis)
+    d, lifts = _differential_data(rs, w, ubasis, upivots)
+    u_roots = _root_basis_of_span(rs, ubasis, upivots)
     return DimensionReport(
         e=e, d=d, dim=d + e, length=2 * d + e, elliptic_roots=u_roots, lift_roots=lifts
     )
@@ -232,29 +242,27 @@ def factor_elliptic(rs: RootSystem, v: AffineElement) -> ReflectionFactorization
     x = fixed_set(rs, v).base
     factors: list[AffineReflection] = []
     current = v
-    while True:
-        e = elliptic_rank(current.linear)
-        if e == 0:
-            break
-        mov = linear_move_space(current.linear)
+    mov = linear_move_space(current.linear)
+    while mov:
+        # one RREF of the move-set per peel step, for every candidate root
+        mov, pivots = rref(mov)
         found = None
-        for alpha in rs.roots:
-            if alpha <= tuple(-c for c in alpha):
-                continue  # scan each line once, via its positive representative
-            if not in_span(mov, alpha):
+        for alpha in rs.positive_roots:
+            if not is_zero(reduce_against(mov, pivots, alpha)):
                 continue
             level = dot(x, alpha)
             if level.denominator != 1:
                 continue
             r = AffineReflection.make(alpha, level)
-            peeled = compose(r.to_element(), current)
-            if elliptic_rank(peeled.linear) == e - 1:
-                found = (r, peeled)
+            peeled = reflection_times(r, current)
+            peeled_mov = linear_move_space(peeled.linear)
+            if len(peeled_mov) == len(mov) - 1:
+                found = (r, peeled, peeled_mov)
                 break
         if found is None:
             raise AssertionError("no peelable reflection for an elliptic element")
         factors.append(found[0])
-        current = found[1]
+        current, mov = found[1], found[2]
     if not current.is_identity():
         raise AssertionError("elliptic peeling did not terminate at the identity")
     return ReflectionFactorization(tuple(factors))
@@ -266,11 +274,15 @@ def min_factorization(rs: RootSystem, w: AffineElement) -> ReflectionFactorizati
     element whose move-set is the witness subspace, factor that, then
     append the lifted reflections again in reverse."""
     require_group_element(rs, w)
-    rep = dimension_report(rs, w)
+    return _min_factorization(rs, w, dimension_report(rs, w))
+
+
+def _min_factorization(rs: RootSystem, w: AffineElement, rep: DimensionReport) -> ReflectionFactorization:
+    """min_factorization of a group element w whose report is rep."""
     lifts = [AffineReflection.make(alpha, 0) for alpha in rep.lift_roots]
     v = w
     for r in lifts:
-        v = compose(v, r.to_element())
+        v = times_reflection(v, r)
     if not is_elliptic(v):
         raise AssertionError("lifted product failed to become elliptic")
     elliptic_factors = factor_elliptic(rs, v)
@@ -304,9 +316,33 @@ def hurwitz_move(
     return ReflectionFactorization(f.factors[:i] + new_pair + f.factors[i + 2 :])
 
 
+def _index_moves(conjugate, f: tuple[tuple[int, int], ...]):
+    """Every Hurwitz move of a factorisation given as (root index, level)
+    pairs, in the order of hurwitz_move(f, i, direction) for i = 0, 1, ...
+    and direction right, then left; conjugate is RootTables.conjugate."""
+    for i in range(len(f) - 1):
+        (a, j), (b, k) = f[i], f[i + 1]
+        yield f[:i] + (conjugate(a, j, b, k), f[i]) + f[i + 2 :]
+        yield f[:i] + (f[i + 1], conjugate(b, k, a, j)) + f[i + 2 :]
+
+
+@dataclass(frozen=True)
+class TranslationEllipticSplit:
+    """w = translation * elliptic, with the dimension reports of both
+    parts that verified it.  Unpacks as the pair (translation, elliptic)."""
+
+    translation: AffineElement
+    elliptic: AffineElement
+    translation_report: DimensionReport
+    elliptic_report: DimensionReport
+
+    def __iter__(self):
+        return iter((self.translation, self.elliptic))
+
+
 def translation_elliptic_split(
     rs: RootSystem, w: AffineElement, budget: int = DEFAULT_HURWITZ_BUDGET
-) -> tuple[AffineElement, AffineElement]:
+) -> TranslationEllipticSplit:
     """Split w = t * u with t a translation of length 2d and u elliptic of
     length e, by Hurwitz moves on a minimum factorisation: d rounds,
     each a breadth-first search until some adjacent pair of factors
@@ -324,69 +360,81 @@ def translation_elliptic_split(
     projection and Hurwitz moves commute with projecting, so the
     quotient search is complete, and it is finite.  The budget caps
     states visited across all rounds.
+
+    The search runs on (root index, level) pairs, one per factor, and
+    conjugates by table lookup (RootTables.conjugate), which is
+    hurwitz_move on the corresponding reflections.
     """
     require_group_element(rs, w)
     rep = dimension_report(rs, w)
     if rep.d == 0:
-        return identity_element(w.dim), w
+        t = identity_element(w.dim)
+        return TranslationEllipticSplit(t, w, dimension_report(rs, t), rep)
 
-    def proj_key(f: ReflectionFactorization) -> tuple[Vec, ...]:
-        return tuple(r.root for r in f.factors)
+    conjugate = rs.tables.conjugate
+    index = rs.root_index
 
-    def shared_pair_at(f: ReflectionFactorization) -> int | None:
-        for i in range(len(f.factors) - 1):
-            if f.factors[i].root == f.factors[i + 1].root:
+    def shared_pair_at(f: tuple[tuple[int, int], ...]) -> int | None:
+        for i in range(len(f) - 1):
+            if f[i][0] == f[i + 1][0]:
                 return i
         return None
 
     pairs: list[AffineReflection] = []
-    current = min_factorization(rs, w)
+    current = tuple((index[r.root], r.level) for r in _min_factorization(rs, w, rep).factors)
     visited = 0
-    for _ in range(rep.d):
+    for rnd in range(1, rep.d + 1):
         found = None
-        seen = {proj_key(current)}
+        seen = {tuple(a for a, _ in current)}
         queue = [current]
         while queue and found is None:
-            nxt: list[ReflectionFactorization] = []
+            nxt = []
             for f in queue:
                 visited += 1
                 if visited > budget:
-                    raise BudgetExceeded("Hurwitz search budget exceeded")
+                    raise BudgetExceeded(
+                        f"Hurwitz search budget {budget} exceeded: {visited} states visited "
+                        f"by round {rnd} of {rep.d}; raise it with --budget or COXLEN_BUDGET"
+                    )
                 pos = shared_pair_at(f)
                 if pos is not None:
                     found = (f, pos)
                     break
-                for i in range(len(f.factors) - 1):
-                    for direction in ("right", "left"):
-                        g = hurwitz_move(f, i, direction)
-                        key = proj_key(g)
-                        if key not in seen:
-                            seen.add(key)
-                            nxt.append(g)
+                for g in _index_moves(conjugate, f):
+                    key = tuple(a for a, _ in g)
+                    if key not in seen:
+                        seen.add(key)
+                        nxt.append(g)
             queue = nxt
         if found is None:
             raise AssertionError("Hurwitz orbit exhausted without a shared-root pair")
         f, pos = found
         while pos > 0:
-            f = hurwitz_move(hurwitz_move(f, pos - 1, "right"), pos, "right")
+            # two right moves at pos - 1, then at pos
+            (a, j), (b, k), (c, m) = f[pos - 1 : pos + 2]
+            f = f[: pos - 1] + (conjugate(a, j, b, k), conjugate(a, j, c, m), (a, j)) + f[pos + 2 :]
             pos -= 1
-        if f.factors[0].root != f.factors[1].root:
+        if f[0][0] != f[1][0]:
             raise AssertionError("bubbling a shared pair broke it")
-        pairs.extend(f.factors[:2])
-        current = ReflectionFactorization(f.factors[2:])
+        pairs.extend(AffineReflection(rs.roots[a], j) for a, j in f[:2])
+        current = f[2:]
     t = product(pairs)
-    u = product(current.factors) if current.factors else identity_element(w.dim)
-    _verify_split(rs, w, t, u, rep)
-    return t, u
+    suffix = [AffineReflection(rs.roots[a], j) for a, j in current]
+    u = product(suffix) if suffix else identity_element(w.dim)
+    return TranslationEllipticSplit(t, u, *_verify_split(rs, w, t, u, rep))
 
 
-def _verify_split(rs, w, t, u, rep) -> None:
+def _verify_split(rs, w, t, u, rep) -> tuple[DimensionReport, DimensionReport]:
+    """The reports of t and u, once t * u is checked to split w."""
+    rep_t = dimension_report(rs, t)
+    rep_u = dimension_report(rs, u)
     ok = (
         is_translation(t)
         and is_elliptic(u)
         and compose(t, u) == w
-        and dimension_report(rs, t).length == 2 * rep.d
-        and dimension_report(rs, u).length == rep.e
+        and rep_t.length == 2 * rep.d
+        and rep_u.length == rep.e
     )
     if not ok:
         raise AssertionError("translation-elliptic split failed verification")
+    return rep_t, rep_u

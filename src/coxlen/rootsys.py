@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
+from math import lcm
 
 from .errors import ParseError, UnsupportedTypeError
 from .linalg import Mat, RationalLattice, Vec, dot, line_rep, smul, solve_combination, vec
@@ -151,14 +152,10 @@ class RootSystem:
     def root_index(self) -> dict[Vec, int]:
         return {r: i for i, r in enumerate(self.roots)}
 
-    def coroot(self, alpha: Vec) -> Vec:
-        if alpha not in self.root_index:
-            raise ValueError(f"{alpha} is not a root of {self.spec}")
-        return coroot(alpha)
-
     @cached_property
-    def coroots(self) -> Mat:
-        return tuple(coroot(a) for a in self.roots)
+    def tables(self) -> RootTables:
+        """Integer root-index tables, built on first use."""
+        return RootTables.build(self.roots)
 
     @cached_property
     def highest_root(self) -> Vec:
@@ -202,15 +199,58 @@ class RootSystem:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class CorootLatticeBasis:
-    """Z-basis of the coroot lattice: the simple coroots."""
+@dataclass(frozen=True, eq=False)
+class RootTables:
+    """The action of the root reflections on the roots, by index into
+    RootSystem.roots, in integer arithmetic.
 
-    basis: Mat
+    Roots times ``scale`` (2 for F4, whose roots have half-integer
+    coordinates, 1 otherwise) are the integer vectors ``int_roots``.
+    ``reflected[a][b]`` is the index of s_a(b), ``cartan[a][b]`` the
+    integer <a^vee, b>, ``negated[a]`` the index of -a and
+    ``positive[a]`` whether a is lexicographically positive.
+    """
 
+    scale: int
+    int_roots: tuple[tuple[int, ...], ...]
+    int_index: dict[tuple[int, ...], int]
+    reflected: tuple[tuple[int, ...], ...]
+    cartan: tuple[tuple[int, ...], ...]
+    negated: tuple[int, ...]
+    positive: tuple[bool, ...]
 
-def coroot_lattice_basis(rs: RootSystem) -> CorootLatticeBasis:
-    return CorootLatticeBasis(tuple(coroot(a) for a in rs.simple_roots))
+    @staticmethod
+    def build(roots: Mat) -> RootTables:
+        scale = lcm(*(x.denominator for r in roots for x in r))
+        ints = tuple(tuple(int(x * scale) for x in r) for r in roots)
+        index = {r: i for i, r in enumerate(ints)}
+        zero = (0,) * len(ints[0])
+        reflected, cartan = [], []
+        for a in ints:
+            norm = sum(x * x for x in a)
+            row = [2 * sum(x * y for x, y in zip(a, b)) // norm for b in ints]
+            cartan.append(tuple(row))
+            reflected.append(
+                tuple(index[tuple(y - c * x for x, y in zip(a, b))] for c, b in zip(row, ints))
+            )
+        return RootTables(
+            scale=scale,
+            int_roots=ints,
+            int_index=index,
+            reflected=tuple(reflected),
+            cartan=tuple(cartan),
+            negated=tuple(index[tuple(-x for x in r)] for r in ints),
+            positive=tuple(r > zero for r in ints),
+        )
+
+    def conjugate(self, a: int, j: int, b: int, k: int) -> tuple[int, int]:
+        """s_{a,j} r_{b,k} s_{a,j} = r_{s_a(b), k - j <a^vee, b>}, as a
+        (root index, level) pair normalised to the positive root."""
+        c = self.reflected[a][b]
+        level = k - j * self.cartan[a][b]
+        if self.positive[c]:
+            return c, level
+        return self.negated[c], -level
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,9 @@ from coxlen.affgroup import (
     move_set,
     product,
     rebased_normal_form,
+    reflection_times,
     require_group_element,
+    times_reflection,
     translation_element,
 )
 from coxlen.linalg import mat_vec, vec, vsub
@@ -210,3 +212,95 @@ def test_words_stay_in_group(word):
     require_group_element(B2, w)
     root_set = set(B2.roots)
     assert all(mat_vec(w.linear, a) in root_set for a in B2.roots)
+
+
+CROSS_TYPES = ["A3", "B3", "C3", "D4", "G2", "F4"]
+
+
+def fraction_preserves_roots(rs, linear):
+    """The Fraction form of the membership predicate: every root maps to
+    a root under the linear part."""
+    root_set = set(rs.roots)
+    return all(mat_vec(linear, a) in root_set for a in rs.roots)
+
+
+def accepts(rs, linear):
+    try:
+        require_group_element(rs, AffineElement(linear, vec([0] * rs.ambient_dim)))
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def typed_words(draw):
+    """A root system of CROSS_TYPES and a word of affine reflections in it."""
+    rs = root_system(draw(st.sampled_from(CROSS_TYPES)))
+    k = len(rs.positive_roots)
+    n = draw(st.integers(min_value=0, max_value=2 * rs.rank))
+    return rs, [refl(rs, draw(st.integers(0, k - 1)), draw(st.integers(-3, 3))) for _ in range(n)]
+
+
+def compose_fold(rs, word):
+    """Left-to-right product through full matrix products only."""
+    out = identity_element(rs.ambient_dim)
+    for r in word:
+        out = compose(out, r.to_element())
+    return out
+
+
+@given(typed_words(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_rank_one_products_match_compose(typed, data):
+    rs, word = typed
+    w = compose_fold(rs, word)
+    r = refl(rs, data.draw(st.integers(0, len(rs.positive_roots) - 1)), data.draw(st.integers(-3, 3)))
+    assert times_reflection(w, r) == compose(w, r.to_element())
+    assert reflection_times(r, w) == compose(r.to_element(), w)
+    if word:
+        assert product(word) == w
+
+
+@given(typed_words(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_membership_matches_fraction_predicate(typed, data):
+    rs, word = typed
+    m = [list(row) for row in compose_fold(rs, word).linear]
+    n = rs.ambient_dim
+    change = data.draw(st.sampled_from(["none", "entry", "scale", "swap", "negate"]))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    if change == "entry":
+        m[i][j] += data.draw(st.sampled_from([Q(1), Q(-1), Q(1, 2), Q(-1, 2), Q(1, 3), Q(2, 3)]))
+    elif change == "scale":
+        m = [[2 * x for x in row] for row in m]
+    elif change == "swap":
+        m[i], m[j] = m[j], m[i]
+    elif change == "negate":
+        m[i] = [-x for x in m[i]]
+    linear = tuple(tuple(row) for row in m)
+    assert accepts(rs, linear) == fraction_preserves_roots(rs, linear)
+
+
+def test_integer_membership_on_fractional_linear_parts():
+    f4, g2 = root_system("F4"), root_system("G2")
+    short = AffineReflection.make(vec([Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2)]), 0).to_element().linear
+    assert any(x.denominator == 2 for row in short for x in row)
+    long_g2 = AffineReflection.make(vec([-2, 1, 1]), 0).to_element().linear
+    assert any(x.denominator == 3 for row in long_g2 for x in row)
+    rot90 = ((Q(0), Q(-1)), (Q(1), Q(0)))
+    shear = ((Q(1), Q(1)), (Q(0), Q(1)))
+    half_shear = ((Q(1), Q(1, 2)), (Q(0), Q(1)))
+    # rounding the images of this one down would land on roots every time
+    rounds_onto_roots = ((Q(-2, 3), Q(-1, 3)), (Q(2, 3), Q(1, 3)))
+    for rs, linear, expected in [
+        (f4, short, True),
+        (g2, long_g2, True),
+        (B2, rot90, True),
+        (B2, shear, False),
+        (B2, half_shear, False),
+        (B2, rounds_onto_roots, False),
+        (f4, tuple(tuple(2 * x for x in row) for row in short), False),
+        (g2, tuple(tuple(x / 2 for x in row) for row in long_g2), False),
+    ]:
+        assert fraction_preserves_roots(rs, linear) is expected
+        assert accepts(rs, linear) is expected

@@ -222,6 +222,97 @@ def test_budget_env_variable(capsys, monkeypatch):
     assert code == 0
 
 
+def test_budget_message_names_the_cap(capsys):
+    code, _, err = run(
+        capsys,
+        "split", "--type", "B2", "--element", "lambda=(2,0); word=s1",
+        "--budget", "0",
+    )
+    assert code == 4
+    assert err == (
+        "error: Hurwitz search budget 0 exceeded: 1 states visited by round 1 of 1; "
+        "raise it with --budget or COXLEN_BUDGET\n"
+    )
+
+
+def test_lattice_error_prints_the_vector(capsys):
+    code, _, err = run(capsys, "split", "--type", "B2", "--element", "lambda=(1,0)")
+    assert code == 2
+    assert err == "error: translation part (1, 0) is not in the coroot lattice\n"
+    code, _, err = run(capsys, "len", "--type", "F4", "--element", "lambda=(1/2,1/2,1/2,1/2)")
+    assert code == 2
+    assert err == "error: translation part (1/2, 1/2, 1/2, 1/2) is not in the coroot lattice\n"
+
+
+# factor, split and window outputs recorded before the root-index kernel
+# replaced Fraction matrices in the factorisation layer: two elements per
+# family at rank <= 4 (d = 2 for several, so the Hurwitz search runs more
+# than one round), G2, F4 and three windows.
+FROZEN_OUTPUTS = [
+    (['factor', '--type', 'A3', '--element', 'lambda=(2,-1,0,-1); word=s1 s2'],
+     '{"type": "A3", "length": 4, "factors": [{"root": ["0", "0", "1", "-1"], "level": 1}, {"root": ["0", "1", "0", "-1"], "level": 1}, {"root": ["1", "0", "0", "-1"], "level": 2}, {"root": ["0", "0", "1", "-1"], "level": 0}]}'),
+    (['split', '--type', 'A3', '--element', 'lambda=(2,-1,0,-1); word=s1 s2'],
+     '{"type": "A3", "translation": ["1", "0", "0", "-1"], "translation_length": 2, "elliptic_length": 2, "elliptic_factors": [{"root": ["0", "1", "-1", "0"], "level": 0}, {"root": ["1", "0", "-1", "0"], "level": 1}]}'),
+    (['factor', '--type', 'A3', '--element', 'lambda=(1,1,-1,-1); word=s2'],
+     '{"type": "A3", "length": 3, "factors": [{"root": ["0", "1", "-1", "0"], "level": 1}, {"root": ["1", "0", "0", "-1"], "level": 1}, {"root": ["1", "0", "0", "-1"], "level": 0}]}'),
+    (['split', '--type', 'A3', '--element', 'lambda=(1,1,-1,-1); word=s2'],
+     '{"type": "A3", "translation": ["1", "0", "0", "-1"], "translation_length": 2, "elliptic_length": 1, "elliptic_factors": [{"root": ["0", "1", "-1", "0"], "level": 1}]}'),
+    (['factor', '--type', 'B3', '--element', 'lambda=(2,1,-1); word=s3 s2'],
+     '{"type": "B3", "length": 4, "factors": [{"root": ["0", "0", "1"], "level": -2}, {"root": ["0", "1", "-1"], "level": 1}, {"root": ["1", "-1", "0"], "level": 2}, {"root": ["1", "-1", "0"], "level": 0}]}'),
+    (['split', '--type', 'B3', '--element', 'lambda=(2,1,-1); word=s3 s2'],
+     '{"type": "B3", "translation": ["2", "0", "2"], "translation_length": 2, "elliptic_length": 2, "elliptic_factors": [{"root": ["0", "0", "1"], "level": -2}, {"root": ["0", "1", "-1"], "level": 1}]}'),
+    (['factor', '--type', 'B3', '--element', 'lambda=(2,3,-1); word=s1'],
+     '{"type": "B3", "length": 5, "factors": [{"root": ["0", "0", "1"], "level": -3}, {"root": ["0", "1", "-1"], "level": 5}, {"root": ["1", "0", "-1"], "level": 2}, {"root": ["0", "1", "-1"], "level": 0}, {"root": ["0", "0", "1"], "level": 0}]}'),
+    (['split', '--type', 'B3', '--element', 'lambda=(2,3,-1); word=s1'],
+     '{"type": "B3", "translation": ["5", "0", "-1"], "translation_length": 4, "elliptic_length": 1, "elliptic_factors": [{"root": ["1", "-1", "0"], "level": -3}]}'),
+    (['factor', '--type', 'C3', '--element', 'lambda=(1,-2,0); word=s3 s1'],
+     '{"type": "C3", "length": 4, "factors": [{"root": ["0", "0", "2"], "level": 1}, {"root": ["0", "1", "-1"], "level": -1}, {"root": ["1", "0", "-1"], "level": 1}, {"root": ["0", "1", "-1"], "level": 0}]}'),
+    (['split', '--type', 'C3', '--element', 'lambda=(1,-2,0); word=s3 s1'],
+     '{"type": "C3", "translation": ["-1", "0", "-1"], "translation_length": 2, "elliptic_length": 2, "elliptic_factors": [{"root": ["0", "0", "2"], "level": 1}, {"root": ["1", "-1", "0"], "level": 2}]}'),
+    (['factor', '--type', 'C3', '--element', 'lambda=(3,1,-2); word=s2'],
+     '{"type": "C3", "length": 5, "factors": [{"root": ["0", "0", "2"], "level": 2}, {"root": ["0", "1", "1"], "level": 1}, {"root": ["1", "-1", "0"], "level": 3}, {"root": ["1", "-1", "0"], "level": 0}, {"root": ["0", "0", "2"], "level": 0}]}'),
+    (['split', '--type', 'C3', '--element', 'lambda=(3,1,-2); word=s2'],
+     '{"type": "C3", "translation": ["3", "2", "-3"], "translation_length": 4, "elliptic_length": 1, "elliptic_factors": [{"root": ["0", "1", "-1"], "level": -1}]}'),
+    (['factor', '--type', 'D4', '--element', 'lambda=(1,2,-1,0); word=s4 s2'],
+     '{"type": "D4", "length": 4, "factors": [{"root": ["0", "0", "1", "1"], "level": -2}, {"root": ["0", "1", "-1", "0"], "level": 2}, {"root": ["1", "0", "0", "-1"], "level": 1}, {"root": ["1", "0", "0", "-1"], "level": 0}]}'),
+    (['split', '--type', 'D4', '--element', 'lambda=(1,2,-1,0); word=s4 s2'],
+     '{"type": "D4", "translation": ["1", "0", "1", "0"], "translation_length": 2, "elliptic_length": 2, "elliptic_factors": [{"root": ["0", "0", "1", "1"], "level": -2}, {"root": ["0", "1", "-1", "0"], "level": 2}]}'),
+    (['factor', '--type', 'D4', '--element', 'lambda=(2,1,1,0); word=s1'],
+     '{"type": "D4", "length": 5, "factors": [{"root": ["0", "1", "-1", "0"], "level": 1}, {"root": ["0", "1", "1", "0"], "level": 0}, {"root": ["1", "0", "-1", "0"], "level": 2}, {"root": ["1", "1", "0", "0"], "level": 0}, {"root": ["0", "1", "-1", "0"], "level": 0}]}'),
+    (['split', '--type', 'D4', '--element', 'lambda=(2,1,1,0); word=s1'],
+     '{"type": "D4", "translation": ["1", "2", "1", "0"], "translation_length": 4, "elliptic_length": 1, "elliptic_factors": [{"root": ["1", "-1", "0", "0"], "level": 1}]}'),
+    (['factor', '--type', 'G2', '--element', 'lambda=(1,1,-2); word=s1'],
+     '{"type": "G2", "length": 3, "factors": [{"root": ["0", "1", "-1"], "level": 2}, {"root": ["1", "0", "-1"], "level": 1}, {"root": ["0", "1", "-1"], "level": 0}]}'),
+    (['split', '--type', 'G2', '--element', 'lambda=(1,1,-2); word=s1'],
+     '{"type": "G2", "translation": ["2", "0", "-2"], "translation_length": 2, "elliptic_length": 1, "elliptic_factors": [{"root": ["1", "-1", "0"], "level": -1}]}'),
+    (['factor', '--type', 'G2', '--element', 'lambda=(2,-1,-1); word=s2 s1 s2'],
+     '{"type": "G2", "length": 3, "factors": [{"root": ["0", "1", "-1"], "level": -1}, {"root": ["1", "-1", "0"], "level": 2}, {"root": ["0", "1", "-1"], "level": 0}]}'),
+    (['split', '--type', 'G2', '--element', 'lambda=(2,-1,-1); word=s2 s1 s2'],
+     '{"type": "G2", "translation": ["1", "-1", "0"], "translation_length": 2, "elliptic_length": 1, "elliptic_factors": [{"root": ["1", "0", "-1"], "level": 1}]}'),
+    (['factor', '--type', 'F4', '--element', 'lambda=(2,1,0,1); word=s3'],
+     '{"type": "F4", "length": 5, "factors": [{"root": ["0", "0", "0", "1"], "level": -1}, {"root": ["0", "1", "0", "-1"], "level": 1}, {"root": ["1", "-1", "0", "0"], "level": 2}, {"root": ["1", "-1", "0", "0"], "level": 0}, {"root": ["0", "1", "0", "-1"], "level": 0}]}'),
+    (['split', '--type', 'F4', '--element', 'lambda=(2,1,0,1); word=s3'],
+     '{"type": "F4", "translation": ["2", "1", "0", "3"], "translation_length": 4, "elliptic_length": 1, "elliptic_factors": [{"root": ["0", "0", "0", "1"], "level": -1}]}'),
+    (['factor', '--type', 'F4', '--element', 'lambda=(2,1,-1,0); word=s4 s2'],
+     '{"type": "F4", "length": 4, "factors": [{"root": ["0", "0", "1", "-1"], "level": -2}, {"root": ["0", "1", "0", "1"], "level": 3}, {"root": ["1/2", "1/2", "-1/2", "1/2"], "level": 2}, {"root": ["0", "1", "0", "1"], "level": 0}]}'),
+    (['split', '--type', 'F4', '--element', 'lambda=(2,1,-1,0); word=s4 s2'],
+     '{"type": "F4", "translation": ["3", "0", "0", "-3"], "translation_length": 2, "elliptic_length": 2, "elliptic_factors": [{"root": ["0", "0", "1", "-1"], "level": -2}, {"root": ["1/2", "-1/2", "-1/2", "-1/2"], "level": -1}]}'),
+    (['window', '--window', '[5,1,0]'],
+     '{"n": 3, "lambda": [1, 0, -1], "permutation": [2, 1, 3], "cycles": [[1, 2], [3]], "relative_nullity": 1, "length": 3, "good_origin": ["-1/3", "2/3", "-1/3"], "translation_part": ["1", "0", "-1"]}'),
+    (['window', '--window', '[6,-3,0,7]'],
+     '{"n": 4, "lambda": [1, -1, -1, 1], "permutation": [2, 1, 4, 3], "cycles": [[1, 2], [3, 4]], "relative_nullity": 2, "length": 2, "good_origin": ["0", "1", "0", "-1"], "translation_part": ["0", "0", "0", "0"]}'),
+    (['window', '--window', '[8,-1,0,12,-4]'],
+     '{"n": 5, "lambda": [1, -1, -1, 2, -1], "permutation": [3, 4, 5, 2, 1], "cycles": [[1, 3, 5], [2, 4]], "relative_nullity": 1, "length": 5, "good_origin": ["0", "0", "1", "-1", "0"], "translation_part": ["-1", "1", "0", "0", "0"]}'),
+]
+
+
+@pytest.mark.parametrize("argv,expected", FROZEN_OUTPUTS, ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_frozen_outputs(capsys, argv, expected):
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0, err
+    assert out == expected + "\n"
+
+
 def console_script_wrapper(entry_point):
     """The launcher pip writes for a ``[project.scripts]`` entry."""
     module, attr = entry_point.split(":")

@@ -30,6 +30,7 @@ from coxlen.errors import BudgetExceeded
 from coxlen.linalg import is_zero, line_rep, reduce_against, rref, vec
 from coxlen.reflen import (
     ReflectionFactorization,
+    _index_moves,
     _min_span_subset,
     _quotient_lines,
     dimension_report,
@@ -329,3 +330,30 @@ def test_reach_a7_matches_window_formula():
 def test_reach_b7_d6(name, length):
     rs = root_system(name)
     assert dimension_report(rs, sum_i_coroots(rs)).length == length
+
+
+@st.composite
+def typed_factorisations(draw):
+    """A random sequence of affine reflections in one of SPAN_TYPES."""
+    rs = root_system(draw(st.sampled_from(SPAN_TYPES)))
+    k = len(rs.positive_roots)
+    n = draw(st.integers(min_value=2, max_value=6))
+    factors = tuple(refl(rs, draw(st.integers(0, k - 1)), draw(st.integers(-3, 3))) for _ in range(n))
+    return rs, ReflectionFactorization(factors)
+
+
+@given(typed_factorisations())
+@settings(max_examples=150, deadline=None)
+def test_index_hurwitz_moves_match_hurwitz_move(typed):
+    rs, f = typed
+    pairs = tuple((rs.root_index[r.root], r.level) for r in f.factors)
+    got = [
+        tuple(AffineReflection(rs.roots[a], j) for a, j in g)
+        for g in _index_moves(rs.tables.conjugate, pairs)
+    ]
+    expected = [
+        hurwitz_move(f, i, direction).factors
+        for i in range(len(f) - 1)
+        for direction in ("right", "left")
+    ]
+    assert got == expected

@@ -181,3 +181,18 @@ def test_canonical_root_normalises_scalar_multiples():
     assert canonical_root(rs, vec([-2, 0])) == vec([1, 0])
     with pytest.raises(ValueError):
         canonical_root(rs, vec([1, 2]))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4", "B8"])
+def test_root_tables_match_fraction_geometry(name):
+    rs = root_system(name)
+    tables = rs.tables
+    assert tables.scale == (2 if name == "F4" else 1)
+    zero = vec([0] * rs.ambient_dim)
+    for i, a in enumerate(rs.roots):
+        assert tables.int_roots[i] == tuple(x * tables.scale for x in a)
+        assert rs.roots[tables.negated[i]] == tuple(-x for x in a)
+        assert tables.positive[i] == (a > zero)
+        for j, b in enumerate(rs.roots):
+            assert rs.roots[tables.reflected[i][j]] == reflect(a, b)
+            assert tables.cartan[i][j] == dot(coroot(a), b)
