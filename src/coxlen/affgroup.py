@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cached_property
 from math import lcm
 
 from .linalg import (
@@ -36,6 +37,7 @@ from .linalg import (
     project_off,
     reduce_against,
     rref,
+    rref_pivots,
     solve_affine,
     transpose,
     vadd,
@@ -143,17 +145,17 @@ def product(factors) -> AffineElement:
 def times_reflection(x: AffineElement, r: AffineReflection) -> AffineElement:
     """x r, as a rank-one update: with r = (I - a^vee a^T, j a^vee) and
     c = A a^vee, the product is (A - c a^T, mu + j c)."""
-    c = _times_sparse(x.linear, coroot(r.root))
-    return AffineElement(
-        linear=_rank_one_update(x.linear, c, r.root),
-        translation=tuple(m + r.level * ci for m, ci in zip(x.translation, c)),
-    )
+    c = _times_sparse(x.linear, r.coroot)
+    translation = x.translation
+    if r.level:
+        translation = tuple(m + r.level * ci for m, ci in zip(translation, c))
+    return AffineElement(linear=_rank_one_update(x.linear, c, r.root), translation=translation)
 
 
 def reflection_times(r: AffineReflection, x: AffineElement) -> AffineElement:
     """r x, as a rank-one update: with r = (I - a^vee a^T, j a^vee), the
     product is (A - a^vee (a^T A), mu - (<a, mu> - j) a^vee)."""
-    av = coroot(r.root)
+    av = r.coroot
     row = _times_sparse(transpose(x.linear), r.root)
     shift = dot(r.root, x.translation) - r.level
     return AffineElement(
@@ -202,8 +204,13 @@ class AffineReflection:
             root, level = tuple(-x for x in root), -level
         return AffineReflection(tuple(Q(x) for x in root), level)
 
+    @cached_property
+    def coroot(self) -> Vec:
+        """root-check, computed once per reflection."""
+        return coroot(self.root)
+
     def to_element(self) -> AffineElement:
-        av = coroot(self.root)
+        av = self.coroot
         n = len(self.root)
         linear = tuple(
             tuple((Q(1) if i == j else Q(0)) - av[i] * self.root[j] for j in range(n))
@@ -270,8 +277,8 @@ def fixed_set(rs: RootSystem, a: AffineElement) -> AffineSubspace:
 def is_elliptic(a: AffineElement) -> bool:
     """True iff the translation part lies in Im(linear - I), equivalently
     iff the fixed set is nonempty."""
-    basis, pivots = rref(linear_move_space(a.linear))
-    return is_zero(reduce_against(basis, pivots, a.translation))
+    basis = linear_move_space(a.linear)
+    return is_zero(reduce_against(basis, rref_pivots(basis), a.translation))
 
 
 def is_translation(a: AffineElement) -> bool:

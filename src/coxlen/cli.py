@@ -25,6 +25,7 @@ import os
 import re
 import sys
 from fractions import Fraction as Q
+from functools import lru_cache
 
 from .errors import BudgetExceeded, ParseError, UnsupportedTypeError
 from .linalg import Vec, vadd, vec
@@ -468,9 +469,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process: parse_args reads the parser and
+    puts every value into a new namespace, so calls share nothing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if hasattr(args, "budget") and args.budget is None:
             args.budget = _default_budget()

@@ -9,10 +9,18 @@ Specialising s -> t^2 turns each monomial into t^length.  At lam = 0
 this is the Poincare-style product over the exponents of W0; at generic
 lam every factor (1 + e_i t) deforms to (s + e_i t).
 
-W0 is enumerated once by breadth-first closure of the simple reflection
-matrices; the per-element data that does not depend on lam (the rank e
-and the projected root lines) is cached so classifying many lattice
-points only repeats the small span search.
+W0 is enumerated once by breadth-first search over permutations of the
+root indices: right multiplication by a simple reflection s_i is an index
+lookup in RootSystem.tables.reflected, and duplicates are found by
+hashing integer tuples.  Each new element's matrix is built once, by a
+rank-one update of the element it was reached from.
+
+f_lam depends on u only through its move space Im(u - I): e(u) is its
+dimension and d(t_lam u) is the span search of lam modulo it.  The
+lam-independent tables therefore hold one entry per distinct move space
+(the RREF basis, its projected root lines and the number of elements of
+W0 with that move space), so classifying many lattice points repeats
+only the small span search, once per space.
 """
 
 from __future__ import annotations
@@ -21,9 +29,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BudgetExceeded
-from .linalg import Mat, Vec, is_zero, mat_mul, reduce_against, rref
+from .linalg import (
+    Mat,
+    Vec,
+    identity_matrix,
+    is_zero,
+    mat,
+    primitive_rref,
+    reduce_against,
+    rref,
+    zero_vec,
+)
 from .reflen import _min_span_subset, _quotient_lines
-from .affgroup import AffineReflection, linear_move_space
+from .affgroup import AffineElement, AffineReflection, times_reflection
 from .rootsys import RootSystem
 
 DEFAULT_W0_CAP = 10**5
@@ -139,12 +157,19 @@ def poly1_format(coeffs) -> str:
 
 @dataclass(eq=False)
 class SphericalGroup:
-    """W0 as matrices, in breadth-first order (word length, then matrix
-    lexicographically); words holds one reduced word per element, as
-    indices into the simple roots."""
+    """W0 in breadth-first order (word length, then matrix
+    lexicographically).  elements holds the matrices; words one reduced
+    word per element, as indices into the simple roots; permutations the
+    action on the roots, permutations[k][b] being the index in
+    RootSystem.roots of the image of root b under elements[k].
+
+    The search runs on the permutations: right multiplication by s_i is
+    the lookup p[s_i(b)], and the matrix of a new element is built once,
+    as a rank-one update of the matrix of the element that reached it."""
 
     elements: tuple[Mat, ...]
     words: tuple[tuple[int, ...], ...]
+    permutations: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
@@ -157,38 +182,56 @@ def enumerate_w0(rs: RootSystem, cap: int = DEFAULT_W0_CAP) -> SphericalGroup:
         raise BudgetExceeded(
             f"W0 of {rs.spec} has order {rs.w0_order}, above the cap {cap}"
         )
-    gens = [AffineReflection.make(a, 0).to_element().linear for a in rs.simple_roots]
-    from .linalg import identity_matrix
-
-    ident = identity_matrix(rs.ambient_dim)
-    words: dict[Mat, tuple[int, ...]] = {ident: ()}
-    order: list[Mat] = [ident]
-    level = [ident]
+    reflected = rs.tables.reflected
+    gens = [
+        (reflected[rs.root_index[a]], AffineReflection.make(a, 0)) for a in rs.simple_roots
+    ]
+    zero = zero_vec(rs.ambient_dim)
+    start = (identity_matrix(rs.ambient_dim), tuple(range(len(rs.roots))), ())
+    order = [start]
+    seen = {start[1]}
+    level = [start]
     while level:
-        found: dict[Mat, tuple[int, ...]] = {}
-        for m in level:
-            for gi, g in enumerate(gens):
-                nm = mat_mul(m, g)
-                if nm not in words and nm not in found:
-                    found[nm] = words[m] + (gi,)
-        level = sorted(found)
-        for nm in level:
-            words[nm] = found[nm]
-            order.append(nm)
+        # first discovery wins, scanning the level in order and the
+        # generators in index order
+        found: dict[tuple[int, ...], tuple] = {}
+        for m, p, word in level:
+            for gi, (moves, r) in enumerate(gens):
+                q = tuple(p[b] for b in moves)
+                if q not in seen and q not in found:
+                    found[q] = (m, r, word + (gi,))
+        # the matrices are distinct, so this sorts the level by matrix
+        level = sorted(
+            (times_reflection(AffineElement(m, zero), r).linear, q, word)
+            for q, (m, r, word) in found.items()
+        )
+        seen.update(found)
+        order.extend(level)
         if len(order) > cap:
             raise BudgetExceeded("W0 enumeration exceeded the cap")
-    return SphericalGroup(elements=tuple(order), words=tuple(words[m] for m in order))
+    elements, perms, words = zip(*order)
+    return SphericalGroup(elements=elements, words=words, permutations=perms)
 
 
 @lru_cache(maxsize=None)
 def _genfun_tables(rs: RootSystem):
-    """Per-element lam-independent data: (e, ubasis, upivots, projected
-    root lines)."""
+    """The lam-independent data, one entry per distinct move space of W0,
+    in first-seen order: (e, ubasis, upivots, projected root lines,
+    number of elements with that move space)."""
+    roots = rs.tables.int_roots
+    simple = [rs.root_index[a] for a in rs.simple_roots]
+    counts: dict[tuple[tuple[int, ...], ...], int] = {}
+    for perm in enumerate_w0(rs).permutations:
+        # u fixes the complement of the root span, so Im(u - I) is
+        # spanned by u(a_i) - a_i over the simple roots a_i
+        key = primitive_rref(
+            tuple(x - y for x, y in zip(roots[perm[i]], roots[i])) for i in simple if perm[i] != i
+        )
+        counts[key] = counts.get(key, 0) + 1
     out = []
-    for m in enumerate_w0(rs).elements:
-        ubasis, upivots = rref(linear_move_space(m))
-        lines = _quotient_lines(rs, ubasis, upivots)
-        out.append((len(ubasis), ubasis, upivots, lines))
+    for key, mult in counts.items():
+        ubasis, upivots = rref(mat(key))
+        out.append((len(ubasis), ubasis, upivots, _quotient_lines(rs, ubasis, upivots), mult))
     return tuple(out)
 
 
@@ -197,13 +240,13 @@ def local_genfun(rs: RootSystem, lam: Vec) -> BivariatePolynomial:
     if not rs.in_coroot_lattice(lam):
         raise ValueError(f"{lam} is not in the coroot lattice of {rs.spec}")
     counts: dict[tuple[int, int], int] = {}
-    for e, ubasis, upivots, lines in _genfun_tables(rs):
+    for e, ubasis, upivots, lines, mult in _genfun_tables(rs):
         res = reduce_against(ubasis, upivots, lam)
         if is_zero(res):
             d = 0
         else:
             d = _min_span_subset(lines, res, rs.rank - e)[0]
-        counts[(d, e)] = counts.get((d, e), 0) + 1
+        counts[(d, e)] = counts.get((d, e), 0) + mult
     return BivariatePolynomial.from_dict(counts)
 
 
@@ -211,8 +254,8 @@ def spherical_genfun(rs: RootSystem) -> tuple[int, ...]:
     """Distribution of reflection length over W0 (elliptic elements have
     length equal to e); computed by counting, not from the exponents."""
     counts = [0] * (rs.rank + 1)
-    for e, _, _, _ in _genfun_tables(rs):
-        counts[e] += 1
+    for e, _, _, _, mult in _genfun_tables(rs):
+        counts[e] += mult
     return tuple(counts)
 
 

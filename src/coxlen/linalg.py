@@ -13,6 +13,7 @@ the common denominator.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction as Q
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -110,6 +111,51 @@ def rref(rows: Sequence[Vec]) -> tuple[Mat, tuple[int, ...]]:
             break
     out = tuple(tuple(row) for row in work[:r])
     return out, tuple(pivots)
+
+
+def rref_pivots(basis: Sequence[Vec]) -> tuple[int, ...]:
+    """Pivot columns of rows already in reduced row echelon form: the
+    first nonzero column of each row."""
+    return tuple(next(j for j, x in enumerate(row) if x) for row in basis)
+
+
+def reduce_int(v: list[int], b: list[int], p: int) -> list[int] | None:
+    """v modulo the line through b (with b[p] != 0), fraction-free and
+    divided by the gcd; None when v lies on that line.  With b[p] > 0 the
+    result is a positive multiple of v - (v[p] / b[p]) b."""
+    c = v[p]
+    if c == 0:
+        return v
+    bp = b[p]
+    w = [bp * x - c * y for x, y in zip(v, b)]
+    g = gcd(*w)
+    if g == 0:
+        return None
+    return w if g == 1 else [x // g for x in w]
+
+
+def primitive_rref(rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Canonical integer basis of the rational span of integer rows: the
+    rows of its reduced row echelon form, each scaled to primitive
+    integers with a positive pivot, so equal spans give equal tuples.
+    Fraction-free: rref(mat(result)) is the RREF of the span."""
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for v in rows:
+        for b, p in zip(basis, pivots):
+            v = reduce_int(v, b, p)
+            if v is None:
+                break
+        q = None if v is None else next((j for j, x in enumerate(v) if x), None)
+        if q is None:
+            continue
+        g = gcd(*v)
+        v = [x // (g if v[q] > 0 else -g) for x in v]
+        basis = [reduce_int(b, v, q) for b in basis]
+        k = bisect(pivots, q)
+        basis.insert(k, v)
+        pivots.insert(k, q)
+    return tuple(tuple(b) for b in basis)
 
 
 def rank(rows: Sequence[Vec]) -> int:

@@ -31,7 +31,6 @@ are rank-one updates (affgroup.times_reflection, reflection_times).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Literal
 
 from .affgroup import (
@@ -50,7 +49,7 @@ from .affgroup import (
     times_reflection,
 )
 from .errors import BudgetExceeded
-from .linalg import Mat, Vec, dot, is_zero, line_rep, reduce_against, rref
+from .linalg import Mat, Vec, dot, is_zero, line_rep, reduce_against, reduce_int, rref, rref_pivots
 from .rootsys import RootSystem
 
 DEFAULT_HURWITZ_BUDGET = 10**6
@@ -116,8 +115,8 @@ def _min_span_subset(
         for pos in range(len(later) - size + 1):
             i, b = later[pos]
             p = next(c for c, x in enumerate(b) if x)
-            rest = [(j, w) for j, v in later[pos + 1 :] if (w := _reduce_int(v, b, p)) is not None]
-            found = complete(_reduce_int(t, b, p), rest, size - 1)
+            rest = [(j, w) for j, v in later[pos + 1 :] if (w := reduce_int(v, b, p)) is not None]
+            found = complete(reduce_int(t, b, p), rest, size - 1)
             if found is not None:
                 return (i,) + found
         return None
@@ -131,24 +130,11 @@ def _min_span_subset(
     raise AssertionError("projected root lines failed to span their own span")
 
 
-def _reduce_int(v: list[int], b: list[int], p: int) -> list[int] | None:
-    """v modulo the line through b (with b[p] != 0), fraction-free and
-    divided by the gcd; None when v lies on that line."""
-    c = v[p]
-    if c == 0:
-        return v
-    bp = b[p]
-    w = [bp * x - c * y for x, y in zip(v, b)]
-    g = gcd(*w)
-    if g == 0:
-        return None
-    return w if g == 1 else [x // g for x in w]
-
-
 def differential_dimension(rs: RootSystem, w: AffineElement) -> int:
     """d(w): minimal number of roots spanning the translation part modulo
     the move-set of the linear part."""
-    return _differential_data(rs, w, *rref(linear_move_space(w.linear)))[0]
+    ubasis = linear_move_space(w.linear)
+    return _differential_data(rs, w, ubasis, rref_pivots(ubasis))[0]
 
 
 def _differential_data(
@@ -201,7 +187,8 @@ class DimensionReport:
 
 
 def dimension_report(rs: RootSystem, w: AffineElement) -> DimensionReport:
-    ubasis, upivots = rref(linear_move_space(w.linear))
+    ubasis = linear_move_space(w.linear)
+    upivots = rref_pivots(ubasis)
     e = len(ubasis)
     d, lifts = _differential_data(rs, w, ubasis, upivots)
     u_roots = _root_basis_of_span(rs, ubasis, upivots)
@@ -244,8 +231,7 @@ def factor_elliptic(rs: RootSystem, v: AffineElement) -> ReflectionFactorization
     current = v
     mov = linear_move_space(current.linear)
     while mov:
-        # one RREF of the move-set per peel step, for every candidate root
-        mov, pivots = rref(mov)
+        pivots = rref_pivots(mov)
         found = None
         for alpha in rs.positive_roots:
             if not is_zero(reduce_against(mov, pivots, alpha)):

@@ -25,7 +25,7 @@ from fractions import Fraction as Q
 
 from .errors import UnsupportedTypeError
 from .linalg import Vec, dot, smul, solve_combination, vadd
-from .affgroup import AffineElement, AffineReflection, compose, identity_element
+from .affgroup import AffineElement, AffineReflection, identity_element, times_reflection
 from .genfun import classify_coroots
 from .reflen import dimension_report
 from .rootsys import RootSystem, coroot
@@ -140,7 +140,7 @@ def enumerate_alcoves(rs: RootSystem, radius) -> list[tuple[AffineElement, tuple
         nxt = []
         for w in queue:
             for wall in walls:
-                nw = compose(w, wall.to_element())
+                nw = times_reflection(w, wall)
                 key = (nw.linear, nw.translation)
                 if key in seen:
                     continue

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import coxlen
+import coxlen.cli
 from coxlen.cli import main, parse_element, parse_vector, parse_window_text
 from coxlen.errors import ParseError
 from coxlen.rootsys import root_system
@@ -368,3 +369,41 @@ def test_entry_point_subprocess(tmp_path):
     )
     assert script.returncode == 0, script.stderr
     assert json.loads(script.stdout)["length"] == 2
+
+
+# Consecutive in-process calls; an option given in one call (--budget 0,
+# --json, --verify) must not reach the next.
+IN_PROCESS_SEQUENCE = [
+    ["split", "--type", "B2", "--element", "lambda=(1,1)", "--budget", "0", "--json"],
+    ["split", "--type", "B2", "--element", "lambda=(1,1)", "--json"],
+    ["len", "--type", "A2", "--element", "lambda=(1,-1,0); word=s1", "--verify", "--json"],
+    ["len", "--type", "A2", "--element", "lambda=(1,-1,0); word=s1"],
+    ["genfun", "--type", "B2", "--lambda", "(3,1)", "--json"],
+    ["nullity", "--vector", "(-3,-2,-2,-1,1,2,5)"],
+    ["window", "--window", "[4,2,0]", "--json"],
+    ["split", "--type", "B2", "--element", "lambda=(1,1)"],
+]
+
+
+def test_main_reuses_one_parser_across_calls(capsys, monkeypatch):
+    monkeypatch.delenv("COXLEN_BUDGET", raising=False)
+    built = []
+    original = coxlen.cli.build_parser
+    monkeypatch.setattr(coxlen.cli, "build_parser", lambda: built.append(1) or original())
+    coxlen.cli._parser.cache_clear()
+    try:
+        in_process = [run(capsys, *argv) for argv in IN_PROCESS_SEQUENCE]
+    finally:
+        coxlen.cli._parser.cache_clear()
+    assert len(built) == 1
+
+    src = str(Path(coxlen.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "COXLEN_BUDGET"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv, got in zip(IN_PROCESS_SEQUENCE, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "coxlen.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert in_process[0][0] == 4
+    assert [code for code, _, _ in in_process[1:]] == [0] * (len(IN_PROCESS_SEQUENCE) - 1)

@@ -7,10 +7,13 @@ below factor as (s + t)(1 + m t) on subregular points and
 (s + t)(s + m t) on generic points, with m the largest exponent.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxlen.affgroup import AffineElement, AffineReflection
 from coxlen.errors import BudgetExceeded
 from coxlen.genfun import (
     BivariatePolynomial,
@@ -25,7 +28,8 @@ from coxlen.genfun import (
     poly_s_plus,
     spherical_genfun,
 )
-from coxlen.linalg import vec
+from coxlen.linalg import identity_matrix, mat_mul, mat_vec, vec
+from coxlen.reflen import dimension_report
 from coxlen.rootsys import root_system
 
 A2 = root_system("A2")
@@ -81,6 +85,73 @@ def test_w0_enumeration_counts():
     lengths = [len(w) for w in g.words]
     assert lengths == sorted(lengths)
     assert max(lengths) == 4  # the long element of B2
+
+
+def reference_enumerate_w0(rs):
+    """W0 by breadth-first closure of the simple reflection matrices with
+    Fraction matrix products: each level sorted by matrix, each new
+    element keeping the first word that reached it (level order, then
+    generator order).  Returns (elements, words)."""
+    gens = [AffineReflection.make(a, 0).to_element().linear for a in rs.simple_roots]
+    ident = identity_matrix(rs.ambient_dim)
+    words = {ident: ()}
+    order = [ident]
+    level = [ident]
+    while level:
+        found = {}
+        for m in level:
+            for gi, g in enumerate(gens):
+                nm = mat_mul(m, g)
+                if nm not in words and nm not in found:
+                    found[nm] = words[m] + (gi,)
+        level = sorted(found)
+        for nm in level:
+            words[nm] = found[nm]
+            order.append(nm)
+    return tuple(order), tuple(words[m] for m in order)
+
+
+REFERENCE_W0_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D2", "D3", "D4", "G2"]
+
+
+@pytest.mark.parametrize("name", REFERENCE_W0_TYPES)
+def test_enumeration_matches_matrix_reference(name):
+    rs = root_system(name)
+    group = enumerate_w0(rs)
+    elements, words = reference_enumerate_w0(rs)
+    assert group.elements == elements
+    assert group.words == words
+    # each permutation is the action of its matrix on the roots
+    for m, perm in zip(group.elements, group.permutations, strict=True):
+        assert tuple(rs.root_index[mat_vec(m, r)] for r in rs.roots) == perm
+
+
+GENFUN_PROPERTY_TYPES = ["A2", "B2", "G2", "A3", "B3", "C3", "D4"]
+
+
+@st.composite
+def lattice_points(draw):
+    rs = root_system(draw(st.sampled_from(GENFUN_PROPERTY_TYPES)))
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=rs.rank, max_size=rs.rank))
+    return rs, rs.from_lattice_coords(coeffs)
+
+
+@given(lattice_points())
+@settings(max_examples=60, deadline=None)
+def test_local_genfun_counts_dimension_reports(point):
+    # an independent path: one dimension_report per element t_lam u of W0
+    rs, lam = point
+    counts = Counter()
+    for m in enumerate_w0(rs).elements:
+        rep = dimension_report(rs, AffineElement(m, lam))
+        counts[(rep.d, rep.e)] += 1
+    assert local_genfun(rs, lam) == BivariatePolynomial.from_dict(dict(counts))
+
+
+@pytest.mark.parametrize("name", ["A5", "B5", "D5", "A6"])
+def test_length_distribution_reach(name):
+    rs = root_system(name)
+    assert spherical_genfun(rs) == exponent_product(rs)
 
 
 def test_w0_cap():

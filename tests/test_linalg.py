@@ -1,6 +1,7 @@
 """Exact linear algebra: hand-checked values plus algebraic properties."""
 
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,11 +14,14 @@ from coxlen.linalg import (
     line_rep,
     mat_mul,
     mat_vec,
+    mat,
     orthogonalize,
+    primitive_rref,
     project_off,
     rank,
     reduce_against,
     rref,
+    rref_pivots,
     solve_affine,
     solve_combination,
     transpose,
@@ -157,3 +161,33 @@ def test_matrix_vector_algebra(u, v):
 def test_line_rep_rejects_zero():
     with pytest.raises(ValueError):
         line_rep(vec([0, 0]))
+
+
+int_rows = st.lists(st.tuples(*([st.integers(-5, 5)] * 4)), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_rows, st.lists(st.tuples(st.integers(1, 3), st.integers(0, 4), st.integers(0, 4), st.integers(-2, 2))))
+def test_primitive_rref_is_the_scaled_rref(rows, ops):
+    key = primitive_rref(rows)
+    basis, pivots = rref(mat(rows))
+    assert rref(mat(key)) == (basis, pivots)
+    assert rref_pivots(basis) == pivots
+    for row, p in zip(key, pivots):
+        assert row[p] > 0 and gcd(*row) == 1
+    # other generators of the same span (rows scaled, combined and
+    # duplicated) give the same key
+    other = [list(r) for r in rows]
+    for scale, i, j, c in ops:
+        if other:
+            i, j = i % len(other), j % len(other)
+            if i != j:
+                other[i] = [scale * x + c * y for x, y in zip(other[i], other[j])]
+            other.append(other[j])
+    assert primitive_rref(reversed(other)) == key
+
+
+def test_primitive_rref_hand_example():
+    assert primitive_rref([(2, 4, 6), (1, 2, 4)]) == ((1, 2, 0), (0, 0, 1))
+    assert primitive_rref([(0, -3, 6), (0, 0, 0)]) == ((0, 1, -2),)
+    assert primitive_rref([]) == ()
