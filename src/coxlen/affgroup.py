@@ -31,13 +31,15 @@ from .linalg import (
     dot,
     identity_matrix,
     in_span,
+    int_residual,
     is_zero,
     mat_mul,
     mat_vec,
+    primitive_rref,
     project_off,
-    reduce_against,
     rref,
     rref_pivots,
+    scaled_ints,
     solve_affine,
     transpose,
     vadd,
@@ -237,13 +239,16 @@ class AffineReflection:
         return AffineReflection.make(new_root, self.level - s.level * pairing)
 
 
-def linear_move_space(linear: Mat) -> Mat:
-    """RREF basis of Im(linear - I)."""
-    n = len(linear)
-    ident = identity_matrix(n)
-    cols = transpose(tuple(tuple(linear[i][j] - ident[i][j] for j in range(n)) for i in range(n)))
-    rows, _ = rref(cols)
-    return rows
+def linear_move_space(linear: Mat) -> tuple[tuple[int, ...], ...]:
+    """Im(linear - I) as primitive_rref rows: its RREF basis, each row
+    scaled to primitive integers with a positive pivot.  Computed
+    fraction-free from the columns of linear - I times the lcm of the
+    denominators."""
+    den = lcm(*(x.denominator for row in linear for x in row))
+    cols = [[x.numerator * (den // x.denominator) for x in col] for col in zip(*linear)]
+    for j, col in enumerate(cols):
+        col[j] -= den
+    return primitive_rref(cols)
 
 
 def elliptic_rank(linear: Mat) -> int:
@@ -278,7 +283,7 @@ def is_elliptic(a: AffineElement) -> bool:
     """True iff the translation part lies in Im(linear - I), equivalently
     iff the fixed set is nonempty."""
     basis = linear_move_space(a.linear)
-    return is_zero(reduce_against(basis, rref_pivots(basis), a.translation))
+    return int_residual(basis, rref_pivots(basis), scaled_ints(a.translation)) is None
 
 
 def is_translation(a: AffineElement) -> bool:

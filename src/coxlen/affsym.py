@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations
 
-from .affgroup import AffineElement, compose, translation_element
+from .affgroup import AffineElement
 from .errors import BudgetExceeded, ParseError
-from .linalg import Vec, mat_vec, transpose, vec, vsub
+from .linalg import Vec, mat_vec, transpose, vec
 from .reflen import (
     DEFAULT_HURWITZ_BUDGET,
     factor_elliptic,

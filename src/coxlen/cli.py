@@ -40,6 +40,7 @@ from .affgroup import (
 )
 from .reflen import (
     DEFAULT_HURWITZ_BUDGET,
+    _min_factorization,
     dimension_report,
     min_factorization,
     translation_elliptic_split,
@@ -229,7 +230,7 @@ def cmd_split(args) -> int:
     w = parse_element(rs, args.element)
     split = translation_elliptic_split(rs, w, budget=args.budget)
     t, rep_t, rep_u = split.translation, split.translation_report, split.elliptic_report
-    factors = min_factorization(rs, split.elliptic).factors
+    factors = _min_factorization(rs, split.elliptic, split.elliptic_report).factors
     payload = {
         "type": str(rs.spec),
         "translation": _vec_json(t.translation),

@@ -18,9 +18,10 @@ rank-one update of the element it was reached from.
 f_lam depends on u only through its move space Im(u - I): e(u) is its
 dimension and d(t_lam u) is the span search of lam modulo it.  The
 lam-independent tables therefore hold one entry per distinct move space
-(the RREF basis, its projected root lines and the number of elements of
-W0 with that move space), so classifying many lattice points repeats
-only the small span search, once per space.
+(its primitive integer RREF basis, its projected root lines and the
+number of elements of W0 with that move space), so classifying many
+lattice points repeats only the small span search, once per space.  The
+tables and the reduction of lam modulo each space are fraction-free.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ from .linalg import (
     Mat,
     Vec,
     identity_matrix,
+    int_residual,
     is_zero,
-    mat,
     primitive_rref,
-    reduce_against,
-    rref,
+    rref_pivots,
+    scaled_ints,
     zero_vec,
 )
 from .reflen import _min_span_subset, _quotient_lines
@@ -216,8 +217,9 @@ def enumerate_w0(rs: RootSystem, cap: int = DEFAULT_W0_CAP) -> SphericalGroup:
 @lru_cache(maxsize=None)
 def _genfun_tables(rs: RootSystem):
     """The lam-independent data, one entry per distinct move space of W0,
-    in first-seen order: (e, ubasis, upivots, projected root lines,
-    number of elements with that move space)."""
+    in first-seen order: (e, the primitive_rref basis of the space, its
+    pivots, projected root lines, number of elements with that move
+    space)."""
     roots = rs.tables.int_roots
     simple = [rs.root_index[a] for a in rs.simple_roots]
     counts: dict[tuple[tuple[int, ...], ...], int] = {}
@@ -230,19 +232,26 @@ def _genfun_tables(rs: RootSystem):
         counts[key] = counts.get(key, 0) + 1
     out = []
     for key, mult in counts.items():
-        ubasis, upivots = rref(mat(key))
-        out.append((len(ubasis), ubasis, upivots, _quotient_lines(rs, ubasis, upivots), mult))
+        pivots = rref_pivots(key)
+        out.append((len(key), key, pivots, _quotient_lines(rs, key, pivots), mult))
     return tuple(out)
+
+
+def _require_lattice_point(rs: RootSystem, lam: Vec) -> None:
+    if not rs.in_coroot_lattice(lam):
+        raise ValueError(
+            "(" + ", ".join(map(str, lam)) + f") is not in the coroot lattice of {rs.spec}"
+        )
 
 
 def local_genfun(rs: RootSystem, lam: Vec) -> BivariatePolynomial:
     """f_lam(s, t) = sum of s^d t^e over the elements with translation lam."""
-    if not rs.in_coroot_lattice(lam):
-        raise ValueError(f"{lam} is not in the coroot lattice of {rs.spec}")
+    _require_lattice_point(rs, lam)
+    lam_ints = scaled_ints(lam)
     counts: dict[tuple[int, int], int] = {}
     for e, ubasis, upivots, lines, mult in _genfun_tables(rs):
-        res = reduce_against(ubasis, upivots, lam)
-        if is_zero(res):
+        res = int_residual(ubasis, upivots, lam_ints)
+        if res is None:
             d = 0
         else:
             d = _min_span_subset(lines, res, rs.rank - e)[0]
@@ -270,8 +279,7 @@ def exponent_product(rs: RootSystem) -> tuple[int, ...]:
 def is_generic(rs: RootSystem, lam: Vec) -> bool:
     """lam lies in no proper root subspace: the identity-element d-search
     needs a full rank's worth of roots."""
-    if not rs.in_coroot_lattice(lam):
-        raise ValueError(f"{lam} is not in the coroot lattice of {rs.spec}")
+    _require_lattice_point(rs, lam)
     if is_zero(lam):
         return False
     lines = _quotient_lines(rs, (), ())

@@ -1,14 +1,17 @@
-"""Exact rational linear algebra on tuples of Fractions.
+"""Exact linear algebra on tuples of Fractions and of integers.
 
-Vectors are tuples of Fractions, matrices are tuples of row vectors.
-Everything here is exact: no floats, no tolerances.  Rank, span and
-lattice membership questions must come out right on the nose because the
-geometry modules branch on them.
+Vectors are tuples of rationals, matrices are tuples of row vectors.
+Most functions take Fractions; rref also accepts integer rows and
+returns Fractions.  Everything here is exact: no floats, no tolerances.
+Rank, span and lattice membership questions must come out right on the
+nose because the geometry modules branch on them.
 
 Subspaces are normalised to reduced row echelon form so that equal
-subspaces have equal representations.  Integer lattices are kept in
-Hermite normal form; rational lattices are handled by scaling through
-the common denominator.
+subspaces have equal representations.  The integer form of a subspace is
+primitive_rref, its RREF rows scaled to primitive integers; span tests
+against it (int_residual) are fraction-free, a chain of reduce_int.
+Integer lattices are kept in Hermite normal form; rational lattices are
+handled by scaling through the common denominator.
 """
 
 from __future__ import annotations
@@ -44,10 +47,6 @@ def vadd(a: Vec, b: Vec) -> Vec:
 
 def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
 
 
 def smul(c, a: Vec) -> Vec:
@@ -99,7 +98,8 @@ def rref(rows: Sequence[Vec]) -> tuple[Mat, tuple[int, ...]]:
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][c]
+        # a Fraction pivot keeps integer rows exact
+        inv = Q(work[r][c])
         work[r] = [x / inv for x in work[r]]
         for i in range(len(work)):
             if i != r and work[i][c] != 0:
@@ -156,6 +156,35 @@ def primitive_rref(rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]
         basis.insert(k, v)
         pivots.insert(k, q)
     return tuple(tuple(b) for b in basis)
+
+
+def int_residual(
+    basis: Sequence[Sequence[int]], pivots: Sequence[int], v: Sequence[int]
+) -> Sequence[int] | None:
+    """v modulo the span of primitive_rref rows with these pivots, for an
+    integer vector v: a positive multiple of reduce_against's residual,
+    or None when v lies in the span."""
+    for b, p in zip(basis, pivots):
+        v = reduce_int(v, b, p)
+        if v is None:
+            return None
+    return v if any(v) else None
+
+
+def scaled_ints(v: Sequence[Q]) -> list[int]:
+    """v times the lcm of its denominators: a positive multiple of v in
+    integers."""
+    den = lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v]
+
+
+def int_line_rep(v: Sequence[int]) -> tuple[int, ...]:
+    """line_rep of a nonzero integer vector, as a tuple of ints (it
+    compares and hashes equal to line_rep's Fractions)."""
+    g = gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
 
 
 def rank(rows: Sequence[Vec]) -> int:
@@ -241,20 +270,10 @@ def project_off(v: Vec, rows: Sequence[Vec]) -> Vec:
 def line_rep(v: Vec) -> Vec:
     """Canonical representative of the line through v: primitive integer
     coordinates, first nonzero entry positive.  Requires v != 0."""
-    den = lcm(*(x.denominator for x in v)) if v else 1
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
+    ints = scaled_ints(v)
+    if not any(ints):
         raise ValueError("the zero vector spans no line")
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return vec(ints)
+    return vec(int_line_rep(ints))
 
 
 def _hnf(rows: list[list[int]]) -> list[list[int]]:

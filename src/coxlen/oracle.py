@@ -39,8 +39,8 @@ from itertools import combinations
 from math import lcm
 
 from .errors import BudgetExceeded
-from .linalg import dot, in_span, is_zero, mat_mul, mat_vec, rank
-from .affgroup import AffineElement, AffineReflection, linear_move_space
+from .linalg import dot, in_span, is_zero, mat_mul, mat_vec
+from .affgroup import AffineElement, AffineReflection, elliptic_rank, linear_move_space
 from .genfun import enumerate_w0
 from .rootsys import RootSystem, coroot
 
@@ -171,7 +171,7 @@ def brute_reflection_lengths(
         if k is None:
             out.append(CertifiedLength(None, False, level_bound, depth_bound))
             continue
-        e = rank(linear_move_space(w.linear))
+        e = elliptic_rank(w.linear)
         assert (k - e) % 2 == 0, "determinant parity violated by the search"
         certified = k <= e + 1 or k_next == k
         out.append(CertifiedLength(k, certified, level_bound, depth_bound))

@@ -9,6 +9,12 @@ For an element w with linear part A and translation part lam:
          containing the move-set of w;
   reflection length = 2 d(w) + e(w).
 
+Both terms are read off the move space Im(A - I), which
+affgroup.linear_move_space returns as primitive integer RREF rows.  Every
+test against it is fraction-free (linalg.int_residual): the residual of
+lam, the projected root lines over the integer roots of RootSystem.tables,
+the root basis of the space, and the peel steps of factor_elliptic.
+
 The d-search tries subset sizes k = 1, 2, ... of the projected root
 lines.  For each k it walks prefixes of independent lines depth first,
 keeping the target and the remaining lines reduced modulo the prefix as
@@ -49,7 +55,17 @@ from .affgroup import (
     times_reflection,
 )
 from .errors import BudgetExceeded
-from .linalg import Mat, Vec, dot, is_zero, line_rep, reduce_against, reduce_int, rref, rref_pivots
+from .linalg import (
+    Vec,
+    dot,
+    int_line_rep,
+    int_residual,
+    line_rep,
+    primitive_rref,
+    reduce_int,
+    rref_pivots,
+    scaled_ints,
+)
 from .rootsys import RootSystem
 
 DEFAULT_HURWITZ_BUDGET = 10**6
@@ -61,15 +77,26 @@ def elliptic_dimension(w: AffineElement) -> int:
     return elliptic_rank(w.linear)
 
 
-def _quotient_lines(rs: RootSystem, ubasis: Mat, upivots: tuple[int, ...]) -> dict[Vec, Vec]:
-    """Nonzero images of roots in the quotient by span(ubasis), deduped
-    up to scalar.  Maps canonical line representative -> a root lifting it."""
-    lines: dict[Vec, Vec] = {}
-    for alpha in rs.positive_roots:
-        res = reduce_against(ubasis, upivots, alpha)
-        if is_zero(res):
+def _positive_int_roots(rs: RootSystem) -> list[tuple[Vec, tuple[int, ...]]]:
+    """(root, its integer form in RootSystem.tables) for the positive
+    roots, in root order."""
+    t = rs.tables
+    return [(alpha, a) for alpha, a, pos in zip(rs.roots, t.int_roots, t.positive) if pos]
+
+
+def _quotient_lines(
+    rs: RootSystem, ubasis: tuple[tuple[int, ...], ...], upivots: tuple[int, ...]
+) -> dict[tuple[int, ...], Vec]:
+    """Nonzero images of roots in the quotient by the span of primitive_rref
+    rows ubasis, deduped up to scalar.  Maps canonical line representative
+    (int_line_rep, equal to line_rep of the Fraction residual) -> the
+    first positive root lifting it."""
+    lines: dict[tuple[int, ...], Vec] = {}
+    for alpha, a in _positive_int_roots(rs):
+        res = int_residual(ubasis, upivots, a)
+        if res is None:
             continue
-        key = line_rep(res)
+        key = int_line_rep(res)
         if key not in lines:
             lines[key] = alpha
     return lines
@@ -130,39 +157,23 @@ def _min_span_subset(
     raise AssertionError("projected root lines failed to span their own span")
 
 
-def differential_dimension(rs: RootSystem, w: AffineElement) -> int:
-    """d(w): minimal number of roots spanning the translation part modulo
-    the move-set of the linear part."""
-    ubasis = linear_move_space(w.linear)
-    return _differential_data(rs, w, ubasis, rref_pivots(ubasis))[0]
-
-
-def _differential_data(
-    rs: RootSystem, w: AffineElement, ubasis: Mat, upivots: tuple[int, ...]
-) -> tuple[int, tuple[Vec, ...]]:
-    """d(w) and its lifted roots, given the RREF of the linear move-set."""
-    res = reduce_against(ubasis, upivots, w.translation)
-    if is_zero(res):
-        return 0, ()
-    lines = _quotient_lines(rs, ubasis, upivots)
-    max_k = rs.rank - len(ubasis)
-    return _min_span_subset(lines, res, max_k)
-
-
-def _root_basis_of_span(rs: RootSystem, basis: Mat, pivots: tuple[int, ...]) -> tuple[Vec, ...]:
-    """Roots inside span(basis) forming a basis of it, for an RREF basis
-    with these pivots; exists because every move-set of a Weyl group
-    element is spanned by roots."""
+def _root_basis_of_span(
+    rs: RootSystem, basis: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]
+) -> tuple[Vec, ...]:
+    """Roots inside the span of primitive_rref rows basis forming a basis
+    of it, the first such in root order; exists because every move-set of
+    a Weyl group element is spanned by roots."""
     chosen: list[Vec] = []
+    chosen_ints: list[tuple[int, ...]] = []
     cbasis, cpivots = (), ()
-    for alpha in rs.roots:
+    for alpha, a in zip(rs.roots, rs.tables.int_roots):
         if len(chosen) == len(basis):
             break
-        if is_zero(reduce_against(basis, pivots, alpha)) and not is_zero(
-            reduce_against(cbasis, cpivots, alpha)
-        ):
+        if int_residual(basis, pivots, a) is None and int_residual(cbasis, cpivots, a) is not None:
             chosen.append(alpha)
-            cbasis, cpivots = rref(chosen)
+            chosen_ints.append(a)
+            cbasis = primitive_rref(chosen_ints)
+            cpivots = rref_pivots(cbasis)
     if len(chosen) != len(basis):
         raise AssertionError("move-set of a group element must be a root subspace")
     return tuple(chosen)
@@ -190,7 +201,11 @@ def dimension_report(rs: RootSystem, w: AffineElement) -> DimensionReport:
     ubasis = linear_move_space(w.linear)
     upivots = rref_pivots(ubasis)
     e = len(ubasis)
-    d, lifts = _differential_data(rs, w, ubasis, upivots)
+    res = int_residual(ubasis, upivots, scaled_ints(w.translation))
+    if res is None:
+        d, lifts = 0, ()
+    else:
+        d, lifts = _min_span_subset(_quotient_lines(rs, ubasis, upivots), res, rs.rank - e)
     u_roots = _root_basis_of_span(rs, ubasis, upivots)
     return DimensionReport(
         e=e, d=d, dim=d + e, length=2 * d + e, elliptic_roots=u_roots, lift_roots=lifts
@@ -226,15 +241,21 @@ def factor_elliptic(rs: RootSystem, v: AffineElement) -> ReflectionFactorization
     require_group_element(rs, v)
     if not is_elliptic(v):
         raise ValueError("input is not elliptic")
+    return _peel_elliptic(rs, v)
+
+
+def _peel_elliptic(rs: RootSystem, v: AffineElement) -> ReflectionFactorization:
+    """factor_elliptic of an elliptic group element v, unchecked."""
     x = fixed_set(rs, v).base
+    positive = _positive_int_roots(rs)
     factors: list[AffineReflection] = []
     current = v
     mov = linear_move_space(current.linear)
     while mov:
         pivots = rref_pivots(mov)
         found = None
-        for alpha in rs.positive_roots:
-            if not is_zero(reduce_against(mov, pivots, alpha)):
+        for alpha, a in positive:
+            if int_residual(mov, pivots, a) is not None:
                 continue
             level = dot(x, alpha)
             if level.denominator != 1:
@@ -271,7 +292,7 @@ def _min_factorization(rs: RootSystem, w: AffineElement, rep: DimensionReport) -
         v = times_reflection(v, r)
     if not is_elliptic(v):
         raise AssertionError("lifted product failed to become elliptic")
-    elliptic_factors = factor_elliptic(rs, v)
+    elliptic_factors = _peel_elliptic(rs, v)
     factors = tuple(elliptic_factors.factors) + tuple(reversed(lifts))
     out = ReflectionFactorization(factors)
     if len(factors) != rep.length or out.product(w.dim) != w:

@@ -1,6 +1,7 @@
 """Affine isometries: group algebra, reflections, move and fixed sets."""
 
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from coxlen.affgroup import (
     inverse,
     is_elliptic,
     is_translation,
+    linear_move_space,
     move_set,
     product,
     rebased_normal_form,
@@ -25,7 +27,17 @@ from coxlen.affgroup import (
     times_reflection,
     translation_element,
 )
-from coxlen.linalg import mat_vec, vec, vsub
+from coxlen.linalg import (
+    identity_matrix,
+    is_zero,
+    mat_vec,
+    reduce_against,
+    rref,
+    rref_pivots,
+    transpose,
+    vec,
+    vsub,
+)
 from coxlen.rootsys import root_system
 
 B2 = root_system("B2")
@@ -304,3 +316,73 @@ def test_integer_membership_on_fractional_linear_parts():
     ]:
         assert fraction_preserves_roots(rs, linear) is expected
         assert accepts(rs, linear) is expected
+
+
+def reference_linear_move_space(linear):
+    """Im(linear - I) as the Fraction RREF of the columns of linear - I,
+    the way linear_move_space computed it before it became integer."""
+    n = len(linear)
+    ident = identity_matrix(n)
+    cols = transpose(tuple(tuple(linear[i][j] - ident[i][j] for j in range(n)) for i in range(n)))
+    rows, _ = rref(cols)
+    return rows
+
+
+def _non_weyl_linear_parts():
+    short = AffineReflection.make(vec([Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2)]), 0).to_element().linear
+    long_g2 = AffineReflection.make(vec([-2, 1, 1]), 0).to_element().linear
+    return [
+        ((Q(0), Q(-1)), (Q(1), Q(0))),  # the B2 rotation by 90 degrees
+        ((Q(1), Q(1)), (Q(0), Q(1))),
+        ((Q(1), Q(1, 2)), (Q(0), Q(1))),
+        ((Q(1), Q(0)), (Q(-2, 3), Q(1))),
+        ((Q(-2, 3), Q(-1, 3)), (Q(2, 3), Q(1, 3))),
+        tuple(tuple(2 * x for x in row) for row in short),
+        tuple(tuple(x / 2 for x in row) for row in long_g2),
+        identity_matrix(3),
+        ((Q(0),) * 3,) * 3,
+    ]
+
+
+NON_WEYL_LINEAR_PARTS = _non_weyl_linear_parts()
+
+
+@st.composite
+def linear_parts(draw):
+    """A linear part: a random W0 element of CROSS_TYPES, a fixed
+    rational non-Weyl matrix, or a random matrix with entries in
+    {-2, ..., 2} / {1, 2, 3}."""
+    kind = draw(st.sampled_from(["weyl", "fixed", "random"]))
+    if kind == "weyl":
+        rs, word = draw(typed_words())
+        return compose_fold(rs, word).linear
+    if kind == "fixed":
+        return draw(st.sampled_from(NON_WEYL_LINEAR_PARTS))
+    n = draw(st.integers(1, 4))
+    entry = st.builds(Q, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+    return tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+
+
+@given(linear_parts(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_linear_move_space_is_the_scaled_fraction_rref(linear, data):
+    basis = reference_linear_move_space(linear)
+    pivots = rref_pivots(basis)
+    ints = linear_move_space(linear)
+    assert rref(ints) == (basis, pivots)
+    assert rref_pivots(ints) == pivots
+    for row, ref, p in zip(ints, basis, pivots, strict=True):
+        assert all(type(x) is int for x in row)
+        assert gcd(*row) == 1 and row[p] > 0
+        assert all(x == row[p] * y for x, y in zip(row, ref))
+    # the integer span test of is_elliptic agrees with the Fraction one
+    n = len(linear)
+    entry = st.builds(Q, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+    t = data.draw(st.one_of(
+        st.tuples(*[entry] * n),
+        st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)).map(
+            lambda cs: tuple(sum((c * row[j] for c, row in zip(cs, basis)), Q(0)) for j in range(n))
+        ),
+    ))
+    expected = is_zero(reduce_against(basis, pivots, t))
+    assert is_elliptic(AffineElement(linear, t)) is expected

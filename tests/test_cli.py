@@ -1,5 +1,6 @@
 """Command line interface: parsing, JSON payloads, and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -407,3 +408,31 @@ def test_main_reuses_one_parser_across_calls(capsys, monkeypatch):
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert in_process[0][0] == 4
     assert [code for code, _, _ in in_process[1:]] == [0] * (len(IN_PROCESS_SEQUENCE) - 1)
+
+
+def test_genfun_lattice_error_prints_the_vector(capsys):
+    code, _, err = run(capsys, "genfun", "--type", "F4", "--lambda", "(5,3,2,1)")
+    assert code == 2
+    assert err == "error: (5, 3, 2, 1) is not in the coroot lattice of F4\n"
+    code, _, err = run(capsys, "genfun", "--type", "B2", "--lambda", "(1/2,0)", "--json")
+    assert code == 2
+    assert err == "error: (1/2, 0) is not in the coroot lattice of B2\n"
+
+
+# sha256 of the stdout of scripts/make_tables.py, recorded before the move
+# spaces of reflen and genfun became integer: every table is certified,
+# so the bytes must not change.
+MAKE_TABLES_SHA256 = "f431ed85623bfac4bf9bfbd2501808f52a797e8438a42f3782011fa1764538fa"
+
+
+def test_make_tables_output_is_frozen():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(coxlen.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
+    )
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "make_tables.py")],
+        capture_output=True, check=True, env=env,
+    )
+    assert hashlib.sha256(out.stdout).hexdigest() == MAKE_TABLES_SHA256

@@ -191,3 +191,9 @@ def test_primitive_rref_hand_example():
     assert primitive_rref([(2, 4, 6), (1, 2, 4)]) == ((1, 2, 0), (0, 0, 1))
     assert primitive_rref([(0, -3, 6), (0, 0, 0)]) == ((0, 1, -2),)
     assert primitive_rref([]) == ()
+
+
+def test_rref_is_exact_on_integer_rows():
+    basis, pivots = rref([(3, 1, 0), (0, 0, 7)])
+    assert (basis, pivots) == (((1, Q(1, 3), 0), (0, 0, 1)), (0, 2))
+    assert all(type(x) is Q for row in basis for x in row)

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coxlen.affgroup import (
+    AffineElement,
     AffineReflection,
     compose,
     identity_element,
@@ -27,12 +28,15 @@ from coxlen.affgroup import (
 )
 from coxlen.affsym import reflection_length, window_of_element
 from coxlen.errors import BudgetExceeded
-from coxlen.linalg import is_zero, line_rep, reduce_against, rref, vec
+from coxlen.genfun import _genfun_tables
+from coxlen.linalg import in_span, is_zero, line_rep, reduce_against, rref, vec
 from coxlen.reflen import (
+    DimensionReport,
     ReflectionFactorization,
     _index_moves,
     _min_span_subset,
     _quotient_lines,
+    _root_basis_of_span,
     dimension_report,
     factor_elliptic,
     hurwitz_move,
@@ -261,7 +265,7 @@ def span_problems(draw):
     word = draw(st.lists(st.integers(0, rs.rank - 1), max_size=2 * rs.rank))
     w = element_of(rs, [AffineReflection.make(rs.simple_roots[i], 0) for i in word])
     ubasis, upivots = rref(linear_move_space(w.linear))
-    lines = _quotient_lines(rs, ubasis, upivots)
+    lines = _quotient_lines(rs, linear_move_space(w.linear), upivots)
     coeffs = draw(st.lists(st.integers(-12, 12), min_size=rs.rank, max_size=rs.rank))
     lam = [sum((c * a[j] for c, a in zip(coeffs, rs.simple_roots)), Q(0)) for j in range(rs.ambient_dim)]
     target = reduce_against(ubasis, upivots, tuple(lam))
@@ -357,3 +361,88 @@ def test_index_hurwitz_moves_match_hurwitz_move(typed):
         for direction in ("right", "left")
     ]
     assert got == expected
+
+
+def reference_dimension_report(rs, w):
+    """dimension_report on Fraction row reduction, as it was computed
+    before the move spaces became integer: the RREF of the columns of
+    linear - I, reduce_against for every span test and line_rep keys.
+    Returns the report and the projected root lines."""
+    n = w.dim
+    cols = [tuple(w.linear[i][j] - (i == j) for i in range(n)) for j in range(n)]
+    ubasis, upivots = rref(cols)
+    e = len(ubasis)
+    lines = {}
+    for alpha in rs.positive_roots:
+        res = reduce_against(ubasis, upivots, alpha)
+        if not is_zero(res):
+            lines.setdefault(line_rep(res), alpha)
+    res = reduce_against(ubasis, upivots, w.translation)
+    d, lifts = (0, ()) if is_zero(res) else _min_span_subset(lines, res, rs.rank - e)
+    report = DimensionReport(
+        e=e, d=d, dim=d + e, length=2 * d + e,
+        elliptic_roots=reference_root_basis(rs, ubasis, upivots), lift_roots=lifts,
+    )
+    return report, lines
+
+
+def reference_root_basis(rs, ubasis, upivots):
+    """The first roots, in root order, that lie in the span of the RREF
+    basis ubasis and are independent of the roots chosen before them."""
+    chosen = []
+    for alpha in rs.roots:
+        if len(chosen) == len(ubasis):
+            break
+        if is_zero(reduce_against(ubasis, upivots, alpha)) and not in_span(chosen, alpha):
+            chosen.append(alpha)
+    return tuple(chosen)
+
+
+@st.composite
+def reported_elements(draw):
+    """A random W0 element of SPAN_TYPES times a translation with
+    coefficients in (1/q) Z on the simple coroots, q in {1, 2, 3}: lattice
+    points, F4 half-integer and G2 one-third translations among them."""
+    rs = root_system(draw(st.sampled_from(SPAN_TYPES)))
+    word = draw(st.lists(st.integers(0, rs.rank - 1), max_size=2 * rs.rank))
+    w = element_of(rs, [AffineReflection.make(rs.simple_roots[i], 0) for i in word])
+    q = draw(st.sampled_from([1, 2, 3]))
+    coeffs = draw(st.lists(st.integers(-6, 6), min_size=rs.rank, max_size=rs.rank))
+    return rs, AffineElement(w.linear, rs.from_lattice_coords([Q(c, q) for c in coeffs]))
+
+
+def check_against_reference(rs, w):
+    expected, lines = reference_dimension_report(rs, w)
+    assert dimension_report(rs, w) == expected
+    ubasis = linear_move_space(w.linear)
+    assert _quotient_lines(rs, ubasis, rref(ubasis)[1]) == lines
+
+
+@given(reported_elements())
+@settings(max_examples=150, deadline=None)
+def test_dimension_report_matches_fraction_reference(typed):
+    check_against_reference(*typed)
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "F4"])
+def test_root_basis_of_every_move_space(name):
+    # some move spaces of these types (30 of the 268 of F4) contain a
+    # root dependent on the roots before it, which must be skipped
+    rs = root_system(name)
+    for _, ubasis, upivots, _, _ in _genfun_tables(rs):
+        basis, pivots = rref(ubasis)
+        assert _root_basis_of_span(rs, ubasis, upivots) == reference_root_basis(rs, basis, pivots)
+
+
+@pytest.mark.parametrize("name,word,lam", [
+    ("F4", (), (Q(1, 2),) * 4),
+    ("F4", (0, 2), (Q(1, 2), Q(-3, 2), Q(5, 2), Q(1, 2))),
+    ("F4", (3,), (Q(1, 2), Q(1, 2), 0, 0)),
+    ("G2", (), (Q(2, 3), Q(-1, 3), Q(-1, 3))),
+    ("G2", (0,), (Q(1, 3), Q(1, 3), Q(-2, 3))),
+    ("G2", (1,), (Q(4, 3), Q(-5, 3), Q(1, 3))),
+])
+def test_dimension_report_fractional_translations(name, word, lam):
+    rs = root_system(name)
+    w = element_of(rs, [AffineReflection.make(rs.simple_roots[i], 0) for i in word])
+    check_against_reference(rs, AffineElement(w.linear, vec(lam)))
