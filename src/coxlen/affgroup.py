@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
-from math import lcm
 
 from .linalg import (
     Mat,
@@ -39,6 +38,7 @@ from .linalg import (
     project_off,
     rref,
     rref_pivots,
+    scale_to_ints,
     scaled_ints,
     solve_affine,
     transpose,
@@ -244,8 +244,8 @@ def linear_move_space(linear: Mat) -> tuple[tuple[int, ...], ...]:
     scaled to primitive integers with a positive pivot.  Computed
     fraction-free from the columns of linear - I times the lcm of the
     denominators."""
-    den = lcm(*(x.denominator for row in linear for x in row))
-    cols = [[x.numerator * (den // x.denominator) for x in col] for col in zip(*linear)]
+    den, rows = scale_to_ints(linear)
+    cols = [list(col) for col in zip(*rows)]
     for j, col in enumerate(cols):
         col[j] -= den
     return primitive_rref(cols)
@@ -305,8 +305,8 @@ def require_group_element(rs, a: AffineElement) -> None:
     # part, a root r (integer after scaling) maps to a root iff
     # (den * linear) r is den times an integer root
     tables = rs.tables
-    den = lcm(*(x.denominator for row in a.linear for x in row))
-    columns = list(zip(*([int(x * den) for x in row] for row in a.linear)))
+    den, rows = scale_to_ints(a.linear)
+    columns = list(zip(*rows))
     for r in tables.int_roots:
         image = [0] * len(a.linear)
         for x, col in zip(r, columns, strict=True):

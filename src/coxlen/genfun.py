@@ -283,7 +283,7 @@ def is_generic(rs: RootSystem, lam: Vec) -> bool:
     if is_zero(lam):
         return False
     lines = _quotient_lines(rs, (), ())
-    return _min_span_subset(lines, lam, rs.rank)[0] == rs.rank
+    return _min_span_subset(lines, scaled_ints(lam), rs.rank)[0] == rs.rank
 
 
 def classify_coroots(

@@ -3,15 +3,13 @@
 Vectors are tuples of rationals, matrices are tuples of row vectors.
 Most functions take Fractions; rref also accepts integer rows and
 returns Fractions.  Everything here is exact: no floats, no tolerances.
-Rank, span and lattice membership questions must come out right on the
-nose because the geometry modules branch on them.
+Rank and span questions must come out right on the nose because the
+geometry modules branch on them.
 
 Subspaces are normalised to reduced row echelon form so that equal
 subspaces have equal representations.  The integer form of a subspace is
 primitive_rref, its RREF rows scaled to primitive integers; span tests
 against it (int_residual) are fraction-free, a chain of reduce_int.
-Integer lattices are kept in Hermite normal form; rational lattices are
-handled by scaling through the common denominator.
 """
 
 from __future__ import annotations
@@ -171,11 +169,18 @@ def int_residual(
     return v if any(v) else None
 
 
+def scale_to_ints(rows: Sequence[Sequence[Q]]) -> tuple[int, list[list[int]]]:
+    """(den, the rows times den as integers), den the lcm of every
+    denominator in the rows; fraction-free, numerator times a quotient of
+    denominators."""
+    den = lcm(*(x.denominator for r in rows for x in r))
+    return den, [[x.numerator * (den // x.denominator) for x in r] for r in rows]
+
+
 def scaled_ints(v: Sequence[Q]) -> list[int]:
     """v times the lcm of its denominators: a positive multiple of v in
     integers."""
-    den = lcm(*(x.denominator for x in v))
-    return [x.numerator * (den // x.denominator) for x in v]
+    return scale_to_ints((v,))[1][0]
 
 
 def int_line_rep(v: Sequence[int]) -> tuple[int, ...]:
@@ -274,81 +279,3 @@ def line_rep(v: Vec) -> Vec:
     if not any(ints):
         raise ValueError("the zero vector spans no line")
     return vec(int_line_rep(ints))
-
-
-def _hnf(rows: list[list[int]]) -> list[list[int]]:
-    """Row-style Hermite normal form of the lattice spanned by integer rows."""
-    rows = [r[:] for r in rows if any(r)]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    basis: list[list[int]] = []
-    r = 0
-    for c in range(ncols):
-        idx = [i for i in range(r, len(rows)) if rows[i][c] != 0]
-        if not idx:
-            continue
-        # reduce all entries in this column to a single gcd pivot row
-        while len(idx) > 1:
-            idx.sort(key=lambda i: abs(rows[i][c]))
-            i0 = idx[0]
-            for i in idx[1:]:
-                q = rows[i][c] // rows[i0][c]
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[i0])]
-            idx = [i for i in idx if rows[i][c] != 0]
-        i0 = idx[0]
-        rows[r], rows[i0] = rows[i0], rows[r]
-        if rows[r][c] < 0:
-            rows[r] = [-a for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                q = rows[i][c] // rows[r][c]
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    del rows[r:]
-    return rows
-
-
-class RationalLattice:
-    """Finitely generated subgroup of Q^n, with exact membership tests.
-
-    Internally: scale generators by the common denominator, keep an
-    integer Hermite basis, divide back out on the way in and out.
-    """
-
-    def __init__(self, generators: Sequence[Vec]):
-        gens = [vec(g) for g in generators]
-        if not gens:
-            raise ValueError("lattice needs at least one generator")
-        self.dim = len(gens[0])
-        self.scale = lcm(*(x.denominator for g in gens for x in g), 1)
-        int_rows = [[int(x * self.scale) for x in g] for g in gens]
-        self._rows = _hnf(int_rows)
-        self._pivots = [next(j for j, x in enumerate(row) if x != 0) for row in self._rows]
-
-    def contains(self, v: Vec) -> bool:
-        return self.coords(v) is not None
-
-    def coords(self, v: Vec) -> tuple[int, ...] | None:
-        """Integer coordinates of v in the Hermite basis, or None."""
-        scaled = [x * self.scale for x in v]
-        if any(x.denominator != 1 for x in scaled):
-            return None
-        work = [int(x) for x in scaled]
-        out = []
-        for row, p in zip(self._rows, self._pivots):
-            if work[p] % row[p] != 0:
-                return None
-            q = work[p] // row[p]
-            out.append(q)
-            work = [a - q * b for a, b in zip(work, row)]
-        if any(work):
-            return None
-        return tuple(out)
-
-    def from_coords(self, coeffs: Sequence[int]) -> Vec:
-        out = [Q(0)] * self.dim
-        for c, row in zip(coeffs, self._rows, strict=True):
-            for j, x in enumerate(row):
-                out[j] += Q(c * x, self.scale)
-        return tuple(out)

@@ -36,13 +36,12 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
 
 from .errors import BudgetExceeded
-from .linalg import dot, in_span, is_zero, mat_mul, mat_vec
-from .affgroup import AffineElement, AffineReflection, elliptic_rank, linear_move_space
+from .linalg import dot, in_span, is_zero, scale_to_ints
+from .affgroup import AffineElement, elliptic_rank, linear_move_space
 from .genfun import enumerate_w0
-from .rootsys import RootSystem, coroot
+from .rootsys import RootSystem, coroot, reflect
 
 ORACLE_MAX_RANK = 4
 ORACLE_MAX_NULLITY_N = 12
@@ -69,20 +68,22 @@ def _require_oracle_rank(rs: RootSystem) -> None:
 @lru_cache(maxsize=None)
 def _oracle_tables(rs: RootSystem):
     """Integer transition tables: for each positive root line, the
-    permutation it induces on W0 by left multiplication, its matrix on
-    coroot-lattice coordinates, and the coordinates of its coroot; plus
-    the lattice Gram matrix and the largest coroot norm, both scaled to
-    integers."""
+    permutation it induces on W0 by left multiplication (read off the
+    root permutations of W0), its matrix on coroot-lattice coordinates,
+    and the coordinates of its coroot; plus the lattice Gram matrix and
+    the largest coroot norm, both scaled to integers."""
     group = enumerate_w0(rs)
     index = {m: i for i, m in enumerate(group.elements)}
-    basis = [coroot(a) for a in rs.simple_roots]
+    by_perm = {p: i for i, p in enumerate(group.permutations)}
+    basis = rs.coroot_lattice.coroots
     lines = []
     for alpha in rs.positive_roots:
-        s = AffineReflection.make(alpha, 0).to_element().linear
-        perm = tuple(index[mat_mul(s, m)] for m in group.elements)
+        # s_alpha m sends root b to s_alpha(m(b))
+        s = rs.tables.reflected[rs.root_index[alpha]]
+        perm = tuple(by_perm[tuple(s[b] for b in p)] for p in group.permutations)
         cols = []
         for b in basis:
-            c = rs.lattice_coords(mat_vec(s, b))
+            c = rs.lattice_coords(reflect(alpha, b))
             assert c is not None, "reflection left the coroot lattice"
             cols.append(c)
         lat = tuple(
@@ -92,10 +93,8 @@ def _oracle_tables(rs: RootSystem):
         assert ca is not None
         lines.append((perm, lat, ca))
     gram = [[dot(a, b) for b in basis] for a in basis]
-    denom = lcm(*(x.denominator for row in gram for x in row))
-    gram_scaled = tuple(
-        tuple(int(x * denom) for x in row) for row in gram
-    )
+    denom, rows = scale_to_ints(gram)
+    gram_scaled = tuple(map(tuple, rows))
     r2 = max(dot(coroot(a), coroot(a)) for a in rs.roots)
     return index, tuple(lines), gram_scaled, denom, r2
 

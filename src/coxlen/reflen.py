@@ -37,7 +37,7 @@ are rank-one updates (affgroup.times_reflection, reflection_times).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
 from .affgroup import (
     AffineElement,
@@ -60,7 +60,6 @@ from .linalg import (
     dot,
     int_line_rep,
     int_residual,
-    line_rep,
     primitive_rref,
     reduce_int,
     rref_pivots,
@@ -103,10 +102,14 @@ def _quotient_lines(
 
 
 def _min_span_subset(
-    lines: dict[Vec, Vec], target: Vec, max_k: int, cap: int = DEFAULT_SPAN_SEARCH_CAP
+    lines: dict[tuple[int, ...], Vec],
+    target: Sequence[int],
+    max_k: int,
+    cap: int = DEFAULT_SPAN_SEARCH_CAP,
 ) -> tuple[int, tuple[Vec, ...]]:
     """Smallest k and a witness set of k roots whose projected lines span
-    the (nonzero) target; the caller guarantees solvability at max_k.
+    the nonzero integer target (a rational one is scaled to integers);
+    the caller guarantees solvability at max_k.
 
     The witness is the lexicographically first linearly independent
     k-subset of the sorted line keys whose span contains the target.  For
@@ -120,7 +123,7 @@ def _min_span_subset(
     prefix of k - 1 lines and independent later line, summed over all k;
     a search that needs more raises BudgetExceeded.
     """
-    tkey = line_rep(target)
+    tkey = int_line_rep(scaled_ints(target))
     if tkey in lines:
         return 1, (lines[tkey],)
     keys = sorted(lines)
@@ -149,7 +152,7 @@ def _min_span_subset(
         return None
 
     start = [(i, [int(x) for x in key]) for i, key in enumerate(keys)]
-    t = [int(x) for x in tkey]
+    t = list(tkey)
     for k in range(2, max_k + 1):
         found = complete(t, start, k)
         if found is not None:

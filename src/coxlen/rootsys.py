@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 
 from .errors import ParseError, UnsupportedTypeError
-from .linalg import Mat, RationalLattice, Vec, dot, line_rep, smul, solve_combination, vec
+from .linalg import Mat, Vec, dot, line_rep, rref, scale_to_ints, smul, solve_combination, vec
 
 MAX_RANK = 8
 
@@ -175,28 +175,72 @@ class RootSystem:
         return best
 
     @cached_property
-    def coroot_lattice(self) -> RationalLattice:
-        return RationalLattice([coroot(a) for a in self.roots])
+    def coroot_lattice(self) -> CorootLattice:
+        """The coroot lattice Q^vee, whose Z-basis is the simple coroots.
+
+        v lies in Q^vee exactly when its coordinates c_i = <v, w_i>
+        against the fundamental weights w_i (<w_i, a_j^vee> = delta_ij)
+        are integers and sum c_i a_i^vee = v; the second test rejects
+        vectors off the root span in types A and G2.  The weights are
+        found in the root span by one Gauss-Jordan elimination of [P | I],
+        P_ij = <a_i, a_j^vee>: it leaves [I | P^-1], and
+        w_i = sum_k (P^-1)_ik a_k.  The weights and the simple coroots
+        are then scaled to integers by one common denominator, so
+        lattice_coords runs in integers.
+        """
+        simple = self.simple_roots
+        coroots = tuple(coroot(a) for a in simple)
+        n = len(simple)
+        reduced, _ = rref(
+            [[dot(a, b) for b in coroots] + [int(i == j) for j in range(n)] for i, a in enumerate(simple)]
+        )
+        weights = [
+            [sum(x * a[j] for x, a in zip(row[n:], simple)) for j in range(self.ambient_dim)]
+            for row in reduced
+        ]
+        den, ints = scale_to_ints(weights + list(coroots))
+        return CorootLattice(coroots, den, tuple(map(tuple, ints[:n])), tuple(map(tuple, ints[n:])))
 
     def in_coroot_lattice(self, v: Vec) -> bool:
-        return self.coroot_lattice.contains(v)
+        return self.lattice_coords(v) is not None
 
     def lattice_coords(self, v: Vec) -> tuple[int, ...] | None:
-        """Integer coordinates of v in the simple-coroot basis, or None."""
-        cs = solve_combination([coroot(a) for a in self.simple_roots], v)
-        if cs is None or any(c.denominator != 1 for c in cs):
-            return None
-        if v != self.from_lattice_coords([int(c) for c in cs]):
-            return None
-        return tuple(int(c) for c in cs)
+        """Integer coordinates of v in the simple-coroot basis, or None
+        when v is not in the coroot lattice."""
+        lat = self.coroot_lattice
+        vs, (vi,) = scale_to_ints((v,))
+        m = lat.den * vs
+        coords = []
+        for w in lat.weights:
+            c, r = divmod(sum(x * y for x, y in zip(vi, w, strict=True)), m)
+            if r:
+                return None
+            coords.append(c)
+        for j, x in enumerate(vi):
+            if vs * sum(c * b[j] for c, b in zip(coords, lat.int_coroots)) != lat.den * x:
+                return None
+        return tuple(coords)
 
     def from_lattice_coords(self, coeffs) -> Vec:
         out = [Q(0)] * self.ambient_dim
-        for c, a in zip(coeffs, self.simple_roots, strict=True):
-            av = coroot(a)
+        for c, av in zip(coeffs, self.coroot_lattice.coroots, strict=True):
             for j in range(self.ambient_dim):
                 out[j] += c * av[j]
         return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
+class CorootLattice:
+    """The coroot lattice in the basis of the simple coroots ``coroots``.
+
+    ``weights`` and ``int_coroots`` are the fundamental weights (in the
+    root span) and the simple coroots, both times ``den``, as integers.
+    """
+
+    coroots: Mat
+    den: int
+    weights: tuple[tuple[int, ...], ...]
+    int_coroots: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxlen.linalg import (
-    RationalLattice,
     dot,
     in_span,
     identity_matrix,
@@ -27,6 +26,7 @@ from coxlen.linalg import (
     transpose,
     vec,
 )
+from reference_lattice import RationalLattice
 
 small_q = st.fractions(
     min_value=-4, max_value=4, max_denominator=6

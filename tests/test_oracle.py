@@ -6,6 +6,8 @@ against, so the tests here stress their own guarantees: Bell numbers
 for the partition generator, certification flags, and window bounds.
 """
 
+from math import lcm
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +21,13 @@ from coxlen.affgroup import (
 )
 from coxlen.affsym import nullity
 from coxlen.errors import BudgetExceeded
-from coxlen.linalg import vec
+from coxlen.genfun import enumerate_w0
+from coxlen.linalg import dot, mat_mul, mat_vec, vec
 from coxlen.oracle import (
     CertifiedLength,
     ORACLE_MAX_NULLITY_N,
     ORACLE_MAX_RANK,
+    _oracle_tables,
     _partitions,
     brute_move_dimension,
     brute_nullity,
@@ -31,7 +35,7 @@ from coxlen.oracle import (
     brute_reflection_lengths,
 )
 from coxlen.reflen import dimension_report
-from coxlen.rootsys import root_system
+from coxlen.rootsys import coroot, root_system
 
 A2 = root_system("A2")
 B2 = root_system("B2")
@@ -181,3 +185,29 @@ def test_move_dimension_in_zero_sum_ambient():
     assert brute_move_dimension(A2, w) == 2
     assert brute_move_dimension(A2, translation_element(vec([1, -1, 0]))) == 1
     assert brute_move_dimension(A2, identity_element(3)) == 0
+
+
+def reference_oracle_tables(rs):
+    """_oracle_tables on matrices: left multiplication by s_alpha is a
+    Fraction mat_mul per element, looked up by matrix."""
+    group = enumerate_w0(rs)
+    index = {m: i for i, m in enumerate(group.elements)}
+    basis = [coroot(a) for a in rs.simple_roots]
+    lines = []
+    for alpha in rs.positive_roots:
+        s = AffineReflection.make(alpha, 0).to_element().linear
+        perm = tuple(index[mat_mul(s, m)] for m in group.elements)
+        cols = [rs.lattice_coords(mat_vec(s, b)) for b in basis]
+        lat = tuple(tuple(cols[j][i] for j in range(rs.rank)) for i in range(rs.rank))
+        lines.append((perm, lat, rs.lattice_coords(coroot(alpha))))
+    gram = [[dot(a, b) for b in basis] for a in basis]
+    denom = lcm(*(x.denominator for row in gram for x in row))
+    gram_scaled = tuple(tuple(int(x * denom) for x in row) for row in gram)
+    r2 = max(dot(coroot(a), coroot(a)) for a in rs.roots)
+    return index, tuple(lines), gram_scaled, denom, r2
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "C2", "G2", "A3", "B3", "C3", "A4", "D4"])
+def test_oracle_tables_match_matrix_reference(name):
+    rs = root_system(name)
+    assert _oracle_tables(rs) == reference_oracle_tables(rs)

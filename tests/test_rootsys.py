@@ -6,8 +6,10 @@ that produced it.
 """
 
 from fractions import Fraction as Q
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxlen.errors import ParseError, UnsupportedTypeError
 from coxlen.linalg import dot, solve_combination, vec
@@ -19,6 +21,7 @@ from coxlen.rootsys import (
     reflect,
     root_system,
 )
+from reference_lattice import RationalLattice
 
 # (type, root count, Weyl order)
 CLASSICAL = [
@@ -196,3 +199,65 @@ def test_root_tables_match_fraction_geometry(name):
         for j, b in enumerate(rs.roots):
             assert rs.roots[tables.reflected[i][j]] == reflect(a, b)
             assert tables.cartan[i][j] == dot(coroot(a), b)
+
+
+LATTICE_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{f}{n}" for f in "BCD" for n in range(2, 9)]
+    + ["G2", "F4"]
+)
+
+
+@lru_cache(maxsize=None)
+def reference_lattice(name):
+    """The Hermite-normal-form lattice spanned by all coroots."""
+    return RationalLattice([coroot(a) for a in root_system(name).roots])
+
+
+def reference_lattice_coords(rs, v):
+    """Simple-coroot coordinates by a Fraction solve of the linear system."""
+    cs = solve_combination([coroot(a) for a in rs.simple_roots], v)
+    if cs is None or any(c.denominator != 1 for c in cs):
+        return None
+    if v != rs.from_lattice_coords([int(c) for c in cs]):
+        return None
+    return tuple(int(c) for c in cs)
+
+
+@st.composite
+def lattice_probes(draw):
+    """A root system and a vector: a lattice point, a lattice point with
+    one entry moved by +-1, +-1/2 or +-1/3, or random rationals."""
+    rs = root_system(draw(st.sampled_from(LATTICE_TYPES)))
+    kind = draw(st.sampled_from(["point", "moved", "random"]))
+    if kind == "random":
+        q = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+        return rs, tuple(draw(st.lists(q, min_size=rs.ambient_dim, max_size=rs.ambient_dim)))
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=rs.rank, max_size=rs.rank))
+    v = list(rs.from_lattice_coords(coeffs))
+    if kind == "moved":
+        j = draw(st.integers(0, rs.ambient_dim - 1))
+        v[j] += draw(st.sampled_from([1, -1, Q(1, 2), Q(-1, 2), Q(1, 3), Q(-1, 3)]))
+    return rs, tuple(v)
+
+
+@given(lattice_probes())
+@settings(max_examples=300, deadline=None)
+def test_lattice_coords_match_hermite_reference(probe):
+    rs, v = probe
+    coords = rs.lattice_coords(v)
+    assert coords == reference_lattice_coords(rs, v)
+    assert rs.in_coroot_lattice(v) == reference_lattice(str(rs.spec)).contains(v)
+    assert (coords is not None) == rs.in_coroot_lattice(v)
+    if coords is not None:
+        assert rs.from_lattice_coords(coords) == v
+
+
+def test_coroot_lattice_weights_are_dual_to_the_simple_coroots():
+    for name in LATTICE_TYPES:
+        rs = root_system(name)
+        lat = rs.coroot_lattice
+        assert lat.coroots == tuple(coroot(a) for a in rs.simple_roots)
+        for i, w in enumerate(lat.weights):
+            for j, b in enumerate(lat.int_coroots):
+                assert sum(x * y for x, y in zip(w, b)) == lat.den**2 * (i == j)
