@@ -154,18 +154,6 @@ def times_reflection(x: AffineElement, r: AffineReflection) -> AffineElement:
     return AffineElement(linear=_rank_one_update(x.linear, c, r.root), translation=translation)
 
 
-def reflection_times(r: AffineReflection, x: AffineElement) -> AffineElement:
-    """r x, as a rank-one update: with r = (I - a^vee a^T, j a^vee), the
-    product is (A - a^vee (a^T A), mu - (<a, mu> - j) a^vee)."""
-    av = r.coroot
-    row = _times_sparse(transpose(x.linear), r.root)
-    shift = dot(r.root, x.translation) - r.level
-    return AffineElement(
-        linear=_rank_one_update(x.linear, av, row),
-        translation=tuple(m - shift * a for m, a in zip(x.translation, av)),
-    )
-
-
 def _times_sparse(m: Mat, v: Vec) -> Vec:
     """m v, summing over the nonzero entries of v only (a root has at
     most four)."""
@@ -290,6 +278,30 @@ def is_translation(a: AffineElement) -> bool:
     return a.linear == identity_matrix(a.dim)
 
 
+def root_permutation(rs: RootSystem, linear: Mat) -> tuple[int, ...]:
+    """The permutation of root indices (RootTables) that linear induces,
+    perm[b] the index of linear(root b); ValueError if linear does not
+    permute the roots.
+
+    In integers: with den the lcm of the denominators of linear, a root r
+    (integer after scaling) maps to a root iff (den * linear) r is den
+    times an integer root."""
+    tables = rs.tables
+    den, rows = scale_to_ints(linear)
+    columns = list(zip(*rows))
+    perm = []
+    for r in tables.int_roots:
+        image = [0] * len(linear)
+        for x, col in zip(r, columns, strict=True):
+            if x:
+                image = [y + x * c for y, c in zip(image, col)]
+        b = None if any(y % den for y in image) else tables.int_index.get(tuple(y // den for y in image))
+        if b is None:
+            raise ValueError("linear part does not preserve the root system")
+        perm.append(b)
+    return tuple(perm)
+
+
 def require_group_element(rs, a: AffineElement) -> None:
     """Check membership in the affine Weyl group: the linear part must
     permute the roots and the translation part must lie in the coroot
@@ -301,23 +313,7 @@ def require_group_element(rs, a: AffineElement) -> None:
         raise ValueError(
             f"element acts on dimension {a.dim}, root system lives in {rs.ambient_dim}"
         )
-    # in integers: with den the lcm of the denominators of the linear
-    # part, a root r (integer after scaling) maps to a root iff
-    # (den * linear) r is den times an integer root
-    tables = rs.tables
-    den, rows = scale_to_ints(a.linear)
-    columns = list(zip(*rows))
-    for r in tables.int_roots:
-        image = [0] * len(a.linear)
-        for x, col in zip(r, columns, strict=True):
-            if x:
-                image = [y + x * c for y, c in zip(image, col)]
-        if den != 1:
-            if any(y % den for y in image):
-                raise ValueError("linear part does not preserve the root system")
-            image = [y // den for y in image]
-        if tuple(image) not in tables.int_index:
-            raise ValueError("linear part does not preserve the root system")
+    root_permutation(rs, a.linear)
     if not rs.in_coroot_lattice(a.translation):
         raise ValueError(
             "translation part (" + ", ".join(map(str, a.translation)) + ") is not in the coroot lattice"

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -413,10 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, element=True):
-        if element:
-            p.add_argument("--type", required=True, help="root system, e.g. A2, B3, G2")
-            p.add_argument("--element", required=True, help="see module docstring")
+    def add_common(p):
+        p.add_argument("--type", required=True, help="root system, e.g. A2, B3, G2")
+        p.add_argument("--element", required=True, help="see module docstring")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("len", help="reflection length and dimensions")
@@ -482,6 +482,8 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "budget") and args.budget is None:
             args.budget = _default_budget()
+        if hasattr(args, "radius") and not math.isfinite(args.radius):
+            raise ParseError(f"radius must be a finite number, got {args.radius}")
         if hasattr(args, "radius") and args.radius <= 0:
             raise ParseError("radius must be positive")
         return args.func(args)

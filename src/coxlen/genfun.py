@@ -36,7 +36,6 @@ from .linalg import (
     identity_matrix,
     int_residual,
     is_zero,
-    primitive_rref,
     rref_pivots,
     scaled_ints,
     zero_vec,
@@ -219,16 +218,11 @@ def _genfun_tables(rs: RootSystem):
     """The lam-independent data, one entry per distinct move space of W0,
     in first-seen order: (e, the primitive_rref basis of the space, its
     pivots, projected root lines, number of elements with that move
-    space)."""
-    roots = rs.tables.int_roots
-    simple = [rs.root_index[a] for a in rs.simple_roots]
+    space).  Each move space is read from the element's root permutation
+    (RootTables.move_space), as the elliptic peel of reflen reads it."""
     counts: dict[tuple[tuple[int, ...], ...], int] = {}
     for perm in enumerate_w0(rs).permutations:
-        # u fixes the complement of the root span, so Im(u - I) is
-        # spanned by u(a_i) - a_i over the simple roots a_i
-        key = primitive_rref(
-            tuple(x - y for x, y in zip(roots[perm[i]], roots[i])) for i in simple if perm[i] != i
-        )
+        key = rs.tables.move_space(perm)
         counts[key] = counts.get(key, 0) + 1
     out = []
     for key, mult in counts.items():

@@ -12,8 +12,8 @@ For an element w with linear part A and translation part lam:
 Both terms are read off the move space Im(A - I), which
 affgroup.linear_move_space returns as primitive integer RREF rows.  Every
 test against it is fraction-free (linalg.int_residual): the residual of
-lam, the projected root lines over the integer roots of RootSystem.tables,
-the root basis of the space, and the peel steps of factor_elliptic.
+lam, the projected root lines over the integer roots of RootSystem.tables
+and the root basis of the space.
 
 The d-search tries subset sizes k = 1, 2, ... of the projected root
 lines.  For each k it walks prefixes of independent lines depth first,
@@ -25,13 +25,13 @@ underlying problem contains subset-sum).
 
 Factorisations mirror the structure above: peel d level-zero reflections
 to reach an elliptic element whose move-set is the witness subspace,
-then factor the elliptic part through a common fixed point.  Hurwitz
-moves act on factorisations, and the translation-elliptic split searches
-the Hurwitz orbit for a factorisation whose leading reflection pairs
-project to equal reflections of W0, so that each pair multiplies to a
-translation.  That search moves (root index, level) pairs through the
-integer tables of RootSystem.tables, and products with one reflection
-are rank-one updates (affgroup.times_reflection, reflection_times).
+then factor the elliptic part through a common fixed point, in one pass
+over the positive roots on the root permutation of its linear part.
+Hurwitz moves act on factorisations, and the translation-elliptic split
+searches the Hurwitz orbit for a factorisation whose leading reflection
+pairs project to equal reflections of W0, so that each pair multiplies
+to a translation.  That search moves (root index, level) pairs through
+the integer tables of RootSystem.tables.
 """
 
 from __future__ import annotations
@@ -43,44 +43,30 @@ from .affgroup import (
     AffineElement,
     AffineReflection,
     compose,
-    elliptic_rank,
-    fixed_set,
     identity_element,
     is_elliptic,
     is_translation,
     linear_move_space,
     product,
-    reflection_times,
     require_group_element,
-    times_reflection,
+    root_permutation,
 )
 from .errors import BudgetExceeded
 from .linalg import (
     Vec,
-    dot,
     int_line_rep,
     int_residual,
     primitive_rref,
     reduce_int,
     rref_pivots,
+    scale_to_ints,
     scaled_ints,
+    solve_affine,
 )
 from .rootsys import RootSystem
 
 DEFAULT_HURWITZ_BUDGET = 10**6
 DEFAULT_SPAN_SEARCH_CAP = 10**6
-
-
-def elliptic_dimension(w: AffineElement) -> int:
-    """e(w) = rank(linear - I); depends only on the linear part."""
-    return elliptic_rank(w.linear)
-
-
-def _positive_int_roots(rs: RootSystem) -> list[tuple[Vec, tuple[int, ...]]]:
-    """(root, its integer form in RootSystem.tables) for the positive
-    roots, in root order."""
-    t = rs.tables
-    return [(alpha, a) for alpha, a, pos in zip(rs.roots, t.int_roots, t.positive) if pos]
 
 
 def _quotient_lines(
@@ -91,8 +77,9 @@ def _quotient_lines(
     (int_line_rep, equal to line_rep of the Fraction residual) -> the
     first positive root lifting it."""
     lines: dict[tuple[int, ...], Vec] = {}
-    for alpha, a in _positive_int_roots(rs):
-        res = int_residual(ubasis, upivots, a)
+    t = rs.tables
+    for alpha, a, pos in zip(rs.roots, t.int_roots, t.positive):
+        res = int_residual(ubasis, upivots, a) if pos else None
         if res is None:
             continue
         key = int_line_rep(res)
@@ -232,49 +219,59 @@ class ReflectionFactorization:
 
 def factor_elliptic(rs: RootSystem, v: AffineElement) -> ReflectionFactorization:
     """Write an elliptic element as a product of e(v) reflections with
-    linearly independent roots, all through a common fixed point.
+    linearly independent roots, all through a common fixed point x.
 
-    Peels one reflection at a time: take the first root (in canonical
-    order) lying in the move-set whose hyperplane through the fixed
-    point has integer level and whose peeling drops e by one.  Not every
-    root in the move-set gives an integer level (a rotation about a
-    deep vertex sees only some of the hyperplanes through it), hence the
-    explicit integrality filter.
+    One pass over the positive roots in canonical order peels each root
+    that lies in the current move space and whose hyperplane through x
+    has integer level.  Not every root in the move space gives an
+    integer level (a rotation about a deep vertex sees only some of the
+    hyperplanes through it), hence the explicit integrality filter.
     """
     require_group_element(rs, v)
     if not is_elliptic(v):
         raise ValueError("input is not elliptic")
-    return _peel_elliptic(rs, v)
+    out = _peel_elliptic(rs, v)
+    if out.product(v.dim) != v:
+        raise AssertionError("elliptic factorisation failed verification")
+    return out
 
 
 def _peel_elliptic(rs: RootSystem, v: AffineElement) -> ReflectionFactorization:
-    """factor_elliptic of an elliptic group element v, unchecked."""
-    x = fixed_set(rs, v).base
-    positive = _positive_int_roots(rs)
+    """factor_elliptic of an elliptic group element v, unchecked.
+
+    Works on the root permutation of the linear part A: peeling root a
+    replaces A by s_a A.  For a in Mov(A), dim Mov(s_a A) = dim Mov(A) - 1
+    (Brady-Watt), so Mov(s_a A) lies in Mov(A) and misses a.  Move spaces
+    only shrink and levels at the fixed point x stay, so a root passed
+    over is never peelable later, and one pass peels the same roots as a
+    scan restarted from the top after every peel.
+    """
+    m = [[y - (i == j) for j, y in enumerate(row)] for i, row in enumerate(v.linear)]
+    sol = solve_affine(m, [-y for y in v.translation])
+    if sol is None:
+        raise AssertionError("element to peel has no fixed point")
+    tables = rs.tables
+    # <x, root a> = <xs, int_roots[a]> / unit
+    xden, (xs,) = scale_to_ints((sol[0],))
+    unit = xden * tables.scale
+    perm = root_permutation(rs, v.linear)
+    mov = tables.move_space(perm)
+    pivots = rref_pivots(mov)
     factors: list[AffineReflection] = []
-    current = v
-    mov = linear_move_space(current.linear)
-    while mov:
-        pivots = rref_pivots(mov)
-        found = None
-        for alpha, a in positive:
-            if int_residual(mov, pivots, a) is not None:
-                continue
-            level = dot(x, alpha)
-            if level.denominator != 1:
-                continue
-            r = AffineReflection.make(alpha, level)
-            peeled = reflection_times(r, current)
-            peeled_mov = linear_move_space(peeled.linear)
-            if len(peeled_mov) == len(mov) - 1:
-                found = (r, peeled, peeled_mov)
-                break
-        if found is None:
-            raise AssertionError("no peelable reflection for an elliptic element")
-        factors.append(found[0])
-        current, mov = found[1], found[2]
-    if not current.is_identity():
-        raise AssertionError("elliptic peeling did not terminate at the identity")
+    for a, (ints, pos) in enumerate(zip(tables.int_roots, tables.positive)):
+        if not (pos and mov):
+            continue
+        level, rest = divmod(sum(x * y for x, y in zip(xs, ints)), unit)
+        if rest or int_residual(mov, pivots, ints) is not None:
+            continue
+        factors.append(AffineReflection(rs.roots[a], level))
+        perm = tuple(tables.reflected[a][b] for b in perm)
+        peeled = tables.move_space(perm)
+        if len(peeled) != len(mov) - 1:
+            raise AssertionError("peeling a root of the move space did not lower e by one")
+        mov, pivots = peeled, rref_pivots(peeled)
+    if mov:
+        raise AssertionError("move space is not empty after the pass over the positive roots")
     return ReflectionFactorization(tuple(factors))
 
 
@@ -290,13 +287,7 @@ def min_factorization(rs: RootSystem, w: AffineElement) -> ReflectionFactorizati
 def _min_factorization(rs: RootSystem, w: AffineElement, rep: DimensionReport) -> ReflectionFactorization:
     """min_factorization of a group element w whose report is rep."""
     lifts = [AffineReflection.make(alpha, 0) for alpha in rep.lift_roots]
-    v = w
-    for r in lifts:
-        v = times_reflection(v, r)
-    if not is_elliptic(v):
-        raise AssertionError("lifted product failed to become elliptic")
-    elliptic_factors = _peel_elliptic(rs, v)
-    factors = tuple(elliptic_factors.factors) + tuple(reversed(lifts))
+    factors = _peel_elliptic(rs, product([w] + lifts)).factors + tuple(reversed(lifts))
     out = ReflectionFactorization(factors)
     if len(factors) != rep.length or out.product(w.dim) != w:
         raise AssertionError("minimum factorisation failed verification")

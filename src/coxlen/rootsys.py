@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 
 from .errors import ParseError, UnsupportedTypeError
-from .linalg import Mat, Vec, dot, line_rep, rref, scale_to_ints, smul, solve_combination, vec
+from .linalg import Mat, Vec, dot, line_rep, primitive_rref, rref, scale_to_ints, smul, vec
 
 MAX_RANK = 8
 
@@ -155,24 +155,25 @@ class RootSystem:
     @cached_property
     def tables(self) -> RootTables:
         """Integer root-index tables, built on first use."""
-        return RootTables.build(self.roots)
+        return RootTables.build(self.roots, self.simple_roots)
 
     @cached_property
     def highest_root(self) -> Vec:
-        """The root of maximal height (sum of simple-root coordinates).
-
-        Note the lexicographic sign convention and the simple-system
-        sign convention disagree for G2, so this scans all roots.
+        """The first root, in root order, of maximal height (sum of
+        simple-root coordinates), walking s_i(b) = b - <a_i^vee, b> a_i
+        from the simple roots.  The lexicographic and simple-system sign
+        conventions disagree for G2, so this scans all roots.
         """
-        best, best_ht = None, None
-        for r in self.roots:
-            cs = solve_combination(self.simple_roots, r)
-            assert cs is not None
-            ht = sum(cs)
-            if best_ht is None or ht > best_ht:
-                best, best_ht = r, ht
-        assert best is not None
-        return best
+        t = self.tables
+        height = dict.fromkeys(t.simple, 1)
+        queue = list(t.simple)
+        for b in queue:
+            for i in t.simple:
+                c = t.reflected[i][b]
+                if c not in height:
+                    height[c] = height[b] - t.cartan[i][b]
+                    queue.append(c)
+        return self.roots[max(range(len(self.roots)), key=height.__getitem__)]
 
     @cached_property
     def coroot_lattice(self) -> CorootLattice:
@@ -251,8 +252,12 @@ class RootTables:
     Roots times ``scale`` (2 for F4, whose roots have half-integer
     coordinates, 1 otherwise) are the integer vectors ``int_roots``.
     ``reflected[a][b]`` is the index of s_a(b), ``cartan[a][b]`` the
-    integer <a^vee, b>, ``negated[a]`` the index of -a and
-    ``positive[a]`` whether a is lexicographically positive.
+    integer <a^vee, b>, ``negated[a]`` the index of -a,
+    ``positive[a]`` whether a is lexicographically positive and
+    ``simple`` the indices of the simple roots, in their order.
+
+    An element u of W0 is the permutation ``perm`` of root indices with
+    u(root b) = root perm[b]; s_a u is ``reflected[a]`` composed after it.
     """
 
     scale: int
@@ -262,9 +267,10 @@ class RootTables:
     cartan: tuple[tuple[int, ...], ...]
     negated: tuple[int, ...]
     positive: tuple[bool, ...]
+    simple: tuple[int, ...]
 
     @staticmethod
-    def build(roots: Mat) -> RootTables:
+    def build(roots: Mat, simple_roots: Mat) -> RootTables:
         scale = lcm(*(x.denominator for r in roots for x in r))
         ints = tuple(tuple(int(x * scale) for x in r) for r in roots)
         index = {r: i for i, r in enumerate(ints)}
@@ -285,6 +291,17 @@ class RootTables:
             cartan=tuple(cartan),
             negated=tuple(index[tuple(-x for x in r)] for r in ints),
             positive=tuple(r > zero for r in ints),
+            simple=tuple(index[tuple(int(x * scale) for x in a)] for a in simple_roots),
+        )
+
+    def move_space(self, perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """Im(u - I) for the W0 element with root permutation perm, as the
+        primitive_rref rows that affgroup.linear_move_space gives for its
+        matrix.  u fixes the complement of the root span, so Im(u - I) is
+        spanned by u(a_i) - a_i over the simple roots a_i."""
+        roots = self.int_roots
+        return primitive_rref(
+            tuple(x - y for x, y in zip(roots[perm[i]], roots[i])) for i in self.simple if perm[i] != i
         )
 
     def conjugate(self, a: int, j: int, b: int, k: int) -> tuple[int, int]:

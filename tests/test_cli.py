@@ -1,6 +1,8 @@
 """Command line interface: parsing, JSON payloads, and exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,11 +10,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coxlen
 import coxlen.cli
 from coxlen.cli import main, parse_element, parse_vector, parse_window_text
-from coxlen.errors import ParseError
+from coxlen.errors import ParseError, UnsupportedTypeError
 from coxlen.rootsys import root_system
 
 
@@ -436,3 +440,135 @@ def test_make_tables_output_is_frozen():
         capture_output=True, check=True, env=env,
     )
     assert hashlib.sha256(out.stdout).hexdigest() == MAKE_TABLES_SHA256
+
+
+@pytest.mark.parametrize("mode", ["alcoves", "classes"])
+@pytest.mark.parametrize("radius", ["inf", "-inf", "nan"])
+def test_non_finite_radius_is_bad_input(capsys, mode, radius):
+    code, out, err = run(capsys, "render-svg", "--type", "A2", "--mode", mode,
+                         f"--radius={radius}", "--out", "-")
+    assert (code, out) == (2, "")
+    assert err == f"error: radius must be a finite number, got {float(radius)}\n"
+
+
+# Malformed and random CLI input, small enough that every example is
+# fast: valid types have rank <= 3 (random text carries no digit above 3),
+# --classify <= 1, oracle bounds <= 2 and radii below 2.  Half of the
+# elements, lambdas and windows are well formed, so the commands also
+# run to the end.
+JUNK = st.text(alphabet=st.characters(blacklist_characters="456789"), max_size=6)
+INTS = st.integers(-6, 6).map(str)
+VALID_TYPES = st.sampled_from(["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D2", "D3", "G2"])
+TYPE_TEXT = st.one_of(
+    VALID_TYPES,
+    VALID_TYPES,
+    st.sampled_from(["", "A0", "B1", "G3", "E6", "A10", "a2", " B2 ", "A 2x", "22"]),
+    JUNK,
+)
+
+
+def _listed(items, left, right):
+    return st.lists(items, max_size=5).map(lambda xs: left + ",".join(xs) + right)
+
+
+VECTOR_TEXT = st.one_of(
+    _listed(st.one_of(INTS, st.sampled_from(["1/2", "-2/3", "1/0", "x", " "])), "(", ")"),
+    JUNK,
+)
+WORD_TEXT = st.lists(st.integers(0, 4).map(lambda i: f"s{i}"), max_size=4).map(" ".join)
+ELEMENT_TEXT = st.one_of(
+    st.tuples(VECTOR_TEXT, WORD_TEXT).map(lambda p: f"lambda={p[0]}; word={p[1]}"),
+    WORD_TEXT.map(lambda w: f"word={w}"),
+    st.lists(st.tuples(st.integers(-1, 8), st.integers(-3, 3)), max_size=4).map(
+        lambda fs: " ".join(f"refl({i},{j})" for i, j in fs)
+    ),
+    st.sampled_from(["refl(1)", "refl(a,b)", "word=t1", "foo=1", ";", "lambda=", "refl"]),
+    JUNK,
+)
+NON_FINITE = st.sampled_from(["inf", "-inf", "nan", "Infinity"])
+RADIUS_TEXT = st.one_of(NON_FINITE, st.floats(-1, 1.9).map(repr), st.sampled_from(["1/2", "x", ""]))
+BUDGET_TEXT = st.one_of(st.integers(-2, 10**6).map(str), st.sampled_from(["x", "1.5", ""]))
+BOUND_TEXT = st.one_of(st.integers(-2, 2).map(str), st.sampled_from(["x", "1.5"]))
+
+
+@st.composite
+def lattice_vector_text(draw, type_text):
+    """A coroot-lattice point of type_text when it names a root system,
+    else (or at random) a malformed vector."""
+    try:
+        rs = root_system(type_text)
+    except (ParseError, UnsupportedTypeError):
+        rs = None
+    if rs is None or draw(st.booleans()):
+        return draw(VECTOR_TEXT)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=rs.rank, max_size=rs.rank))
+    return "(" + ",".join(map(str, rs.from_lattice_coords(coeffs))) + ")"
+
+
+@st.composite
+def window_text(draw):
+    """A window of an affine permutation of size 2-4, or malformed text."""
+    if draw(st.booleans()):
+        return draw(st.one_of(_listed(INTS, "[", "]"), JUNK))
+    n = draw(st.integers(2, 4))
+    pi = draw(st.permutations(range(1, n + 1)))
+    lam = draw(st.lists(st.integers(-1, 1), min_size=n - 1, max_size=n - 1))
+    lam.append(-sum(lam))
+    return "[" + ",".join(str(p + n * k) for p, k in zip(pi, lam)) + "]"
+
+
+@st.composite
+def cli_argv(draw, command):
+    """command with random or malformed option values; a required option
+    is sometimes left out."""
+    if command == "render-svg":
+        type_text = draw(st.one_of(st.sampled_from(["A2", "B2", "C2", "G2"]), TYPE_TEXT))
+    else:
+        type_text = draw(TYPE_TEXT)
+    lam = lattice_vector_text(type_text)
+    element = st.one_of(
+        st.tuples(lam, st.lists(st.sampled_from(["s1", "s2", "s3"]), max_size=4)).map(
+            lambda p: f"lambda={p[0]}; word={' '.join(p[1])}"
+        ),
+        ELEMENT_TEXT,
+    )
+    options = {
+        "len": [("--element", element)],
+        "factor": [("--element", element)],
+        "split": [("--element", element), ("--budget", BUDGET_TEXT)],
+        "window": [("--window", window_text()), ("--budget", BUDGET_TEXT)],
+        "nullity": [("--vector", VECTOR_TEXT)],
+        "genfun": [("--lambda", lam), ("--classify", st.one_of(st.integers(-2, 1).map(str), JUNK))],
+        "render-svg": [("--mode", st.sampled_from(["alcoves", "classes", "x"])),
+                       ("--radius", RADIUS_TEXT), ("--out", st.just("-"))],
+        "oracle": [("--element", element), ("--level-bound", BOUND_TEXT), ("--depth-bound", BOUND_TEXT)],
+    }[command]
+    if command not in ("window", "nullity"):
+        options = [("--type", st.just(type_text))] + options
+    argv = [command]
+    for flag, values in options:
+        # the default radius and oracle bounds may run long, so these are
+        # always given
+        if flag in ("--radius", "--level-bound", "--depth-bound") or draw(st.integers(0, 9)) < 9:
+            argv.append(f"{flag}={draw(values)}")
+    if command == "nullity" and draw(st.booleans()):
+        argv.append("--verify")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@pytest.mark.parametrize(
+    "command", ["len", "factor", "split", "window", "nullity", "genfun", "render-svg", "oracle"]
+)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_main_never_crashes_on_random_input(command, data):
+    argv = data.draw(cli_argv(command))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as ex:
+            assert ex.code == 2, argv
+            return
+    assert code in (0, 2, 3, 4), argv

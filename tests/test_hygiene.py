@@ -1,15 +1,18 @@
-"""Source hygiene: every name a coxlen module imports is used in it.
+"""Source hygiene: every name a coxlen module imports is used in it,
+and every function the benchmark's span recorder wraps still exists.
 
 Names listed in a module's __all__ count as used, so the package
 __init__ may import its public API for re-export.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "coxlen"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "coxlen"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +42,13 @@ def test_no_unused_imports(path):
 def test_unused_import_is_reported():
     source = "from math import gcd, lcm\nimport os.path\n\nx = lcm(2, 3)\n__all__ = ['os']\n"
     assert unused_imports(source) == ["line 1: gcd"]
+
+
+def test_span_targets_exist():
+    # bench/run.py --trace 1 wraps these by name and fails with a KeyError
+    # on a name that was deleted or renamed
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [name for name, owner, attr in spans._targets() if attr not in vars(owner)]
+    assert missing == []

@@ -18,18 +18,20 @@ from coxlen.affgroup import (
     AffineElement,
     AffineReflection,
     compose,
+    fixed_set,
     identity_element,
     inverse,
     is_elliptic,
     is_translation,
     linear_move_space,
     product,
+    root_permutation,
     translation_element,
 )
 from coxlen.affsym import reflection_length, window_of_element
 from coxlen.errors import BudgetExceeded
-from coxlen.genfun import _genfun_tables
-from coxlen.linalg import in_span, is_zero, line_rep, reduce_against, rref, vec
+from coxlen.genfun import _genfun_tables, enumerate_w0
+from coxlen.linalg import dot, in_span, is_zero, line_rep, reduce_against, rref, vec
 from coxlen.reflen import (
     DimensionReport,
     ReflectionFactorization,
@@ -446,3 +448,62 @@ def test_dimension_report_fractional_translations(name, word, lam):
     rs = root_system(name)
     w = element_of(rs, [AffineReflection.make(rs.simple_roots[i], 0) for i in word])
     check_against_reference(rs, AffineElement(w.linear, vec(lam)))
+
+
+def reference_peel_elliptic(rs, v):
+    """factor_elliptic's factors as they were computed on Fraction
+    matrices: through the canonical fixed point of fixed_set, peel the
+    first positive root of the move space with an integer level whose
+    reflection, multiplied on the left, lowers e by one, and restart the
+    scan from the top after every peel."""
+    x = fixed_set(rs, v).base
+    factors, current = [], v
+    mov = linear_move_space(current.linear)
+    while mov:
+        for alpha in rs.positive_roots:
+            level = dot(x, alpha)
+            if level.denominator != 1 or not in_span(mov, alpha):
+                continue
+            r = AffineReflection.make(alpha, level)
+            peeled = compose(r.to_element(), current)
+            if len(linear_move_space(peeled.linear)) == len(mov) - 1:
+                break
+        else:
+            raise AssertionError("no peelable reflection")
+        factors.append(r)
+        current = peeled
+        mov = linear_move_space(current.linear)
+    assert current.is_identity()
+    return tuple(factors)
+
+
+PEEL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
+
+
+@st.composite
+def reflection_products(draw):
+    """A product of at most rank + 2 affine reflections, levels in [-3, 3]."""
+    rs = root_system(draw(st.sampled_from(PEEL_TYPES)))
+    k = len(rs.positive_roots)
+    n = draw(st.integers(0, rs.rank + 2))
+    return rs, element_of(rs, [refl(rs, draw(st.integers(0, k - 1)), draw(st.integers(-3, 3))) for _ in range(n)])
+
+
+@given(reflection_products())
+@settings(max_examples=150, deadline=None)
+def test_one_pass_peel_matches_restart_scan(typed):
+    rs, w = typed
+    lifts = tuple(AffineReflection.make(alpha, 0) for alpha in dimension_report(rs, w).lift_roots)
+    v = product((w,) + lifts)
+    assert min_factorization(rs, w).factors == reference_peel_elliptic(rs, v) + lifts[::-1]
+    if is_elliptic(w):
+        assert factor_elliptic(rs, w).factors == reference_peel_elliptic(rs, w)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "F4"])
+def test_permutation_move_space_is_linear_move_space(name):
+    rs = root_system(name)
+    group = enumerate_w0(rs)
+    for linear, perm in zip(group.elements, group.permutations):
+        assert root_permutation(rs, linear) == perm
+        assert rs.tables.move_space(perm) == linear_move_space(linear)

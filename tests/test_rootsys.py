@@ -191,6 +191,7 @@ def test_root_tables_match_fraction_geometry(name):
     rs = root_system(name)
     tables = rs.tables
     assert tables.scale == (2 if name == "F4" else 1)
+    assert tuple(rs.roots[i] for i in tables.simple) == rs.simple_roots
     zero = vec([0] * rs.ambient_dim)
     for i, a in enumerate(rs.roots):
         assert tables.int_roots[i] == tuple(x * tables.scale for x in a)
@@ -206,6 +207,21 @@ LATTICE_TYPES = (
     + [f"{f}{n}" for f in "BCD" for n in range(2, 9)]
     + ["G2", "F4"]
 )
+
+
+def reference_highest_root(rs):
+    """The first root in root order of maximal height, each height the
+    coefficient sum of a Fraction solve against the simple roots."""
+    heights = [sum(solve_combination(rs.simple_roots, r)) for r in rs.roots]
+    return rs.roots[heights.index(max(heights))]
+
+
+@pytest.mark.parametrize("name", LATTICE_TYPES)
+def test_highest_root_matches_fraction_heights(name):
+    # includes the D2 tie (two roots of height 1) and G2, whose highest
+    # root is not the lexicographically largest
+    rs = root_system(name)
+    assert rs.highest_root == reference_highest_root(rs)
 
 
 @lru_cache(maxsize=None)
