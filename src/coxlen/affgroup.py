@@ -302,22 +302,25 @@ def root_permutation(rs: RootSystem, linear: Mat) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def require_group_element(rs, a: AffineElement) -> None:
+def require_group_element(rs, a: AffineElement) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Check membership in the affine Weyl group: the linear part must
     permute the roots and the translation part must lie in the coroot
-    lattice.  Root permutation also admits diagram automorphisms; those
-    are rare in practice and the factorisation routines fail loudly on
-    them, whereas a translation outside the lattice would fail in
-    confusing ways deep inside the peeling loop."""
+    lattice; return (root permutation, simple-coroot coordinates).  Root
+    permutation also admits diagram automorphisms; those are rare in
+    practice and the factorisation routines fail loudly on them, whereas
+    a translation outside the lattice would fail in confusing ways deep
+    inside the peeling loop."""
     if a.dim != rs.ambient_dim:
         raise ValueError(
             f"element acts on dimension {a.dim}, root system lives in {rs.ambient_dim}"
         )
-    root_permutation(rs, a.linear)
-    if not rs.in_coroot_lattice(a.translation):
+    perm = root_permutation(rs, a.linear)
+    coords = rs.lattice_coords(a.translation)
+    if coords is None:
         raise ValueError(
             "translation part (" + ", ".join(map(str, a.translation)) + ") is not in the coroot lattice"
         )
+    return perm, coords
 
 
 def rebased_normal_form(w: AffineElement, origin: Vec) -> tuple[Vec, AffineElement]:

@@ -231,7 +231,8 @@ def cmd_split(args) -> int:
     w = parse_element(rs, args.element)
     split = translation_elliptic_split(rs, w, budget=args.budget)
     t, rep_t, rep_u = split.translation, split.translation_report, split.elliptic_report
-    factors = _min_factorization(rs, split.elliptic, split.elliptic_report).factors
+    u_perm, _ = require_group_element(rs, split.elliptic)
+    factors = _min_factorization(rs, split.elliptic, rep_u, u_perm).factors
     payload = {
         "type": str(rs.spec),
         "translation": _vec_json(t.translation),
@@ -486,6 +487,10 @@ def main(argv=None) -> int:
             raise ParseError(f"radius must be a finite number, got {args.radius}")
         if hasattr(args, "radius") and args.radius <= 0:
             raise ParseError("radius must be positive")
+        for flag in ("classify", "level_bound", "depth_bound"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise ParseError(f"--{flag.replace('_', '-')} must be non-negative, got {value}")
         return args.func(args)
     except ParseError as ex:
         print(f"error: {ex}", file=sys.stderr)

@@ -12,8 +12,8 @@ lam every factor (1 + e_i t) deforms to (s + e_i t).
 W0 is enumerated once by breadth-first search over permutations of the
 root indices: right multiplication by a simple reflection s_i is an index
 lookup in RootSystem.tables.reflected, and duplicates are found by
-hashing integer tuples.  Each new element's matrix is built once, by a
-rank-one update of the element it was reached from.
+hashing integer tuples.  An element of W0 is its root permutation
+throughout.
 
 f_lam depends on u only through its move space Im(u - I): e(u) is its
 dimension and d(t_lam u) is the span search of lam modulo it.  The
@@ -30,18 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BudgetExceeded
-from .linalg import (
-    Mat,
-    Vec,
-    identity_matrix,
-    int_residual,
-    is_zero,
-    rref_pivots,
-    scaled_ints,
-    zero_vec,
-)
+from .linalg import Vec, int_residual, is_zero, rref_pivots, scaled_ints
 from .reflen import _min_span_subset, _quotient_lines
-from .affgroup import AffineElement, AffineReflection, times_reflection
 from .rootsys import RootSystem
 
 DEFAULT_W0_CAP = 10**5
@@ -157,19 +147,14 @@ def poly1_format(coeffs) -> str:
 
 @dataclass(eq=False)
 class SphericalGroup:
-    """W0 in breadth-first order (word length, then matrix
-    lexicographically).  elements holds the matrices; words one reduced
-    word per element, as indices into the simple roots; permutations the
-    action on the roots, permutations[k][b] being the index in
-    RootSystem.roots of the image of root b under elements[k].
+    """W0 in breadth-first order (word length, then permutation
+    lexicographically).  elements holds the root permutations,
+    elements[k][b] being the index in RootSystem.roots of the image of
+    root b; words one reduced word per element, as indices into the
+    simple roots."""
 
-    The search runs on the permutations: right multiplication by s_i is
-    the lookup p[s_i(b)], and the matrix of a new element is built once,
-    as a rank-one update of the matrix of the element that reached it."""
-
-    elements: tuple[Mat, ...]
+    elements: tuple[tuple[int, ...], ...]
     words: tuple[tuple[int, ...], ...]
-    permutations: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
@@ -183,34 +168,27 @@ def enumerate_w0(rs: RootSystem, cap: int = DEFAULT_W0_CAP) -> SphericalGroup:
             f"W0 of {rs.spec} has order {rs.w0_order}, above the cap {cap}"
         )
     reflected = rs.tables.reflected
-    gens = [
-        (reflected[rs.root_index[a]], AffineReflection.make(a, 0)) for a in rs.simple_roots
-    ]
-    zero = zero_vec(rs.ambient_dim)
-    start = (identity_matrix(rs.ambient_dim), tuple(range(len(rs.roots))), ())
+    gens = [reflected[rs.root_index[a]] for a in rs.simple_roots]
+    start = (tuple(range(len(rs.roots))), ())
     order = [start]
-    seen = {start[1]}
+    seen = {start[0]}
     level = [start]
     while level:
         # first discovery wins, scanning the level in order and the
         # generators in index order
-        found: dict[tuple[int, ...], tuple] = {}
-        for m, p, word in level:
-            for gi, (moves, r) in enumerate(gens):
+        found: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for p, word in level:
+            for gi, moves in enumerate(gens):
                 q = tuple(p[b] for b in moves)
                 if q not in seen and q not in found:
-                    found[q] = (m, r, word + (gi,))
-        # the matrices are distinct, so this sorts the level by matrix
-        level = sorted(
-            (times_reflection(AffineElement(m, zero), r).linear, q, word)
-            for q, (m, r, word) in found.items()
-        )
+                    found[q] = word + (gi,)
+        level = sorted(found.items())
         seen.update(found)
         order.extend(level)
         if len(order) > cap:
             raise BudgetExceeded("W0 enumeration exceeded the cap")
-    elements, perms, words = zip(*order)
-    return SphericalGroup(elements=elements, words=words, permutations=perms)
+    elements, words = zip(*order)
+    return SphericalGroup(elements=elements, words=words)
 
 
 @lru_cache(maxsize=None)
@@ -221,7 +199,7 @@ def _genfun_tables(rs: RootSystem):
     space).  Each move space is read from the element's root permutation
     (RootTables.move_space), as the elliptic peel of reflen reads it."""
     counts: dict[tuple[tuple[int, ...], ...], int] = {}
-    for perm in enumerate_w0(rs).permutations:
+    for perm in enumerate_w0(rs).elements:
         key = rs.tables.move_space(perm)
         counts[key] = counts.get(key, 0) + 1
     out = []

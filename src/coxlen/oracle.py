@@ -6,7 +6,10 @@ of the translation part in the simple-coroot basis), and the moves are
 left multiplication by the finitely many reflections whose level is at
 most a bound J.  Starting from the identity, the distance at which a
 state first appears is its reflection length relative to that generator
-set.
+set.  W0 is genfun.enumerate_w0's list of root permutations, and a
+target enters the search through affgroup.require_group_element, which
+returns its root permutation and its lattice coordinates; beyond these
+the oracle shares nothing with the closed-form machinery.
 
 Finite J can in principle miss shorter factorisations through
 higher-level hyperplanes, so results carry a certificate:
@@ -39,7 +42,7 @@ from itertools import combinations
 
 from .errors import BudgetExceeded
 from .linalg import dot, in_span, is_zero, scale_to_ints
-from .affgroup import AffineElement, elliptic_rank, linear_move_space
+from .affgroup import AffineElement, elliptic_rank, linear_move_space, require_group_element
 from .genfun import enumerate_w0
 from .rootsys import RootSystem, coroot, reflect
 
@@ -67,20 +70,19 @@ def _require_oracle_rank(rs: RootSystem) -> None:
 
 @lru_cache(maxsize=None)
 def _oracle_tables(rs: RootSystem):
-    """Integer transition tables: for each positive root line, the
-    permutation it induces on W0 by left multiplication (read off the
-    root permutations of W0), its matrix on coroot-lattice coordinates,
-    and the coordinates of its coroot; plus the lattice Gram matrix and
-    the largest coroot norm, both scaled to integers."""
+    """Integer transition tables: the index of each element of W0 by its
+    root permutation; for each positive root line, the permutation it
+    induces on W0 by left multiplication, its matrix on coroot-lattice
+    coordinates, and the coordinates of its coroot; plus the lattice
+    Gram matrix and the largest coroot norm, both scaled to integers."""
     group = enumerate_w0(rs)
-    index = {m: i for i, m in enumerate(group.elements)}
-    by_perm = {p: i for i, p in enumerate(group.permutations)}
+    index = {p: i for i, p in enumerate(group.elements)}
     basis = rs.coroot_lattice.coroots
     lines = []
     for alpha in rs.positive_roots:
         # s_alpha m sends root b to s_alpha(m(b))
         s = rs.tables.reflected[rs.root_index[alpha]]
-        perm = tuple(by_perm[tuple(s[b] for b in p)] for p in group.permutations)
+        perm = tuple(index[tuple(s[b] for b in p)] for p in group.elements)
         cols = []
         for b in basis:
             c = rs.lattice_coords(reflect(alpha, b))
@@ -137,13 +139,11 @@ def _ball(rs: RootSystem, level_bound: int, depth_bound: int):
 
 
 def _target_state(rs: RootSystem, w: AffineElement):
+    perm, coeffs = require_group_element(rs, w)
     index, _, _, _, _ = _oracle_tables(rs)
-    if w.linear not in index:
+    if perm not in index:
         raise ValueError("linear part is not an element of W0")
-    coeffs = rs.lattice_coords(w.translation)
-    if coeffs is None:
-        raise ValueError("translation part is not in the coroot lattice")
-    return index[w.linear], coeffs
+    return index[perm], coeffs
 
 
 def brute_reflection_lengths(

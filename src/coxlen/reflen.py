@@ -49,7 +49,6 @@ from .affgroup import (
     linear_move_space,
     product,
     require_group_element,
-    root_permutation,
 )
 from .errors import BudgetExceeded
 from .linalg import (
@@ -227,24 +226,24 @@ def factor_elliptic(rs: RootSystem, v: AffineElement) -> ReflectionFactorization
     integer level (a rotation about a deep vertex sees only some of the
     hyperplanes through it), hence the explicit integrality filter.
     """
-    require_group_element(rs, v)
+    perm, _ = require_group_element(rs, v)
     if not is_elliptic(v):
         raise ValueError("input is not elliptic")
-    out = _peel_elliptic(rs, v)
+    out = _peel_elliptic(rs, v, perm)
     if out.product(v.dim) != v:
         raise AssertionError("elliptic factorisation failed verification")
     return out
 
 
-def _peel_elliptic(rs: RootSystem, v: AffineElement) -> ReflectionFactorization:
+def _peel_elliptic(rs: RootSystem, v: AffineElement, perm: tuple[int, ...]) -> ReflectionFactorization:
     """factor_elliptic of an elliptic group element v, unchecked.
 
-    Works on the root permutation of the linear part A: peeling root a
-    replaces A by s_a A.  For a in Mov(A), dim Mov(s_a A) = dim Mov(A) - 1
-    (Brady-Watt), so Mov(s_a A) lies in Mov(A) and misses a.  Move spaces
-    only shrink and levels at the fixed point x stay, so a root passed
-    over is never peelable later, and one pass peels the same roots as a
-    scan restarted from the top after every peel.
+    Works on perm, the root permutation of the linear part A: peeling
+    root a replaces A by s_a A.  For a in Mov(A), dim Mov(s_a A) =
+    dim Mov(A) - 1 (Brady-Watt), so Mov(s_a A) lies in Mov(A) and misses
+    a.  Move spaces only shrink and levels at the fixed point x stay, so
+    a root passed over is never peelable later, and one pass peels the
+    same roots as a scan restarted from the top after every peel.
     """
     m = [[y - (i == j) for j, y in enumerate(row)] for i, row in enumerate(v.linear)]
     sol = solve_affine(m, [-y for y in v.translation])
@@ -254,7 +253,6 @@ def _peel_elliptic(rs: RootSystem, v: AffineElement) -> ReflectionFactorization:
     # <x, root a> = <xs, int_roots[a]> / unit
     xden, (xs,) = scale_to_ints((sol[0],))
     unit = xden * tables.scale
-    perm = root_permutation(rs, v.linear)
     mov = tables.move_space(perm)
     pivots = rref_pivots(mov)
     factors: list[AffineReflection] = []
@@ -280,14 +278,18 @@ def min_factorization(rs: RootSystem, w: AffineElement) -> ReflectionFactorizati
     level-zero reflections in the d lifted roots to reach an elliptic
     element whose move-set is the witness subspace, factor that, then
     append the lifted reflections again in reverse."""
-    require_group_element(rs, w)
-    return _min_factorization(rs, w, dimension_report(rs, w))
+    perm, _ = require_group_element(rs, w)
+    return _min_factorization(rs, w, dimension_report(rs, w), perm)
 
 
-def _min_factorization(rs: RootSystem, w: AffineElement, rep: DimensionReport) -> ReflectionFactorization:
-    """min_factorization of a group element w whose report is rep."""
+def _min_factorization(rs: RootSystem, w: AffineElement, rep: DimensionReport, perm) -> ReflectionFactorization:
+    """min_factorization of a group element w whose report is rep and
+    whose linear part has root permutation perm."""
     lifts = [AffineReflection.make(alpha, 0) for alpha in rep.lift_roots]
-    factors = _peel_elliptic(rs, product([w] + lifts)).factors + tuple(reversed(lifts))
+    for r in lifts:
+        # w s_a sends root b to w(s_a(b))
+        perm = tuple(perm[b] for b in rs.tables.reflected[rs.root_index[r.root]])
+    factors = _peel_elliptic(rs, product([w] + lifts), perm).factors + tuple(reversed(lifts))
     out = ReflectionFactorization(factors)
     if len(factors) != rep.length or out.product(w.dim) != w:
         raise AssertionError("minimum factorisation failed verification")
@@ -366,7 +368,7 @@ def translation_elliptic_split(
     conjugates by table lookup (RootTables.conjugate), which is
     hurwitz_move on the corresponding reflections.
     """
-    require_group_element(rs, w)
+    perm, _ = require_group_element(rs, w)
     rep = dimension_report(rs, w)
     if rep.d == 0:
         t = identity_element(w.dim)
@@ -382,7 +384,7 @@ def translation_elliptic_split(
         return None
 
     pairs: list[AffineReflection] = []
-    current = tuple((index[r.root], r.level) for r in _min_factorization(rs, w, rep).factors)
+    current = tuple((index[r.root], r.level) for r in _min_factorization(rs, w, rep, perm).factors)
     visited = 0
     for rnd in range(1, rep.d + 1):
         found = None

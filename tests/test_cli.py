@@ -248,6 +248,9 @@ def test_lattice_error_prints_the_vector(capsys):
     code, _, err = run(capsys, "len", "--type", "F4", "--element", "lambda=(1/2,1/2,1/2,1/2)")
     assert code == 2
     assert err == "error: translation part (1/2, 1/2, 1/2, 1/2) is not in the coroot lattice\n"
+    code, _, err = run(capsys, "oracle", "--type", "B2", "--element", "lambda=(1,0)")
+    assert code == 2
+    assert err == "error: translation part (1, 0) is not in the coroot lattice\n"
 
 
 # factor, split and window outputs recorded before the root-index kernel
@@ -451,6 +454,30 @@ def test_non_finite_radius_is_bad_input(capsys, mode, radius):
     assert err == f"error: radius must be a finite number, got {float(radius)}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["genfun", "--type", "B3", "--classify"],
+    ["oracle", "--type", "B2", "--element", "lambda=(1,1); word=s1", "--level-bound"],
+    ["oracle", "--type", "B2", "--element", "lambda=(1,1); word=s1", "--depth-bound"],
+], ids=lambda argv: argv[-1])
+def test_negative_bound_is_bad_input(capsys, argv):
+    code, out, err = run(capsys, *argv, "-1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[-1]} must be non-negative, got -1\n"
+    code, _, err = run(capsys, *argv, "0")
+    assert (code, err) == (0, "")
+
+
+NEGATIVE_BOUND_FLAGS = ("--classify", "--level-bound", "--depth-bound")
+
+
+def _negative_int(text: str) -> bool:
+    """text is an integer below zero, as argparse's type=int reads it."""
+    try:
+        return int(text) < 0
+    except ValueError:
+        return False
+
+
 # Malformed and random CLI input, small enough that every example is
 # fast: valid types have rank <= 3 (random text carries no digit above 3),
 # --classify <= 1, oracle bounds <= 2 and radii below 2.  Half of the
@@ -572,3 +599,8 @@ def test_main_never_crashes_on_random_input(command, data):
             assert ex.code == 2, argv
             return
     assert code in (0, 2, 3, 4), argv
+    if any(
+        flag in NEGATIVE_BOUND_FLAGS and _negative_int(value)
+        for flag, _, value in (arg.partition("=") for arg in argv)
+    ):
+        assert code == 2, argv

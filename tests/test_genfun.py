@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxlen.affgroup import AffineElement, AffineReflection
+from coxlen.affgroup import AffineElement, AffineReflection, root_permutation
 from coxlen.errors import BudgetExceeded
 from coxlen.genfun import (
     BivariatePolynomial,
@@ -28,9 +28,10 @@ from coxlen.genfun import (
     poly_s_plus,
     spherical_genfun,
 )
-from coxlen.linalg import identity_matrix, mat_mul, mat_vec, vec
+from coxlen.linalg import identity_matrix, mat_mul, vec
 from coxlen.reflen import dimension_report
 from coxlen.rootsys import root_system
+from w0_matrices import w0_matrices, word_matrix
 
 A2 = root_system("A2")
 B2 = root_system("B2")
@@ -111,7 +112,7 @@ def reference_enumerate_w0(rs):
     return tuple(order), tuple(words[m] for m in order)
 
 
-REFERENCE_W0_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D2", "D3", "D4", "G2"]
+REFERENCE_W0_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D2", "D3", "D4", "G2", "F4"]
 
 
 @pytest.mark.parametrize("name", REFERENCE_W0_TYPES)
@@ -119,11 +120,15 @@ def test_enumeration_matches_matrix_reference(name):
     rs = root_system(name)
     group = enumerate_w0(rs)
     elements, words = reference_enumerate_w0(rs)
-    assert group.elements == elements
-    assert group.words == words
-    # each permutation is the action of its matrix on the roots
-    for m, perm in zip(group.elements, group.permutations, strict=True):
-        assert tuple(rs.root_index[mat_vec(m, r)] for r in rs.roots) == perm
+    # the words rebuild W0 exactly, each element once, each word reduced
+    level = {m: len(word) for m, word in zip(elements, words)}
+    matrices = [word_matrix(rs, word) for word in group.words]
+    assert len(matrices) == len(elements)
+    assert set(matrices) == set(elements)
+    assert [len(word) for word in group.words] == [level[m] for m in matrices]
+    # each permutation is the action of its word's matrix on the roots
+    for m, perm in zip(matrices, group.elements, strict=True):
+        assert root_permutation(rs, m) == perm
 
 
 GENFUN_PROPERTY_TYPES = ["A2", "B2", "G2", "A3", "B3", "C3", "D4"]
@@ -142,7 +147,7 @@ def test_local_genfun_counts_dimension_reports(point):
     # an independent path: one dimension_report per element t_lam u of W0
     rs, lam = point
     counts = Counter()
-    for m in enumerate_w0(rs).elements:
+    for m in w0_matrices(rs):
         rep = dimension_report(rs, AffineElement(m, lam))
         counts[(rep.d, rep.e)] += 1
     assert local_genfun(rs, lam) == BivariatePolynomial.from_dict(dict(counts))

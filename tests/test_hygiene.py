@@ -1,5 +1,6 @@
 """Source hygiene: every name a coxlen module imports is used in it,
-and every function the benchmark's span recorder wraps still exists.
+every function the benchmark's span recorder wraps still exists, and
+its work counters read the results those functions return.
 
 Names listed in a module's __all__ count as used, so the package
 __init__ may import its public API for re-export.
@@ -44,11 +45,35 @@ def test_unused_import_is_reported():
     assert unused_imports(source) == ["line 1: gcd"]
 
 
-def test_span_targets_exist():
-    # bench/run.py --trace 1 wraps these by name and fails with a KeyError
-    # on a name that was deleted or renamed
+def load_bench_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_span_targets_exist():
+    # bench/run.py --trace 1 wraps these by name and fails with a KeyError
+    # on a name that was deleted or renamed
+    spans = load_bench_spans()
     missing = [name for name, owner, attr in spans._targets() if attr not in vars(owner)]
     assert missing == []
+
+
+def test_work_counters_read_real_results():
+    # each WORK_COUNTERS reader runs on what the traced function returns,
+    # so a renamed result field fails here, not in bench/run.py --trace 1
+    from coxlen.genfun import enumerate_w0
+    from coxlen.oracle import _ball
+    from coxlen.rootsys import root_system
+
+    spans = load_bench_spans()
+    a2 = root_system("A2")
+    readers = {name: make for name, (_, make) in spans.WORK_COUNTERS.items()}
+    before, after = readers["genfun.enumerate_w0"](enumerate_w0)
+    enumerate_w0.cache_clear()
+    misses = before()
+    assert after(enumerate_w0(a2), misses) == 6
+    before, after = readers["oracle.ball"](_ball)
+    dist = _ball(a2, 1, 2)
+    assert after(dist, before()) == len(dist) > 1

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxlen.affgroup import (
+    AffineElement,
     AffineReflection,
     compose,
     identity_element,
@@ -21,7 +22,6 @@ from coxlen.affgroup import (
 )
 from coxlen.affsym import nullity
 from coxlen.errors import BudgetExceeded
-from coxlen.genfun import enumerate_w0
 from coxlen.linalg import dot, mat_mul, mat_vec, vec
 from coxlen.oracle import (
     CertifiedLength,
@@ -36,6 +36,7 @@ from coxlen.oracle import (
 )
 from coxlen.reflen import dimension_report
 from coxlen.rootsys import coroot, root_system
+from w0_matrices import w0_matrices
 
 A2 = root_system("A2")
 B2 = root_system("B2")
@@ -188,15 +189,18 @@ def test_move_dimension_in_zero_sum_ambient():
 
 
 def reference_oracle_tables(rs):
-    """_oracle_tables on matrices: left multiplication by s_alpha is a
-    Fraction mat_mul per element, looked up by matrix."""
-    group = enumerate_w0(rs)
-    index = {m: i for i, m in enumerate(group.elements)}
+    """_oracle_tables on matrices rebuilt from the words of W0: left
+    multiplication by s_alpha is a Fraction mat_mul per element, looked
+    up by matrix, and each element is indexed by the root permutation of
+    its matrix, read off with mat_vec."""
+    matrices = w0_matrices(rs)
+    by_matrix = {m: i for i, m in enumerate(matrices)}
+    index = {tuple(rs.root_index[mat_vec(m, r)] for r in rs.roots): i for i, m in enumerate(matrices)}
     basis = [coroot(a) for a in rs.simple_roots]
     lines = []
     for alpha in rs.positive_roots:
         s = AffineReflection.make(alpha, 0).to_element().linear
-        perm = tuple(index[mat_mul(s, m)] for m in group.elements)
+        perm = tuple(by_matrix[mat_mul(s, m)] for m in matrices)
         cols = [rs.lattice_coords(mat_vec(s, b)) for b in basis]
         lat = tuple(tuple(cols[j][i] for j in range(rs.rank)) for i in range(rs.rank))
         lines.append((perm, lat, rs.lattice_coords(coroot(alpha))))
@@ -211,3 +215,11 @@ def reference_oracle_tables(rs):
 def test_oracle_tables_match_matrix_reference(name):
     rs = root_system(name)
     assert _oracle_tables(rs) == reference_oracle_tables(rs)
+
+
+def test_linear_part_outside_w0_is_rejected():
+    # -I permutes the roots of A2 but is not in W(A2): it is the longest
+    # element times the diagram automorphism
+    minus_one = tuple(vec(-(i == j) for j in range(3)) for i in range(3))
+    with pytest.raises(ValueError, match="^linear part is not an element of W0$"):
+        brute_reflection_length(A2, AffineElement(minus_one, vec([0, 0, 0])))

@@ -25,13 +25,14 @@ from coxlen.affgroup import (
     is_translation,
     linear_move_space,
     product,
+    require_group_element,
     root_permutation,
     translation_element,
 )
 from coxlen.affsym import reflection_length, window_of_element
 from coxlen.errors import BudgetExceeded
 from coxlen.genfun import _genfun_tables, enumerate_w0
-from coxlen.linalg import dot, in_span, is_zero, line_rep, reduce_against, rref, vec
+from coxlen.linalg import dot, in_span, is_zero, line_rep, mat_vec, reduce_against, rref, vec
 from coxlen.reflen import (
     DimensionReport,
     ReflectionFactorization,
@@ -46,6 +47,7 @@ from coxlen.reflen import (
     translation_elliptic_split,
 )
 from coxlen.rootsys import root_system
+from w0_matrices import w0_matrices
 
 A2 = root_system("A2")
 B2 = root_system("B2")
@@ -500,10 +502,20 @@ def test_one_pass_peel_matches_restart_scan(typed):
         assert factor_elliptic(rs, w).factors == reference_peel_elliptic(rs, w)
 
 
+@given(reflection_products())
+@settings(max_examples=150, deadline=None)
+def test_require_group_element_returns_permutation_and_coordinates(typed):
+    rs, w = typed
+    perm, coords = require_group_element(rs, w)
+    assert (perm, coords) == (root_permutation(rs, w.linear), rs.lattice_coords(w.translation))
+    assert perm == tuple(rs.root_index[mat_vec(w.linear, r)] for r in rs.roots)
+    assert rs.from_lattice_coords(coords) == w.translation
+
+
 @pytest.mark.parametrize("name", ["A3", "B3", "G2", "F4"])
 def test_permutation_move_space_is_linear_move_space(name):
     rs = root_system(name)
     group = enumerate_w0(rs)
-    for linear, perm in zip(group.elements, group.permutations):
+    for linear, perm in zip(w0_matrices(rs), group.elements, strict=True):
         assert root_permutation(rs, linear) == perm
         assert rs.tables.move_space(perm) == linear_move_space(linear)
