@@ -9,32 +9,52 @@ Specialising s -> t^2 turns each monomial into t^length.  At lam = 0
 this is the Poincare-style product over the exponents of W0; at generic
 lam every factor (1 + e_i t) deforms to (s + e_i t).
 
-W0 is enumerated once by breadth-first search over permutations of the
-root indices: right multiplication by a simple reflection s_i is an index
-lookup in RootSystem.tables.reflected, and duplicates are found by
-hashing integer tuples.  An element of W0 is its root permutation
-throughout.
+Two paths compute the sum.
 
-f_lam depends on u only through its move space Im(u - I): e(u) is its
-dimension and d(t_lam u) is the span search of lam modulo it.  The
-lam-independent tables therefore hold one entry per distinct move space
-(its primitive integer RREF basis, its projected root lines and the
-number of elements of W0 with that move space), so classifying many
-lattice points repeats only the small span search, once per space.  The
-tables and the reduction of lam modulo each space are fraction-free.
+Types A-D sum over (signed) set partitions of the coordinates and never
+enumerate W0.  The cycles of u partition the coordinates.  For type A
+(u a permutation of [n+1]) e = n + 1 - k over the k cycles, and the
+cycles on one set partition number prod (|B| - 1)!.  For types B-D (u a
+signed permutation of [n]) a cycle of size m is negative (sign product
+-1; 2^(m-1) (m-1)! of them, no fixed vector) or positive, with a fixed
+vector v_B in {+-1}^B up to sign: each of its 2^(m-1) classes carries
+(m-1)! cycles.  e = n - k over the k positive cycles, and type D keeps
+only an even number of negative cycles.  In both, d = k - nu with nu
+reflen.zero_block_count of the sums <lam, v_B> (signed cycle types,
+Carter 1972; null partitions, McCammond-Petersen 2011).  A DP over the
+coordinate masks S holds, for each multiset of cycle sums, the weighted
+number of ways to cover S by positive cycles; the negative cycles on the
+other coordinates only contribute a weight.
+
+G2 and F4 enumerate W0 once, by breadth-first search over permutations
+of the root indices: right multiplication by a simple reflection s_i is
+an index lookup in RootSystem.tables.reflected, and duplicates are found
+by hashing integer tuples.  An element of W0 is its root permutation
+throughout.  f_lam depends on u only through its move space Im(u - I):
+e(u) is its dimension and d(t_lam u) is the span search of lam modulo
+it.  The lam-independent tables therefore hold one entry per distinct
+move space (its primitive integer RREF basis, its projected root lines
+and the number of elements of W0 with that move space), so classifying
+many lattice points repeats only the small span search, once per space.
+The tables and the reduction of lam modulo each space are fraction-free.
+These tables also serve as the reference for types A-D in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product as iproduct
+from math import comb, factorial
 
 from .errors import BudgetExceeded
 from .linalg import Vec, int_residual, is_zero, rref_pivots, scaled_ints
-from .reflen import _min_span_subset, _quotient_lines
+from .reflen import _min_span_subset, _quotient_lines, zero_block_count
 from .rootsys import RootSystem
 
 DEFAULT_W0_CAP = 10**5
+DEFAULT_CLASSIFY_CAP = 10**5
+CLASSICAL = "ABCD"
 
 
 @dataclass(frozen=True)
@@ -163,9 +183,9 @@ class SphericalGroup:
 
 @lru_cache(maxsize=None)
 def enumerate_w0(rs: RootSystem, cap: int = DEFAULT_W0_CAP) -> SphericalGroup:
-    if rs.w0_order > cap:
+    if rs.w0_size > cap:
         raise BudgetExceeded(
-            f"W0 of {rs.spec} has order {rs.w0_order}, above the cap {cap}"
+            f"W0 of {rs.spec} has order {rs.w0_size}, above the cap {cap}"
         )
     reflected = rs.tables.reflected
     gens = [reflected[rs.root_index[a]] for a in rs.simple_roots]
@@ -216,9 +236,8 @@ def _require_lattice_point(rs: RootSystem, lam: Vec) -> None:
         )
 
 
-def local_genfun(rs: RootSystem, lam: Vec) -> BivariatePolynomial:
-    """f_lam(s, t) = sum of s^d t^e over the elements with translation lam."""
-    _require_lattice_point(rs, lam)
+def _table_counts(rs: RootSystem, lam: Vec) -> dict[tuple[int, int], int]:
+    """The coefficients (d, e) -> count of f_lam from the W0 tables."""
     lam_ints = scaled_ints(lam)
     counts: dict[tuple[int, int], int] = {}
     for e, ubasis, upivots, lines, mult in _genfun_tables(rs):
@@ -228,15 +247,129 @@ def local_genfun(rs: RootSystem, lam: Vec) -> BivariatePolynomial:
         else:
             d = _min_span_subset(lines, res, rs.rank - e)[0]
         counts[(d, e)] = counts.get((d, e), 0) + mult
-    return BivariatePolynomial.from_dict(counts)
+    return counts
+
+
+def _cycle_options(x: list[int], family: str) -> list[list[tuple]]:
+    """For each nonempty coordinate mask T, the positive cycles on T as
+    (item, number of cycles) pairs, one per distinct item: the sum of x
+    over T (type A), else |<x, v>| over the fixed-vector classes v, each
+    class carrying (|T| - 1)! cycles; type D pairs the item with whether
+    |T| is 1."""
+    n = len(x)
+    sums: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(1, 1 << n)]
+    out: list[list[tuple]] = [[]]
+    for block in range(1, 1 << n):
+        top = block.bit_length() - 1
+        below = sums[block ^ (1 << top)]
+        # v is +1 on the lowest coordinate of the block
+        signs = (1,) if family == "A" or block == 1 << top else (1, -1)
+        acc = sums[block]
+        for v, c in below.items():
+            for sign in signs:
+                acc[v + sign * x[top]] = acc.get(v + sign * x[top], 0) + c
+        size = block.bit_count()
+        items: dict = {}
+        for v, c in acc.items():
+            item = v if family == "A" else abs(v)
+            if family == "D":
+                item = (item, size == 1)
+            items[item] = items.get(item, 0) + c * factorial(size - 1)
+        out.append(list(items.items()))
+    return out
+
+
+def _negative_covers(n: int) -> list[tuple[int, int]]:
+    """covers[N] = (even, odd): the signed permutations of N coordinates
+    whose cycles are all negative, by the parity of their number; a
+    negative cycle on m given coordinates comes in 2^(m-1) (m-1)! ways."""
+    covers = [(1, 0)]
+    for size in range(1, n + 1):
+        even = odd = 0
+        for m in range(1, size + 1):
+            ways = comb(size - 1, m - 1) * 2 ** (m - 1) * factorial(m - 1)
+            e, o = covers[size - m]
+            even += ways * o
+            odd += ways * e
+        covers.append((even, odd))
+    return covers
+
+
+def _partition_counts(rs: RootSystem, lam: Vec) -> tuple[dict[tuple[int, int], int], int]:
+    """The coefficients (d, e) -> count of f_lam for types A-D by the
+    (signed) set-partition sum, and the number of terms summed (multisets
+    of cycle sums over all coordinate masks)."""
+    family = rs.spec.family
+    x = scaled_ints(lam)
+    n = len(x)
+    full = (1 << n) - 1
+    options = _cycle_options(x, family)
+    # covers[S]: sorted items of the positive cycles -> ways to cover S
+    covers: list[dict[tuple, int]] = [{(): 1}]
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        rest = mask ^ low
+        acc: dict[tuple, int] = {}
+        other = rest
+        while True:
+            block = other | low
+            for key, ways in covers[mask ^ block].items():
+                for item, c in options[block]:
+                    grown = tuple(sorted(key + (item,)))
+                    acc[grown] = acc.get(grown, 0) + ways * c
+            if not other:
+                break
+            other = (other - 1) & rest
+        covers.append(acc)
+    signed = family != "A"
+    negative = _negative_covers(n)
+    counts: dict[tuple[int, int], int] = {}
+    nus: dict[tuple[tuple[int, ...], int], int] = {}
+    for mask, cover in enumerate(covers):
+        # the coordinates outside mask lie in negative cycles (none in type A)
+        even, odd = negative[n - mask.bit_count()]
+        if family == "A":
+            weight = int(mask == full)
+        else:
+            weight = even if family == "D" else even + odd
+        if not weight:
+            continue
+        for key, ways in cover.items():
+            sums, bare = key, 0
+            if family == "D":
+                sums = tuple(v for v, _ in key)
+                if mask == full:
+                    bare = sum(1 << i for i, (_, single) in enumerate(key) if single)
+            nu = nus.get((sums, bare))
+            if nu is None:
+                nu = nus[(sums, bare)] = zero_block_count(sums, signed, bare)
+            k = len(key)
+            counts[(k - nu, n - k)] = counts.get((k - nu, n - k), 0) + ways * weight
+    return counts, sum(map(len, covers))
+
+
+def _local_counts(rs: RootSystem, lam: Vec) -> dict[tuple[int, int], int]:
+    _require_lattice_point(rs, lam)
+    if rs.spec.family in CLASSICAL:
+        return _partition_counts(rs, lam)[0]
+    return _table_counts(rs, lam)
+
+
+def local_genfun(rs: RootSystem, lam: Vec) -> BivariatePolynomial:
+    """f_lam(s, t) = sum of s^d t^e over the elements with translation lam."""
+    return BivariatePolynomial.from_dict(_local_counts(rs, lam))
 
 
 def spherical_genfun(rs: RootSystem) -> tuple[int, ...]:
     """Distribution of reflection length over W0 (elliptic elements have
     length equal to e); computed by counting, not from the exponents."""
     counts = [0] * (rs.rank + 1)
-    for e, _, _, _, mult in _genfun_tables(rs):
-        counts[e] += mult
+    if rs.spec.family in CLASSICAL:
+        for (_, e), mult in _partition_counts(rs, (0,) * rs.ambient_dim)[0].items():
+            counts[e] += mult
+    else:
+        for e, _, _, _, mult in _genfun_tables(rs):
+            counts[e] += mult
     return tuple(counts)
 
 
@@ -258,19 +391,38 @@ def is_generic(rs: RootSystem, lam: Vec) -> bool:
     return _min_span_subset(lines, scaled_ints(lam), rs.rank)[0] == rs.rank
 
 
-def classify_coroots(
-    rs: RootSystem, radius: int
-) -> dict[BivariatePolynomial, tuple[Vec, ...]]:
+def classify_coroots(rs: RootSystem, radius: int) -> dict[BivariatePolynomial, tuple[Vec, ...]]:
     """Group the lattice points with simple-coroot coefficients in
     [-radius, radius] by their exact local generating function.  Classes
     appear in first-seen order over the lexicographic coefficient scan;
-    points within a class are sorted."""
-    from itertools import product as iproduct
-
+    points within a class are sorted.  Where W0 is above DEFAULT_W0_CAP
+    (types A-D, by the partition sum), DEFAULT_CLASSIFY_CAP bounds the
+    terms summed over the whole scan (every point sums at least one); a
+    scan that needs more raises BudgetExceeded.  Elsewhere the scan is
+    uncapped, as the W0 tables bound it."""
+    cap = DEFAULT_CLASSIFY_CAP
+    capped = rs.w0_size > DEFAULT_W0_CAP
     classes: dict[BivariatePolynomial, list[Vec]] = {}
     rng = range(-radius, radius + 1)
-    for coeffs in iproduct(rng, repeat=rs.rank):
+    total = len(rng) ** rs.rank
+    terms = 0
+
+    def exceeded(done: int) -> BudgetExceeded:
+        return BudgetExceeded(
+            f"classification cap {cap} exceeded: {terms} terms summed over {done} of "
+            f"{total} lattice points of {rs.spec} at radius {radius}; use a smaller radius"
+        )
+
+    if capped and total > cap:
+        raise exceeded(0)
+    for done, coeffs in enumerate(iproduct(rng, repeat=rs.rank), 1):
         lam = rs.from_lattice_coords(coeffs)
-        f = local_genfun(rs, lam)
-        classes.setdefault(f, []).append(lam)
+        if capped:
+            counts, summed = _partition_counts(rs, lam)
+            terms += summed
+            if terms > cap:
+                raise exceeded(done)
+        else:
+            counts = _local_counts(rs, lam)
+        classes.setdefault(BivariatePolynomial.from_dict(counts), []).append(lam)
     return {f: tuple(sorted(pts)) for f, pts in classes.items()}

@@ -37,6 +37,7 @@ the integer tables of RootSystem.tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Literal, Sequence
 
 from .affgroup import (
@@ -60,9 +61,8 @@ from .linalg import (
     rref_pivots,
     scale_to_ints,
     scaled_ints,
-    solve_affine,
 )
-from .rootsys import RootSystem
+from .rootsys import RootSystem, RootTables
 
 DEFAULT_HURWITZ_BUDGET = 10**6
 DEFAULT_SPAN_SEARCH_CAP = 10**6
@@ -144,6 +144,63 @@ def _min_span_subset(
         if found is not None:
             return k, tuple(lines[keys[i]] for i in found)
     raise AssertionError("projected root lines failed to span their own span")
+
+
+def zero_block_count(sums: Sequence[int], signed: bool, bare: int = 0) -> int:
+    """nu, the most zero blocks in a partition of the positions of sums.
+
+    For a classical element t_lam u, sums are the images <lam, v_B> of lam
+    on the fixed vectors v_B of the cycles B of u (Im(u - I) is their
+    orthogonal complement), and d = len(sums) - nu.  Type A is unsigned:
+    every position lies in a zero block, whose sums add to 0 (null
+    partitions, McCammond-Petersen).  Types B-D are signed: a zero block
+    is one whose sums cancel under some choice of signs, and the positions
+    in no zero block form one free block, uncounted and possibly empty,
+    except that the single position i with bit i set in the mask bare
+    may not be the free block (type D, a cycle of size 1 when u has no
+    negative cycle).  A DP over the position masks: zero masks by their
+    signed subset sums (a bitset offset by the total), then the best
+    partition of each mask with a zero block holding its lowest position.
+    """
+    k = len(sums)
+    full = (1 << k) - 1
+    zeros: list[int] = []
+    if signed:
+        off = sum(map(abs, sums))
+        # no zero block at all unless some sum is a signed sum of earlier ones
+        seen = 1 << off
+        for v in map(abs, sums):
+            if seen >> (off + v) & 1:
+                break
+            seen |= (seen << v) | (seen >> v)
+        else:
+            return 0
+        reach = [1 << off] + [0] * full
+        for m in range(1, full + 1):
+            low = m & -m
+            v = abs(sums[low.bit_length() - 1])
+            r = reach[m ^ low]
+            reach[m] = (r << v) | (r >> v)
+            if reach[m] >> off & 1:
+                zeros.append(m)
+    else:
+        total = [0] * (full + 1)
+        for m in range(1, full + 1):
+            low = m & -m
+            total[m] = total[m ^ low] + sums[low.bit_length() - 1]
+            if total[m] == 0:
+                zeros.append(m)
+    best = [0] + [-1] * full
+    for m in range(1, full + 1):
+        low = m & -m
+        for z in zeros:
+            if z & low and z & m == z and best[m ^ z] >= 0:
+                best[m] = max(best[m], best[m ^ z] + 1)
+    if not signed:
+        return best[full]
+    return max(
+        best[full ^ f] for f in range(full + 1) if not (f & bare and f & (f - 1) == 0)
+    )
 
 
 def _root_basis_of_span(
@@ -245,21 +302,15 @@ def _peel_elliptic(rs: RootSystem, v: AffineElement, perm: tuple[int, ...]) -> R
     a root passed over is never peelable later, and one pass peels the
     same roots as a scan restarted from the top after every peel.
     """
-    m = [[y - (i == j) for j, y in enumerate(row)] for i, row in enumerate(v.linear)]
-    sol = solve_affine(m, [-y for y in v.translation])
-    if sol is None:
-        raise AssertionError("element to peel has no fixed point")
     tables = rs.tables
-    # <x, root a> = <xs, int_roots[a]> / unit
-    xden, (xs,) = scale_to_ints((sol[0],))
-    unit = xden * tables.scale
+    form, unit = _fixed_point_levels(tables, perm, v.translation)
     mov = tables.move_space(perm)
     pivots = rref_pivots(mov)
     factors: list[AffineReflection] = []
     for a, (ints, pos) in enumerate(zip(tables.int_roots, tables.positive)):
         if not (pos and mov):
             continue
-        level, rest = divmod(sum(x * y for x, y in zip(xs, ints)), unit)
+        level, rest = divmod(sum(ints[p] * c for p, c in form), unit)
         if rest or int_residual(mov, pivots, ints) is not None:
             continue
         factors.append(AffineReflection(rs.roots[a], level))
@@ -271,6 +322,36 @@ def _peel_elliptic(rs: RootSystem, v: AffineElement, perm: tuple[int, ...]) -> R
     if mov:
         raise AssertionError("move space is not empty after the pass over the positive roots")
     return ReflectionFactorization(tuple(factors))
+
+
+def _fixed_point_levels(
+    tables: RootTables, perm: tuple[int, ...], translation: Vec
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """(form, unit) with <x, root a> = sum(int_roots[a][p] * c for p, c in
+    form) / unit for every root a in Mov(A) and every fixed point x of the
+    element with linear part A (root permutation perm) and translation mu.
+
+    x = A x + mu and A orthogonal give <x, A b - b> = <mu, A b> for every
+    b, and the A b - b over the simple roots span Mov(A) (as in
+    RootTables.move_space).  Fraction-free elimination of these integer
+    equations leaves <x, r_j> = v_j / den on reduced echelon rows r_j of
+    Mov(A) with pivots p_j, and a root a of Mov(A) is the sum of
+    a[p_j] / r_j[p_j] times r_j.  Fixed points differ by vectors of
+    Fix(A), orthogonal to Mov(A), so every one gives the same levels.
+    """
+    den, (mu,) = scale_to_ints((translation,))
+    roots = tables.int_roots
+    rows = primitive_rref(
+        [x - y for x, y in zip(roots[perm[i]], roots[i])] + [sum(m * y for m, y in zip(mu, roots[perm[i]]))]
+        for i in tables.simple
+        if perm[i] != i
+    )
+    pivots = rref_pivots(rows)
+    if len(mu) in pivots:
+        raise AssertionError("element to peel has no fixed point")
+    common = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    form = tuple((p, row[-1] * (common // row[p])) for row, p in zip(rows, pivots))
+    return form, common * den * tables.scale
 
 
 def min_factorization(rs: RootSystem, w: AffineElement) -> ReflectionFactorization:

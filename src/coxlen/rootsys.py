@@ -123,7 +123,7 @@ class RootSystem:
     roots: Mat                 # all roots, sorted
     simple_roots: Mat
     exponents: tuple[int, ...]
-    w0_order: int
+    w0_size: int
 
     @property
     def rank(self) -> int:
@@ -344,7 +344,7 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
         roots=tuple(sorted(seen)),
         simple_roots=tuple(simples),
         exponents=exps,
-        w0_order=order,
+        w0_size=order,
     )
 
 

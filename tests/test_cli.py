@@ -17,6 +17,7 @@ import coxlen
 import coxlen.cli
 from coxlen.cli import main, parse_element, parse_vector, parse_window_text
 from coxlen.errors import ParseError, UnsupportedTypeError
+from coxlen.genfun import BivariatePolynomial, poly_s_plus
 from coxlen.rootsys import root_system
 
 
@@ -141,6 +142,25 @@ def test_genfun_command(capsys):
         capsys, "genfun", "--type", "B2", "--classify", "1", "--json"
     )
     assert sum(c["points"] for c in classify["classes"]) == 9
+
+
+def test_genfun_rank_8_without_w0(capsys):
+    # a generic B8 point (no signed subset of its coordinates sums to 0):
+    # every factor of the exponent product deforms to s + e t
+    payload = run_json(
+        capsys, "genfun", "--type", "B8", "--lambda", "(38,670,-829,-180,244,-143,368,220)", "--json"
+    )
+    expected = BivariatePolynomial.monomial(0, 0)
+    for e in (1, 3, 5, 7, 9, 11, 13, 15):
+        expected = expected * poly_s_plus(e)
+    assert payload["terms"] == expected.to_json_terms()
+
+
+def test_genfun_classify_out_of_reach_fails_fast(capsys):
+    code, out, err = run(capsys, "genfun", "--type", "B8", "--classify", "1")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: classification cap 100000 exceeded: ")
+    assert err.endswith(" of 6561 lattice points of B8 at radius 1; use a smaller radius\n")
 
 
 def test_genfun_needs_an_input(capsys):

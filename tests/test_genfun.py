@@ -7,16 +7,21 @@ below factor as (s + t)(1 + m t) on subregular points and
 (s + t)(s + m t) on generic points, with m the largest exponent.
 """
 
+import random
 from collections import Counter
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxlen.affgroup import AffineElement, AffineReflection, root_permutation
+from coxlen import genfun
 from coxlen.errors import BudgetExceeded
 from coxlen.genfun import (
     BivariatePolynomial,
+    _partition_counts,
+    _table_counts,
     classify_coroots,
     enumerate_w0,
     exponent_product,
@@ -153,6 +158,55 @@ def test_local_genfun_counts_dimension_reports(point):
     assert local_genfun(rs, lam) == BivariatePolynomial.from_dict(dict(counts))
 
 
+# Coefficient radius of the box per rank: every lattice point in it is
+# summed both ways.
+PARTITION_BOX = {1: 3, 2: 3, 3: 2, 4: 1, 5: 1}
+PARTITION_TYPES = [f"{f}{n}" for f in "ABCD" for n in range(1, 6) if f == "A" or n >= 2]
+
+
+@pytest.mark.parametrize("name", PARTITION_TYPES)
+def test_partition_sum_matches_w0_tables_on_a_box(name):
+    rs = root_system(name)
+    radius = PARTITION_BOX[rs.rank]
+    for coeffs in iproduct(range(-radius, radius + 1), repeat=rs.rank):
+        lam = rs.from_lattice_coords(coeffs)
+        assert _partition_counts(rs, lam)[0] == _table_counts(rs, lam), coeffs
+
+
+@pytest.mark.parametrize("name", ["A6", "D6"])
+def test_partition_sum_matches_w0_tables_on_samples(name):
+    rs = root_system(name)
+    rng = random.Random(name)
+    for _ in range(6):
+        lam = rs.from_lattice_coords([rng.randint(-3, 3) for _ in range(rs.rank)])
+        assert _partition_counts(rs, lam)[0] == _table_counts(rs, lam), lam
+
+
+def test_classify_cap(monkeypatch):
+    # the cap holds only where W0 is out of reach; B2 at radius 2 sums
+    # 143 partition-sum terms
+    expected = classify_coroots(B2, 2)
+    monkeypatch.setattr(genfun, "DEFAULT_W0_CAP", 7)
+    monkeypatch.setattr(genfun, "DEFAULT_CLASSIFY_CAP", 143)
+    assert classify_coroots(B2, 2) == expected
+    monkeypatch.setattr(genfun, "DEFAULT_CLASSIFY_CAP", 100)
+    with pytest.raises(BudgetExceeded, match=r"cap 100 exceeded: 1\d\d terms summed over \d+ of 25 lattice points"):
+        classify_coroots(B2, 2)
+    monkeypatch.undo()
+    # too many points to try: fails before the first one
+    with pytest.raises(BudgetExceeded, match="0 terms summed over 0 of 5764801 lattice points of B8"):
+        classify_coroots(root_system("B8"), 3)
+
+
+@pytest.mark.parametrize("name,radius,count", [("A5", 2, 3125), ("F4", 3, 2401)])
+def test_classify_within_w0_reach_is_uncapped(monkeypatch, name, radius, count):
+    # boxes whose W0 fits under DEFAULT_W0_CAP answer however many terms
+    # they sum
+    monkeypatch.setattr(genfun, "DEFAULT_CLASSIFY_CAP", 1)
+    classes = classify_coroots(root_system(name), radius)
+    assert sum(map(len, classes.values())) == count
+
+
 @pytest.mark.parametrize("name", ["A5", "B5", "D5", "A6"])
 def test_length_distribution_reach(name):
     rs = root_system(name)
@@ -182,6 +236,12 @@ SHEPHARD_TODD = [
 
 @pytest.mark.parametrize("name", SHEPHARD_TODD)
 def test_length_distribution_matches_exponent_product(name):
+    rs = root_system(name)
+    assert spherical_genfun(rs) == exponent_product(rs)
+
+
+@pytest.mark.parametrize("name", ["A7", "A8", "B7", "B8", "C7", "C8", "D7", "D8"])
+def test_length_distribution_matches_exponent_product_at_ranks_7_and_8(name):
     rs = root_system(name)
     assert spherical_genfun(rs) == exponent_product(rs)
 

@@ -77,3 +77,58 @@ def test_work_counters_read_real_results():
     before, after = readers["oracle.ball"](_ball)
     dist = _ball(a2, 1, 2)
     assert after(dist, before()) == len(dist) > 1
+
+
+# lru caches that may outlive a call: the root systems, built once per
+# process, and the CLI parser, which parse_args only reads
+LASTING_CACHES = {("rootsys", "build_root_system"), ("cli", "_parser")}
+
+
+def lru_cached_functions(source: str) -> list[str]:
+    """Names of the functions decorated with lru_cache (or cache), called
+    or not, by bare name or as functools.<name>."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            if name in ("lru_cache", "cache"):
+                out.append(node.name)
+    return out
+
+
+def pass_caches() -> set[tuple[str, str]]:
+    """(module, function) of each coxlen.<module>.<function> in the
+    PASS_CACHES tuple of bench/workloads.py, the caches cleared before
+    every benchmark pass."""
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "PASS_CACHES" for t in node.targets
+        ):
+            return {(item.value.attr, item.attr) for item in node.value.elts}
+    raise AssertionError("bench/workloads.py defines no PASS_CACHES")
+
+
+def test_every_lru_cache_is_cleared_between_bench_passes():
+    # a cache that outlives a pass would let later passes do less work
+    # than a fresh interpreter does
+    allowed = LASTING_CACHES | pass_caches()
+    found = {
+        (path.stem, name)
+        for path in SRC.glob("*.py")
+        for name in lru_cached_functions(path.read_text(encoding="utf-8"))
+    }
+    assert found - allowed == set()
+    assert ("genfun", "_genfun_tables") in found
+
+
+def test_lru_cache_finder_sees_every_spelling():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\ndef a(): pass\n@functools.lru_cache\ndef b(): pass\n"
+        "@cache\ndef c(): pass\n@staticmethod\ndef d(): pass\n"
+    )
+    assert lru_cached_functions(source) == ["a", "b", "c"]

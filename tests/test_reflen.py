@@ -32,10 +32,11 @@ from coxlen.affgroup import (
 from coxlen.affsym import reflection_length, window_of_element
 from coxlen.errors import BudgetExceeded
 from coxlen.genfun import _genfun_tables, enumerate_w0
-from coxlen.linalg import dot, in_span, is_zero, line_rep, mat_vec, reduce_against, rref, vec
+from coxlen.linalg import dot, in_span, is_zero, line_rep, mat_vec, reduce_against, rref, solve_affine, vec
 from coxlen.reflen import (
     DimensionReport,
     ReflectionFactorization,
+    _fixed_point_levels,
     _index_moves,
     _min_span_subset,
     _quotient_lines,
@@ -500,6 +501,22 @@ def test_one_pass_peel_matches_restart_scan(typed):
     assert min_factorization(rs, w).factors == reference_peel_elliptic(rs, v) + lifts[::-1]
     if is_elliptic(w):
         assert factor_elliptic(rs, w).factors == reference_peel_elliptic(rs, w)
+
+
+@given(reflection_products())
+@settings(max_examples=150, deadline=None)
+def test_fixed_point_levels_match_fraction_solve(typed):
+    # the elliptic part the peel sees: F4 fixed points have halves, G2 ones
+    # thirds and sixths
+    rs, w = typed
+    lifts = tuple(AffineReflection.make(alpha, 0) for alpha in dimension_report(rs, w).lift_roots)
+    v = product((w,) + lifts)
+    m = [[y - (i == j) for j, y in enumerate(row)] for i, row in enumerate(v.linear)]
+    x = solve_affine(m, [-y for y in v.translation])[0]
+    form, unit = _fixed_point_levels(rs.tables, root_permutation(rs, v.linear), v.translation)
+    for alpha, ints in zip(rs.roots, rs.tables.int_roots):
+        if solve_affine(m, alpha) is not None:
+            assert Q(sum(ints[p] * c for p, c in form), unit) == dot(x, alpha)
 
 
 @given(reflection_products())

@@ -45,7 +45,7 @@ CLASSICAL = [
 def test_classical_counts(name, count, order):
     rs = root_system(name)
     assert len(rs.roots) == count
-    assert rs.w0_order == order
+    assert rs.w0_size == order
     assert len(rs.positive_roots) == count // 2
 
 
@@ -150,7 +150,7 @@ def test_exponents_match_orders():
         prod = 1
         for e in rs.exponents:
             prod *= e + 1
-        assert prod == rs.w0_order
+        assert prod == rs.w0_size
         assert len(rs.exponents) == rs.rank
         assert sum(rs.exponents) == len(rs.positive_roots)
 
