@@ -15,21 +15,21 @@ Reflection length is computed here without any geometry:
 where the relative nullity nu(lam / pi) is the largest number of blocks
 in a partition refinable into cycles of pi whose block sums vanish.
 Nullity itself is computed through the basic / minimal null block
-pipeline and a maximal clique search on the disjointness complex.
+pipeline; the maximal cliques of their disjointness complex are the
+partitions into minimal null blocks, which null_complex lists directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import combinations
+from itertools import combinations, groupby
 
 from .affgroup import AffineElement
 from .errors import BudgetExceeded, ParseError
 from .linalg import Vec, mat_vec, transpose, vec
 from .reflen import (
     DEFAULT_HURWITZ_BUDGET,
-    factor_elliptic,
     translation_elliptic_split,
 )
 from .rootsys import RootSystem, RootSystemSpec, build_root_system
@@ -193,7 +193,8 @@ def profiles(v) -> Profile:
     ys = [i for i in range(1, n + 1) if v[i - 1] < 0]
     zs = [i for i in range(1, n + 1) if v[i - 1] == 0]
     if max(len(xs), len(ys)) > DEFAULT_PROFILE_SIZE_CAP:
-        raise BudgetExceeded("support too large for profile enumeration")
+        raise BudgetExceeded(f"profile enumeration allows DEFAULT_PROFILE_SIZE_CAP = {DEFAULT_PROFILE_SIZE_CAP} "
+                             f"entries of each sign; the vector has {len(xs)} positive and {len(ys)} negative")
     vx = sum(v[i - 1] for i in xs)
 
     def buckets(idx, sign):
@@ -262,38 +263,26 @@ class NullComplex:
         return max(len(c) for c in self.maximal_cliques)
 
 
-def _bron_kerbosch(adj: list[set[int]], nvert: int):
-    """Maximal cliques with pivoting; yields sorted index tuples."""
-
-    def recurse(r: set[int], p: set[int], x: set[int]):
-        if not p and not x:
-            yield tuple(sorted(r))
-            return
-        pivot = max(p | x, key=lambda u: len(adj[u] & p))
-        for u in sorted(p - adj[pivot]):
-            yield from recurse(r | {u}, p & adj[u], x & adj[u])
-            p = p - {u}
-            x = x | {u}
-
-    yield from recurse(set(), set(range(nvert)), set())
-
-
 def null_complex(v, vertex_cap: int = DEFAULT_CLIQUE_VERTEX_CAP) -> NullComplex:
+    """The maximal cliques are the partitions of {1..n} into minimal null
+    blocks: the indices a clique misses sum to zero, so they hold another
+    minimal block, one starting at the lowest missed index.  Hence covering
+    the lowest uncovered index by each fitting block starting there, in
+    vertex order, lists every clique by the blocks' sorted members, and
+    every branch ends in one.  A stable sort puts fewer blocks first."""
     verts = minimal_null_blocks(v)
     if len(verts) > vertex_cap:
         raise BudgetExceeded(f"{len(verts)} minimal null blocks exceed the vertex cap {vertex_cap}")
-    m = len(verts)
-    adj: list[set[int]] = [set() for _ in range(m)]
-    edges = []
-    for i, j in combinations(range(m), 2):
-        if not (verts[i] & verts[j]):
-            adj[i].add(j)
-            adj[j].add(i)
-            edges.append((i, j))
-    cliques = sorted(
-        tuple(verts[i] for i in c) for c in _bron_kerbosch(adj, m)
-    )
-    return NullComplex(vertices=verts, edges=tuple(edges), maximal_cliques=tuple(cliques))
+    edges = tuple((i, j) for i, j in combinations(range(len(verts)), 2) if not verts[i] & verts[j])
+    starting_at = {i: list(bs) for i, bs in groupby(verts, key=min)}
+
+    def partitions(rest: frozenset[int]) -> list[tuple[frozenset[int], ...]]:
+        if not rest:
+            return [()]
+        return [(b,) + tail for b in starting_at[min(rest)] if b <= rest for tail in partitions(rest - b)]
+
+    cliques = sorted(partitions(frozenset(range(1, len(v) + 1))), key=len)
+    return NullComplex(vertices=verts, edges=edges, maximal_cliques=tuple(cliques))
 
 
 def nullity(v, vertex_cap: int = DEFAULT_CLIQUE_VERTEX_CAP) -> int:
@@ -301,8 +290,6 @@ def nullity(v, vertex_cap: int = DEFAULT_CLIQUE_VERTEX_CAP) -> int:
     every block summing to zero."""
     if sum(v) != 0:
         raise ValueError("nullity needs a zero-sum vector")
-    if not v:
-        return 0
     return null_complex(v, vertex_cap=vertex_cap).nullity
 
 
@@ -345,14 +332,11 @@ def good_origin_split(
     n = win.n
     rs = window_root_system(n)
     w = embed_window(win)
-    t, u = translation_elliptic_split(rs, w, budget)
-    if u.is_identity():
-        origin: Vec = vec([0] * n)
-        return origin, (t, u)
+    t, u = split = translation_elliptic_split(rs, w, budget)
     # constraints x_a - x_b = level form a forest (independent roots),
     # so integer values propagate consistently from any per-tree anchor
     adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, n + 1)}
-    for r in factor_elliptic(rs, u).factors:
+    for r in split.elliptic_factorization.factors:
         a = next(i for i, c in enumerate(r.root) if c == 1) + 1
         b = next(i for i, c in enumerate(r.root) if c == -1) + 1
         adj[a].append((b, -r.level))

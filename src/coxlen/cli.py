@@ -41,7 +41,6 @@ from .affgroup import (
 )
 from .reflen import (
     DEFAULT_HURWITZ_BUDGET,
-    _min_factorization,
     dimension_report,
     min_factorization,
     translation_elliptic_split,
@@ -50,7 +49,6 @@ from .affsym import (
     Window,
     cycles,
     good_origin_split,
-    minimal_null_blocks,
     null_complex,
     proper_basic_null_block_count,
     reflection_length,
@@ -172,6 +170,13 @@ def _refl_strs(factors) -> list[str]:
     return [f"root={_vec_str(r.root)} level={r.level}" for r in factors]
 
 
+_CERTIFICATE_TEXT = {
+    "rank": "rank (length <= e + 1, a proof)",
+    "stable": "stable (same length at the next level bound, a heuristic)",
+    None: "none",
+}
+
+
 def cmd_len(args) -> int:
     rs = root_system(args.type)
     w = parse_element(rs, args.element)
@@ -189,6 +194,7 @@ def cmd_len(args) -> int:
         res = brute_reflection_length(rs, w)
         payload["oracle_length"] = res.length
         payload["oracle_certified"] = res.certified
+        payload["oracle_certificate"] = res.certificate
         payload["oracle_agrees"] = res.length == rep.length
     if args.json:
         print(json.dumps(payload))
@@ -201,6 +207,7 @@ def cmd_len(args) -> int:
             tag = "agrees" if payload["oracle_agrees"] else "DISAGREES"
             cert = "certified" if res.certified else "uncertified"
             print(f"oracle: {res.length} ({cert}, {tag})")
+            print(f"oracle certificate: {_CERTIFICATE_TEXT[res.certificate]}")
     if args.verify and not payload["oracle_agrees"]:
         return 1
     return 0
@@ -231,8 +238,7 @@ def cmd_split(args) -> int:
     w = parse_element(rs, args.element)
     split = translation_elliptic_split(rs, w, budget=args.budget)
     t, rep_t, rep_u = split.translation, split.translation_report, split.elliptic_report
-    u_perm, _ = require_group_element(rs, split.elliptic)
-    factors = _min_factorization(rs, split.elliptic, rep_u, u_perm).factors
+    factors = split.elliptic_factorization.factors
     payload = {
         "type": str(rs.spec),
         "translation": _vec_json(t.translation),
@@ -286,11 +292,10 @@ def cmd_nullity(args) -> int:
     if any(x.denominator != 1 for x in v):
         raise ParseError("nullity vectors must have integer entries")
     iv = tuple(int(x) for x in v)
-    blocks = minimal_null_blocks(iv)
     cx = null_complex(iv)
     payload = {
         "vector": list(iv),
-        "minimal_null_blocks": [sorted(b) for b in blocks],
+        "minimal_null_blocks": [sorted(b) for b in cx.vertices],
         "proper_basic_null_blocks": proper_basic_null_block_count(iv),
         "complex_vertices": len(cx.vertices),
         "complex_edges": len(cx.edges),
@@ -306,8 +311,8 @@ def cmd_nullity(args) -> int:
         print(json.dumps(payload))
     else:
         print(f"vector {iv}")
-        print(f"minimal null blocks ({len(blocks)}): "
-              + " ".join("{" + ",".join(map(str, sorted(b))) + "}" for b in blocks))
+        print(f"minimal null blocks ({len(cx.vertices)}): "
+              + " ".join("{" + ",".join(map(str, sorted(b))) + "}" for b in cx.vertices))
         print(f"proper basic null blocks: {payload['proper_basic_null_blocks']}")
         print(f"disjointness complex: {len(cx.vertices)} vertices, {len(cx.edges)} edges")
         print(f"maximal cliques: {payload['maximal_cliques']}")
@@ -394,6 +399,7 @@ def cmd_oracle(args) -> int:
         "type": str(rs.spec),
         "length": res.length,
         "certified": res.certified,
+        "certificate": res.certificate,
         "level_bound": res.level_bound,
         "depth_bound": res.depth_bound,
     }
@@ -403,6 +409,7 @@ def cmd_oracle(args) -> int:
         state = "certified" if res.certified else "uncertified"
         print(f"oracle length = {res.length} ({state}, levels up to "
               f"{res.level_bound}, depth up to {res.depth_bound})")
+        print(f"certificate: {_CERTIFICATE_TEXT[res.certificate]}")
     return 0
 
 

@@ -52,13 +52,18 @@ ORACLE_MAX_NULLITY_N = 12
 
 @dataclass(frozen=True)
 class CertifiedLength:
-    """length is None when the target was not reached within the level
-    and depth bounds actually used (recorded alongside)."""
+    """length is None when not reached within the level and depth bounds
+    used; certificate is "rank" (length <= e + 1, a proof), "stable" (same
+    length at level bound + 1, a heuristic) or None (uncertified)."""
 
     length: int | None
-    certified: bool
+    certificate: str | None
     level_bound: int
     depth_bound: int
+
+    @property
+    def certified(self) -> bool:
+        return self.certificate is not None
 
 
 def _require_oracle_rank(rs: RootSystem) -> None:
@@ -168,12 +173,12 @@ def brute_reflection_lengths(
         k = dist.get((idx, coeffs))
         k_next = dist_next.get((idx, coeffs))
         if k is None:
-            out.append(CertifiedLength(None, False, level_bound, depth_bound))
+            out.append(CertifiedLength(None, None, level_bound, depth_bound))
             continue
         e = elliptic_rank(w.linear)
         assert (k - e) % 2 == 0, "determinant parity violated by the search"
-        certified = k <= e + 1 or k_next == k
-        out.append(CertifiedLength(k, certified, level_bound, depth_bound))
+        certificate = "rank" if k <= e + 1 else "stable" if k_next == k else None
+        out.append(CertifiedLength(k, certificate, level_bound, depth_bound))
     return out
 
 

@@ -412,13 +412,14 @@ def _index_moves(conjugate, f: tuple[tuple[int, int], ...]):
 
 @dataclass(frozen=True)
 class TranslationEllipticSplit:
-    """w = translation * elliptic, with the dimension reports of both
-    parts that verified it.  Unpacks as the pair (translation, elliptic)."""
+    """w = translation * elliptic, the dimension reports that verified both
+    and a factorisation of the elliptic part.  Unpacks as (translation, elliptic)."""
 
     translation: AffineElement
     elliptic: AffineElement
     translation_report: DimensionReport
     elliptic_report: DimensionReport
+    elliptic_factorization: ReflectionFactorization
 
     def __iter__(self):
         return iter((self.translation, self.elliptic))
@@ -453,7 +454,8 @@ def translation_elliptic_split(
     rep = dimension_report(rs, w)
     if rep.d == 0:
         t = identity_element(w.dim)
-        return TranslationEllipticSplit(t, w, dimension_report(rs, t), rep)
+        rep_t = dimension_report(rs, t)
+        return TranslationEllipticSplit(t, w, rep_t, rep, _min_factorization(rs, w, rep, perm))
 
     conjugate = rs.tables.conjugate
     index = rs.root_index
@@ -505,16 +507,17 @@ def translation_elliptic_split(
     t = product(pairs)
     suffix = [AffineReflection(rs.roots[a], j) for a, j in current]
     u = product(suffix) if suffix else identity_element(w.dim)
-    return TranslationEllipticSplit(t, u, *_verify_split(rs, w, t, u, rep))
+    rep_t, rep_u = _verify_split(rs, w, t, u, rep)
+    return TranslationEllipticSplit(t, u, rep_t, rep_u, _min_factorization(rs, u, rep_u, perm))
 
 
 def _verify_split(rs, w, t, u, rep) -> tuple[DimensionReport, DimensionReport]:
-    """The reports of t and u, once t * u is checked to split w."""
+    """The reports of t and u, once t * u is checked to split w (so u has the linear part of w)."""
     rep_t = dimension_report(rs, t)
     rep_u = dimension_report(rs, u)
     ok = (
         is_translation(t)
-        and is_elliptic(u)
+        and rep_u.d == 0
         and compose(t, u) == w
         and rep_t.length == 2 * rep.d
         and rep_u.length == rep.e

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coxlen.reflen
 from coxlen.affgroup import compose, is_elliptic, is_translation
 from coxlen.affsym import (
     SetPartition,
@@ -153,6 +154,54 @@ def test_null_complex_of_v0():
     # every maximal null partition covers the whole index set
     for c in cx.maximal_cliques:
         assert set().union(*c) == set(range(1, 8))
+
+
+def brute_null_partitions(v):
+    """Every set partition of {1..n} whose blocks are minimal null blocks
+    (zero sum, no proper nonempty zero-sum subset), blocks by minimum."""
+    n = len(v)
+    zero = {m for m in range(1, 1 << n) if sum(v[i] for i in range(n) if m >> i & 1) == 0}
+    minimal = {m for m in zero if not any(z != m and z & m == z for z in zero)}
+
+    def partitions(items):
+        if not items:
+            yield []
+            return
+        for p in partitions(items[1:]):
+            yield [[items[0]]] + p
+            for i in range(len(p)):
+                yield p[:i] + [[items[0]] + p[i]] + p[i + 1 :]
+
+    out = []
+    for p in partitions(list(range(1, n + 1))):
+        if all(sum(1 << (i - 1) for i in b) in minimal for b in p):
+            out.append(tuple(sorted((frozenset(b) for b in p), key=min)))
+    return out
+
+
+@st.composite
+def zero_sum_vectors(draw, nmax=9):
+    head = draw(st.lists(st.integers(-3, 3), min_size=0, max_size=nmax - 1))
+    return tuple(head) + (-sum(head),)
+
+
+@given(zero_sum_vectors())
+@settings(max_examples=100, deadline=None)
+def test_null_complex_cliques_are_the_minimal_null_partitions(v):
+    cx = null_complex(v, vertex_cap=1 << len(v))
+    expected = sorted(brute_null_partitions(v), key=lambda c: (len(c), [sorted(b) for b in c]))
+    assert list(cx.maximal_cliques) == expected
+    assert cx.nullity == brute_nullity(v)
+
+
+def test_good_origin_split_checks_only_the_window(monkeypatch):
+    # the split hands over the factorisation of its elliptic part
+    checked = []
+    real = coxlen.reflen.require_group_element
+    monkeypatch.setattr(coxlen.reflen, "require_group_element", lambda rs, a: checked.append(a) or real(rs, a))
+    win = Window((6, 0, 7, -1, 3))
+    good_origin_split(win)
+    assert checked == [embed_window(win)]
 
 
 def test_nullity_values():

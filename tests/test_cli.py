@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import coxlen
 import coxlen.cli
+import coxlen.reflen
 from coxlen.cli import main, parse_element, parse_vector, parse_window_text
 from coxlen.errors import ParseError, UnsupportedTypeError
 from coxlen.genfun import BivariatePolynomial, poly_s_plus
@@ -200,6 +201,55 @@ def test_oracle_command(capsys):
     assert payload["certified"]
 
 
+def test_oracle_names_its_certificate(capsys):
+    stable = ["oracle", "--type", "B2", "--element", "lambda=(2,4)"]
+    payload = run_json(capsys, *stable, "--json")
+    assert (payload["length"], payload["certified"], payload["certificate"]) == (4, True, "stable")
+    code, out, _ = run(capsys, *stable)
+    assert code == 0
+    assert out == (
+        "oracle length = 4 (certified, levels up to 5, depth up to 4)\n"
+        "certificate: stable (same length at the next level bound, a heuristic)\n"
+    )
+    payload = run_json(capsys, "oracle", "--type", "B2", "--element", "word=s1", "--json")
+    assert (payload["length"], payload["certificate"]) == (1, "rank")
+    far = ["oracle", "--type", "B2", "--element", "lambda=(9,9)", "--level-bound", "1", "--depth-bound", "1"]
+    assert run_json(capsys, *far, "--json")["certificate"] is None
+    assert run(capsys, *far)[1].endswith("\ncertificate: none\n")
+
+
+def test_len_verify_names_the_oracle_certificate(capsys):
+    argv = ["len", "--type", "A2", "--element", "lambda=(1,-1,0); word=s1", "--verify"]
+    payload = run_json(capsys, *argv, "--json")
+    assert (payload["oracle_certified"], payload["oracle_certificate"]) == (True, "rank")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.endswith(
+        "oracle: 1 (certified, agrees)\noracle certificate: rank (length <= e + 1, a proof)\n"
+    )
+
+
+def test_split_does_not_check_its_elliptic_part_again(capsys, monkeypatch):
+    # the split verifies u and factors it once; the command only prints it
+    checked = []
+    for module in (coxlen.cli, coxlen.reflen):
+        real = module.require_group_element
+        monkeypatch.setattr(
+            module, "require_group_element", lambda rs, a, real=real: checked.append(a) or real(rs, a)
+        )
+    element = "lambda=(2,1,-1); word=s3 s2"
+    payload = run_json(capsys, "split", "--type", "B3", "--element", element, "--json")
+    assert (payload["translation_length"], payload["elliptic_length"]) == (2, 2)
+    assert checked == [parse_element(root_system("B3"), element)]
+
+
+def test_profile_cap_names_the_cap_and_the_supports(capsys):
+    code, _, err = run(capsys, "nullity", "--vector", "(" + "1," * 23 + "-23)")
+    assert code == 4
+    assert "DEFAULT_PROFILE_SIZE_CAP = 22" in err
+    assert "23 positive and 1 negative" in err
+
+
 def test_exit_code_2_on_bad_input(capsys):
     assert run(capsys, "len", "--type", "B2", "--element", "garbage=1")[0] == 2
     assert run(capsys, "len", "--type", "A 2x", "--element", "word=s1")[0] == 2
@@ -332,6 +382,15 @@ FROZEN_OUTPUTS = [
      '{"n": 4, "lambda": [1, -1, -1, 1], "permutation": [2, 1, 4, 3], "cycles": [[1, 2], [3, 4]], "relative_nullity": 2, "length": 2, "good_origin": ["0", "1", "0", "-1"], "translation_part": ["0", "0", "0", "0"]}'),
     (['window', '--window', '[8,-1,0,12,-4]'],
      '{"n": 5, "lambda": [1, -1, -1, 2, -1], "permutation": [3, 4, 5, 2, 1], "cycles": [[1, 3, 5], [2, 4]], "relative_nullity": 1, "length": 5, "good_origin": ["0", "0", "1", "-1", "0"], "translation_part": ["-1", "1", "0", "0", "0"]}'),
+    # V0, as printed before the clique search gave way to the direct
+    # enumeration of null partitions; then a vector with zero entries and
+    # one whose cliques are now listed by block count, recorded after it
+    (['nullity', '--vector', '(-3,-2,-2,-1,1,2,5)'],
+     '{"vector": [-3, -2, -2, -1, 1, 2, 5], "minimal_null_blocks": [[1, 2, 7], [1, 3, 7], [1, 5, 6], [2, 3, 4, 7], [2, 6], [3, 6], [4, 5]], "proper_basic_null_blocks": 12, "complex_vertices": 7, "complex_edges": 7, "maximal_cliques": [[[1, 5, 6], [2, 3, 4, 7]], [[1, 2, 7], [3, 6], [4, 5]], [[1, 3, 7], [2, 6], [4, 5]]], "nullity": 3}'),
+    (['nullity', '--vector', '(1,0,-1,1,-1)'],
+     '{"vector": [1, 0, -1, 1, -1], "minimal_null_blocks": [[1, 3], [1, 5], [2], [3, 4], [4, 5]], "proper_basic_null_blocks": 4, "complex_vertices": 5, "complex_edges": 6, "maximal_cliques": [[[1, 3], [2], [4, 5]], [[1, 5], [2], [3, 4]]], "nullity": 3}'),
+    (['nullity', '--vector', '(2,3,-2,-1,1,4,-7)'],
+     '{"vector": [2, 3, -2, -1, 1, 4, -7], "minimal_null_blocks": [[1, 3], [1, 5, 6, 7], [2, 3, 4], [2, 6, 7], [4, 5]], "proper_basic_null_blocks": 8, "complex_vertices": 5, "complex_edges": 4, "maximal_cliques": [[[1, 5, 6, 7], [2, 3, 4]], [[1, 3], [2, 6, 7], [4, 5]]], "nullity": 3}'),
 ]
 
 

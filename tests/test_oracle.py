@@ -119,6 +119,20 @@ def test_unreachable_targets_report_none():
     assert not res.certified
 
 
+def test_certificate_names_what_holds():
+    # k <= e + 1 is a proof and needs no second ball
+    res = brute_reflection_length(B2, refl(B2, 1, 1).to_element(), level_bound=1, depth_bound=2)
+    assert (res.length, res.certificate) == (1, "rank")
+    # a translation has e = 0, so length 2 is only stable from J to J + 1
+    res = brute_reflection_length(B2, translation_element(vec([2, 2])), level_bound=1, depth_bound=4)
+    assert (res.length, res.certificate, res.certified) == (2, "stable", True)
+    # at J = 1 the search finds 4 for t_(6,0); at J = 2 it finds 2
+    res = brute_reflection_length(B2, translation_element(vec([6, 0])), level_bound=1, depth_bound=4)
+    assert (res.length, res.certificate, res.certified) == (4, None, False)
+    res = brute_reflection_length(B2, translation_element(vec([9, 9])), level_bound=1, depth_bound=1)
+    assert (res.length, res.certificate, res.certified) == (None, None, False)
+
+
 def test_non_group_targets_are_rejected():
     from fractions import Fraction as Q
 

@@ -46,6 +46,7 @@ from coxlen.reflen import (
     hurwitz_move,
     min_factorization,
     translation_elliptic_split,
+    zero_block_count,
 )
 from coxlen.rootsys import root_system
 from w0_matrices import w0_matrices
@@ -194,6 +195,16 @@ def test_split_properties(name, make, e, d):
     assert compose(t, u) == w
     assert dimension_report(rs, t).length == 2 * d
     assert dimension_report(rs, u).length == e
+
+
+@pytest.mark.parametrize("name,make,e,d", FROZEN)
+def test_split_carries_the_elliptic_factorization(name, make, e, d):
+    rs = root_system(name)
+    split = translation_elliptic_split(rs, make())
+    f = split.elliptic_factorization
+    assert len(f) == e == split.elliptic_report.length
+    assert f.product(split.elliptic.dim) == split.elliptic
+    assert f == factor_elliptic(rs, split.elliptic)
 
 
 def test_split_budget_exhaustion():
@@ -536,3 +547,25 @@ def test_permutation_move_space_is_linear_move_space(name):
     for linear, perm in zip(w0_matrices(rs), group.elements, strict=True):
         assert root_permutation(rs, linear) == perm
         assert rs.tables.move_space(perm) == linear_move_space(linear)
+
+
+def test_signed_nullity_is_not_a_chain_of_zero_prefixes():
+    # The subset DP dp[m] = max over i in m of dp[m - i] + [m is a zero
+    # block] counts a chain of nested zero blocks.  For type A the steps of
+    # such a chain sum to zero, so it is a null partition; for signed sums
+    # they need not be: (1, 1, 2) has the zero blocks {1, 2} (1 - 1) and
+    # {1, 2, 3} (1 + 1 - 2), but {3} alone is not one, so nu = 1, not 2.
+    sums = (1, 1, 2)
+
+    def is_zero_block(m):
+        members = [sums[i] for i in range(len(sums)) if m >> i & 1]
+        return any(
+            sum(s if sign >> j & 1 else -s for j, s in enumerate(members)) == 0
+            for sign in range(1 << len(members))
+        )
+
+    dp = [0] * (1 << len(sums))
+    for m in range(1, len(dp)):
+        dp[m] = max(dp[m & ~(1 << i)] for i in range(len(sums)) if m >> i & 1) + is_zero_block(m)
+    assert dp[-1] == 2
+    assert zero_block_count(sums, True) == 1
