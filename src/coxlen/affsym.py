@@ -216,35 +216,46 @@ def profiles(v) -> Profile:
     )
 
 
+def _basic_blocks_at(p: Profile, weight: int) -> list[frozenset[int]]:
+    """The positive parts of this weight joined with the negative ones:
+    the parts lie in the disjoint X and Y, so the unions are distinct."""
+    return [a | b for a in p.pos_at(weight) for b in p.neg_at(weight)]
+
+
 def basic_null_blocks(v) -> tuple[frozenset[frozenset[int]], ...]:
     """Weight-indexed dot product of the profiles: every zero-sum block
     avoiding the zero entries arises once as a positive part joined with
     a negative part of the same weight."""
     p = profiles(v)
-    out = []
-    for w in range(1, p.positive_weight + 1):
-        out.append(frozenset(a | b for a in p.pos_at(w) for b in p.neg_at(w)))
-    return tuple(out)
+    return tuple(frozenset(_basic_blocks_at(p, w)) for w in range(1, p.positive_weight + 1))
 
 
 def proper_basic_null_block_count(v) -> int:
     """Basic null blocks of weight strictly below the full positive
-    weight (the top weight always contributes the whole support)."""
-    basics = basic_null_blocks(v)
-    return sum(len(s) for s in basics[:-1]) if basics else 0
+    weight (the top weight always contributes the whole support),
+    counted as |pos_w| * |neg_w| without building them."""
+    p = profiles(v)
+    return sum(len(p.pos_at(w)) * len(p.neg_at(w)) for w in range(1, p.positive_weight))
 
 
-def minimal_null_blocks(v) -> tuple[frozenset[int], ...]:
-    """Left-to-right sweep over the weight-indexed basic blocks: blocks
-    of the first nonempty weight are minimal, supersets of confirmed
-    minimal blocks are deleted from later weights, and every zero entry
-    contributes a singleton."""
+def minimal_null_blocks(v, cap: int | None = None) -> tuple[frozenset[int], ...]:
+    """Left-to-right sweep over the weight-indexed basic blocks, each
+    weight built when the sweep reaches it: blocks of the first nonempty
+    weight are minimal, supersets of confirmed minimal blocks are
+    deleted from later weights, and every zero entry contributes a
+    singleton.  Raises BudgetExceeded as soon as there are more than cap."""
+    p = profiles(v)
+    singles = [frozenset([i + 1]) for i, x in enumerate(v) if x == 0]
     confirmed: list[frozenset[int]] = []
-    for bucket in basic_null_blocks(v):
-        for b in sorted(bucket, key=sorted):
+    for w in range(1, p.positive_weight + 1):
+        for b in sorted(_basic_blocks_at(p, w), key=sorted):
             if not any(c < b for c in confirmed):
                 confirmed.append(b)
-    singles = [frozenset([i + 1]) for i, x in enumerate(v) if x == 0]
+                if cap is not None and len(confirmed) + len(singles) > cap:
+                    raise BudgetExceeded(
+                        f"{len(confirmed) + len(singles)} minimal null blocks exceed the vertex cap {cap} "
+                        f"by weight {w} of {p.positive_weight}"
+                    )
     return tuple(sorted(confirmed + singles, key=sorted))
 
 
@@ -270,9 +281,7 @@ def null_complex(v, vertex_cap: int = DEFAULT_CLIQUE_VERTEX_CAP) -> NullComplex:
     the lowest uncovered index by each fitting block starting there, in
     vertex order, lists every clique by the blocks' sorted members, and
     every branch ends in one.  A stable sort puts fewer blocks first."""
-    verts = minimal_null_blocks(v)
-    if len(verts) > vertex_cap:
-        raise BudgetExceeded(f"{len(verts)} minimal null blocks exceed the vertex cap {vertex_cap}")
+    verts = minimal_null_blocks(v, vertex_cap)
     edges = tuple((i, j) for i, j in combinations(range(len(verts)), 2) if not verts[i] & verts[j])
     starting_at = {i: list(bs) for i, bs in groupby(verts, key=min)}
 

@@ -1,15 +1,25 @@
 """Brute-force certifiers, independent of the closed-form machinery.
 
-The length oracle does breadth-first search over the group itself:
-states are pairs (index of the linear part in W0, integer coordinates
-of the translation part in the simple-coroot basis), and the moves are
-left multiplication by the finitely many reflections whose level is at
-most a bound J.  Starting from the identity, the distance at which a
-state first appears is its reflection length relative to that generator
-set.  W0 is genfun.enumerate_w0's list of root permutations, and a
-target enters the search through affgroup.require_group_element, which
-returns its root permutation and its lattice coordinates; beyond these
-the oracle shares nothing with the closed-form machinery.
+The length oracle searches the Cayley graph of the group itself: states
+are pairs (index of the linear part in W0, integer coordinates of the
+translation part in the simple-coroot basis), and the moves are left
+multiplication by the finitely many reflections whose level is at most
+a bound J.  The distance of a state from the identity is its reflection
+length relative to that generator set.  W0 is genfun.enumerate_w0's list
+of root permutations, and a target enters the search through
+affgroup.require_group_element, which returns its root permutation and
+its lattice coordinates; beyond these the oracle shares nothing with the
+closed-form machinery.
+
+The search is two-sided.  One ball grows forward from the identity, and
+one in reverse from each target, with the same moves, since every
+reflection is an involution.  Each round grows the side whose frontier
+is smaller, the reverse frontier counting every target not yet settled.
+A target is settled at the first layer where its reverse ball meets the
+forward ball: both balls are complete to their radii, and they did not
+meet one layer earlier, so the distance is the sum of the two radii,
+which is the depth sum of every meeting state.  The last layer a search
+may grow is only looked up, never stored.
 
 Finite J can in principle miss shorter factorisations through
 higher-level hyperplanes, so results carry a certificate:
@@ -20,13 +30,12 @@ higher-level hyperplanes, so results carry a certificate:
     k = e + 1.
   - otherwise the search is repeated with bound J + 1; an unchanged
     distance is reported as certified (a stability heuristic, labelled
-    as such).
+    as such).  Only targets with k > e + 1 take part in it.
 
-The search window is exact: along any factorisation with levels at most
-J, the translation norm grows by at most J * R per step (linear parts
-are orthogonal; R is the largest coroot norm), so every geodesic prefix
-of length at most K satisfies |translation|^2 <= (K * J * R)^2.  States
-outside that ball are pruned without losing any geodesic.
+No state needs pruning: along any factorisation with levels at most J
+the translation norm grows by at most J * R per step (linear parts are
+orthogonal; R is the largest coroot norm), so every state within K steps
+already satisfies |translation| <= K * J * R.
 
 The nullity and dimension oracles are plain exhaustion: all set
 partitions via restricted growth strings, and all root subsets of
@@ -36,18 +45,19 @@ increasing size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import combinations
+from operator import add, mul
 
 from .errors import BudgetExceeded
-from .linalg import dot, in_span, is_zero, scale_to_ints
+from .linalg import in_span, is_zero
 from .affgroup import AffineElement, elliptic_rank, linear_move_space, require_group_element
 from .genfun import enumerate_w0
 from .rootsys import RootSystem, coroot, reflect
 
 ORACLE_MAX_RANK = 4
 ORACLE_MAX_NULLITY_N = 12
+DEFAULT_ORACLE_STATE_CAP = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -78,8 +88,7 @@ def _oracle_tables(rs: RootSystem):
     """Integer transition tables: the index of each element of W0 by its
     root permutation; for each positive root line, the permutation it
     induces on W0 by left multiplication, its matrix on coroot-lattice
-    coordinates, and the coordinates of its coroot; plus the lattice
-    Gram matrix and the largest coroot norm, both scaled to integers."""
+    coordinates, and the coordinates of its coroot."""
     group = enumerate_w0(rs)
     index = {p: i for i, p in enumerate(group.elements)}
     basis = rs.coroot_lattice.coroots
@@ -99,53 +108,107 @@ def _oracle_tables(rs: RootSystem):
         ca = rs.lattice_coords(coroot(alpha))
         assert ca is not None
         lines.append((perm, lat, ca))
-    gram = [[dot(a, b) for b in basis] for a in basis]
-    denom, rows = scale_to_ints(gram)
-    gram_scaled = tuple(map(tuple, rows))
-    r2 = max(dot(coroot(a), coroot(a)) for a in rs.roots)
-    return index, tuple(lines), gram_scaled, denom, r2
+    return index, tuple(lines)
 
 
-def _ball(rs: RootSystem, level_bound: int, depth_bound: int):
-    """Distance map {(w0 index, lattice coords): length} of the ball of
-    radius depth_bound around the identity, generators being all
-    reflections with |level| <= level_bound, pruned to the exact
-    geodesic window."""
-    index, lines, gram_scaled, denom, r2 = _oracle_tables(rs)
-    n = rs.rank
-    cap2 = Q((depth_bound * level_bound) ** 2) * r2 * denom
-    start = (0, (0,) * n)
+def _neighbours(moves, front):
+    """Every state one reflection away from a state of front, with
+    repeats: s_(alpha,j) sends (m, c) to (s_alpha m, s_alpha c + j alpha^v)."""
+    for idx, c in front:
+        for perm, lat, offsets in moves:
+            nidx = perm[idx]
+            base = [sum(map(mul, row, c)) for row in lat]
+            for off in offsets:
+                yield nidx, tuple(map(add, base, off))
+
+
+def _ball(rs: RootSystem, level_bound: int, depth_bound: int, targets=None):
+    """Distance map {(w0 index, lattice coords): length} from the
+    identity, generators being all reflections with |level| <= level_bound.
+
+    With targets None it is the whole ball of radius depth_bound.
+    Otherwise it holds the forward ball the two-sided search stored, and
+    each target state it reached within depth_bound, with its distance;
+    a target missing from it lies further away.  DEFAULT_ORACLE_STATE_CAP
+    bounds the states stored on both sides together."""
+    _, lines = _oracle_tables(rs)
+    span = range(-level_bound, level_bound + 1)
+    moves = [(perm, lat, [tuple(j * x for x in ca) for j in span]) for perm, lat, ca in lines]
+    start = (0, (0,) * rs.rank)
     dist = {start: 0}
-    frontier = [start]
-    for depth in range(1, depth_bound + 1):
-        nxt = []
-        for idx, coeffs in frontier:
-            for perm, lat, ca in lines:
-                nidx = perm[idx]
-                base = [
-                    sum(lat[i][j] * coeffs[j] for j in range(n)) for i in range(n)
-                ]
-                for j in range(-level_bound, level_bound + 1):
-                    nc = tuple(base[i] + j * ca[i] for i in range(n))
-                    state = (nidx, nc)
-                    if state in dist:
-                        continue
-                    q = sum(
-                        gram_scaled[a][b] * nc[a] * nc[b]
-                        for a in range(n)
-                        for b in range(n)
-                    )
-                    if q > cap2:
-                        continue
-                    dist[state] = depth
-                    nxt.append(state)
-        frontier = nxt
+    front = [start]
+    radii = [0, 0]  # forward, reverse
+    stored = 1
+
+    def store() -> None:
+        nonlocal stored
+        stored += 1
+        if stored > DEFAULT_ORACLE_STATE_CAP:
+            raise BudgetExceeded(
+                f"oracle state cap DEFAULT_ORACLE_STATE_CAP = {DEFAULT_ORACLE_STATE_CAP} exceeded: "
+                f"{stored} states stored with the forward ball at radius {radii[0]} and the reverse "
+                f"balls at radius {radii[1]} (level bound {level_bound}, depth bound {depth_bound}); "
+                "lower --level-bound or --depth-bound"
+            )
+
+    if targets is None:
+        for depth in range(1, depth_bound + 1):
+            radii[0] = depth
+            nxt = []
+            for s in _neighbours(moves, front):
+                if s not in dist:
+                    store()
+                    dist[s] = depth
+                    nxt.append(s)
+            front = nxt
+        return dist
+    # the reverse ball of each unsettled target: its states, and its frontier
+    reverse = {t: {t} for t in targets if t != start}
+    rfront = {t: [t] for t in reverse}
+    stored += len(reverse)
+    found = {}
+    while reverse and sum(radii) < depth_bound:
+        last = sum(radii) + 1 == depth_bound
+        if len(front) <= sum(map(len, rfront.values())):
+            radii[0] += 1
+            meet: dict[tuple, list] = {}
+            for t, layer in rfront.items():
+                for s in layer:
+                    meet.setdefault(s, []).append(t)
+            nxt = []
+            for s in _neighbours(moves, front):
+                for t in meet.pop(s, ()):
+                    if t in reverse:
+                        found[t] = sum(radii)
+                        del reverse[t], rfront[t]
+                if last or s in dist:
+                    continue
+                store()
+                dist[s] = radii[0]
+                nxt.append(s)
+            front = nxt
+        else:
+            radii[1] += 1
+            for t in list(reverse):
+                ball, nxt = reverse[t], []
+                for s in _neighbours(moves, rfront[t]):
+                    if s in dist:
+                        found[t] = dist[s] + radii[1]
+                        del reverse[t], rfront[t]
+                        break
+                    if not last and s not in ball:
+                        store()
+                        ball.add(s)
+                        nxt.append(s)
+                else:
+                    rfront[t] = nxt
+    dist.update(found)
     return dist
 
 
 def _target_state(rs: RootSystem, w: AffineElement):
     perm, coeffs = require_group_element(rs, w)
-    index, _, _, _, _ = _oracle_tables(rs)
+    index, _ = _oracle_tables(rs)
     if perm not in index:
         raise ValueError("linear part is not an element of W0")
     return index[perm], coeffs
@@ -157,8 +220,10 @@ def brute_reflection_lengths(
     level_bound: int | None = None,
     depth_bound: int | None = None,
 ) -> list[CertifiedLength]:
-    """Lengths for many elements against one shared ball (and a second
-    at level_bound + 1 for the stability certificate)."""
+    """Lengths for many elements from one two-sided search: a forward
+    ball from the identity against a reverse ball from each element.  A
+    second search at level_bound + 1, only for the elements with k > e + 1
+    and only to depth k - 2, decides the stability certificate."""
     _require_oracle_rank(rs)
     targets = [_target_state(rs, w) for w in elements]
     if level_bound is None:
@@ -166,18 +231,21 @@ def brute_reflection_lengths(
         level_bound = widest + 2
     if depth_bound is None:
         depth_bound = 2 * rs.rank
-    dist = _ball(rs, level_bound, depth_bound)
-    dist_next = _ball(rs, level_bound + 1, depth_bound)
+    dist = _ball(rs, level_bound, depth_bound, targets)
+    lengths = [dist.get(t) for t in targets]
+    ranks = [None if k is None else elliptic_rank(w.linear) for k, w in zip(lengths, elements)]
+    unproved = {t: k for t, k, e in zip(targets, lengths, ranks) if k is not None and k > e + 1}
+    # more generators never lengthen a factorisation, and every length
+    # has the parity of e, so k is stable exactly when level_bound + 1
+    # does not reach the target within k - 2 steps
+    shorter = _ball(rs, level_bound + 1, max(unproved.values()) - 2, unproved) if unproved else {}
     out = []
-    for (idx, coeffs), w in zip(targets, elements):
-        k = dist.get((idx, coeffs))
-        k_next = dist_next.get((idx, coeffs))
+    for t, k, e in zip(targets, lengths, ranks):
         if k is None:
             out.append(CertifiedLength(None, None, level_bound, depth_bound))
             continue
-        e = elliptic_rank(w.linear)
         assert (k - e) % 2 == 0, "determinant parity violated by the search"
-        certificate = "rank" if k <= e + 1 else "stable" if k_next == k else None
+        certificate = "rank" if k <= e + 1 else "stable" if shorter.get(t, k) >= k else None
         out.append(CertifiedLength(k, certificate, level_bound, depth_bound))
     return out
 

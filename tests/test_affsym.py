@@ -295,3 +295,19 @@ def test_good_origin_split_properties(win):
     assert dimension_report(rs, t).length == 2 * differential_dimension_window(win)
     assert dimension_report(rs, u).length == elliptic_dimension_window(win)
     assert sum(origin) == 0
+
+
+@given(st.lists(st.integers(-4, 4), min_size=1, max_size=9).map(lambda xs: tuple(xs) + (-sum(xs),)))
+@settings(max_examples=100, deadline=None)
+def test_proper_basic_count_is_the_built_count(v):
+    assert proper_basic_null_block_count(v) == sum(len(s) for s in basic_null_blocks(v)[:-1])
+
+
+def test_minimal_null_block_cap_raises_as_soon_as_it_is_exceeded():
+    v = (1, -1, 2, -2, 3, -3, 4, -4, 0)
+    blocks = minimal_null_blocks(v)
+    assert minimal_null_blocks(v, cap=len(blocks)) == blocks
+    with pytest.raises(BudgetExceeded, match=f"^{len(blocks)} minimal null blocks exceed the vertex cap {len(blocks) - 1} by weight"):
+        minimal_null_blocks(v, cap=len(blocks) - 1)
+    with pytest.raises(BudgetExceeded, match="^2 minimal null blocks exceed the vertex cap 1 by weight 1 of 10$"):
+        null_complex(v, vertex_cap=1)

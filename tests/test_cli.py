@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import coxlen
 import coxlen.cli
+import coxlen.oracle
 import coxlen.reflen
 from coxlen.cli import main, parse_element, parse_vector, parse_window_text
 from coxlen.errors import ParseError, UnsupportedTypeError
@@ -248,6 +250,25 @@ def test_profile_cap_names_the_cap_and_the_supports(capsys):
     assert code == 4
     assert "DEFAULT_PROFILE_SIZE_CAP = 22" in err
     assert "23 positive and 1 negative" in err
+
+
+@pytest.mark.parametrize("top", [37, 43])
+def test_vertex_cap_trips_before_the_basic_blocks_are_built(capsys, top):
+    # (1, -1, 4, -4, ..., top, -top): 10^5 to 10^7 basic blocks, but more
+    # than 64 minimal ones by a low weight
+    vector = "(" + ",".join(f"{k},{-k}" for k in range(1, top + 1, 3)) + ")"
+    started = time.perf_counter()
+    code, _, err = run(capsys, "nullity", "--vector", vector)
+    assert time.perf_counter() - started < 2
+    assert code == 4
+    assert "minimal null blocks exceed the vertex cap 64 by weight" in err
+
+
+def test_oracle_state_cap_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(coxlen.oracle, "DEFAULT_ORACLE_STATE_CAP", 1000)
+    code, _, err = run(capsys, "oracle", "--type", "B3", "--element", "lambda=(3,2,1)")
+    assert code == 4
+    assert "oracle state cap DEFAULT_ORACLE_STATE_CAP = 1000 exceeded: 1001 states stored" in err
 
 
 def test_exit_code_2_on_bad_input(capsys):

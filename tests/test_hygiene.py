@@ -79,6 +79,31 @@ def test_work_counters_read_real_results():
     assert after(dist, before()) == len(dist) > 1
 
 
+def test_ball_counter_sees_the_batch_oracle(monkeypatch):
+    # bench/run.py --trace 1 counts oracle.ball.states on what _ball
+    # returns, so brute_reflection_lengths must reach its states through it
+    import coxlen.oracle as oracle
+    from coxlen.affgroup import identity_element, translation_element
+    from coxlen.linalg import vec
+    from coxlen.rootsys import root_system
+
+    spans = load_bench_spans()
+    _, make = spans.WORK_COUNTERS["oracle.ball"]
+    before, after = make(oracle._ball)
+    ball, states = oracle._ball, []
+
+    def counted(*args):
+        out = ball(*args)
+        states.append(after(out, before()))
+        return out
+
+    monkeypatch.setattr(oracle, "_ball", counted)
+    a2 = root_system("A2")
+    elements = [identity_element(3), translation_element(vec([1, -1, 0])), translation_element(vec([2, -1, -1]))]
+    assert [r.length for r in oracle.brute_reflection_lengths(a2, elements)] == [0, 2, 4]
+    assert len(states) == 2 and min(states) > 0
+
+
 # lru caches that may outlive a call: the root systems, built once per
 # process, and the CLI parser, which parse_args only reads
 LASTING_CACHES = {("rootsys", "build_root_system"), ("cli", "_parser")}

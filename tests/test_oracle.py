@@ -3,10 +3,12 @@ exhaustive move-set dimension.
 
 These are the independent checks the analytic formulas are certified
 against, so the tests here stress their own guarantees: Bell numbers
-for the partition generator, certification flags, and window bounds.
+for the partition generator, certification flags, and the two-sided
+length search against the one-sided reference in reference_oracle.
 """
 
-from math import lcm
+from functools import lru_cache
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +22,10 @@ from coxlen.affgroup import (
     product,
     translation_element,
 )
+import coxlen.oracle as oracle_module
 from coxlen.affsym import nullity
 from coxlen.errors import BudgetExceeded
-from coxlen.linalg import dot, mat_mul, mat_vec, vec
+from coxlen.linalg import mat_mul, mat_vec, vec
 from coxlen.oracle import (
     CertifiedLength,
     ORACLE_MAX_NULLITY_N,
@@ -36,6 +39,7 @@ from coxlen.oracle import (
 )
 from coxlen.reflen import dimension_report
 from coxlen.rootsys import coroot, root_system
+import reference_oracle
 from w0_matrices import w0_matrices
 
 A2 = root_system("A2")
@@ -218,11 +222,7 @@ def reference_oracle_tables(rs):
         cols = [rs.lattice_coords(mat_vec(s, b)) for b in basis]
         lat = tuple(tuple(cols[j][i] for j in range(rs.rank)) for i in range(rs.rank))
         lines.append((perm, lat, rs.lattice_coords(coroot(alpha))))
-    gram = [[dot(a, b) for b in basis] for a in basis]
-    denom = lcm(*(x.denominator for row in gram for x in row))
-    gram_scaled = tuple(tuple(int(x * denom) for x in row) for row in gram)
-    r2 = max(dot(coroot(a), coroot(a)) for a in rs.roots)
-    return index, tuple(lines), gram_scaled, denom, r2
+    return index, tuple(lines)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "C2", "G2", "A3", "B3", "C3", "A4", "D4"])
@@ -237,3 +237,83 @@ def test_linear_part_outside_w0_is_rejected():
     minus_one = tuple(vec(-(i == j) for j in range(3)) for i in range(3))
     with pytest.raises(ValueError, match="^linear part is not an element of W0$"):
         brute_reflection_length(A2, AffineElement(minus_one, vec([0, 0, 0])))
+
+
+# The reference searches the whole ball at J and at J + 1 for every
+# call; the property below reuses each ball across its examples.
+reference_ball = lru_cache(maxsize=None)(reference_oracle._ball)
+
+# (type, largest level bound drawn): A3 stays within J <= 2 so that the
+# reference's second ball, at J + 1, remains small
+REFERENCE_CASES = [("A2", 3), ("B2", 3), ("C2", 3), ("G2", 3), ("A3", 2)]
+
+
+@st.composite
+def oracle_batches(draw):
+    """A type, a level bound, a depth bound in 0..4 and up to four
+    elements t_c m with m in W0 and lattice coordinates c in [-3, 3]^n,
+    many of them beyond the depth bound."""
+    name, top = draw(st.sampled_from(REFERENCE_CASES))
+    rs = root_system(name)
+    group = w0_matrices(rs)
+    coords = st.tuples(*[st.integers(-3, 3)] * rs.rank)
+    picks = draw(st.lists(st.tuples(st.integers(0, len(group) - 1), coords), min_size=1, max_size=4))
+    elements = [AffineElement(group[i], rs.from_lattice_coords(c)) for i, c in picks]
+    return rs, elements, draw(st.integers(1, top)), draw(st.integers(0, 4))
+
+
+@given(oracle_batches())
+@settings(max_examples=60, deadline=None)
+def test_two_sided_search_matches_the_one_sided_reference(batch):
+    rs, elements, level_bound, depth_bound = batch
+    got = brute_reflection_lengths(rs, elements, level_bound, depth_bound)
+    with patch.object(reference_oracle, "_ball", reference_ball):
+        assert got == reference_oracle.brute_reflection_lengths(rs, elements, level_bound, depth_bound)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("depth_bound", [0, 1])
+def test_shallow_depth_bounds_match_the_reference(name, depth_bound):
+    rs = root_system(name)
+    elements = [AffineElement(m, rs.from_lattice_coords(c))
+                for m in w0_matrices(rs) for c in [(0,) * rs.rank, (1,) + (0,) * (rs.rank - 1)]]
+    got = brute_reflection_lengths(rs, elements, 2, depth_bound)
+    assert got == reference_oracle.brute_reflection_lengths(rs, elements, 2, depth_bound)
+    assert {r.length for r in got} == ({0, None} if depth_bound == 0 else {0, 1, None})
+
+
+def test_batch_equals_one_element_at_a_time():
+    els = [identity_element(2), refl(B2, 1, 1).to_element(), translation_element(vec([2, 4])),
+           translation_element(vec([1, 1])), translation_element(vec([9, 9])), translation_element(vec([1, 1]))]
+    for level_bound, depth_bound in [(None, None), (2, 3), (5, 4)]:
+        batch = brute_reflection_lengths(B2, els, level_bound, depth_bound)
+        bound = batch[0].level_bound
+        assert batch == [brute_reflection_length(B2, w, bound, depth_bound) for w in els]
+
+
+def test_no_stability_search_when_the_rank_certifies(monkeypatch):
+    # k <= e + 1 for every target: only the level-J search runs
+    calls = []
+    ball = oracle_module._ball
+
+    def recording(rs, level_bound, depth_bound, targets=None):
+        calls.append(level_bound)
+        return ball(rs, level_bound, depth_bound, targets)
+
+    monkeypatch.setattr(oracle_module, "_ball", recording)
+    els = [identity_element(2), refl(B2, 1, 1).to_element(),
+           compose(refl(B2, 0, 0).to_element(), refl(B2, 3, 1).to_element())]
+    assert [(r.length, r.certificate) for r in brute_reflection_lengths(B2, els, 3, 4)] == [
+        (0, "rank"), (1, "rank"), (2, "rank")]
+    assert calls == [3]
+    # a translation of length 2 has e = 0, so the level-(J + 1) search runs
+    brute_reflection_lengths(B2, els + [translation_element(vec([1, 1]))], 3, 4)
+    assert calls == [3, 3, 4]
+
+
+def test_state_cap_names_the_cap_the_states_and_the_radii(monkeypatch):
+    monkeypatch.setattr(oracle_module, "DEFAULT_ORACLE_STATE_CAP", 100)
+    with pytest.raises(BudgetExceeded, match=(
+        r"^oracle state cap DEFAULT_ORACLE_STATE_CAP = 100 exceeded: 101 states stored with the forward "
+        r"ball at radius \d and the reverse balls at radius \d \(level bound 5, depth bound 4\)")):
+        brute_reflection_length(B2, translation_element(vec([2, 4])))
