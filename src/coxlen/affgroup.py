@@ -4,8 +4,7 @@ An element is a pair (linear, translation): the isometry
 x -> linear @ x + translation.  The linear part lies in the finite Weyl
 group W0 (an orthogonal matrix permuting the roots), the translation
 part in the coroot lattice.  This normal form is unique once an origin
-is fixed; alternative origins are handled by explicit conjugation
-(rebased_normal_form), never by changing the representation.
+is fixed; the representation always uses the origin 0.
 
 The affine reflection r_{alpha,j} fixes the hyperplane <x, alpha> = j.
 As an element it has linear part (I - alpha-check alpha^T) and
@@ -14,8 +13,9 @@ translation part j * alpha-check.  The pairs (alpha, j) and
 to the lexicographically positive root, so equality of reflections is
 equality of fields.
 
-Move-sets and fixed sets are affine subspaces, canonicalised so that
-structural equality is subspace equality.
+Fixed sets are affine subspaces, canonicalised so that structural
+equality is subspace equality.  Move spaces of linear parts are integer
+row bases (linear_move_space).
 """
 
 from __future__ import annotations
@@ -208,16 +208,6 @@ class AffineReflection:
         )
         return AffineElement(linear=linear, translation=tuple(self.level * c for c in av))
 
-    def conjugated_by(self, g: AffineElement) -> AffineReflection:
-        """g r g^{-1}: the reflection in the image hyperplane g(H).
-
-        With g: x -> Bx + mu, the image of <x, alpha> = j is
-        <y, B alpha> = j + <mu, B alpha>, and the new level is an
-        integer because the coroot lattice pairs integrally with roots.
-        """
-        new_root = mat_vec(g.linear, self.root)
-        return AffineReflection.make(new_root, self.level + dot(g.translation, new_root))
-
     def conjugated_by_reflection(self, s: AffineReflection) -> AffineReflection:
         """s r s, without building matrices: the root reflects and the
         level shifts by the Cartan pairing, s_{a,j} r_{b,k} s_{a,j} =
@@ -241,11 +231,6 @@ def linear_move_space(linear: Mat) -> tuple[tuple[int, ...], ...]:
 
 def elliptic_rank(linear: Mat) -> int:
     return len(linear_move_space(linear))
-
-
-def move_set(a: AffineElement) -> AffineSubspace:
-    """Mov(a) = {a(x) - x} = translation + Im(linear - I)."""
-    return AffineSubspace.from_point_and_directions(a.translation, linear_move_space(a.linear))
 
 
 def fixed_set(rs: RootSystem, a: AffineElement) -> AffineSubspace:
@@ -321,12 +306,3 @@ def require_group_element(rs, a: AffineElement) -> tuple[tuple[int, ...], tuple[
             "translation part (" + ", ".join(map(str, a.translation)) + ") is not in the coroot lattice"
         )
     return perm, coords
-
-
-def rebased_normal_form(w: AffineElement, origin: Vec) -> tuple[Vec, AffineElement]:
-    """Normal form of w relative to a different origin y: the pair
-    (mu, u) with mu = w(y) - y and u = t_{-mu} w, which fixes y when w's
-    linear part does."""
-    mu = vsub(w.apply(origin), origin)
-    u = compose(translation_element(tuple(-x for x in mu)), w)
-    return mu, u

@@ -27,7 +27,7 @@ from itertools import combinations, groupby
 
 from .affgroup import AffineElement
 from .errors import BudgetExceeded, ParseError
-from .linalg import Vec, mat_vec, transpose, vec
+from .linalg import Vec, mat_vec, vec
 from .reflen import (
     DEFAULT_HURWITZ_BUDGET,
     translation_elliptic_split,
@@ -77,18 +77,6 @@ class Window:
         return self.values[i0 - 1] + (i - i0)
 
 
-def window_from_normal_form(lam, pi) -> Window:
-    n = len(pi)
-    return Window(tuple(p + n * l for p, l in zip(pi, lam, strict=True)))
-
-
-def compose_windows(a: Window, b: Window) -> Window:
-    """(a o b)(i) = a(b(i))."""
-    if a.n != b.n:
-        raise ValueError("windows have different periods")
-    return Window(tuple(a.value(b.value(i)) for i in range(1, a.n + 1)))
-
-
 def window_root_system(n: int) -> RootSystem:
     return build_root_system(RootSystemSpec("A", n - 1))
 
@@ -105,15 +93,6 @@ def embed_window(win: Window) -> AffineElement:
     lam, pi = win.normal_form()
     a = perm_matrix(pi)
     return AffineElement(linear=a, translation=mat_vec(a, vec(lam)))
-
-
-def window_of_element(w: AffineElement) -> Window:
-    n = w.dim
-    pi = tuple(next(i + 1 for i in range(n) if w.linear[i][j] == 1) for j in range(n))
-    lam = mat_vec(transpose(w.linear), w.translation)
-    if any(x.denominator != 1 for x in lam):
-        raise ValueError("element is not an affine permutation")
-    return window_from_normal_form(tuple(int(x) for x in lam), pi)
 
 
 @dataclass(frozen=True)
@@ -222,14 +201,6 @@ def _basic_blocks_at(p: Profile, weight: int) -> list[frozenset[int]]:
     return [a | b for a in p.pos_at(weight) for b in p.neg_at(weight)]
 
 
-def basic_null_blocks(v) -> tuple[frozenset[frozenset[int]], ...]:
-    """Weight-indexed dot product of the profiles: every zero-sum block
-    avoiding the zero entries arises once as a positive part joined with
-    a negative part of the same weight."""
-    p = profiles(v)
-    return tuple(frozenset(_basic_blocks_at(p, w)) for w in range(1, p.positive_weight + 1))
-
-
 def proper_basic_null_block_count(v) -> int:
     """Basic null blocks of weight strictly below the full positive
     weight (the top weight always contributes the whole support),
@@ -311,16 +282,6 @@ def reflection_length(win: Window) -> int:
     """Combinatorial reflection length: n - 2 nu(lam/pi) + #cycles(pi)."""
     lam, pi = win.normal_form()
     return win.n - 2 * relative_nullity(lam, pi) + len(cycles(pi))
-
-
-def elliptic_dimension_window(win: Window) -> int:
-    _, pi = win.normal_form()
-    return win.n - len(cycles(pi))
-
-
-def differential_dimension_window(win: Window) -> int:
-    lam, pi = win.normal_form()
-    return len(cycles(pi)) - relative_nullity(lam, pi)
 
 
 def good_origin_split(

@@ -154,16 +154,12 @@ def _parse_reflection_product(rs: RootSystem, text: str) -> AffineElement:
     return product(factors)
 
 
-def _q_str(x: Q) -> str:
-    return str(x)
-
-
 def _vec_json(v: Vec) -> list[str]:
-    return [_q_str(x) for x in v]
+    return [str(x) for x in v]
 
 
 def _vec_str(v: Vec) -> str:
-    return "(" + ", ".join(_q_str(x) for x in v) + ")"
+    return "(" + ", ".join(map(str, v)) + ")"
 
 
 def _refl_strs(factors) -> list[str]:

@@ -134,11 +134,6 @@ class BivariatePolynomial:
         return [[a, b, c] for a, b, c in self.terms]
 
 
-def poly_s_plus(k: int) -> BivariatePolynomial:
-    """s + k t."""
-    return BivariatePolynomial.from_dict({(1, 0): 1, (0, 1): k})
-
-
 def poly_one_plus(k: int) -> BivariatePolynomial:
     """1 + k t."""
     return BivariatePolynomial.from_dict({(0, 0): 1, (0, 1): k})
@@ -182,10 +177,10 @@ class SphericalGroup:
 
 
 @lru_cache(maxsize=None)
-def enumerate_w0(rs: RootSystem, cap: int = DEFAULT_W0_CAP) -> SphericalGroup:
-    if rs.w0_size > cap:
+def enumerate_w0(rs: RootSystem) -> SphericalGroup:
+    if rs.w0_size > DEFAULT_W0_CAP:
         raise BudgetExceeded(
-            f"W0 of {rs.spec} has order {rs.w0_size}, above the cap {cap}"
+            f"W0 of {rs.spec} has order {rs.w0_size}, above the cap {DEFAULT_W0_CAP}"
         )
     reflected = rs.tables.reflected
     gens = [reflected[rs.root_index[a]] for a in rs.simple_roots]
@@ -205,8 +200,6 @@ def enumerate_w0(rs: RootSystem, cap: int = DEFAULT_W0_CAP) -> SphericalGroup:
         level = sorted(found.items())
         seen.update(found)
         order.extend(level)
-        if len(order) > cap:
-            raise BudgetExceeded("W0 enumeration exceeded the cap")
     elements, words = zip(*order)
     return SphericalGroup(elements=elements, words=words)
 

@@ -192,10 +192,6 @@ def int_line_rep(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
-def rank(rows: Sequence[Vec]) -> int:
-    return len(rref(rows)[0])
-
-
 def reduce_against(basis: Mat, pivots: tuple[int, ...], v: Vec) -> Vec:
     """Residual of v after subtracting the RREF basis combination matching
     its pivot coordinates.  Zero residual means v lies in the span."""

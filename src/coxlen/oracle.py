@@ -11,10 +11,11 @@ affgroup.require_group_element, which returns its root permutation and
 its lattice coordinates; beyond these the oracle shares nothing with the
 closed-form machinery.
 
-The search is two-sided.  One ball grows forward from the identity, and
-one in reverse from each target, with the same moves, since every
-reflection is an involution.  Each round grows the side whose frontier
-is smaller, the reverse frontier counting every target not yet settled.
+The search is two-sided, and only distances to given targets are
+computed.  One ball grows forward from the identity, and one in reverse
+from each target, with the same moves, since every reflection is an
+involution.  Each round grows the side whose frontier is smaller, the
+reverse frontier counting every target not yet settled.
 A target is settled at the first layer where its reverse ball meets the
 forward ball: both balls are complete to their radii, and they did not
 meet one layer earlier, so the distance is the sum of the two radii,
@@ -122,14 +123,13 @@ def _neighbours(moves, front):
                 yield nidx, tuple(map(add, base, off))
 
 
-def _ball(rs: RootSystem, level_bound: int, depth_bound: int, targets=None):
+def _ball(rs: RootSystem, level_bound: int, depth_bound: int, targets):
     """Distance map {(w0 index, lattice coords): length} from the
     identity, generators being all reflections with |level| <= level_bound.
 
-    With targets None it is the whole ball of radius depth_bound.
-    Otherwise it holds the forward ball the two-sided search stored, and
-    each target state it reached within depth_bound, with its distance;
-    a target missing from it lies further away.  DEFAULT_ORACLE_STATE_CAP
+    It holds the forward ball the two-sided search stored, and each
+    target state it reached within depth_bound, with its distance; a
+    target missing from it lies further away.  DEFAULT_ORACLE_STATE_CAP
     bounds the states stored on both sides together."""
     _, lines = _oracle_tables(rs)
     span = range(-level_bound, level_bound + 1)
@@ -151,17 +151,6 @@ def _ball(rs: RootSystem, level_bound: int, depth_bound: int, targets=None):
                 "lower --level-bound or --depth-bound"
             )
 
-    if targets is None:
-        for depth in range(1, depth_bound + 1):
-            radii[0] = depth
-            nxt = []
-            for s in _neighbours(moves, front):
-                if s not in dist:
-                    store()
-                    dist[s] = depth
-                    nxt.append(s)
-            front = nxt
-        return dist
     # the reverse ball of each unsettled target: its states, and its frontier
     reverse = {t: {t} for t in targets if t != start}
     rfront = {t: [t] for t in reverse}

@@ -91,7 +91,6 @@ def _min_span_subset(
     lines: dict[tuple[int, ...], Vec],
     target: Sequence[int],
     max_k: int,
-    cap: int = DEFAULT_SPAN_SEARCH_CAP,
 ) -> tuple[int, tuple[Vec, ...]]:
     """Smallest k and a witness set of k roots whose projected lines span
     the nonzero integer target (a rational one is scaled to integers);
@@ -105,10 +104,12 @@ def _min_span_subset(
     prefix and dropped.  A prefix of k - 1 lines leaves a residual target
     r != 0 (a smaller subset would have spanned it), and a later line
     completes a spanning k-subset exactly when its residual is parallel
-    to r.  cap bounds the candidate k-subsets tested that way, one per
-    prefix of k - 1 lines and independent later line, summed over all k;
-    a search that needs more raises BudgetExceeded.
+    to r.  DEFAULT_SPAN_SEARCH_CAP, read at each call, bounds the
+    candidate k-subsets tested that way, one per prefix of k - 1 lines and
+    independent later line, summed over all k; a search that needs more
+    raises BudgetExceeded.
     """
+    cap = DEFAULT_SPAN_SEARCH_CAP
     tkey = int_line_rep(scaled_ints(target))
     if tkey in lines:
         return 1, (lines[tkey],)
@@ -277,23 +278,25 @@ def factor_elliptic(rs: RootSystem, v: AffineElement) -> ReflectionFactorization
     """Write an elliptic element as a product of e(v) reflections with
     linearly independent roots, all through a common fixed point x.
 
+    An elliptic element has d = 0, so this is its minimum factorisation,
+    peeled and checked as min_factorization does.
+    """
+    perm, _ = require_group_element(rs, v)
+    if not is_elliptic(v):
+        raise ValueError("input is not elliptic")
+    return _min_factorization(rs, v, dimension_report(rs, v), perm)
+
+
+def _peel_elliptic(rs: RootSystem, translation: Vec, perm: tuple[int, ...]) -> ReflectionFactorization:
+    """The reflections, through a common fixed point x, whose product is
+    the elliptic group element with root permutation perm and translation
+    part translation; unchecked.
+
     One pass over the positive roots in canonical order peels each root
     that lies in the current move space and whose hyperplane through x
     has integer level.  Not every root in the move space gives an
     integer level (a rotation about a deep vertex sees only some of the
     hyperplanes through it), hence the explicit integrality filter.
-    """
-    perm, _ = require_group_element(rs, v)
-    if not is_elliptic(v):
-        raise ValueError("input is not elliptic")
-    out = _peel_elliptic(rs, v, perm)
-    if out.product(v.dim) != v:
-        raise AssertionError("elliptic factorisation failed verification")
-    return out
-
-
-def _peel_elliptic(rs: RootSystem, v: AffineElement, perm: tuple[int, ...]) -> ReflectionFactorization:
-    """factor_elliptic of an elliptic group element v, unchecked.
 
     Works on perm, the root permutation of the linear part A: peeling
     root a replaces A by s_a A.  For a in Mov(A), dim Mov(s_a A) =
@@ -303,7 +306,7 @@ def _peel_elliptic(rs: RootSystem, v: AffineElement, perm: tuple[int, ...]) -> R
     same roots as a scan restarted from the top after every peel.
     """
     tables = rs.tables
-    form, unit = _fixed_point_levels(tables, perm, v.translation)
+    form, unit = _fixed_point_levels(tables, perm, translation)
     mov = tables.move_space(perm)
     pivots = rref_pivots(mov)
     factors: list[AffineReflection] = []
@@ -365,12 +368,14 @@ def min_factorization(rs: RootSystem, w: AffineElement) -> ReflectionFactorizati
 
 def _min_factorization(rs: RootSystem, w: AffineElement, rep: DimensionReport, perm) -> ReflectionFactorization:
     """min_factorization of a group element w whose report is rep and
-    whose linear part has root permutation perm."""
+    whose linear part has root permutation perm.  Level-zero lifts change
+    only the linear part, so w and the elliptic element peeled share their
+    translation part."""
     lifts = [AffineReflection.make(alpha, 0) for alpha in rep.lift_roots]
     for r in lifts:
         # w s_a sends root b to w(s_a(b))
         perm = tuple(perm[b] for b in rs.tables.reflected[rs.root_index[r.root]])
-    factors = _peel_elliptic(rs, product([w] + lifts), perm).factors + tuple(reversed(lifts))
+    factors = _peel_elliptic(rs, w.translation, perm).factors + tuple(reversed(lifts))
     out = ReflectionFactorization(factors)
     if len(factors) != rep.length or out.product(w.dim) != w:
         raise AssertionError("minimum factorisation failed verification")

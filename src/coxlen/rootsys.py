@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 
 from .errors import ParseError, UnsupportedTypeError
-from .linalg import Mat, Vec, dot, line_rep, primitive_rref, rref, scale_to_ints, smul, vec
+from .linalg import Mat, Vec, dot, primitive_rref, rref, scale_to_ints, smul, vec
 
 MAX_RANK = 8
 
@@ -351,12 +351,3 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
 def root_system(text: str) -> RootSystem:
     """Convenience: build from a textual type spec like 'B3'."""
     return build_root_system(parse_type_spec(text))
-
-
-def canonical_root(rs: RootSystem, alpha: Vec) -> Vec:
-    """The lexicographically positive root on the line through alpha."""
-    key = line_rep(alpha)
-    for r in rs.positive_roots:
-        if line_rep(r) == key:
-            return r
-    raise ValueError(f"{alpha} does not span a root line of {rs.spec}")

@@ -22,13 +22,10 @@ from coxlen.affgroup import (
     is_elliptic,
     is_translation,
     linear_move_space,
-    move_set,
     product,
-    rebased_normal_form,
     translation_element,
 )
 from coxlen.affsym import (
-    basic_null_blocks,
     cycles,
     embed_window,
     good_origin_split,
@@ -39,7 +36,6 @@ from coxlen.affsym import (
     perm_matrix,
     proper_basic_null_block_count,
     reflection_length,
-    window_from_normal_form,
     window_root_system,
 )
 from coxlen.errors import BudgetExceeded
@@ -50,7 +46,6 @@ from coxlen.genfun import (
     is_generic,
     local_genfun,
     poly_one_plus,
-    poly_s_plus,
     spherical_genfun,
 )
 from coxlen.linalg import in_span, is_zero, mat_vec, vec
@@ -62,6 +57,9 @@ from coxlen.reflen import (
     translation_elliptic_split,
 )
 from coxlen.rootsys import root_system
+from reference_affgroup import move_set, rebased_normal_form
+from reference_affsym import basic_null_blocks, window_from_normal_form
+from reference_genfun import poly_s_plus
 from w0_matrices import w0_matrices
 
 V0 = (-3, -2, -2, -1, 1, 2, 5)

@@ -18,11 +18,7 @@ from coxlen.affgroup import compose, is_elliptic, is_translation
 from coxlen.affsym import (
     SetPartition,
     Window,
-    basic_null_blocks,
-    compose_windows,
     cycles,
-    differential_dimension_window,
-    elliptic_dimension_window,
     embed_window,
     good_origin_split,
     l_map,
@@ -33,13 +29,19 @@ from coxlen.affsym import (
     proper_basic_null_block_count,
     reflection_length,
     relative_nullity,
-    window_from_normal_form,
-    window_of_element,
     window_root_system,
 )
 from coxlen.errors import BudgetExceeded, ParseError
 from coxlen.oracle import brute_nullity
 from coxlen.reflen import dimension_report
+from reference_affsym import (
+    basic_null_blocks,
+    compose_windows,
+    differential_dimension_window,
+    elliptic_dimension_window,
+    window_from_normal_form,
+    window_of_element,
+)
 
 V0 = (-3, -2, -2, -1, 1, 2, 5)
 

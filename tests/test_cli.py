@@ -20,8 +20,9 @@ import coxlen.oracle
 import coxlen.reflen
 from coxlen.cli import main, parse_element, parse_vector, parse_window_text
 from coxlen.errors import ParseError, UnsupportedTypeError
-from coxlen.genfun import BivariatePolynomial, poly_s_plus
+from coxlen.genfun import BivariatePolynomial
 from coxlen.rootsys import root_system
+from reference_genfun import poly_s_plus
 
 
 def run(capsys, *argv):

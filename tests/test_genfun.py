@@ -30,12 +30,12 @@ from coxlen.genfun import (
     poly1_format,
     poly1_mul,
     poly_one_plus,
-    poly_s_plus,
     spherical_genfun,
 )
 from coxlen.linalg import identity_matrix, mat_mul, vec
 from coxlen.reflen import dimension_report
 from coxlen.rootsys import root_system
+from reference_genfun import poly_s_plus
 from w0_matrices import w0_matrices, word_matrix
 
 A2 = root_system("A2")
@@ -136,6 +136,17 @@ def test_enumeration_matches_matrix_reference(name):
         assert root_permutation(rs, m) == perm
 
 
+@pytest.mark.parametrize("name", ["A5", "B5", "C5", "D5", "A6"])
+def test_enumeration_beyond_the_reference_is_complete(name):
+    # past the matrix reference's reach: exactly |W0| distinct
+    # permutations of the root indices
+    rs = root_system(name)
+    elements = enumerate_w0(rs).elements
+    identity = list(range(len(rs.roots)))
+    assert all(sorted(p) == identity for p in elements)
+    assert len(set(elements)) == len(elements) == rs.w0_size
+
+
 GENFUN_PROPERTY_TYPES = ["A2", "B2", "G2", "A3", "B3", "C3", "D4"]
 
 
@@ -214,8 +225,9 @@ def test_length_distribution_reach(name):
 
 
 def test_w0_cap():
+    # |W0(B8)| = 10,321,920 is above DEFAULT_W0_CAP
     with pytest.raises(BudgetExceeded):
-        enumerate_w0(root_system("B8"), cap=1000)
+        enumerate_w0(root_system("B8"))
 
 
 SHEPHARD_TODD = [

@@ -1,4 +1,5 @@
 """Source hygiene: every name a coxlen module imports is used in it,
+every module-level function or class has a caller outside the tests,
 every function the benchmark's span recorder wraps still exists, and
 its work counters read the results those functions return.
 
@@ -8,12 +9,24 @@ __init__ may import its public API for re-export.
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "coxlen"
+
+
+def exported(tree: ast.Module) -> set[str]:
+    """The names a module lists in __all__."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            out.update(ast.literal_eval(node.value))
+    return out
 
 
 def unused_imports(source: str) -> list[str]:
@@ -26,12 +39,7 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 imported.setdefault(name, node.lineno)
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | exported(tree)
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
@@ -43,6 +51,41 @@ def test_no_unused_imports(path):
 def test_unused_import_is_reported():
     source = "from math import gcd, lcm\nimport os.path\n\nx = lcm(2, 3)\n__all__ = ['os']\n"
     assert unused_imports(source) == ["line 1: gcd"]
+
+
+def mentions(node: ast.AST) -> Counter:
+    """How often each name occurs in node as a Name or an Attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def unused_definitions(sources: dict[str, str], external: set[str]) -> list[str]:
+    """module.name of each module-level function or class of sources
+    (module name -> source) that is used by nothing: no Name or Attribute
+    outside its own body mentions it, external does not hold it and no
+    module lists it in __all__."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    total = sum(map(mentions, trees.values()), Counter())
+    used = external.union(*map(exported, trees.values()))
+    return [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used
+        and total[node.name] == mentions(node)[node.name]
+    ]
+
+
+def test_unused_definition_is_reported():
+    sources = {
+        "a": "def f(n):\n    return f(n - 1)\n\ndef g():\n    pass\n\nclass C:\n    pass\n\n__all__ = ['C']\n",
+        "b": "from .a import g\n\ndef h():\n    return g()\n\ndef k():\n    pass\n",
+    }
+    assert unused_definitions(sources, {"k"}) == ["a.f", "b.h"]
 
 
 def load_bench_spans():
@@ -60,6 +103,17 @@ def test_span_targets_exist():
     assert missing == []
 
 
+def test_every_definition_has_a_caller():
+    # a function or class that only the tests use belongs in a tests/
+    # reference module; bench/spans.py wraps functions by name, so its
+    # target strings count as uses
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    external = {attr for _, _, attr in load_bench_spans()._targets()}
+    for path in sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+        external.update(mentions(ast.parse(path.read_text(encoding="utf-8"))))
+    assert unused_definitions(sources, external) == []
+
+
 def test_work_counters_read_real_results():
     # each WORK_COUNTERS reader runs on what the traced function returns,
     # so a renamed result field fails here, not in bench/run.py --trace 1
@@ -75,7 +129,8 @@ def test_work_counters_read_real_results():
     misses = before()
     assert after(enumerate_w0(a2), misses) == 6
     before, after = readers["oracle.ball"](_ball)
-    dist = _ball(a2, 1, 2)
+    # the target is the translation by the first simple coroot
+    dist = _ball(a2, 1, 2, [(0, (1, 0))])
     assert after(dist, before()) == len(dist) > 1
 
 

@@ -17,7 +17,6 @@ from coxlen.linalg import (
     orthogonalize,
     primitive_rref,
     project_off,
-    rank,
     reduce_against,
     rref,
     rref_pivots,
@@ -27,6 +26,7 @@ from coxlen.linalg import (
     vec,
 )
 from reference_lattice import RationalLattice
+from reference_linalg import rank
 
 small_q = st.fractions(
     min_value=-4, max_value=4, max_denominator=6

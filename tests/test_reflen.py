@@ -29,7 +29,7 @@ from coxlen.affgroup import (
     root_permutation,
     translation_element,
 )
-from coxlen.affsym import reflection_length, window_of_element
+from coxlen.affsym import reflection_length
 from coxlen.errors import BudgetExceeded
 from coxlen.genfun import _genfun_tables, enumerate_w0
 from coxlen.linalg import dot, in_span, is_zero, line_rep, mat_vec, reduce_against, rref, solve_affine, vec
@@ -49,6 +49,7 @@ from coxlen.reflen import (
     zero_block_count,
 )
 from coxlen.rootsys import root_system
+from reference_affsym import window_of_element
 from w0_matrices import w0_matrices
 
 A2 = root_system("A2")
@@ -324,15 +325,16 @@ def test_frozen_translation_witnesses(name, coeffs, d, witness):
     assert rep.witness_roots == tuple(vec(Q(x) for x in r.split(",")) for r in witness)
 
 
-def test_span_search_cap():
+def test_span_search_cap(monkeypatch):
     # (2, 4) in B2 needs two lines; one candidate pair is tested first
     lines = _quotient_lines(B2, (), ())
     target = vec([2, 4])
     assert _min_span_subset(lines, target, 2)[0] == 2
+    monkeypatch.setattr("coxlen.reflen.DEFAULT_SPAN_SEARCH_CAP", 0)
     with pytest.raises(BudgetExceeded, match=r"cap 0\b.*\b1 candidate.*size 2"):
-        _min_span_subset(lines, target, 2, cap=0)
+        _min_span_subset(lines, target, 2)
     # a single line is a lookup, not a tested subset
-    assert _min_span_subset(lines, vec([1, 1]), 2, cap=0)[0] == 1
+    assert _min_span_subset(lines, vec([1, 1]), 2)[0] == 1
 
 
 def sum_i_coroots(rs):

@@ -15,13 +15,13 @@ from coxlen.errors import ParseError, UnsupportedTypeError
 from coxlen.linalg import dot, solve_combination, vec
 from coxlen.rootsys import (
     RootSystemSpec,
-    canonical_root,
     coroot,
     parse_type_spec,
     reflect,
     root_system,
 )
 from reference_lattice import RationalLattice
+from reference_linalg import canonical_root
 
 # (type, root count, Weyl order)
 CLASSICAL = [
