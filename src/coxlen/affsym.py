@@ -70,12 +70,6 @@ class Window:
         lam = tuple((v - p) // n for v, p in zip(self.values, pi))
         return lam, pi
 
-    def value(self, i: int) -> int:
-        """The bijection at any integer i, extending the window by periodicity."""
-        n = self.n
-        i0 = (i - 1) % n + 1
-        return self.values[i0 - 1] + (i - i0)
-
 
 def window_root_system(n: int) -> RootSystem:
     return build_root_system(RootSystemSpec("A", n - 1))

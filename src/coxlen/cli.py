@@ -64,9 +64,12 @@ def _default_budget() -> int:
     if raw is None:
         return DEFAULT_HURWITZ_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError as ex:
         raise ParseError(f"COXLEN_BUDGET must be an integer, got {raw!r}") from ex
+    if budget < 0:
+        raise ParseError(f"COXLEN_BUDGET must be non-negative, got {budget}")
+    return budget
 
 
 def parse_vector(text: str) -> Vec:
@@ -374,13 +377,18 @@ def cmd_render(args) -> int:
     rs = root_system(args.type)
     if args.mode == "alcoves":
         svg = render_alcoves(rs, args.radius)
-    else:
+    elif args.radius.is_integer():
         svg = render_classes(rs, int(args.radius))
+    else:
+        raise ParseError(f"radius must be an integer in classes mode, got {args.radius}")
     if args.out == "-":
         sys.stdout.write(svg)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+        except OSError as ex:
+            raise ParseError(f"cannot write {args.out}: {ex.strerror}") from ex
         print(f"wrote {args.out}")
     return 0
 
@@ -490,7 +498,7 @@ def main(argv=None) -> int:
             raise ParseError(f"radius must be a finite number, got {args.radius}")
         if hasattr(args, "radius") and args.radius <= 0:
             raise ParseError("radius must be positive")
-        for flag in ("classify", "level_bound", "depth_bound"):
+        for flag in ("budget", "classify", "level_bound", "depth_bound"):
             value = getattr(args, flag, None)
             if value is not None and value < 0:
                 raise ParseError(f"--{flag.replace('_', '-')} must be non-negative, got {value}")

@@ -18,10 +18,13 @@ and the root basis of the space.
 The d-search tries subset sizes k = 1, 2, ... of the projected root
 lines.  For each k it walks prefixes of independent lines depth first,
 keeping the target and the remaining lines reduced modulo the prefix as
-primitive integer vectors (fraction-free elimination), so extending a
-prefix costs one reduction per line and its last line is a parallelism
-test.  It is exact but still exponential in the worst case (the
-underlying problem contains subset-sum).
+canonical integer line representatives (fraction-free elimination).  Of
+the lines parallel modulo a prefix only the first is kept, and the last
+two lines come from one pass that groups the remaining lines by their
+image modulo the target; the span search cap counts the lines that pass
+reduces.  Both keep the lexicographically first witness.  The search is
+exact but still exponential in the worst case (the underlying problem
+contains subset-sum).
 
 Factorisations mirror the structure above: peel d level-zero reflections
 to reach an elliptic element whose move-set is the witness subspace,
@@ -57,7 +60,6 @@ from .linalg import (
     int_line_rep,
     int_residual,
     primitive_rref,
-    reduce_int,
     rref_pivots,
     scale_to_ints,
     scaled_ints,
@@ -87,6 +89,15 @@ def _quotient_lines(
     return lines
 
 
+def _line_mod(v: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...] | None:
+    """int_line_rep of line rep v modulo the line through b, b[p] != 0; None if v is on it."""
+    c = v[p]
+    if c == 0:
+        return v
+    w = [b[p] * x - c * y for x, y in zip(v, b)]
+    return int_line_rep(w) if any(w) else None
+
+
 def _min_span_subset(
     lines: dict[tuple[int, ...], Vec],
     target: Sequence[int],
@@ -100,13 +111,17 @@ def _min_span_subset(
     k-subset of the sorted line keys whose span contains the target.  For
     each k a depth-first walk over independent prefixes, in that order,
     carries the target and the later lines reduced modulo the prefix, as
-    primitive integer vectors; a line reducing to zero is dependent on the
-    prefix and dropped.  A prefix of k - 1 lines leaves a residual target
-    r != 0 (a smaller subset would have spanned it), and a later line
-    completes a spanning k-subset exactly when its residual is parallel
-    to r.  DEFAULT_SPAN_SEARCH_CAP, read at each call, bounds the
-    candidate k-subsets tested that way, one per prefix of k - 1 lines and
-    independent later line, summed over all k; a search that needs more
+    canonical line representatives.  A later line that reduces to zero is
+    dependent on the prefix and dropped, and so is one parallel modulo
+    the prefix to an earlier later line: swapping it for that line spans
+    the same and is lexicographically smaller.  A prefix of k - 2 lines
+    leaves a residual target r parallel to no later line (a smaller subset
+    would have spanned it), and then two later lines, not parallel modulo
+    the prefix, complete a spanning k-subset exactly when they are
+    parallel modulo r: one pass reduces every later line modulo r and
+    returns the first line with a partner after it, and that partner.
+    DEFAULT_SPAN_SEARCH_CAP, read at each call, bounds the later lines
+    reduced by these passes, summed over all k; a search that needs more
     raises BudgetExceeded.
     """
     cap = DEFAULT_SPAN_SEARCH_CAP
@@ -116,32 +131,35 @@ def _min_span_subset(
     keys = sorted(lines)
     tested = 0
 
-    def complete(t: list[int], later: list[tuple[int, list[int]]], size: int) -> tuple[int, ...] | None:
+    def complete(t: tuple[int, ...], later: list[tuple[int, tuple[int, ...]]], size: int) -> tuple[int, ...] | None:
         """Indices of the first `size` later lines spanning t with the prefix."""
         nonlocal tested
-        if size == 1:
-            neg = [-x for x in t]
-            hit = next((n for n, (_, v) in enumerate(later) if v == t or v == neg), None)
-            tested += len(later) if hit is None else hit + 1
+        if size == 2:
+            tested += len(later)
             if tested > cap:
                 raise BudgetExceeded(
-                    f"span search cap {cap} exceeded: {tested} candidate subsets tested "
+                    f"span search cap {cap} exceeded: {tested} candidate lines tested "
                     f"while searching subsets of size {k}"
                 )
-            return None if hit is None else (later[hit][0],)
+            p = next(c for c, x in enumerate(t) if x)
+            first: dict[tuple[int, ...], int] = {}
+            pairs = [(first.setdefault(_line_mod(v, t, p), i), i) for i, v in later]
+            return min(((j, i) for j, i in pairs if j != i), default=None)
         for pos in range(len(later) - size + 1):
             i, b = later[pos]
             p = next(c for c, x in enumerate(b) if x)
-            rest = [(j, w) for j, v in later[pos + 1 :] if (w := reduce_int(v, b, p)) is not None]
-            found = complete(reduce_int(t, b, p), rest, size - 1)
+            rest: dict[tuple[int, ...], int] = {}
+            for j, v in later[pos + 1 :]:
+                if (w := _line_mod(v, b, p)) is not None:
+                    rest.setdefault(w, j)
+            found = complete(_line_mod(t, b, p), [(j, w) for w, j in rest.items()], size - 1)
             if found is not None:
                 return (i,) + found
         return None
 
-    start = [(i, [int(x) for x in key]) for i, key in enumerate(keys)]
-    t = list(tkey)
+    start = [(i, tuple(map(int, key))) for i, key in enumerate(keys)]
     for k in range(2, max_k + 1):
-        found = complete(t, start, k)
+        found = complete(tkey, start, k)
         if found is not None:
             return k, tuple(lines[keys[i]] for i in found)
     raise AssertionError("projected root lines failed to span their own span")

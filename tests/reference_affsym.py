@@ -1,6 +1,7 @@
 """Window-notation helpers that only the tests use: windows from and to
-normal forms and elements, window composition, the dimensions e and d
-read off a window, and the basic null blocks built in full."""
+normal forms and elements, a window's value at any integer, window
+composition, the dimensions e and d read off a window, and the basic
+null blocks built in full."""
 
 from __future__ import annotations
 
@@ -14,11 +15,18 @@ def window_from_normal_form(lam, pi) -> Window:
     return Window(tuple(p + n * l for p, l in zip(pi, lam, strict=True)))
 
 
+def window_value(win: Window, i: int) -> int:
+    """The bijection at any integer i, extending the window by periodicity."""
+    n = win.n
+    i0 = (i - 1) % n + 1
+    return win.values[i0 - 1] + (i - i0)
+
+
 def compose_windows(a: Window, b: Window) -> Window:
     """(a o b)(i) = a(b(i))."""
     if a.n != b.n:
         raise ValueError("windows have different periods")
-    return Window(tuple(a.value(b.value(i)) for i in range(1, a.n + 1)))
+    return Window(tuple(window_value(a, window_value(b, i)) for i in range(1, a.n + 1)))
 
 
 def window_of_element(w: AffineElement) -> Window:

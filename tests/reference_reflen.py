@@ -1,0 +1,72 @@
+"""The d search as coxlen computed it before lines parallel modulo the
+prefix were skipped and the last two lines found in one pass: a
+depth-first walk that tests every independent later line against the
+residual target.  The tests compare reflen._min_span_subset with it."""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from coxlen.errors import BudgetExceeded
+from coxlen.linalg import Vec, int_line_rep, reduce_int, scaled_ints
+from coxlen.reflen import DEFAULT_SPAN_SEARCH_CAP
+
+
+def dfs_min_span_subset(
+    lines: dict[tuple[int, ...], Vec],
+    target: Sequence[int],
+    max_k: int,
+) -> tuple[int, tuple[Vec, ...]]:
+    """Smallest k and a witness set of k roots whose projected lines span
+    the nonzero integer target (a rational one is scaled to integers);
+    the caller guarantees solvability at max_k.
+
+    The witness is the lexicographically first linearly independent
+    k-subset of the sorted line keys whose span contains the target.  For
+    each k a depth-first walk over independent prefixes, in that order,
+    carries the target and the later lines reduced modulo the prefix, as
+    primitive integer vectors; a line reducing to zero is dependent on the
+    prefix and dropped.  A prefix of k - 1 lines leaves a residual target
+    r != 0 (a smaller subset would have spanned it), and a later line
+    completes a spanning k-subset exactly when its residual is parallel
+    to r.  DEFAULT_SPAN_SEARCH_CAP, read at each call, bounds the
+    candidate k-subsets tested that way, one per prefix of k - 1 lines and
+    independent later line, summed over all k; a search that needs more
+    raises BudgetExceeded.
+    """
+    cap = DEFAULT_SPAN_SEARCH_CAP
+    tkey = int_line_rep(scaled_ints(target))
+    if tkey in lines:
+        return 1, (lines[tkey],)
+    keys = sorted(lines)
+    tested = 0
+
+    def complete(t: list[int], later: list[tuple[int, list[int]]], size: int) -> tuple[int, ...] | None:
+        """Indices of the first `size` later lines spanning t with the prefix."""
+        nonlocal tested
+        if size == 1:
+            neg = [-x for x in t]
+            hit = next((n for n, (_, v) in enumerate(later) if v == t or v == neg), None)
+            tested += len(later) if hit is None else hit + 1
+            if tested > cap:
+                raise BudgetExceeded(
+                    f"span search cap {cap} exceeded: {tested} candidate subsets tested "
+                    f"while searching subsets of size {k}"
+                )
+            return None if hit is None else (later[hit][0],)
+        for pos in range(len(later) - size + 1):
+            i, b = later[pos]
+            p = next(c for c, x in enumerate(b) if x)
+            rest = [(j, w) for j, v in later[pos + 1 :] if (w := reduce_int(v, b, p)) is not None]
+            found = complete(reduce_int(t, b, p), rest, size - 1)
+            if found is not None:
+                return (i,) + found
+        return None
+
+    start = [(i, [int(x) for x in key]) for i, key in enumerate(keys)]
+    t = list(tkey)
+    for k in range(2, max_k + 1):
+        found = complete(t, start, k)
+        if found is not None:
+            return k, tuple(lines[keys[i]] for i in found)
+    raise AssertionError("projected root lines failed to span their own span")

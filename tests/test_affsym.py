@@ -41,6 +41,7 @@ from reference_affsym import (
     elliptic_dimension_window,
     window_from_normal_form,
     window_of_element,
+    window_value,
 )
 
 V0 = (-3, -2, -2, -1, 1, 2, 5)
@@ -86,8 +87,8 @@ def test_normal_form_and_roundtrip():
 def test_window_value_periodicity():
     win = Window((6, 0, 7, -1, 3))
     for i in range(-5, 12):
-        assert win.value(i + 5) == win.value(i) + 5
-    assert [win.value(i) for i in range(1, 6)] == [6, 0, 7, -1, 3]
+        assert window_value(win, i + 5) == window_value(win, i) + 5
+    assert [window_value(win, i) for i in range(1, 6)] == [6, 0, 7, -1, 3]
 
 
 def test_cycles_and_set_partition():

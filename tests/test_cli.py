@@ -196,6 +196,28 @@ def test_render_command_file(tmp_path, capsys):
     assert target.read_text().startswith("<?xml")
 
 
+def test_render_command_unwritable_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "b2.svg"
+    code, out, err = run(
+        capsys,
+        "render-svg", "--type", "B2", "--mode", "classes", "--radius", "1",
+        "--out", str(target),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("radius", ["2.5", "0.5"])
+def test_classes_radius_must_be_an_integer(capsys, radius):
+    code, out, err = run(capsys, "render-svg", "--type", "B2", "--mode", "classes",
+                         "--radius", radius, "--out", "-")
+    assert (code, out) == (2, "")
+    assert err == f"error: radius must be an integer in classes mode, got {radius}\n"
+    code, out, _ = run(capsys, "render-svg", "--type", "B2", "--mode", "classes",
+                       "--radius", "1.0", "--out", "-")
+    assert code == 0 and out.startswith("<?xml")
+
+
 def test_oracle_command(capsys):
     payload = run_json(
         capsys, "oracle", "--type", "B2", "--element", "lambda=(1,1)", "--json"
@@ -318,6 +340,23 @@ def test_budget_env_variable(capsys, monkeypatch):
         "--budget", "100000",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["split", "--type", "B2", "--element", "lambda=(2,0); word=s1"],
+    ["window", "--window", "[6,0,7,-1,3]"],
+], ids=lambda argv: argv[0])
+def test_negative_budget_is_bad_input(capsys, monkeypatch, argv):
+    code, out, err = run(capsys, *argv, "--budget", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --budget must be non-negative, got -1\n"
+    monkeypatch.setenv("COXLEN_BUDGET", "-1")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: COXLEN_BUDGET must be non-negative, got -1\n"
+    # a budget of 0 is valid: the search runs and trips it
+    monkeypatch.setenv("COXLEN_BUDGET", "0")
+    assert run(capsys, *argv)[0] == 4
 
 
 def test_budget_message_names_the_cap(capsys):
@@ -568,7 +607,7 @@ def test_negative_bound_is_bad_input(capsys, argv):
     assert (code, err) == (0, "")
 
 
-NEGATIVE_BOUND_FLAGS = ("--classify", "--level-bound", "--depth-bound")
+NEGATIVE_BOUND_FLAGS = ("--budget", "--classify", "--level-bound", "--depth-bound")
 
 
 def _negative_int(text: str) -> bool:

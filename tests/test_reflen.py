@@ -50,6 +50,7 @@ from coxlen.reflen import (
 )
 from coxlen.rootsys import root_system
 from reference_affsym import window_of_element
+from reference_reflen import dfs_min_span_subset
 from w0_matrices import w0_matrices
 
 A2 = root_system("A2")
@@ -272,13 +273,14 @@ def reference_min_span_subset(lines, target, max_k):
 
 
 SPAN_TYPES = ["A3", "B3", "C3", "D4", "G2", "F4"]
+WIDE_SPAN_TYPES = ["A5", "B5", "C5", "D5", "A6"]
 
 
 @st.composite
-def span_problems(draw):
+def span_problems(draw, types=SPAN_TYPES):
     """Projected root lines modulo the move space of a random W0 element,
     and a random nonzero target in their span."""
-    rs = root_system(draw(st.sampled_from(SPAN_TYPES)))
+    rs = root_system(draw(st.sampled_from(types)))
     word = draw(st.lists(st.integers(0, rs.rank - 1), max_size=2 * rs.rank))
     w = element_of(rs, [AffineReflection.make(rs.simple_roots[i], 0) for i in word])
     ubasis, upivots = rref(linear_move_space(w.linear))
@@ -295,6 +297,32 @@ def span_problems(draw):
 def test_span_search_matches_exhaustive_reference(problem):
     lines, target, max_k = problem
     assert _min_span_subset(lines, target, max_k) == reference_min_span_subset(lines, target, max_k)
+
+
+@given(span_problems(WIDE_SPAN_TYPES))
+@settings(max_examples=100, deadline=None)
+def test_span_search_matches_depth_first_reference(problem):
+    # beyond the exhaustive reference's reach: the search that tests every
+    # independent later line against the residual target, witnesses included
+    lines, target, max_k = problem
+    assert _min_span_subset(lines, target, max_k) == dfs_min_span_subset(lines, target, max_k)
+
+
+def test_span_search_skips_lines_parallel_modulo_the_prefix(monkeypatch):
+    # A3 lines in key order: e3-e4, e2-e3, e2-e4, e1-e2, e1-e3, e1-e4; the
+    # generic target needs three.  Size 2 reduces all six lines in one pass.
+    # Modulo the prefix e3-e4, e2-e4 is parallel to e2-e3 and e1-e4 to
+    # e1-e3, so the pass after that prefix reduces three lines, not five.
+    A3 = root_system("A3")
+    lines = _quotient_lines(A3, (), ())
+    target = vec([1, 2, 3, -6])
+    witness = (vec([0, 0, 1, -1]), vec([0, 1, -1, 0]), vec([1, -1, 0, 0]))
+    assert _min_span_subset(lines, target, 3) == dfs_min_span_subset(lines, target, 3) == (3, witness)
+    monkeypatch.setattr("coxlen.reflen.DEFAULT_SPAN_SEARCH_CAP", 9)
+    assert _min_span_subset(lines, target, 3) == (3, witness)
+    monkeypatch.setattr("coxlen.reflen.DEFAULT_SPAN_SEARCH_CAP", 8)
+    with pytest.raises(BudgetExceeded, match=r"cap 8\b.*\b9 candidate.*size 3"):
+        _min_span_subset(lines, target, 3)
 
 
 # Witness roots of translations by sum c_i * (i-th simple coroot), as the
@@ -326,12 +354,12 @@ def test_frozen_translation_witnesses(name, coeffs, d, witness):
 
 
 def test_span_search_cap(monkeypatch):
-    # (2, 4) in B2 needs two lines; one candidate pair is tested first
+    # (2, 4) in B2 needs two lines; one pass reduces all four lines first
     lines = _quotient_lines(B2, (), ())
     target = vec([2, 4])
     assert _min_span_subset(lines, target, 2)[0] == 2
     monkeypatch.setattr("coxlen.reflen.DEFAULT_SPAN_SEARCH_CAP", 0)
-    with pytest.raises(BudgetExceeded, match=r"cap 0\b.*\b1 candidate.*size 2"):
+    with pytest.raises(BudgetExceeded, match=r"cap 0\b.*\b4 candidate.*size 2"):
         _min_span_subset(lines, target, 2)
     # a single line is a lookup, not a tested subset
     assert _min_span_subset(lines, vec([1, 1]), 2)[0] == 1
@@ -341,11 +369,13 @@ def sum_i_coroots(rs):
     return translation_element(rs.from_lattice_coords(range(1, rs.rank + 1)))
 
 
-def test_reach_a7_matches_window_formula():
-    rs = root_system("A7")
+@pytest.mark.parametrize("name,expected", [("A7", 14), ("A8", 16)])
+def test_reach_matches_window_formula(name, expected):
+    # A8 under the default span search cap
+    rs = root_system(name)
     t = sum_i_coroots(rs)
     length = dimension_report(rs, t).length
-    assert length == reflection_length(window_of_element(t)) == 14
+    assert length == reflection_length(window_of_element(t)) == expected
 
 
 @pytest.mark.parametrize("name,length", [("B7", 8), ("D6", 8)])
