@@ -259,10 +259,6 @@ def is_elliptic(a: AffineElement) -> bool:
     return int_residual(basis, rref_pivots(basis), scaled_ints(a.translation)) is None
 
 
-def is_translation(a: AffineElement) -> bool:
-    return a.linear == identity_matrix(a.dim)
-
-
 def root_permutation(rs: RootSystem, linear: Mat) -> tuple[int, ...]:
     """The permutation of root indices (RootTables) that linear induces,
     perm[b] the index of linear(root b); ValueError if linear does not

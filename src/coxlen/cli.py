@@ -376,20 +376,21 @@ def cmd_genfun(args) -> int:
 def cmd_render(args) -> int:
     rs = root_system(args.type)
     if args.mode == "alcoves":
-        svg = render_alcoves(rs, args.radius)
+        render, radius = render_alcoves, args.radius
     elif args.radius.is_integer():
-        svg = render_classes(rs, int(args.radius))
+        render, radius = render_classes, int(args.radius)
     else:
         raise ParseError(f"radius must be an integer in classes mode, got {args.radius}")
     if args.out == "-":
-        sys.stdout.write(svg)
-    else:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(svg)
-        except OSError as ex:
-            raise ParseError(f"cannot write {args.out}: {ex.strerror}") from ex
-        print(f"wrote {args.out}")
+        sys.stdout.write(render(rs, radius))
+        return 0
+    # open --out before rendering, so that a bad path fails at once
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(render(rs, radius))
+    except OSError as ex:
+        raise ParseError(f"cannot write {args.out}: {ex.strerror}") from ex
+    print(f"wrote {args.out}")
     return 0
 
 

@@ -187,9 +187,9 @@ def int_line_rep(v: Sequence[int]) -> tuple[int, ...]:
     """line_rep of a nonzero integer vector, as a tuple of ints (it
     compares and hashes equal to line_rep's Fractions)."""
     g = gcd(*v)
-    if next(x for x in v if x) < 0:
+    if next(filter(None, v)) < 0:
         g = -g
-    return tuple(x // g for x in v)
+    return tuple(v) if g == 1 else tuple(x // g for x in v)
 
 
 def reduce_against(basis: Mat, pivots: tuple[int, ...], v: Vec) -> Vec:

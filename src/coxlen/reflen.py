@@ -35,6 +35,15 @@ searches the Hurwitz orbit for a factorisation whose leading reflection
 pairs project to equal reflections of W0, so that each pair multiplies
 to a translation.  That search moves (root index, level) pairs through
 the integer tables of RootSystem.tables.
+
+Every factorisation and split is checked in integers.  A group element
+is the pair that affgroup.require_group_element returns: the root
+permutation of its linear part and the simple-coroot coordinates of its
+translation.  RootTables.fold multiplies (root index, level) factors onto
+such a pair, one table lookup and one integer vector add per factor, and
+a check compares the pairs.  Fraction elements are built only for the
+outputs: the translation part of a split from its coordinates, its
+elliptic part from the linear part of w.
 """
 
 from __future__ import annotations
@@ -46,13 +55,12 @@ from typing import Literal, Sequence
 from .affgroup import (
     AffineElement,
     AffineReflection,
-    compose,
     identity_element,
     is_elliptic,
-    is_translation,
     linear_move_space,
     product,
     require_group_element,
+    translation_element,
 )
 from .errors import BudgetExceeded
 from .linalg import (
@@ -292,6 +300,11 @@ class ReflectionFactorization:
         return product(self.factors)
 
 
+def _reflections(rs: RootSystem, pairs) -> ReflectionFactorization:
+    """The factorisation with the given (root index, level) pairs, roots positive."""
+    return ReflectionFactorization(tuple(AffineReflection(rs.roots[a], k) for a, k in pairs))
+
+
 def factor_elliptic(rs: RootSystem, v: AffineElement) -> ReflectionFactorization:
     """Write an elliptic element as a product of e(v) reflections with
     linearly independent roots, all through a common fixed point x.
@@ -299,16 +312,16 @@ def factor_elliptic(rs: RootSystem, v: AffineElement) -> ReflectionFactorization
     An elliptic element has d = 0, so this is its minimum factorisation,
     peeled and checked as min_factorization does.
     """
-    perm, _ = require_group_element(rs, v)
+    perm, coords = require_group_element(rs, v)
     if not is_elliptic(v):
         raise ValueError("input is not elliptic")
-    return _min_factorization(rs, v, dimension_report(rs, v), perm)
+    return _reflections(rs, _min_factorization(rs, v, dimension_report(rs, v), perm, coords))
 
 
-def _peel_elliptic(rs: RootSystem, translation: Vec, perm: tuple[int, ...]) -> ReflectionFactorization:
+def _peel_elliptic(rs: RootSystem, translation: Vec, perm: tuple[int, ...]) -> list[tuple[int, int]]:
     """The reflections, through a common fixed point x, whose product is
     the elliptic group element with root permutation perm and translation
-    part translation; unchecked.
+    part translation, as (positive root index, level) pairs; unchecked.
 
     One pass over the positive roots in canonical order peels each root
     that lies in the current move space and whose hyperplane through x
@@ -327,14 +340,14 @@ def _peel_elliptic(rs: RootSystem, translation: Vec, perm: tuple[int, ...]) -> R
     form, unit = _fixed_point_levels(tables, perm, translation)
     mov = tables.move_space(perm)
     pivots = rref_pivots(mov)
-    factors: list[AffineReflection] = []
+    factors: list[tuple[int, int]] = []
     for a, (ints, pos) in enumerate(zip(tables.int_roots, tables.positive)):
         if not (pos and mov):
             continue
         level, rest = divmod(sum(ints[p] * c for p, c in form), unit)
         if rest or int_residual(mov, pivots, ints) is not None:
             continue
-        factors.append(AffineReflection(rs.roots[a], level))
+        factors.append((a, level))
         perm = tuple(tables.reflected[a][b] for b in perm)
         peeled = tables.move_space(perm)
         if len(peeled) != len(mov) - 1:
@@ -342,7 +355,7 @@ def _peel_elliptic(rs: RootSystem, translation: Vec, perm: tuple[int, ...]) -> R
         mov, pivots = peeled, rref_pivots(peeled)
     if mov:
         raise AssertionError("move space is not empty after the pass over the positive roots")
-    return ReflectionFactorization(tuple(factors))
+    return factors
 
 
 def _fixed_point_levels(
@@ -380,24 +393,30 @@ def min_factorization(rs: RootSystem, w: AffineElement) -> ReflectionFactorizati
     level-zero reflections in the d lifted roots to reach an elliptic
     element whose move-set is the witness subspace, factor that, then
     append the lifted reflections again in reverse."""
-    perm, _ = require_group_element(rs, w)
-    return _min_factorization(rs, w, dimension_report(rs, w), perm)
+    perm, coords = require_group_element(rs, w)
+    return _reflections(rs, _min_factorization(rs, w, dimension_report(rs, w), perm, coords))
 
 
-def _min_factorization(rs: RootSystem, w: AffineElement, rep: DimensionReport, perm) -> ReflectionFactorization:
-    """min_factorization of a group element w whose report is rep and
-    whose linear part has root permutation perm.  Level-zero lifts change
-    only the linear part, so w and the elliptic element peeled share their
-    translation part."""
-    lifts = [AffineReflection.make(alpha, 0) for alpha in rep.lift_roots]
-    for r in lifts:
-        # w s_a sends root b to w(s_a(b))
-        perm = tuple(perm[b] for b in rs.tables.reflected[rs.root_index[r.root]])
-    factors = _peel_elliptic(rs, w.translation, perm).factors + tuple(reversed(lifts))
-    out = ReflectionFactorization(factors)
-    if len(factors) != rep.length or out.product(w.dim) != w:
+def _min_factorization(
+    rs: RootSystem, w: AffineElement, rep: DimensionReport, perm: tuple[int, ...], coords: tuple[int, ...]
+) -> tuple[tuple[int, int], ...]:
+    """min_factorization of a group element w, as (root index, level)
+    pairs, given its report rep and its root permutation perm and
+    simple-coroot coordinates coords (require_group_element).  Level-zero
+    lifts change only the linear part, so w and the elliptic element
+    peeled share their translation part.
+
+    The check folds the pairs on the integer tables (RootTables.fold) and
+    compares the result with (perm, coords).  That pair determines w:
+    dimension_report found a root basis of Mov(A), so the linear part A
+    is the identity off the root span, and perm determines A on it.
+    """
+    lifts = [(rs.root_index[alpha], 0) for alpha in rep.lift_roots]
+    peeled, _ = rs.tables.fold(lifts, (perm, coords))
+    pairs = tuple(_peel_elliptic(rs, w.translation, peeled) + lifts[::-1])
+    if len(pairs) != rep.length or rs.tables.fold(pairs) != (perm, coords):
         raise AssertionError("minimum factorisation failed verification")
-    return out
+    return pairs
 
 
 HurwitzDirection = Literal["left", "right"]
@@ -473,15 +492,15 @@ def translation_elliptic_split(
     conjugates by table lookup (RootTables.conjugate), which is
     hurwitz_move on the corresponding reflections.
     """
-    perm, _ = require_group_element(rs, w)
+    perm, coords = require_group_element(rs, w)
     rep = dimension_report(rs, w)
     if rep.d == 0:
         t = identity_element(w.dim)
         rep_t = dimension_report(rs, t)
-        return TranslationEllipticSplit(t, w, rep_t, rep, _min_factorization(rs, w, rep, perm))
+        elliptic = _reflections(rs, _min_factorization(rs, w, rep, perm, coords))
+        return TranslationEllipticSplit(t, w, rep_t, rep, elliptic)
 
     conjugate = rs.tables.conjugate
-    index = rs.root_index
 
     def shared_pair_at(f: tuple[tuple[int, int], ...]) -> int | None:
         for i in range(len(f) - 1):
@@ -489,8 +508,8 @@ def translation_elliptic_split(
                 return i
         return None
 
-    pairs: list[AffineReflection] = []
-    current = tuple((index[r.root], r.level) for r in _min_factorization(rs, w, rep, perm).factors)
+    pairs: list[tuple[int, int]] = []
+    current = _min_factorization(rs, w, rep, perm, coords)
     visited = 0
     for rnd in range(1, rep.d + 1):
         found = None
@@ -525,26 +544,34 @@ def translation_elliptic_split(
             pos -= 1
         if f[0][0] != f[1][0]:
             raise AssertionError("bubbling a shared pair broke it")
-        pairs.extend(AffineReflection(rs.roots[a], j) for a, j in f[:2])
+        pairs.extend(f[:2])
         current = f[2:]
-    t = product(pairs)
-    suffix = [AffineReflection(rs.roots[a], j) for a, j in current]
-    u = product(suffix) if suffix else identity_element(w.dim)
-    rep_t, rep_u = _verify_split(rs, w, t, u, rep)
-    return TranslationEllipticSplit(t, u, rep_t, rep_u, _min_factorization(rs, u, rep_u, perm))
+    return _split_off(rs, w, rep, perm, coords, pairs, current)
 
 
-def _verify_split(rs, w, t, u, rep) -> tuple[DimensionReport, DimensionReport]:
-    """The reports of t and u, once t * u is checked to split w (so u has the linear part of w)."""
+def _split_off(rs, w, rep, perm, coords, pairs, suffix) -> TranslationEllipticSplit:
+    """w = t * u with t the product of the stripped pairs and u that of
+    the suffix, checked in integers: folded on RootTables, t must have
+    the identity root permutation, u that of w, and their simple-coroot
+    coordinates must add up to those of w, since t u = (A, mu_t + mu_u).
+    Then the dimension reports of t and u must give t length 2d and u
+    length e with d(u) = 0."""
+    tables = rs.tables
+    perm_t, coords_t = tables.fold(pairs)
+    perm_u, coords_u = tables.fold(suffix)
+    t = translation_element(rs.from_lattice_coords(coords_t))
+    u = AffineElement(w.linear, rs.from_lattice_coords(coords_u))
     rep_t = dimension_report(rs, t)
     rep_u = dimension_report(rs, u)
     ok = (
-        is_translation(t)
+        perm_t == tuple(range(len(perm)))
         and rep_u.d == 0
-        and compose(t, u) == w
+        and perm_u == perm
+        and tuple(x + y for x, y in zip(coords_t, coords_u)) == coords
         and rep_t.length == 2 * rep.d
         and rep_u.length == rep.e
     )
     if not ok:
         raise AssertionError("translation-elliptic split failed verification")
-    return rep_t, rep_u
+    elliptic = _reflections(rs, _min_factorization(rs, u, rep_u, perm, coords_u))
+    return TranslationEllipticSplit(t, u, rep_t, rep_u, elliptic)

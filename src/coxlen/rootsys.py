@@ -253,11 +253,15 @@ class RootTables:
     coordinates, 1 otherwise) are the integer vectors ``int_roots``.
     ``reflected[a][b]`` is the index of s_a(b), ``cartan[a][b]`` the
     integer <a^vee, b>, ``negated[a]`` the index of -a,
-    ``positive[a]`` whether a is lexicographically positive and
-    ``simple`` the indices of the simple roots, in their order.
+    ``positive[a]`` whether a is lexicographically positive,
+    ``simple`` the indices of the simple roots, in their order, and
+    ``coroot_coords[a]`` the simple-coroot coordinates of a^vee.
 
     An element u of W0 is the permutation ``perm`` of root indices with
     u(root b) = root perm[b]; s_a u is ``reflected[a]`` composed after it.
+    An affine Weyl group element (A, mu) is the pair (perm, coords) of
+    the root permutation of A and the simple-coroot coordinates of mu,
+    as affgroup.require_group_element returns it.
     """
 
     scale: int
@@ -268,6 +272,7 @@ class RootTables:
     negated: tuple[int, ...]
     positive: tuple[bool, ...]
     simple: tuple[int, ...]
+    coroot_coords: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def build(roots: Mat, simple_roots: Mat) -> RootTables:
@@ -283,6 +288,17 @@ class RootTables:
             reflected.append(
                 tuple(index[tuple(y - c * x for x, y in zip(a, b))] for c, b in zip(row, ints))
             )
+        simple = [index[tuple(int(x * scale) for x in a)] for a in simple_roots]
+        # s_i(b)^vee = b^vee - <b^vee, a_i> a_i^vee, and every root is
+        # reached from a simple one by simple reflections
+        coords = {a: tuple(int(i == j) for j in range(len(simple))) for i, a in enumerate(simple)}
+        queue = list(simple)
+        for b in queue:
+            for i, a in enumerate(simple):
+                c = reflected[a][b]
+                if c not in coords:
+                    coords[c] = tuple(x - cartan[b][a] * (i == j) for j, x in enumerate(coords[b]))
+                    queue.append(c)
         return RootTables(
             scale=scale,
             int_roots=ints,
@@ -291,7 +307,8 @@ class RootTables:
             cartan=tuple(cartan),
             negated=tuple(index[tuple(-x for x in r)] for r in ints),
             positive=tuple(r > zero for r in ints),
-            simple=tuple(index[tuple(int(x * scale) for x in a)] for a in simple_roots),
+            simple=tuple(simple),
+            coroot_coords=tuple(coords[b] for b in range(len(ints))),
         )
 
     def move_space(self, perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -303,6 +320,21 @@ class RootTables:
         return primitive_rref(
             tuple(x - y for x, y in zip(roots[perm[i]], roots[i])) for i in self.simple if perm[i] != i
         )
+
+    def fold(self, factors, start: tuple[tuple[int, ...], tuple[int, ...]] | None = None):
+        """The element (perm, coords) start, the identity by default, times
+        s_{a,k} for each (root index, level) pair (a, k) of factors in
+        turn: (A, mu) s_{a,k} = (A s_a, mu + k (A a)^vee), and A a is root
+        perm[a]."""
+        if start is None:
+            start = tuple(range(len(self.int_roots))), (0,) * len(self.simple)
+        perm, coords = start[0], list(start[1])
+        for a, k in factors:
+            if k:
+                for i, c in enumerate(self.coroot_coords[perm[a]]):
+                    coords[i] += k * c
+            perm = tuple(map(perm.__getitem__, self.reflected[a]))
+        return perm, tuple(coords)
 
     def conjugate(self, a: int, j: int, b: int, k: int) -> tuple[int, int]:
         """s_{a,j} r_{b,k} s_{a,j} = r_{s_a(b), k - j <a^vee, b>}, as a

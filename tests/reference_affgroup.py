@@ -1,6 +1,6 @@
 """Affine-group helpers that only the tests use: the affine move-set,
-the normal form relative to another origin, and conjugation by a
-general element, all on Fraction matrices."""
+the normal form relative to another origin, conjugation by a general
+element and the translation test, all on Fraction matrices."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from coxlen.affgroup import (
     linear_move_space,
     translation_element,
 )
-from coxlen.linalg import Vec, dot, mat_vec, vsub
+from coxlen.linalg import Vec, dot, identity_matrix, mat_vec, vsub
 
 
 def conjugated_by(r: AffineReflection, g: AffineElement) -> AffineReflection:
@@ -38,3 +38,7 @@ def rebased_normal_form(w: AffineElement, origin: Vec) -> tuple[Vec, AffineEleme
     mu = vsub(w.apply(origin), origin)
     u = compose(translation_element(tuple(-x for x in mu)), w)
     return mu, u
+
+
+def is_translation(a: AffineElement) -> bool:
+    return a.linear == identity_matrix(a.dim)

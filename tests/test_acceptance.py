@@ -20,7 +20,6 @@ from coxlen.affgroup import (
     identity_element,
     inverse,
     is_elliptic,
-    is_translation,
     linear_move_space,
     product,
     translation_element,
@@ -57,7 +56,7 @@ from coxlen.reflen import (
     translation_elliptic_split,
 )
 from coxlen.rootsys import root_system
-from reference_affgroup import move_set, rebased_normal_form
+from reference_affgroup import is_translation, move_set, rebased_normal_form
 from reference_affsym import basic_null_blocks, window_from_normal_form
 from reference_genfun import poly_s_plus
 from w0_matrices import w0_matrices

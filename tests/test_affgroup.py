@@ -17,7 +17,6 @@ from coxlen.affgroup import (
     identity_element,
     inverse,
     is_elliptic,
-    is_translation,
     linear_move_space,
     product,
     require_group_element,
@@ -36,7 +35,7 @@ from coxlen.linalg import (
     vsub,
 )
 from coxlen.rootsys import root_system
-from reference_affgroup import conjugated_by, move_set, rebased_normal_form
+from reference_affgroup import conjugated_by, is_translation, move_set, rebased_normal_form
 
 B2 = root_system("B2")
 G2 = root_system("G2")

@@ -207,6 +207,23 @@ def test_render_command_unwritable_path(tmp_path, capsys):
     assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("mode", ["alcoves", "classes"])
+def test_render_command_checks_the_path_before_rendering(tmp_path, capsys, monkeypatch, mode):
+    rendered = []
+    for name in ("render_alcoves", "render_classes"):
+        monkeypatch.setattr(coxlen.cli, name, lambda rs, radius: rendered.append(radius) or "<svg/>")
+    target = tmp_path / "missing" / "b2.svg"
+    code, out, err = run(capsys, "render-svg", "--type", "B2", "--mode", mode, "--radius", "1",
+                         "--out", str(target))
+    assert (code, out, rendered) == (2, "", [])
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    target = tmp_path / "b2.svg"
+    code, out, _ = run(capsys, "render-svg", "--type", "B2", "--mode", mode, "--radius", "1",
+                       "--out", str(target))
+    assert (code, out, rendered) == (0, f"wrote {target}\n", [1])
+    assert target.read_text() == "<svg/>"
+
+
 @pytest.mark.parametrize("radius", ["2.5", "0.5"])
 def test_classes_radius_must_be_an_integer(capsys, radius):
     code, out, err = run(capsys, "render-svg", "--type", "B2", "--mode", "classes",

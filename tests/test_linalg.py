@@ -10,6 +10,7 @@ from coxlen.linalg import (
     dot,
     in_span,
     identity_matrix,
+    int_line_rep,
     line_rep,
     mat_mul,
     mat_vec,
@@ -161,6 +162,15 @@ def test_matrix_vector_algebra(u, v):
 def test_line_rep_rejects_zero():
     with pytest.raises(ValueError):
         line_rep(vec([0, 0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*([st.integers(-6, 6)] * 4)).filter(any), st.sampled_from([1, -1, 2, -3]))
+def test_int_line_rep_is_line_rep(v, scale):
+    # gcd 1 with either leading sign, and scaled multiples
+    w = [scale * x for x in v]
+    assert int_line_rep(w) == line_rep(vec(w)) == int_line_rep(v)
+    assert all(type(x) is int for x in int_line_rep(w))
 
 
 int_rows = st.lists(st.tuples(*([st.integers(-5, 5)] * 4)), max_size=5)

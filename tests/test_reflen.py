@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import coxlen.reflen
 from coxlen.affgroup import (
     AffineElement,
     AffineReflection,
@@ -22,7 +23,6 @@ from coxlen.affgroup import (
     identity_element,
     inverse,
     is_elliptic,
-    is_translation,
     linear_move_space,
     product,
     require_group_element,
@@ -49,6 +49,7 @@ from coxlen.reflen import (
     zero_block_count,
 )
 from coxlen.rootsys import root_system
+from reference_affgroup import is_translation
 from reference_affsym import window_of_element
 from reference_reflen import dfs_min_span_subset
 from w0_matrices import w0_matrices
@@ -570,6 +571,91 @@ def test_require_group_element_returns_permutation_and_coordinates(typed):
     assert (perm, coords) == (root_permutation(rs, w.linear), rs.lattice_coords(w.translation))
     assert perm == tuple(rs.root_index[mat_vec(w.linear, r)] for r in rs.roots)
     assert rs.from_lattice_coords(coords) == w.translation
+
+
+@st.composite
+def reflection_pairs(draw):
+    """A root system of PEEL_TYPES and at most rank + 3 (positive root
+    index, level) pairs, levels in [-3, 3]."""
+    rs = root_system(draw(st.sampled_from(PEEL_TYPES)))
+    positive = [a for a, pos in enumerate(rs.tables.positive) if pos]
+    n = draw(st.integers(0, rs.rank + 3))
+    return rs, [(draw(st.sampled_from(positive)), draw(st.integers(-3, 3))) for _ in range(n)]
+
+
+@given(reflection_pairs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_integer_fold_matches_fraction_product(typed, data):
+    # G2 translations have thirds, F4 linear parts halves
+    rs, pairs = typed
+    w = element_of(rs, [AffineReflection(rs.roots[a], k) for a, k in pairs])
+    expected = (root_permutation(rs, w.linear), rs.lattice_coords(w.translation))
+    assert rs.tables.fold(pairs) == expected
+    cut = data.draw(st.integers(0, len(pairs)))
+    assert rs.tables.fold(pairs[cut:], rs.tables.fold(pairs[:cut])) == expected
+
+
+# mutations of a list of (root index, level) pairs
+def drop_last(rs, pairs):
+    return pairs[:-1]
+
+
+def shift_level(rs, pairs):
+    (a, k), *rest = pairs
+    return [(a, k + 1)] + rest
+
+
+def next_root(rs, pairs):
+    (a, k), *rest = pairs
+    positive = [b for b, pos in enumerate(rs.tables.positive) if pos]
+    return [(positive[(positive.index(a) + 1) % len(positive)], k)] + rest
+
+
+def append_rotation(rs, pairs):
+    # two level-zero reflections: the root permutation changes, the coordinates do not
+    a, b = [b for b, pos in enumerate(rs.tables.positive) if pos][:2]
+    return list(pairs) + [(a, 0), (b, 0)]
+
+
+# elements with a nonempty peel; the last two have d > 0
+MUTATION_ELEMENTS = [
+    ("B2", lambda: refl(B2, 1, 0).to_element()),
+    ("B2", rot90),
+    ("A2", lambda: refl(A2, 0, 1).to_element()),
+    ("B2", lambda: compose(refl(B2, 0, 0).to_element(), translation_element(vec([2, 0])))),
+    ("B2", lambda: translation_element(vec([2, 4]))),
+]
+
+
+@pytest.mark.parametrize("mutate", [drop_last, shift_level, next_root])
+@pytest.mark.parametrize("name,make", MUTATION_ELEMENTS)
+def test_a_wrong_peel_fails_verification(monkeypatch, name, make, mutate):
+    rs, w = root_system(name), make()
+    peel = coxlen.reflen._peel_elliptic
+    monkeypatch.setattr(coxlen.reflen, "_peel_elliptic", lambda rs, x, perm: mutate(rs, peel(rs, x, perm)))
+    with pytest.raises(AssertionError, match="failed verification"):
+        min_factorization(rs, w)
+    with pytest.raises(AssertionError, match="failed verification"):
+        translation_elliptic_split(rs, w)
+
+
+@pytest.mark.parametrize("mutate", [shift_level, next_root, append_rotation])
+@pytest.mark.parametrize("part", ["translation", "elliptic"])
+def test_a_wrong_split_fails_verification(monkeypatch, mutate, part):
+    # the glide splits into one stripped pair and a one-factor suffix
+    split_off = coxlen.reflen._split_off
+
+    def wrong(rs, w, rep, perm, coords, pairs, suffix):
+        if part == "translation":
+            pairs = mutate(rs, pairs)
+        else:
+            suffix = mutate(rs, suffix)
+        return split_off(rs, w, rep, perm, coords, pairs, suffix)
+
+    glide = compose(refl(B2, 0, 0).to_element(), translation_element(vec([2, 0])))
+    monkeypatch.setattr(coxlen.reflen, "_split_off", wrong)
+    with pytest.raises(AssertionError, match="split failed verification"):
+        translation_elliptic_split(B2, glide)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "G2", "F4"])

@@ -200,6 +200,7 @@ def test_root_tables_match_fraction_geometry(name):
         for j, b in enumerate(rs.roots):
             assert rs.roots[tables.reflected[i][j]] == reflect(a, b)
             assert tables.cartan[i][j] == dot(coroot(a), b)
+        assert tables.coroot_coords[i] == rs.lattice_coords(coroot(a))
 
 
 LATTICE_TYPES = (
