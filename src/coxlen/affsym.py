@@ -140,87 +140,85 @@ def l_map(partition: SetPartition, v) -> tuple:
     return tuple(sum(v[i - 1] for i in b) for b in partition.blocks)
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Positive and negative support subsets bucketed by weight."""
-
-    x_set: frozenset[int]
-    y_set: frozenset[int]
-    z_set: frozenset[int]
-    positive_weight: int
-    pos: tuple[frozenset[frozenset[int]], ...]  # index w-1 holds weight-w subsets of X
-    neg: tuple[frozenset[frozenset[int]], ...]
-
-    def pos_at(self, weight: int) -> frozenset[frozenset[int]]:
-        return self.pos[weight - 1] if 1 <= weight <= len(self.pos) else frozenset()
-
-    def neg_at(self, weight: int) -> frozenset[frozenset[int]]:
-        return self.neg[weight - 1] if 1 <= weight <= len(self.neg) else frozenset()
-
-
-def profiles(v) -> Profile:
+def _sides(v):
+    """The (position, |entry|) pairs of the positive and of the negative
+    entries of the zero-sum v, at most DEFAULT_PROFILE_SIZE_CAP of each
+    sign, and for each sign the number of its nonempty subsets of each
+    weight, by a subset-sum count over the distinct partial sums."""
     if sum(v) != 0:
         raise ValueError("profiles need a zero-sum vector")
-    n = len(v)
-    xs = [i for i in range(1, n + 1) if v[i - 1] > 0]
-    ys = [i for i in range(1, n + 1) if v[i - 1] < 0]
-    zs = [i for i in range(1, n + 1) if v[i - 1] == 0]
+    xs = [(i, x) for i, x in enumerate(v, 1) if x > 0]
+    ys = [(i, -x) for i, x in enumerate(v, 1) if x < 0]
     if max(len(xs), len(ys)) > DEFAULT_PROFILE_SIZE_CAP:
         raise BudgetExceeded(f"profile enumeration allows DEFAULT_PROFILE_SIZE_CAP = {DEFAULT_PROFILE_SIZE_CAP} "
                              f"entries of each sign; the vector has {len(xs)} positive and {len(ys)} negative")
-    vx = sum(v[i - 1] for i in xs)
-
-    def buckets(idx, sign):
-        out: list[set[frozenset[int]]] = [set() for _ in range(vx)]
-        for k in range(1, len(idx) + 1):
-            for c in combinations(idx, k):
-                w = sign * sum(v[i - 1] for i in c)
-                if 1 <= w <= vx:
-                    out[w - 1].add(frozenset(c))
-        return tuple(frozenset(s) for s in out)
-
-    return Profile(
-        x_set=frozenset(xs),
-        y_set=frozenset(ys),
-        z_set=frozenset(zs),
-        positive_weight=vx,
-        pos=buckets(xs, 1),
-        neg=buckets(ys, -1),
-    )
+    counts = []
+    for side in (xs, ys):
+        count = {0: 1}
+        for _, x in side:
+            for w, c in list(count.items()):
+                count[w + x] = count.get(w + x, 0) + c
+        del count[0]
+        counts.append(count)
+    return xs, ys, *counts
 
 
-def _basic_blocks_at(p: Profile, weight: int) -> list[frozenset[int]]:
-    """The positive parts of this weight joined with the negative ones:
-    the parts lie in the disjoint X and Y, so the unions are distinct."""
-    return [a | b for a in p.pos_at(weight) for b in p.neg_at(weight)]
+def _parts_of_weight(side, weight: int):
+    """The position sets of the side's subsets of this weight, depth
+    first; a branch ends once the entries left cannot reach the weight."""
+    left = [sum(x for _, x in side[k:]) for k in range(len(side) + 1)]
+    chosen: list[int] = []
+
+    def walk(k: int, rest: int):
+        if rest == 0:
+            yield frozenset(chosen)
+        elif left[k] >= rest:
+            i, x = side[k]
+            if x <= rest:
+                chosen.append(i)
+                yield from walk(k + 1, rest - x)
+                chosen.pop()
+            yield from walk(k + 1, rest)
+
+    return walk(0, weight)
 
 
 def proper_basic_null_block_count(v) -> int:
     """Basic null blocks of weight strictly below the full positive
-    weight (the top weight always contributes the whole support),
-    counted as |pos_w| * |neg_w| without building them."""
-    p = profiles(v)
-    return sum(len(p.pos_at(w)) * len(p.neg_at(w)) for w in range(1, p.positive_weight))
+    weight (the top weight always contributes the whole support): a
+    positive part and a negative part of each weight, counted as the
+    product of the two sides' subset counts without building them."""
+    _, _, pos, neg = _sides(v)
+    top = max(pos, default=0)
+    return sum(c * neg.get(w, 0) for w, c in pos.items() if w < top)
 
 
 def minimal_null_blocks(v, cap: int | None = None) -> tuple[frozenset[int], ...]:
-    """Left-to-right sweep over the weight-indexed basic blocks, each
-    weight built when the sweep reaches it: blocks of the first nonempty
-    weight are minimal, supersets of confirmed minimal blocks are
-    deleted from later weights, and every zero entry contributes a
-    singleton.  Raises BudgetExceeded as soon as there are more than cap."""
-    p = profiles(v)
+    """Sweep over the weights that both signs reach, in increasing order,
+    joining each positive part with each negative part of the weight (the
+    parts lie in disjoint positions, so the unions are distinct): blocks
+    of the first such weight are minimal, supersets of confirmed minimal
+    blocks are skipped at later weights, and every zero entry contributes
+    a singleton.  No block lies inside another of its own weight, so the
+    order within a weight does not matter, and each weight's parts are
+    built only when the sweep reaches it, the side with fewer of them in
+    full.  Raises BudgetExceeded as soon as there are more than cap."""
+    xs, ys, pos, neg = _sides(v)
     singles = [frozenset([i + 1]) for i, x in enumerate(v) if x == 0]
     confirmed: list[frozenset[int]] = []
-    for w in range(1, p.positive_weight + 1):
-        for b in sorted(_basic_blocks_at(p, w), key=sorted):
-            if not any(c < b for c in confirmed):
-                confirmed.append(b)
-                if cap is not None and len(confirmed) + len(singles) > cap:
-                    raise BudgetExceeded(
-                        f"{len(confirmed) + len(singles)} minimal null blocks exceed the vertex cap {cap} "
-                        f"by weight {w} of {p.positive_weight}"
-                    )
+    for w in sorted(pos.keys() & neg.keys()):
+        few, many = (xs, ys) if pos[w] <= neg[w] else (ys, xs)
+        held = list(_parts_of_weight(few, w))
+        for a in _parts_of_weight(many, w):
+            for b in held:
+                block = a | b
+                if not any(c < block for c in confirmed):
+                    confirmed.append(block)
+                    if cap is not None and len(confirmed) + len(singles) > cap:
+                        raise BudgetExceeded(
+                            f"{len(confirmed) + len(singles)} minimal null blocks exceed the vertex cap {cap} "
+                            f"by weight {w} of {max(pos)}"
+                        )
     return tuple(sorted(confirmed + singles, key=sorted))
 
 

@@ -10,20 +10,27 @@ squares), and exactness is non-negotiable here.
 B2 and C2 are deliberately distinct objects: their hyperplanes agree but
 their coroot lattices, hence their translation subgroups, do not.
 
-Roots are plain tuples of Fractions, kept in sorted order so every scan
-over a root system is deterministic.
+build_root_system walks the closure of the simple roots under the simple
+reflections once, in integer coordinates: the roots times ``scale``, 2
+for F4 (whose roots have half-integer coordinates) and 1 otherwise.  The
+walk remembers how it reached each root, and the rest is read off it:
+the roots in sorted order, turned into tuples of Fractions once for
+RootSystem.roots so every scan is deterministic; the RootTables rows, by
+conjugating a parent's row with a simple reflection; the heights that
+pick the highest root; and the coroot lattice, from the integer Cartan
+matrix.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import lcm
 
 from .errors import ParseError, UnsupportedTypeError
-from .linalg import Mat, Vec, dot, primitive_rref, rref, scale_to_ints, smul, vec
+from .linalg import Mat, Vec, dot, primitive_rref, scale_to_ints, smul, vec
 
 MAX_RANK = 8
 
@@ -124,6 +131,10 @@ class RootSystem:
     simple_roots: Mat
     exponents: tuple[int, ...]
     w0_size: int
+    # read off the closure that built the roots; not part of the identity
+    tables: RootTables = field(compare=False, repr=False)
+    highest_root: Vec = field(compare=False, repr=False)
+    coroot_lattice: CorootLattice = field(compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -151,56 +162,6 @@ class RootSystem:
     @cached_property
     def root_index(self) -> dict[Vec, int]:
         return {r: i for i, r in enumerate(self.roots)}
-
-    @cached_property
-    def tables(self) -> RootTables:
-        """Integer root-index tables, built on first use."""
-        return RootTables.build(self.roots, self.simple_roots)
-
-    @cached_property
-    def highest_root(self) -> Vec:
-        """The first root, in root order, of maximal height (sum of
-        simple-root coordinates), walking s_i(b) = b - <a_i^vee, b> a_i
-        from the simple roots.  The lexicographic and simple-system sign
-        conventions disagree for G2, so this scans all roots.
-        """
-        t = self.tables
-        height = dict.fromkeys(t.simple, 1)
-        queue = list(t.simple)
-        for b in queue:
-            for i in t.simple:
-                c = t.reflected[i][b]
-                if c not in height:
-                    height[c] = height[b] - t.cartan[i][b]
-                    queue.append(c)
-        return self.roots[max(range(len(self.roots)), key=height.__getitem__)]
-
-    @cached_property
-    def coroot_lattice(self) -> CorootLattice:
-        """The coroot lattice Q^vee, whose Z-basis is the simple coroots.
-
-        v lies in Q^vee exactly when its coordinates c_i = <v, w_i>
-        against the fundamental weights w_i (<w_i, a_j^vee> = delta_ij)
-        are integers and sum c_i a_i^vee = v; the second test rejects
-        vectors off the root span in types A and G2.  The weights are
-        found in the root span by one Gauss-Jordan elimination of [P | I],
-        P_ij = <a_i, a_j^vee>: it leaves [I | P^-1], and
-        w_i = sum_k (P^-1)_ik a_k.  The weights and the simple coroots
-        are then scaled to integers by one common denominator, so
-        lattice_coords runs in integers.
-        """
-        simple = self.simple_roots
-        coroots = tuple(coroot(a) for a in simple)
-        n = len(simple)
-        reduced, _ = rref(
-            [[dot(a, b) for b in coroots] + [int(i == j) for j in range(n)] for i, a in enumerate(simple)]
-        )
-        weights = [
-            [sum(x * a[j] for x, a in zip(row[n:], simple)) for j in range(self.ambient_dim)]
-            for row in reduced
-        ]
-        den, ints = scale_to_ints(weights + list(coroots))
-        return CorootLattice(coroots, den, tuple(map(tuple, ints[:n])), tuple(map(tuple, ints[n:])))
 
     def in_coroot_lattice(self, v: Vec) -> bool:
         return self.lattice_coords(v) is not None
@@ -274,43 +235,6 @@ class RootTables:
     simple: tuple[int, ...]
     coroot_coords: tuple[tuple[int, ...], ...]
 
-    @staticmethod
-    def build(roots: Mat, simple_roots: Mat) -> RootTables:
-        scale = lcm(*(x.denominator for r in roots for x in r))
-        ints = tuple(tuple(int(x * scale) for x in r) for r in roots)
-        index = {r: i for i, r in enumerate(ints)}
-        zero = (0,) * len(ints[0])
-        reflected, cartan = [], []
-        for a in ints:
-            norm = sum(x * x for x in a)
-            row = [2 * sum(x * y for x, y in zip(a, b)) // norm for b in ints]
-            cartan.append(tuple(row))
-            reflected.append(
-                tuple(index[tuple(y - c * x for x, y in zip(a, b))] for c, b in zip(row, ints))
-            )
-        simple = [index[tuple(int(x * scale) for x in a)] for a in simple_roots]
-        # s_i(b)^vee = b^vee - <b^vee, a_i> a_i^vee, and every root is
-        # reached from a simple one by simple reflections
-        coords = {a: tuple(int(i == j) for j in range(len(simple))) for i, a in enumerate(simple)}
-        queue = list(simple)
-        for b in queue:
-            for i, a in enumerate(simple):
-                c = reflected[a][b]
-                if c not in coords:
-                    coords[c] = tuple(x - cartan[b][a] * (i == j) for j, x in enumerate(coords[b]))
-                    queue.append(c)
-        return RootTables(
-            scale=scale,
-            int_roots=ints,
-            int_index=index,
-            reflected=tuple(reflected),
-            cartan=tuple(cartan),
-            negated=tuple(index[tuple(-x for x in r)] for r in ints),
-            positive=tuple(r > zero for r in ints),
-            simple=tuple(simple),
-            coroot_coords=tuple(coords[b] for b in range(len(ints))),
-        )
-
     def move_space(self, perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """Im(u - I) for the W0 element with root permutation perm, as the
         primitive_rref rows that affgroup.linear_move_space gives for its
@@ -348,24 +272,68 @@ class RootTables:
 
 @lru_cache(maxsize=None)
 def build_root_system(spec: RootSystemSpec) -> RootSystem:
-    """Close the simple roots under simple reflections.
+    """Close the simple roots under simple reflections, in integers.
 
     Every root of an irreducible crystallographic system is conjugate to
     a simple root under these reflections, so the closure is all of Phi;
-    the counts are pinned in the tests.
+    the counts are pinned in the tests.  Each root c = s_i(b) first
+    reached from b gives, with s_c = s_i s_b s_i and c^vee = s_i(b^vee):
+    reflected[c] = s_i o reflected[b] o s_i, cartan[c][x] =
+    cartan[b][s_i(x)], coroot coordinates those of b less
+    <b^vee, a_i> at i, and height that of b less <a_i^vee, b>.
     """
     simples = _simple_roots(spec)
-    seen: set[Vec] = set(simples) | {tuple(-x for x in s) for s in simples}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for s in simples:
-                img = reflect(s, r)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
+    scale = lcm(*(x.denominator for a in simples for x in a))
+    ints = [tuple(int(x * scale) for x in a) for a in simples]
+    norms = [sum(x * x for x in a) for a in ints]
+    rank = len(ints)
+    # pairing[b][i] = <a_i^vee, b>, images[b][i] = s_i(b), and each root c
+    # other than a_i was first reached as s_i(b) with parent[c] = (b, i)
+    pairing, images, parent = {}, {}, {a: (None, i) for i, a in enumerate(ints)}
+    walk = list(ints)
+    for b in walk:
+        pairing[b] = row = [2 * sum(x * y for x, y in zip(a, b)) // m for a, m in zip(ints, norms)]
+        images[b] = imgs = [tuple(y - c * x for x, y in zip(a, b)) if c else b for a, c in zip(ints, row)]
+        for i, c in enumerate(imgs):
+            if c not in parent:
+                parent[c] = b, i
+                walk.append(c)
+
+    int_roots = tuple(sorted(walk))
+    index = {r: k for k, r in enumerate(int_roots)}
+    simple = tuple(index[a] for a in ints)
+    sigma = [tuple(index[images[r][i]] for r in int_roots) for i in range(rank)]
+    n = len(int_roots)
+    reflected, cartan, coords, height = [None] * n, [None] * n, [None] * n, [1] * n
+    for r in walk:
+        k = index[r]
+        b, i = parent[r]
+        if b is None:
+            reflected[k] = sigma[i]
+            cartan[k] = tuple(pairing[x][i] for x in int_roots)
+            coords[k] = tuple(int(i == j) for j in range(rank))
+            continue
+        kb, s = index[b], sigma[i]
+        reflected[k] = tuple(map(s.__getitem__, map(reflected[kb].__getitem__, s)))
+        cartan[k] = tuple(map(cartan[kb].__getitem__, s))
+        c = cartan[kb][simple[i]]
+        coords[k] = tuple(x - c if j == i else x for j, x in enumerate(coords[kb]))
+        height[k] = height[kb] - pairing[b][i]
+    zero = (0,) * len(ints[0])
+    tables = RootTables(
+        scale=scale,
+        int_roots=int_roots,
+        int_index=index,
+        reflected=tuple(reflected),
+        cartan=tuple(cartan),
+        negated=tuple(index[tuple(-x for x in r)] for r in int_roots),
+        positive=tuple(r > zero for r in int_roots),
+        simple=simple,
+        coroot_coords=tuple(coords),
+    )
+    fraction = {x: Q(x, scale) for x in {x for r in int_roots for x in r}}
+    roots = tuple(tuple(map(fraction.__getitem__, r)) for r in int_roots)
+
     exps = _exponents(spec.family, spec.rank)
     order = 1
     for ex in exps:
@@ -373,11 +341,41 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
     return RootSystem(
         spec=spec,
         ambient_dim=len(simples[0]),
-        roots=tuple(sorted(seen)),
+        roots=roots,
         simple_roots=tuple(simples),
         exponents=exps,
         w0_size=order,
+        tables=tables,
+        # the first root, in root order, of maximal height; lexicographic and
+        # simple-system positivity disagree for G2, so every root is scanned
+        highest_root=roots[max(range(n), key=height.__getitem__)],
+        coroot_lattice=_coroot_lattice(ints, norms, [pairing[a] for a in ints], scale),
     )
+
+
+def _coroot_lattice(ints, norms, cartan, scale: int) -> CorootLattice:
+    """The coroot lattice Q^vee, whose Z-basis is the simple coroots.
+
+    v lies in Q^vee exactly when its coordinates c_i = <v, w_i> against
+    the fundamental weights w_i (<w_i, a_j^vee> = delta_ij) are integers
+    and sum c_i a_i^vee = v; the second test rejects vectors off the root
+    span in types A and G2.  The weights lie in the root span:
+    w_i = sum_k (P^-1)_ik a_k for the Cartan matrix P_ij = <a_i, a_j^vee>
+    = cartan[i][j].  The fraction-free elimination of [P | I] leaves rows
+    [p_i e_i | M_i] with P^-1 = M / p row by row; the simple roots are
+    ints / scale, and a_i^vee = 2 scale ints_i / norms_i.  The weights and
+    the simple coroots are then scaled to integers by one common
+    denominator, so lattice_coords runs in integers.
+    """
+    n = len(ints)
+    rows = primitive_rref([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(cartan))
+    weights = [
+        [Q(sum(m * a[j] for m, a in zip(row[n:], ints)), row[i] * scale) for j in range(len(ints[0]))]
+        for i, row in enumerate(rows)
+    ]
+    coroots = tuple(tuple(Q(2 * scale * x, m) for x in a) for a, m in zip(ints, norms))
+    den, scaled = scale_to_ints(weights + list(coroots))
+    return CorootLattice(coroots, den, tuple(map(tuple, scaled[:n])), tuple(map(tuple, scaled[n:])))
 
 
 def root_system(text: str) -> RootSystem:

@@ -1,12 +1,17 @@
 """Window-notation helpers that only the tests use: windows from and to
 normal forms and elements, a window's value at any integer, window
-composition, the dimensions e and d read off a window, and the basic
-null blocks built in full."""
+composition, the dimensions e and d read off a window, and the profiles,
+basic null blocks and minimal null blocks built from every signed subset
+up front."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import combinations
+
 from coxlen.affgroup import AffineElement
-from coxlen.affsym import Window, _basic_blocks_at, cycles, profiles, relative_nullity
+from coxlen.affsym import DEFAULT_PROFILE_SIZE_CAP, Window, cycles, relative_nullity
+from coxlen.errors import BudgetExceeded
 from coxlen.linalg import mat_vec, transpose
 
 
@@ -38,6 +43,61 @@ def window_of_element(w: AffineElement) -> Window:
     return window_from_normal_form(tuple(int(x) for x in lam), pi)
 
 
+@dataclass(frozen=True)
+class Profile:
+    """Positive and negative support subsets bucketed by weight."""
+
+    x_set: frozenset[int]
+    y_set: frozenset[int]
+    z_set: frozenset[int]
+    positive_weight: int
+    pos: tuple[frozenset[frozenset[int]], ...]  # index w-1 holds weight-w subsets of X
+    neg: tuple[frozenset[frozenset[int]], ...]
+
+    def pos_at(self, weight: int) -> frozenset[frozenset[int]]:
+        return self.pos[weight - 1] if 1 <= weight <= len(self.pos) else frozenset()
+
+    def neg_at(self, weight: int) -> frozenset[frozenset[int]]:
+        return self.neg[weight - 1] if 1 <= weight <= len(self.neg) else frozenset()
+
+
+def profiles(v) -> Profile:
+    if sum(v) != 0:
+        raise ValueError("profiles need a zero-sum vector")
+    n = len(v)
+    xs = [i for i in range(1, n + 1) if v[i - 1] > 0]
+    ys = [i for i in range(1, n + 1) if v[i - 1] < 0]
+    zs = [i for i in range(1, n + 1) if v[i - 1] == 0]
+    if max(len(xs), len(ys)) > DEFAULT_PROFILE_SIZE_CAP:
+        raise BudgetExceeded(f"profile enumeration allows DEFAULT_PROFILE_SIZE_CAP = {DEFAULT_PROFILE_SIZE_CAP} "
+                             f"entries of each sign; the vector has {len(xs)} positive and {len(ys)} negative")
+    vx = sum(v[i - 1] for i in xs)
+
+    def buckets(idx, sign):
+        out: list[set[frozenset[int]]] = [set() for _ in range(vx)]
+        for k in range(1, len(idx) + 1):
+            for c in combinations(idx, k):
+                w = sign * sum(v[i - 1] for i in c)
+                if 1 <= w <= vx:
+                    out[w - 1].add(frozenset(c))
+        return tuple(frozenset(s) for s in out)
+
+    return Profile(
+        x_set=frozenset(xs),
+        y_set=frozenset(ys),
+        z_set=frozenset(zs),
+        positive_weight=vx,
+        pos=buckets(xs, 1),
+        neg=buckets(ys, -1),
+    )
+
+
+def _basic_blocks_at(p: Profile, weight: int) -> list[frozenset[int]]:
+    """The positive parts of this weight joined with the negative ones:
+    the parts lie in the disjoint X and Y, so the unions are distinct."""
+    return [a | b for a in p.pos_at(weight) for b in p.neg_at(weight)]
+
+
 def basic_null_blocks(v) -> tuple[frozenset[frozenset[int]], ...]:
     """Weight-indexed dot product of the profiles: every zero-sum block
     avoiding the zero entries arises once as a positive part joined with
@@ -54,3 +114,24 @@ def elliptic_dimension_window(win: Window) -> int:
 def differential_dimension_window(win: Window) -> int:
     lam, pi = win.normal_form()
     return len(cycles(pi)) - relative_nullity(lam, pi)
+
+
+def reference_minimal_null_blocks(v, cap: int | None = None) -> tuple[frozenset[int], ...]:
+    """Left-to-right sweep over the weight-indexed basic blocks, each
+    weight built when the sweep reaches it: blocks of the first nonempty
+    weight are minimal, supersets of confirmed minimal blocks are
+    deleted from later weights, and every zero entry contributes a
+    singleton.  Raises BudgetExceeded as soon as there are more than cap."""
+    p = profiles(v)
+    singles = [frozenset([i + 1]) for i, x in enumerate(v) if x == 0]
+    confirmed: list[frozenset[int]] = []
+    for w in range(1, p.positive_weight + 1):
+        for b in sorted(_basic_blocks_at(p, w), key=sorted):
+            if not any(c < b for c in confirmed):
+                confirmed.append(b)
+                if cap is not None and len(confirmed) + len(singles) > cap:
+                    raise BudgetExceeded(
+                        f"{len(confirmed) + len(singles)} minimal null blocks exceed the vertex cap {cap} "
+                        f"by weight {w} of {p.positive_weight}"
+                    )
+    return tuple(sorted(confirmed + singles, key=sorted))

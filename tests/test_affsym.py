@@ -7,6 +7,7 @@ the three maximal null partitions below all follow from the definitions
 by direct enumeration.
 """
 
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -25,7 +26,6 @@ from coxlen.affsym import (
     minimal_null_blocks,
     null_complex,
     nullity,
-    profiles,
     proper_basic_null_block_count,
     reflection_length,
     relative_nullity,
@@ -40,6 +40,8 @@ from reference_affsym import (
     compose_windows,
     differential_dimension_window,
     elliptic_dimension_window,
+    profiles,
+    reference_minimal_null_blocks,
     window_from_normal_form,
     window_of_element,
     window_value,
@@ -229,6 +231,11 @@ def test_profile_size_cap():
     v = tuple([1] * 23 + [-23])
     with pytest.raises(BudgetExceeded):
         profiles(v)
+    for f in (minimal_null_blocks, proper_basic_null_block_count):
+        with pytest.raises(BudgetExceeded, match="DEFAULT_PROFILE_SIZE_CAP = 22"):
+            f(v)
+        with pytest.raises(BudgetExceeded):
+            f(tuple(-x for x in v))
 
 
 def test_reflection_length_frozen_windows():
@@ -315,3 +322,20 @@ def test_minimal_null_block_cap_raises_as_soon_as_it_is_exceeded():
         minimal_null_blocks(v, cap=len(blocks) - 1)
     with pytest.raises(BudgetExceeded, match="^2 minimal null blocks exceed the vertex cap 1 by weight 1 of 10$"):
         null_complex(v, vertex_cap=1)
+
+
+@given(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=11).map(lambda xs: tuple(xs) + (-sum(xs),)),
+    st.sampled_from([None, 1, 3, 8]),
+)
+@settings(max_examples=200, deadline=None)
+def test_lazy_sweep_matches_the_sweep_over_full_profiles(v, cap):
+    # the same blocks, or the same BudgetExceeded message, as the sweep
+    # that builds every signed subset first and sorts each weight
+    try:
+        expected = reference_minimal_null_blocks(v, cap)
+    except BudgetExceeded as ex:
+        with pytest.raises(BudgetExceeded, match=f"^{re.escape(str(ex))}$"):
+            minimal_null_blocks(v, cap)
+    else:
+        assert minimal_null_blocks(v, cap) == expected

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -304,6 +305,20 @@ def test_vertex_cap_trips_before_the_basic_blocks_are_built(capsys, top):
     assert "minimal null blocks exceed the vertex cap 64 by weight" in err
 
 
+@pytest.mark.parametrize("vector,code", [("(" + "1," * 22 + "-22)", 0), ("(" + "1,-1," * 21 + "1,-1)", 4)])
+def test_nullity_stays_small_at_the_profile_cap(capsys, vector, code):
+    # 22 entries of each sign: (1 x 22, -22) answers and (1, -1) x 22
+    # trips the vertex cap, neither building 2^22 signed subsets
+    tracemalloc.start()
+    try:
+        got, _, err = run(capsys, "nullity", "--vector", vector, "--json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == code, err
+    assert peak < 50 * 2**20
+
+
 def test_oracle_state_cap_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(coxlen.oracle, "DEFAULT_ORACLE_STATE_CAP", 1000)
     code, _, err = run(capsys, "oracle", "--type", "B3", "--element", "lambda=(3,2,1)")
@@ -469,6 +484,10 @@ FROZEN_OUTPUTS = [
      '{"vector": [1, 0, -1, 1, -1], "minimal_null_blocks": [[1, 3], [1, 5], [2], [3, 4], [4, 5]], "proper_basic_null_blocks": 4, "complex_vertices": 5, "complex_edges": 6, "maximal_cliques": [[[1, 3], [2], [4, 5]], [[1, 5], [2], [3, 4]]], "nullity": 3}'),
     (['nullity', '--vector', '(2,3,-2,-1,1,4,-7)'],
      '{"vector": [2, 3, -2, -1, 1, 4, -7], "minimal_null_blocks": [[1, 3], [1, 5, 6, 7], [2, 3, 4], [2, 6, 7], [4, 5]], "proper_basic_null_blocks": 8, "complex_vertices": 5, "complex_edges": 4, "maximal_cliques": [[[1, 5, 6, 7], [2, 3, 4]], [[1, 3], [2, 6, 7], [4, 5]]], "nullity": 3}'),
+    # 22 entries of one sign, the profile cap, recorded when each weight's
+    # parts were first built only as the sweep reached it
+    (['nullity', '--vector', '(' + '1,' * 22 + '-22)'],
+     '{"vector": [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, -22], "minimal_null_blocks": [[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23]], "proper_basic_null_blocks": 0, "complex_vertices": 1, "complex_edges": 0, "maximal_cliques": [[[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23]]], "nullity": 1}'),
 ]
 
 

@@ -11,10 +11,13 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coxlen.linalg
+import coxlen.rootsys
 from coxlen.errors import ParseError, UnsupportedTypeError
 from coxlen.linalg import dot, solve_combination, vec
 from coxlen.rootsys import (
     RootSystemSpec,
+    build_root_system,
     coroot,
     parse_type_spec,
     reflect,
@@ -22,6 +25,8 @@ from coxlen.rootsys import (
 )
 from reference_lattice import RationalLattice
 from reference_linalg import canonical_root
+from reference_rootsys import reference_coroot_lattice, reference_highest_root as walked_highest_root
+from reference_rootsys import reference_roots, reference_tables
 
 # (type, root count, Weyl order)
 CLASSICAL = [
@@ -278,3 +283,33 @@ def test_coroot_lattice_weights_are_dual_to_the_simple_coroots():
         for i, w in enumerate(lat.weights):
             for j, b in enumerate(lat.int_coroots):
                 assert sum(x * y for x, y in zip(w, b)) == lat.den**2 * (i == j)
+
+
+TABLE_FIELDS = ("scale", "int_roots", "int_index", "reflected", "cartan", "negated", "positive", "simple", "coroot_coords")
+
+
+@pytest.mark.parametrize("name", LATTICE_TYPES)
+def test_integer_closure_matches_the_fraction_construction(name):
+    rs = root_system(name)
+    roots = reference_roots(rs.spec)
+    assert rs.roots == roots
+    tables = reference_tables(roots, rs.simple_roots)
+    for f in TABLE_FIELDS:
+        assert getattr(rs.tables, f) == getattr(tables, f), f
+    assert rs.highest_root == walked_highest_root(roots, tables)
+    lattice = reference_coroot_lattice(rs.simple_roots, rs.ambient_dim)
+    for f in ("den", "weights", "int_coroots", "coroots"):
+        assert getattr(rs.coroot_lattice, f) == getattr(lattice, f), f
+
+
+def test_construction_is_fraction_free(monkeypatch):
+    def boom(*args):
+        raise AssertionError("Fraction helper called while building a root system")
+
+    for name in ("reflect", "coroot", "rref"):
+        # rootsys imports no rref; the patch still catches one brought back
+        monkeypatch.setattr(coxlen.rootsys, name, boom, raising=name != "rref")
+    monkeypatch.setattr(coxlen.linalg, "rref", boom)
+    for name in LATTICE_TYPES:
+        rs = build_root_system.__wrapped__(parse_type_spec(name))
+        rs.tables, rs.highest_root, rs.coroot_lattice
