@@ -144,7 +144,10 @@ def _sides(v):
     """The (position, |entry|) pairs of the positive and of the negative
     entries of the zero-sum v, at most DEFAULT_PROFILE_SIZE_CAP of each
     sign, and for each sign the number of its nonempty subsets of each
-    weight, by a subset-sum count over the distinct partial sums."""
+    weight that both signs reach.  The sign with fewer entries is counted
+    at every weight, by a subset-sum count over the distinct partial
+    sums; the other only at those weights, by a count over the weights
+    left to reach after each of its entries."""
     if sum(v) != 0:
         raise ValueError("profiles need a zero-sum vector")
     xs = [(i, x) for i, x in enumerate(v, 1) if x > 0]
@@ -152,15 +155,25 @@ def _sides(v):
     if max(len(xs), len(ys)) > DEFAULT_PROFILE_SIZE_CAP:
         raise BudgetExceeded(f"profile enumeration allows DEFAULT_PROFILE_SIZE_CAP = {DEFAULT_PROFILE_SIZE_CAP} "
                              f"entries of each sign; the vector has {len(xs)} positive and {len(ys)} negative")
-    counts = []
-    for side in (xs, ys):
-        count = {0: 1}
-        for _, x in side:
-            for w, c in list(count.items()):
-                count[w + x] = count.get(w + x, 0) + c
-        del count[0]
-        counts.append(count)
-    return xs, ys, *counts
+    few, many = (xs, ys) if len(xs) <= len(ys) else (ys, xs)
+    count = {0: 1}
+    for _, x in few:
+        for w, c in list(count.items()):
+            count[w + x] = count.get(w + x, 0) + c
+    del count[0]
+    # the weights still to reach after each entry of many, then the
+    # number of ways to reach them, back from the last entry
+    left = sum(x for _, x in many)
+    need = [count.keys()]
+    for _, x in many:
+        left -= x
+        need.append({r for t in need[-1] for r in (t, t - x) if 0 <= r <= left})
+    ways = {0: 1}
+    for (_, x), targets in zip(reversed(many), reversed(need[:-1])):
+        ways = {t: ways.get(t, 0) + ways.get(t - x, 0) for t in targets}
+    other = {w: c for w in count if (c := ways.get(w))}
+    count = {w: count[w] for w in other}
+    return (xs, ys, count, other) if few is xs else (xs, ys, other, count)
 
 
 def _parts_of_weight(side, weight: int):

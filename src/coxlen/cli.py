@@ -8,7 +8,7 @@ Element grammar (for --element):
 
   "lambda=(1,-1,0); word=s1 s2"   translation by lambda, then the word
                                   in simple reflections (either part
-                                  may be omitted)
+                                  may be omitted, neither repeated)
   "refl(2,0) refl(1,1)"           product of affine reflections, i-th
                                   positive root line (1-based) at the
                                   given integer level
@@ -29,16 +29,9 @@ from fractions import Fraction as Q
 from functools import lru_cache
 
 from .errors import BudgetExceeded, ParseError, UnsupportedTypeError
-from .linalg import Vec, vadd, vec
+from .linalg import Vec, vec, zero_vec
 from .rootsys import RootSystem, root_system
-from .affgroup import (
-    AffineElement,
-    AffineReflection,
-    identity_element,
-    product,
-    require_group_element,
-    times_reflection,
-)
+from .affgroup import AffineElement, require_group_element
 from .reflen import (
     DEFAULT_HURWITZ_BUDGET,
     dimension_report,
@@ -103,19 +96,28 @@ def parse_window_text(text: str) -> Window:
 
 
 def parse_element(rs: RootSystem, text: str) -> AffineElement:
+    """The element that text names, built once at the end from its root
+    permutation and its translation: the word's letters and the
+    reflections fold by lookups in RootTables, in integers."""
     text = text.strip()
     if not text:
         raise ParseError("empty element")
+    tables = rs.tables
     if text.startswith("refl"):
-        return _parse_reflection_product(rs, text)
+        perm, coords = tables.fold(_reflection_factors(rs, text))
+        return AffineElement(tables.linear(perm), rs.from_lattice_coords(coords))
     lam = None
     word: list[int] = []
+    seen: set[str] = set()
     for part in text.split(";"):
         part = part.strip()
         if not part:
             continue
         key, _, value = part.partition("=")
         key = key.strip()
+        if key in seen:
+            raise ParseError(f"element field {key!r} appears twice")
+        seen.add(key)
         if key == "lambda":
             lam = parse_vector(value)
             if len(lam) != rs.ambient_dim:
@@ -130,31 +132,29 @@ def parse_element(rs: RootSystem, text: str) -> AffineElement:
                     raise ParseError(
                         f"word letters are s1..s{rs.rank}, got {tok!r}"
                     )
-                word.append(int(m.group(1)) - 1)
+                word.append(tables.simple[int(m.group(1)) - 1])
         else:
             raise ParseError(f"unknown element field {key!r}")
-    el = identity_element(rs.ambient_dim)
-    for i in word:
-        el = times_reflection(el, AffineReflection.make(rs.simple_roots[i], 0))
-    if lam is not None:
-        el = AffineElement(el.linear, vadd(lam, el.translation))
-    return el
+    perm, _ = tables.fold((a, 0) for a in word)
+    return AffineElement(tables.linear(perm), zero_vec(rs.ambient_dim) if lam is None else lam)
 
 
-def _parse_reflection_product(rs: RootSystem, text: str) -> AffineElement:
-    tokens = text.split()
+def _reflection_factors(rs: RootSystem, text: str) -> list[tuple[int, int]]:
+    """The (root index, level) pair of each refl(i,j) token: the i-th
+    positive root (1-based) at level j."""
+    positive = [a for a, p in enumerate(rs.tables.positive) if p]
     factors = []
-    for tok in tokens:
+    for tok in text.split():
         m = re.fullmatch(r"refl\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)", tok)
         if not m:
             raise ParseError(f"expected refl(i,j), got {tok!r}")
         i, j = int(m.group(1)), int(m.group(2))
-        if not 1 <= i <= len(rs.positive_roots):
+        if not 1 <= i <= len(positive):
             raise ParseError(
-                f"root index {i} out of range 1..{len(rs.positive_roots)} for {rs.spec}"
+                f"root index {i} out of range 1..{len(positive)} for {rs.spec}"
             )
-        factors.append(AffineReflection.make(rs.positive_roots[i - 1], j))
-    return product(factors)
+        factors.append((positive[i - 1], j))
+    return factors
 
 
 def _vec_json(v: Vec) -> list[str]:

@@ -238,7 +238,7 @@ def _table_counts(rs: RootSystem, lam: Vec) -> dict[tuple[int, int], int]:
         if res is None:
             d = 0
         else:
-            d = _min_span_subset(lines, res, rs.rank - e)[0]
+            d = _min_span_subset(lines, res, rs.rank - e, witness=False)[0]
         counts[(d, e)] = counts.get((d, e), 0) + mult
     return counts
 

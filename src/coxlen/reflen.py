@@ -110,10 +110,14 @@ def _min_span_subset(
     lines: dict[tuple[int, ...], Vec],
     target: Sequence[int],
     max_k: int,
+    *,
+    witness: bool = True,
 ) -> tuple[int, tuple[Vec, ...]]:
     """Smallest k and a witness set of k roots whose projected lines span
     the nonzero integer target (a rational one is scaled to integers);
-    the caller guarantees solvability at max_k.
+    the caller guarantees solvability at max_k.  Without a witness only k
+    is wanted: a target that no fewer lines span is spanned at max_k, so
+    the search stops before that size and then returns (max_k, ()).
 
     The witness is the lexicographically first linearly independent
     k-subset of the sorted line keys whose span contains the target.  For
@@ -133,9 +137,12 @@ def _min_span_subset(
     raises BudgetExceeded.
     """
     cap = DEFAULT_SPAN_SEARCH_CAP
+    sizes = max_k if witness else max_k - 1
     tkey = int_line_rep(scaled_ints(target))
-    if tkey in lines:
+    if sizes and tkey in lines:
         return 1, (lines[tkey],)
+    if sizes < 2 and not witness:
+        return max_k, ()
     keys = sorted(lines)
     tested = 0
 
@@ -166,10 +173,12 @@ def _min_span_subset(
         return None
 
     start = [(i, tuple(map(int, key))) for i, key in enumerate(keys)]
-    for k in range(2, max_k + 1):
+    for k in range(2, sizes + 1):
         found = complete(tkey, start, k)
         if found is not None:
             return k, tuple(lines[keys[i]] for i in found)
+    if not witness:
+        return max_k, ()
     raise AssertionError("projected root lines failed to span their own span")
 
 

@@ -17,8 +17,9 @@ walk remembers how it reached each root, and the rest is read off it:
 the roots in sorted order, turned into tuples of Fractions once for
 RootSystem.roots so every scan is deterministic; the RootTables rows, by
 conjugating a parent's row with a simple reflection; the heights that
-pick the highest root; and the coroot lattice, from the integer Cartan
-matrix.
+pick the highest root; and, from the integer Cartan matrix, the coroot
+lattice and the fundamental coweights that turn a root permutation into
+its matrix.
 """
 
 from __future__ import annotations
@@ -217,6 +218,10 @@ class RootTables:
     ``positive[a]`` whether a is lexicographically positive,
     ``simple`` the indices of the simple roots, in their order, and
     ``coroot_coords[a]`` the simple-coroot coordinates of a^vee.
+    ``coweights[k]`` is the fundamental coweight w_k^vee (<a_j, w_k^vee>
+    = delta_jk, in the root span) divided by ``scale``, and ``fixed`` the
+    projector onto the complement of the root span (the all-ones line for
+    A_n and G2, zero otherwise), both times ``linear_den`` as integers.
 
     An element u of W0 is the permutation ``perm`` of root indices with
     u(root b) = root perm[b]; s_a u is ``reflected[a]`` composed after it.
@@ -234,6 +239,23 @@ class RootTables:
     positive: tuple[bool, ...]
     simple: tuple[int, ...]
     coroot_coords: tuple[tuple[int, ...], ...]
+    coweights: tuple[tuple[int, ...], ...]
+    fixed: tuple[tuple[int, ...], ...]
+    linear_den: int
+
+    def linear(self, perm: tuple[int, ...]) -> Mat:
+        """The matrix of the W0 element u with root permutation perm:
+        u = sum_k (u a_k) (x) w_k^vee over the simple roots a_k, plus the
+        projector onto the complement of the root span, which u fixes;
+        u a_k is root perm[a_k].  Integer rows, one Fraction per entry."""
+        images = [self.int_roots[perm[a]] for a in self.simple]
+        rows = []
+        for i, row in enumerate(self.fixed):
+            for r, w in zip(images, self.coweights):
+                if c := r[i]:
+                    row = [y + c * x for y, x in zip(row, w)]
+            rows.append(tuple(Q(y, self.linear_den) for y in row))
+        return tuple(rows)
 
     def move_space(self, perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """Im(u - I) for the W0 element with root permutation perm, as the
@@ -319,7 +341,21 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
         c = cartan[kb][simple[i]]
         coords[k] = tuple(x - c if j == i else x for j, x in enumerate(coords[kb]))
         height[k] = height[kb] - pairing[b][i]
-    zero = (0,) * len(ints[0])
+    dim = len(ints[0])
+    # the fraction-free elimination of [P | I], P_ij = <a_i, a_j^vee> =
+    # pairing[a_i][j], leaves rows [p_i e_i | M_i] with P^-1 = M / p row by
+    # row; u_i = sum_k M_ik ints_k is then p_i scale times the fundamental
+    # weight w_i = sum_k (P^-1)_ik a_k, which has <w_i, a_j^vee> = delta_ij
+    inverse = primitive_rref([*pairing[a], *(int(i == j) for j in range(rank))] for i, a in enumerate(ints))
+    dual = [(row[i], [sum(m * a[j] for m, a in zip(row[rank:], ints)) for j in range(dim)]) for i, row in enumerate(inverse)]
+    # w_k^vee / scale = 2 u_k / (p_k norms_k), as w_k^vee = 2 w_k / <a_k, a_k>
+    # and a_k = ints_k / scale; A_n and G2 live in the zero-sum hyperplane,
+    # and the projector onto its complement, the all-ones line, is J / dim
+    complement = Q(1, dim) if dim > rank else 0
+    linear_den, linear_rows = scale_to_ints(
+        [[Q(2 * x, p * m) for x in u] for (p, u), m in zip(dual, norms)] + [[complement] * dim] * dim
+    )
+    zero = (0,) * dim
     tables = RootTables(
         scale=scale,
         int_roots=int_roots,
@@ -330,6 +366,9 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
         positive=tuple(r > zero for r in int_roots),
         simple=simple,
         coroot_coords=tuple(coords),
+        coweights=tuple(map(tuple, linear_rows[:rank])),
+        fixed=tuple(map(tuple, linear_rows[rank:])),
+        linear_den=linear_den,
     )
     fraction = {x: Q(x, scale) for x in {x for r in int_roots for x in r}}
     roots = tuple(tuple(map(fraction.__getitem__, r)) for r in int_roots)
@@ -349,32 +388,26 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
         # the first root, in root order, of maximal height; lexicographic and
         # simple-system positivity disagree for G2, so every root is scanned
         highest_root=roots[max(range(n), key=height.__getitem__)],
-        coroot_lattice=_coroot_lattice(ints, norms, [pairing[a] for a in ints], scale),
+        coroot_lattice=_coroot_lattice(ints, norms, dual, scale),
     )
 
 
-def _coroot_lattice(ints, norms, cartan, scale: int) -> CorootLattice:
+def _coroot_lattice(ints, norms, dual, scale: int) -> CorootLattice:
     """The coroot lattice Q^vee, whose Z-basis is the simple coroots.
 
     v lies in Q^vee exactly when its coordinates c_i = <v, w_i> against
     the fundamental weights w_i (<w_i, a_j^vee> = delta_ij) are integers
     and sum c_i a_i^vee = v; the second test rejects vectors off the root
-    span in types A and G2.  The weights lie in the root span:
-    w_i = sum_k (P^-1)_ik a_k for the Cartan matrix P_ij = <a_i, a_j^vee>
-    = cartan[i][j].  The fraction-free elimination of [P | I] leaves rows
-    [p_i e_i | M_i] with P^-1 = M / p row by row; the simple roots are
-    ints / scale, and a_i^vee = 2 scale ints_i / norms_i.  The weights and
-    the simple coroots are then scaled to integers by one common
-    denominator, so lattice_coords runs in integers.
+    span in types A and G2.  dual holds the pairs (p_i, u_i) with
+    w_i = u_i / (p_i scale); the simple roots are ints / scale, and
+    a_i^vee = 2 scale ints_i / norms_i.  The weights and the simple
+    coroots are then scaled to integers by one common denominator, so
+    lattice_coords runs in integers.
     """
-    n = len(ints)
-    rows = primitive_rref([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(cartan))
-    weights = [
-        [Q(sum(m * a[j] for m, a in zip(row[n:], ints)), row[i] * scale) for j in range(len(ints[0]))]
-        for i, row in enumerate(rows)
-    ]
+    weights = [[Q(x, p * scale) for x in u] for p, u in dual]
     coroots = tuple(tuple(Q(2 * scale * x, m) for x in a) for a, m in zip(ints, norms))
     den, scaled = scale_to_ints(weights + list(coroots))
+    n = len(ints)
     return CorootLattice(coroots, den, tuple(map(tuple, scaled[:n])), tuple(map(tuple, scaled[n:])))
 
 

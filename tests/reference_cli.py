@@ -1,0 +1,69 @@
+"""The Fraction parser of --element elements, for cross-checking
+cli.parse_element: a word is built one rank-one Fraction update
+(affgroup.times_reflection) per letter, and a product of reflections by
+affgroup.product."""
+
+from __future__ import annotations
+
+import re
+
+from coxlen.affgroup import AffineElement, AffineReflection, identity_element, product, times_reflection
+from coxlen.cli import parse_vector
+from coxlen.errors import ParseError
+from coxlen.linalg import vadd
+from coxlen.rootsys import RootSystem
+
+
+def parse_element(rs: RootSystem, text: str) -> AffineElement:
+    text = text.strip()
+    if not text:
+        raise ParseError("empty element")
+    if text.startswith("refl"):
+        return _parse_reflection_product(rs, text)
+    lam = None
+    word: list[int] = []
+    for part in text.split(";"):
+        part = part.strip()
+        if not part:
+            continue
+        key, _, value = part.partition("=")
+        key = key.strip()
+        if key == "lambda":
+            lam = parse_vector(value)
+            if len(lam) != rs.ambient_dim:
+                raise ParseError(
+                    f"lambda has {len(lam)} coordinates, {rs.spec} lives in "
+                    f"dimension {rs.ambient_dim}"
+                )
+        elif key == "word":
+            for tok in value.split():
+                m = re.fullmatch(r"s(\d+)", tok)
+                if not m or not 1 <= int(m.group(1)) <= rs.rank:
+                    raise ParseError(
+                        f"word letters are s1..s{rs.rank}, got {tok!r}"
+                    )
+                word.append(int(m.group(1)) - 1)
+        else:
+            raise ParseError(f"unknown element field {key!r}")
+    el = identity_element(rs.ambient_dim)
+    for i in word:
+        el = times_reflection(el, AffineReflection.make(rs.simple_roots[i], 0))
+    if lam is not None:
+        el = AffineElement(el.linear, vadd(lam, el.translation))
+    return el
+
+
+def _parse_reflection_product(rs: RootSystem, text: str) -> AffineElement:
+    tokens = text.split()
+    factors = []
+    for tok in tokens:
+        m = re.fullmatch(r"refl\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)", tok)
+        if not m:
+            raise ParseError(f"expected refl(i,j), got {tok!r}")
+        i, j = int(m.group(1)), int(m.group(2))
+        if not 1 <= i <= len(rs.positive_roots):
+            raise ParseError(
+                f"root index {i} out of range 1..{len(rs.positive_roots)} for {rs.spec}"
+            )
+        factors.append(AffineReflection.make(rs.positive_roots[i - 1], j))
+    return product(factors)

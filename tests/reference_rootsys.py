@@ -2,8 +2,8 @@
 integer closure of rootsys.build_root_system: the closure of the simple
 roots under Fraction reflections, the root-index tables from the direct
 pairing of every root with every root, the highest root from a walk over
-those tables, and the coroot lattice from a Fraction Gauss-Jordan
-elimination."""
+those tables, and the coroot lattice and the fundamental coweights from
+Fraction Gauss-Jordan eliminations."""
 
 from __future__ import annotations
 
@@ -54,6 +54,19 @@ def reference_tables(roots: Mat, simple_roots: Mat) -> RootTables:
             if c not in coords:
                 coords[c] = tuple(x - cartan[b][a] * (i == j) for j, x in enumerate(coords[b]))
                 queue.append(c)
+    # the fundamental coweights: the elimination of [P^T | I] leaves
+    # (P^T)^-1, and w_k^vee = sum_j (P^T)^-1_kj a_j^vee; sum_k a_k (x) w_k^vee
+    # projects onto the root span along its orthogonal complement, and the
+    # identity less it onto the complement
+    coroots = [coroot(a) for a in simple_roots]
+    n, dim = len(simple_roots), len(simple_roots[0])
+    reduced, _ = rref([[dot(a, c) for a in simple_roots] + [int(j == k) for k in range(n)] for j, c in enumerate(coroots)])
+    coweights = [[sum(x * c[i] for x, c in zip(row[n:], coroots)) for i in range(dim)] for row in reduced]
+    fixed = [
+        [int(r == c) - sum(a[r] * w[c] for a, w in zip(simple_roots, coweights)) for c in range(dim)]
+        for r in range(dim)
+    ]
+    linear_den, linear_rows = scale_to_ints([[x / scale for x in w] for w in coweights] + fixed)
     return RootTables(
         scale=scale,
         int_roots=ints,
@@ -64,6 +77,9 @@ def reference_tables(roots: Mat, simple_roots: Mat) -> RootTables:
         positive=tuple(r > zero for r in ints),
         simple=tuple(simple),
         coroot_coords=tuple(coords[b] for b in range(len(ints))),
+        coweights=tuple(map(tuple, linear_rows[:n])),
+        fixed=tuple(map(tuple, linear_rows[n:])),
+        linear_den=linear_den,
     )
 
 

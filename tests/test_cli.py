@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coxlen
+import coxlen.affgroup
 import coxlen.cli
 import coxlen.oracle
 import coxlen.reflen
@@ -23,6 +24,7 @@ from coxlen.cli import main, parse_element, parse_vector, parse_window_text
 from coxlen.errors import ParseError, UnsupportedTypeError
 from coxlen.genfun import BivariatePolynomial
 from coxlen.rootsys import root_system
+from reference_cli import parse_element as fraction_parse_element
 from reference_genfun import poly_s_plus
 
 
@@ -66,6 +68,74 @@ def test_parse_element_grammar():
     for bad in ["", "word=s3", "word=x1", "foo=1", "refl(9,0)", "refl(1)"]:
         with pytest.raises(ParseError):
             parse_element(rs, bad)
+
+
+PARSE_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{f}{n}" for f in "BCD" for n in range(2, 9)]
+    + ["G2", "F4"]
+)
+
+
+@st.composite
+def element_texts(draw):
+    """A root system of PARSE_TYPES and an element of it as --element
+    text: a word of up to 2 rank + 2 letters with or without a random
+    lattice lambda, in either order, or up to rank + 2 refl(i,j)."""
+    rs = root_system(draw(st.sampled_from(PARSE_TYPES)))
+    if draw(st.booleans()):
+        n = len(rs.positive_roots)
+        pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(-3, 3)), min_size=1, max_size=rs.rank + 2))
+        return rs, " ".join(f"refl({i},{j})" for i, j in pairs)
+    letters = draw(st.lists(st.integers(1, rs.rank), max_size=2 * rs.rank + 2))
+    parts = ["word=" + " ".join(f"s{i}" for i in letters)]
+    if draw(st.booleans()):
+        lam = rs.from_lattice_coords(draw(st.lists(st.integers(-4, 4), min_size=rs.rank, max_size=rs.rank)))
+        parts.append("lambda=(" + ",".join(map(str, lam)) + ")")
+    return rs, "; ".join(draw(st.permutations(parts)))
+
+
+@given(element_texts())
+@settings(max_examples=300, deadline=None)
+def test_parse_element_matches_the_fraction_parser(typed):
+    # words against times_reflection one letter at a time, refl(i,j)
+    # products against affgroup.product
+    rs, text = typed
+    assert parse_element(rs, text) == fraction_parse_element(rs, text)
+
+
+def test_element_path_builds_no_fraction_products(capsys, monkeypatch):
+    def boom(*args):
+        raise AssertionError("Fraction product on the --element path")
+
+    for name in ("times_reflection", "product"):
+        monkeypatch.setattr(coxlen.affgroup, name, boom)
+        monkeypatch.setattr(coxlen.cli, name, boom, raising=False)
+    monkeypatch.setattr(coxlen.affgroup.AffineReflection, "make", staticmethod(boom))
+    for name, element in [
+        ("G2", "lambda=(1,-1,0); word=s1 s2 s1"),
+        ("F4", "word=s4 s3 s2 s1 s2"),
+        ("B8", "refl(1,1) refl(64,-2)"),
+    ]:
+        assert parse_element(root_system(name), element) is not None
+        code, _, err = run(capsys, "len", "--type", name, "--element", element)
+        assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "element, field",
+    [
+        ("lambda=(1,-1,0,0);lambda=(0,0,0,0)", "lambda"),
+        ("word=s1 s2; word=s3", "word"),
+        ("word=s1; lambda=(1,-1,0,0); word=", "word"),
+    ],
+)
+def test_repeated_element_field_exits_2(capsys, element, field):
+    code, out, err = run(capsys, "len", "--type", "A3", "--element", element)
+    assert (code, out) == (2, "")
+    assert err == f"error: element field {field!r} appears twice\n"
+    with pytest.raises(ParseError, match=field):
+        parse_element(root_system("A3"), element)
 
 
 def test_len_command_json(capsys):
@@ -291,6 +361,17 @@ def test_profile_cap_names_the_cap_and_the_supports(capsys):
     assert code == 4
     assert "DEFAULT_PROFILE_SIZE_CAP = 22" in err
     assert "23 positive and 1 negative" in err
+
+
+def test_nullity_with_distinct_subset_sums_answers_within_the_profile_cap(capsys):
+    # 22 positive entries, all 2^22 of their subset sums distinct: only the
+    # weight the single negative entry reaches is counted
+    vector = "(" + ",".join(str(2**i) for i in range(22)) + f",{-(2**22 - 1)})"
+    start = time.perf_counter()
+    payload = run_json(capsys, "nullity", "--vector", vector, "--json")
+    assert time.perf_counter() - start < 1
+    assert (payload["nullity"], payload["proper_basic_null_blocks"]) == (1, 0)
+    assert payload["minimal_null_blocks"] == [list(range(1, 24))]
 
 
 @pytest.mark.parametrize("top", [37, 43])

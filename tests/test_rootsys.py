@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import coxlen.linalg
 import coxlen.rootsys
 from coxlen.errors import ParseError, UnsupportedTypeError
+from coxlen.genfun import enumerate_w0
 from coxlen.linalg import dot, solve_combination, vec
 from coxlen.rootsys import (
     RootSystemSpec,
@@ -27,6 +28,7 @@ from reference_lattice import RationalLattice
 from reference_linalg import canonical_root
 from reference_rootsys import reference_coroot_lattice, reference_highest_root as walked_highest_root
 from reference_rootsys import reference_roots, reference_tables
+from w0_matrices import w0_matrices
 
 # (type, root count, Weyl order)
 CLASSICAL = [
@@ -285,7 +287,10 @@ def test_coroot_lattice_weights_are_dual_to_the_simple_coroots():
                 assert sum(x * y for x, y in zip(w, b)) == lat.den**2 * (i == j)
 
 
-TABLE_FIELDS = ("scale", "int_roots", "int_index", "reflected", "cartan", "negated", "positive", "simple", "coroot_coords")
+TABLE_FIELDS = (
+    "scale", "int_roots", "int_index", "reflected", "cartan", "negated", "positive", "simple", "coroot_coords",
+    "coweights", "fixed", "linear_den",
+)
 
 
 @pytest.mark.parametrize("name", LATTICE_TYPES)
@@ -300,6 +305,13 @@ def test_integer_closure_matches_the_fraction_construction(name):
     lattice = reference_coroot_lattice(rs.simple_roots, rs.ambient_dim)
     for f in ("den", "weights", "int_coroots", "coroots"):
         assert getattr(rs.coroot_lattice, f) == getattr(lattice, f), f
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4"])
+def test_permutation_matrix_is_the_product_of_simple_reflections(name):
+    rs = root_system(name)
+    for perm, m in zip(enumerate_w0(rs).elements, w0_matrices(rs)):
+        assert rs.tables.linear(perm) == m
 
 
 def test_construction_is_fraction_free(monkeypatch):
