@@ -295,10 +295,12 @@ def require_group_element(rs, a: AffineElement) -> tuple[tuple[int, ...], tuple[
         raise ValueError(
             f"element acts on dimension {a.dim}, root system lives in {rs.ambient_dim}"
         )
-    perm = root_permutation(rs, a.linear)
-    coords = rs.lattice_coords(a.translation)
+    return root_permutation(rs, a.linear), require_lattice_coords(rs, a.translation)
+
+
+def require_lattice_coords(rs, v: Vec) -> tuple[int, ...]:
+    """lattice_coords of the translation v, or ValueError naming v."""
+    coords = rs.lattice_coords(v)
     if coords is None:
-        raise ValueError(
-            "translation part (" + ", ".join(map(str, a.translation)) + ") is not in the coroot lattice"
-        )
-    return perm, coords
+        raise ValueError("translation part (" + ", ".join(map(str, v)) + ") is not in the coroot lattice")
+    return coords

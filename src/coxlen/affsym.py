@@ -23,15 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import combinations, groupby
+from itertools import accumulate, combinations, groupby
 
-from .affgroup import AffineElement
+from .affgroup import AffineElement, translation_element
 from .errors import BudgetExceeded, ParseError
 from .linalg import Vec, mat_vec, vec
-from .reflen import (
-    DEFAULT_HURWITZ_BUDGET,
-    translation_elliptic_split,
-)
+from .reflen import DEFAULT_HURWITZ_BUDGET, pair_split
 from .rootsys import RootSystem, RootSystemSpec, build_root_system
 
 DEFAULT_CLIQUE_VERTEX_CAP = 64
@@ -87,6 +84,16 @@ def embed_window(win: Window) -> AffineElement:
     lam, pi = win.normal_form()
     a = perm_matrix(pi)
     return AffineElement(linear=a, translation=mat_vec(a, vec(lam)))
+
+
+def _window_pair(rs: RootSystem, lam, pi) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (root permutation, simple-coroot coordinates) pair of embed_window:
+    root e_i - e_j goes to e_pi(i) - e_pi(j), and the translation, lam_i at
+    pi(i), has its partial sums as coordinates (coroots e_i - e_(i+1))."""
+    inv = sorted(range(len(pi)), key=pi.__getitem__)  # pi[inv[m]] = m + 1
+    tables = rs.tables
+    perm = tuple(tables.int_index[tuple(r[k] for k in inv)] for r in tables.int_roots)
+    return perm, tuple(accumulate(lam[k] for k in inv))[:-1]
 
 
 @dataclass(frozen=True)
@@ -306,12 +313,12 @@ def good_origin_split(
     """
     n = win.n
     rs = window_root_system(n)
-    w = embed_window(win)
-    t, u = split = translation_elliptic_split(rs, w, budget)
+    lam, pi = win.normal_form()
+    coords_t, coords_u, _, _, elliptic = pair_split(rs, *_window_pair(rs, lam, pi), budget)
     # constraints x_a - x_b = level form a forest (independent roots),
     # so integer values propagate consistently from any per-tree anchor
     adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, n + 1)}
-    for r in split.elliptic_factorization.factors:
+    for r in elliptic.factors:
         a = next(i for i, c in enumerate(r.root) if c == 1) + 1
         b = next(i for i, c in enumerate(r.root) if c == -1) + 1
         adj[a].append((b, -r.level))
@@ -333,6 +340,8 @@ def good_origin_split(
     coords = [Q(assign[i]) for i in range(1, n + 1)]
     shift = sum(coords) / n
     origin = tuple(c - shift for c in coords)
+    t = translation_element(rs.from_lattice_coords(coords_t))
+    u = AffineElement(perm_matrix(pi), rs.from_lattice_coords(coords_u))
     if u.apply(origin) != origin:
         raise AssertionError("constructed origin is not fixed by the elliptic part")
     return origin, (t, u)

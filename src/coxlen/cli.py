@@ -29,15 +29,10 @@ from fractions import Fraction as Q
 from functools import lru_cache
 
 from .errors import BudgetExceeded, ParseError, UnsupportedTypeError
-from .linalg import Vec, vec, zero_vec
+from .linalg import Vec, vec
 from .rootsys import RootSystem, root_system
-from .affgroup import AffineElement, require_group_element
-from .reflen import (
-    DEFAULT_HURWITZ_BUDGET,
-    dimension_report,
-    min_factorization,
-    translation_elliptic_split,
-)
+from .affgroup import AffineElement, require_lattice_coords
+from .reflen import DEFAULT_HURWITZ_BUDGET, pair_factorization, pair_report, pair_split
 from .affsym import (
     Window,
     cycles,
@@ -97,15 +92,28 @@ def parse_window_text(text: str) -> Window:
 
 def parse_element(rs: RootSystem, text: str) -> AffineElement:
     """The element that text names, built once at the end from its root
-    permutation and its translation: the word's letters and the
-    reflections fold by lookups in RootTables, in integers."""
+    permutation and its translation."""
+    perm, coords, lam = _parse(rs, text)
+    return AffineElement(rs.tables.linear(perm), rs.from_lattice_coords(coords) if lam is None else lam)
+
+
+def _group_element(rs: RootSystem, text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (root permutation, simple-coroot coordinates) pair of the element
+    that text names; ValueError when lambda is not in the coroot lattice."""
+    perm, coords, lam = _parse(rs, text)
+    return perm, coords if lam is None else require_lattice_coords(rs, lam)
+
+
+def _parse(rs: RootSystem, text: str):
+    """(perm, coords, lam): the word's letters or the reflections folded by
+    lookups in RootTables, and the lambda= vector, which, if there is one,
+    is the translation in place of the simple-coroot coordinates coords."""
     text = text.strip()
     if not text:
         raise ParseError("empty element")
     tables = rs.tables
     if text.startswith("refl"):
-        perm, coords = tables.fold(_reflection_factors(rs, text))
-        return AffineElement(tables.linear(perm), rs.from_lattice_coords(coords))
+        return *tables.fold(_reflection_factors(rs, text)), None
     lam = None
     word: list[int] = []
     seen: set[str] = set()
@@ -135,8 +143,7 @@ def parse_element(rs: RootSystem, text: str) -> AffineElement:
                 word.append(tables.simple[int(m.group(1)) - 1])
         else:
             raise ParseError(f"unknown element field {key!r}")
-    perm, _ = tables.fold((a, 0) for a in word)
-    return AffineElement(tables.linear(perm), zero_vec(rs.ambient_dim) if lam is None else lam)
+    return *tables.fold((a, 0) for a in word), lam
 
 
 def _reflection_factors(rs: RootSystem, text: str) -> list[tuple[int, int]]:
@@ -178,9 +185,8 @@ _CERTIFICATE_TEXT = {
 
 def cmd_len(args) -> int:
     rs = root_system(args.type)
-    w = parse_element(rs, args.element)
-    require_group_element(rs, w)
-    rep = dimension_report(rs, w)
+    perm, coords = _group_element(rs, args.element)
+    rep = pair_report(rs, perm, coords)
     payload = {
         "type": str(rs.spec),
         "e": rep.e,
@@ -190,7 +196,7 @@ def cmd_len(args) -> int:
         "witness_roots": [_vec_json(r) for r in rep.witness_roots],
     }
     if args.verify:
-        res = brute_reflection_length(rs, w)
+        res = brute_reflection_length(rs, AffineElement(rs.tables.linear(perm), rs.from_lattice_coords(coords)))
         payload["oracle_length"] = res.length
         payload["oracle_certified"] = res.certified
         payload["oracle_certificate"] = res.certificate
@@ -214,8 +220,7 @@ def cmd_len(args) -> int:
 
 def cmd_factor(args) -> int:
     rs = root_system(args.type)
-    w = parse_element(rs, args.element)
-    f = min_factorization(rs, w)
+    f = pair_factorization(rs, *_group_element(rs, args.element))
     payload = {
         "type": str(rs.spec),
         "length": len(f.factors),
@@ -234,13 +239,11 @@ def cmd_factor(args) -> int:
 
 def cmd_split(args) -> int:
     rs = root_system(args.type)
-    w = parse_element(rs, args.element)
-    split = translation_elliptic_split(rs, w, budget=args.budget)
-    t, rep_t, rep_u = split.translation, split.translation_report, split.elliptic_report
-    factors = split.elliptic_factorization.factors
+    coords_t, _, rep_t, rep_u, elliptic = pair_split(rs, *_group_element(rs, args.element), args.budget)
+    translation, factors = rs.from_lattice_coords(coords_t), elliptic.factors
     payload = {
         "type": str(rs.spec),
-        "translation": _vec_json(t.translation),
+        "translation": _vec_json(translation),
         "translation_length": rep_t.length,
         "elliptic_length": rep_u.length,
         "elliptic_factors": [{"root": _vec_json(r.root), "level": r.level} for r in factors],
@@ -249,7 +252,7 @@ def cmd_split(args) -> int:
         print(json.dumps(payload))
     else:
         print(f"type {payload['type']}")
-        print(f"translation part {_vec_str(t.translation)} of length {rep_t.length}")
+        print(f"translation part {_vec_str(translation)} of length {rep_t.length}")
         print(f"elliptic part of length {rep_u.length}, factors:")
         for line in _refl_strs(factors):
             print("  " + line)

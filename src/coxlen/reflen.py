@@ -10,7 +10,7 @@ For an element w with linear part A and translation part lam:
   reflection length = 2 d(w) + e(w).
 
 Both terms are read off the move space Im(A - I), which
-affgroup.linear_move_space returns as primitive integer RREF rows.  Every
+RootTables.move_space returns as primitive integer RREF rows.  Every
 test against it is fraction-free (linalg.int_residual): the residual of
 lam, the projected root lines over the integer roots of RootSystem.tables
 and the root basis of the space.
@@ -36,19 +36,19 @@ pairs project to equal reflections of W0, so that each pair multiplies
 to a translation.  That search moves (root index, level) pairs through
 the integer tables of RootSystem.tables.
 
-Every factorisation and split is checked in integers.  A group element
-is the pair that affgroup.require_group_element returns: the root
-permutation of its linear part and the simple-coroot coordinates of its
-translation.  RootTables.fold multiplies (root index, level) factors onto
-such a pair, one table lookup and one integer vector add per factor, and
-a check compares the pairs.  Fraction elements are built only for the
-outputs: the translation part of a split from its coordinates, its
-elliptic part from the linear part of w.
+The integer core (pair_report, pair_factorization, pair_split) takes a
+group element as the pair of the root permutation of its linear part and
+the simple-coroot coordinates of its translation.  RootTables.fold
+multiplies (root index, level) factors onto such a pair, one lookup and
+one integer vector add per factor, and every factorisation and split is
+checked by comparing pairs.  The public functions read the pair of an
+AffineElement (affgroup.require_group_element) and its move space
+(affgroup.linear_move_space), and build Fraction elements for outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 from typing import Literal, Sequence
 
@@ -69,10 +69,9 @@ from .linalg import (
     int_residual,
     primitive_rref,
     rref_pivots,
-    scale_to_ints,
     scaled_ints,
 )
-from .rootsys import RootSystem, RootTables
+from .rootsys import RootSystem
 
 DEFAULT_HURWITZ_BUDGET = 10**6
 DEFAULT_SPAN_SEARCH_CAP = 10**6
@@ -273,6 +272,8 @@ class DimensionReport:
     length: int
     elliptic_roots: tuple[Vec, ...]
     lift_roots: tuple[Vec, ...]
+    # the primitive_rref rows of Im(A - I) the report was read from
+    move_space: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
 
     @property
     def witness_roots(self) -> tuple[Vec, ...]:
@@ -280,18 +281,28 @@ class DimensionReport:
 
 
 def dimension_report(rs: RootSystem, w: AffineElement) -> DimensionReport:
-    ubasis = linear_move_space(w.linear)
+    return _report(rs, linear_move_space(w.linear), scaled_ints(w.translation))
+
+
+def pair_report(rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...]) -> DimensionReport:
+    """dimension_report of the group element with root permutation perm
+    and simple-coroot coordinates coords."""
+    return _report(rs, rs.tables.move_space(perm), rs.coroot_lattice.combination(coords))
+
+
+def _report(rs: RootSystem, ubasis, mu, u_roots=None) -> DimensionReport:
+    """The report from the primitive_rref rows ubasis of the move space, a
+    positive integer multiple mu of lam and, if known, ubasis's root basis."""
     upivots = rref_pivots(ubasis)
     e = len(ubasis)
-    res = int_residual(ubasis, upivots, scaled_ints(w.translation))
+    res = int_residual(ubasis, upivots, mu)
     if res is None:
         d, lifts = 0, ()
     else:
         d, lifts = _min_span_subset(_quotient_lines(rs, ubasis, upivots), res, rs.rank - e)
-    u_roots = _root_basis_of_span(rs, ubasis, upivots)
-    return DimensionReport(
-        e=e, d=d, dim=d + e, length=2 * d + e, elliptic_roots=u_roots, lift_roots=lifts
-    )
+    if u_roots is None:
+        u_roots = _root_basis_of_span(rs, ubasis, upivots)
+    return DimensionReport(e, d, d + e, 2 * d + e, u_roots, lifts, ubasis)
 
 
 @dataclass(frozen=True)
@@ -324,13 +335,13 @@ def factor_elliptic(rs: RootSystem, v: AffineElement) -> ReflectionFactorization
     perm, coords = require_group_element(rs, v)
     if not is_elliptic(v):
         raise ValueError("input is not elliptic")
-    return _reflections(rs, _min_factorization(rs, v, dimension_report(rs, v), perm, coords))
+    return pair_factorization(rs, perm, coords, dimension_report(rs, v))
 
 
-def _peel_elliptic(rs: RootSystem, translation: Vec, perm: tuple[int, ...]) -> list[tuple[int, int]]:
+def _peel_elliptic(rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...]) -> list[tuple[int, int]]:
     """The reflections, through a common fixed point x, whose product is
-    the elliptic group element with root permutation perm and translation
-    part translation, as (positive root index, level) pairs; unchecked.
+    the elliptic group element (perm, coords), as (positive root index,
+    level) pairs; unchecked.
 
     One pass over the positive roots in canonical order peels each root
     that lies in the current move space and whose hyperplane through x
@@ -346,7 +357,7 @@ def _peel_elliptic(rs: RootSystem, translation: Vec, perm: tuple[int, ...]) -> l
     same roots as a scan restarted from the top after every peel.
     """
     tables = rs.tables
-    form, unit = _fixed_point_levels(tables, perm, translation)
+    form, unit = _fixed_point_levels(rs, perm, coords)
     mov = tables.move_space(perm)
     pivots = rref_pivots(mov)
     factors: list[tuple[int, int]] = []
@@ -368,11 +379,12 @@ def _peel_elliptic(rs: RootSystem, translation: Vec, perm: tuple[int, ...]) -> l
 
 
 def _fixed_point_levels(
-    tables: RootTables, perm: tuple[int, ...], translation: Vec
+    rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, int], ...], int]:
     """(form, unit) with <x, root a> = sum(int_roots[a][p] * c for p, c in
     form) / unit for every root a in Mov(A) and every fixed point x of the
-    element with linear part A (root permutation perm) and translation mu.
+    element (perm, coords): linear part A with root permutation perm and
+    translation mu with simple-coroot coordinates coords.
 
     x = A x + mu and A orthogonal give <x, A b - b> = <mu, A b> for every
     b, and the A b - b over the simple roots span Mov(A) (as in
@@ -382,7 +394,8 @@ def _fixed_point_levels(
     a[p_j] / r_j[p_j] times r_j.  Fixed points differ by vectors of
     Fix(A), orthogonal to Mov(A), so every one gives the same levels.
     """
-    den, (mu,) = scale_to_ints((translation,))
+    tables, lattice = rs.tables, rs.coroot_lattice
+    mu = lattice.combination(coords)
     roots = tables.int_roots
     rows = primitive_rref(
         [x - y for x, y in zip(roots[perm[i]], roots[i])] + [sum(m * y for m, y in zip(mu, roots[perm[i]]))]
@@ -394,7 +407,7 @@ def _fixed_point_levels(
         raise AssertionError("element to peel has no fixed point")
     common = lcm(*(row[p] for row, p in zip(rows, pivots)))
     form = tuple((p, row[-1] * (common // row[p])) for row, p in zip(rows, pivots))
-    return form, common * den * tables.scale
+    return form, common * lattice.den * tables.scale
 
 
 def min_factorization(rs: RootSystem, w: AffineElement) -> ReflectionFactorization:
@@ -403,26 +416,31 @@ def min_factorization(rs: RootSystem, w: AffineElement) -> ReflectionFactorizati
     element whose move-set is the witness subspace, factor that, then
     append the lifted reflections again in reverse."""
     perm, coords = require_group_element(rs, w)
-    return _reflections(rs, _min_factorization(rs, w, dimension_report(rs, w), perm, coords))
+    return pair_factorization(rs, perm, coords, dimension_report(rs, w))
+
+
+def pair_factorization(rs: RootSystem, perm, coords, rep: DimensionReport | None = None) -> ReflectionFactorization:
+    """min_factorization of the group element (perm, coords), whose
+    report rep is pair_report's unless given."""
+    return _reflections(rs, _min_factorization(rs, rep or pair_report(rs, perm, coords), perm, coords))
 
 
 def _min_factorization(
-    rs: RootSystem, w: AffineElement, rep: DimensionReport, perm: tuple[int, ...], coords: tuple[int, ...]
+    rs: RootSystem, rep: DimensionReport, perm: tuple[int, ...], coords: tuple[int, ...]
 ) -> tuple[tuple[int, int], ...]:
-    """min_factorization of a group element w, as (root index, level)
-    pairs, given its report rep and its root permutation perm and
-    simple-coroot coordinates coords (require_group_element).  Level-zero
-    lifts change only the linear part, so w and the elliptic element
-    peeled share their translation part.
+    """min_factorization of the group element (perm, coords) with report
+    rep, as (root index, level) pairs.  Level-zero lifts change only the
+    linear part, so the element and the elliptic element peeled share
+    their coordinates.
 
     The check folds the pairs on the integer tables (RootTables.fold) and
-    compares the result with (perm, coords).  That pair determines w:
-    dimension_report found a root basis of Mov(A), so the linear part A
-    is the identity off the root span, and perm determines A on it.
+    compares the result with (perm, coords).  That pair determines the
+    element: its linear part A is the identity off the root span (the
+    report found a root basis of Mov(A)), and perm determines A on it.
     """
     lifts = [(rs.root_index[alpha], 0) for alpha in rep.lift_roots]
     peeled, _ = rs.tables.fold(lifts, (perm, coords))
-    pairs = tuple(_peel_elliptic(rs, w.translation, peeled) + lifts[::-1])
+    pairs = tuple(_peel_elliptic(rs, peeled, coords) + lifts[::-1])
     if len(pairs) != rep.length or rs.tables.fold(pairs) != (perm, coords):
         raise AssertionError("minimum factorisation failed verification")
     return pairs
@@ -502,13 +520,16 @@ def translation_elliptic_split(
     hurwitz_move on the corresponding reflections.
     """
     perm, coords = require_group_element(rs, w)
-    rep = dimension_report(rs, w)
-    if rep.d == 0:
-        t = identity_element(w.dim)
-        rep_t = dimension_report(rs, t)
-        elliptic = _reflections(rs, _min_factorization(rs, w, rep, perm, coords))
-        return TranslationEllipticSplit(t, w, rep_t, rep, elliptic)
+    coords_t, coords_u, rep_t, rep_u, elliptic = pair_split(rs, perm, coords, budget, dimension_report(rs, w))
+    t = translation_element(rs.from_lattice_coords(coords_t))
+    return TranslationEllipticSplit(t, AffineElement(w.linear, rs.from_lattice_coords(coords_u)), rep_t, rep_u, elliptic)
 
+
+def pair_split(rs: RootSystem, perm, coords, budget: int = DEFAULT_HURWITZ_BUDGET, rep: DimensionReport | None = None):
+    """translation_elliptic_split of the group element (perm, coords), rep
+    its report if given: the simple-coroot coordinates of t and of u, the
+    reports of t and of u, and the factorisation of u."""
+    rep = rep or pair_report(rs, perm, coords)
     conjugate = rs.tables.conjugate
 
     def shared_pair_at(f: tuple[tuple[int, int], ...]) -> int | None:
@@ -518,7 +539,7 @@ def translation_elliptic_split(
         return None
 
     pairs: list[tuple[int, int]] = []
-    current = _min_factorization(rs, w, rep, perm, coords)
+    current = _min_factorization(rs, rep, perm, coords)
     visited = 0
     for rnd in range(1, rep.d + 1):
         found = None
@@ -555,23 +576,21 @@ def translation_elliptic_split(
             raise AssertionError("bubbling a shared pair broke it")
         pairs.extend(f[:2])
         current = f[2:]
-    return _split_off(rs, w, rep, perm, coords, pairs, current)
+    return _split_off(rs, rep, perm, coords, pairs, current)
 
 
-def _split_off(rs, w, rep, perm, coords, pairs, suffix) -> TranslationEllipticSplit:
-    """w = t * u with t the product of the stripped pairs and u that of
-    the suffix, checked in integers: folded on RootTables, t must have
-    the identity root permutation, u that of w, and their simple-coroot
-    coordinates must add up to those of w, since t u = (A, mu_t + mu_u).
-    Then the dimension reports of t and u must give t length 2d and u
-    length e with d(u) = 0."""
-    tables = rs.tables
+def _split_off(rs, rep, perm, coords, pairs, suffix):
+    """w = (perm, coords) = t * u, t the product of the stripped pairs and
+    u that of the suffix, checked in integers: folded on RootTables, t must
+    have the identity root permutation, u that of w, and their coordinates
+    must add up to those of w, since t u = (A, mu_t + mu_u).  Then the
+    reports of t and u, u's on the move space and root basis of w's report
+    rep, must give t length 2d and u length e with d(u) = 0."""
+    tables, lattice = rs.tables, rs.coroot_lattice
     perm_t, coords_t = tables.fold(pairs)
     perm_u, coords_u = tables.fold(suffix)
-    t = translation_element(rs.from_lattice_coords(coords_t))
-    u = AffineElement(w.linear, rs.from_lattice_coords(coords_u))
-    rep_t = dimension_report(rs, t)
-    rep_u = dimension_report(rs, u)
+    rep_t = _report(rs, (), lattice.combination(coords_t))
+    rep_u = _report(rs, rep.move_space, lattice.combination(coords_u), rep.elliptic_roots)
     ok = (
         perm_t == tuple(range(len(perm)))
         and rep_u.d == 0
@@ -582,5 +601,6 @@ def _split_off(rs, w, rep, perm, coords, pairs, suffix) -> TranslationEllipticSp
     )
     if not ok:
         raise AssertionError("translation-elliptic split failed verification")
-    elliptic = _reflections(rs, _min_factorization(rs, u, rep_u, perm, coords_u))
-    return TranslationEllipticSplit(t, u, rep_t, rep_u, elliptic)
+    # with no pair stripped (d = 0) the suffix is already u's peel
+    elliptic = suffix if not pairs else _min_factorization(rs, rep_u, perm, coords_u)
+    return coords_t, coords_u, rep_t, rep_u, _reflections(rs, elliptic)

@@ -179,17 +179,12 @@ class RootSystem:
             if r:
                 return None
             coords.append(c)
-        for j, x in enumerate(vi):
-            if vs * sum(c * b[j] for c, b in zip(coords, lat.int_coroots)) != lat.den * x:
-                return None
+        if any(vs * x != lat.den * y for x, y in zip(lat.combination(coords), vi)):
+            return None
         return tuple(coords)
 
     def from_lattice_coords(self, coeffs) -> Vec:
-        out = [Q(0)] * self.ambient_dim
-        for c, av in zip(coeffs, self.coroot_lattice.coroots, strict=True):
-            for j in range(self.ambient_dim):
-                out[j] += c * av[j]
-        return tuple(out)
+        return tuple(Q(x, self.coroot_lattice.den) for x in self.coroot_lattice.combination(coeffs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,6 +199,14 @@ class CorootLattice:
     den: int
     weights: tuple[tuple[int, ...], ...]
     int_coroots: tuple[tuple[int, ...], ...]
+
+    def combination(self, coords) -> list[int]:
+        """den times the vector sum_i coords[i] a_i^vee, in integers."""
+        out = [0] * len(self.int_coroots[0])
+        for c, b in zip(coords, self.int_coroots, strict=True):
+            if c:
+                out = [x + c * y for x, y in zip(out, b)]
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,8 +229,9 @@ class RootTables:
     An element u of W0 is the permutation ``perm`` of root indices with
     u(root b) = root perm[b]; s_a u is ``reflected[a]`` composed after it.
     An affine Weyl group element (A, mu) is the pair (perm, coords) of
-    the root permutation of A and the simple-coroot coordinates of mu,
-    as affgroup.require_group_element returns it.
+    the root permutation of A and the simple-coroot coordinates of mu:
+    the --element parser folds it, affgroup.require_group_element reads
+    it off an AffineElement, and reflen's integer core runs on it.
     """
 
     scale: int

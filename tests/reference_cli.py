@@ -1,16 +1,27 @@
 """The Fraction parser of --element elements, for cross-checking
 cli.parse_element: a word is built one rank-one Fraction update
 (affgroup.times_reflection) per letter, and a product of reflections by
-affgroup.product."""
+affgroup.product.  And the JSON payloads of len, factor and split as the
+commands built them from the public AffineElement API, for
+cross-checking the integer core they run on."""
 
 from __future__ import annotations
 
 import re
 
-from coxlen.affgroup import AffineElement, AffineReflection, identity_element, product, times_reflection
+import coxlen.cli
+from coxlen.affgroup import (
+    AffineElement,
+    AffineReflection,
+    identity_element,
+    product,
+    require_group_element,
+    times_reflection,
+)
 from coxlen.cli import parse_vector
 from coxlen.errors import ParseError
 from coxlen.linalg import vadd
+from coxlen.reflen import dimension_report, min_factorization, translation_elliptic_split
 from coxlen.rootsys import RootSystem
 
 
@@ -67,3 +78,29 @@ def _parse_reflection_product(rs: RootSystem, text: str) -> AffineElement:
             )
         factors.append(AffineReflection.make(rs.positive_roots[i - 1], j))
     return product(factors)
+
+
+def public_payload(rs: RootSystem, command: str, text: str) -> dict:
+    """The --json payload of len (without --verify), factor or split for
+    the element text names: cli.parse_element's AffineElement, checked by
+    require_group_element and run through dimension_report,
+    min_factorization or translation_elliptic_split."""
+    w = coxlen.cli.parse_element(rs, text)
+    strs = lambda v: [str(x) for x in v]  # noqa: E731
+    if command == "len":
+        require_group_element(rs, w)
+        rep = dimension_report(rs, w)
+        return {"type": str(rs.spec), "e": rep.e, "d": rep.d, "dim": rep.dim, "length": rep.length,
+                "witness_roots": [strs(r) for r in rep.witness_roots]}
+    if command == "factor":
+        f = min_factorization(rs, w)
+        return {"type": str(rs.spec), "length": len(f.factors),
+                "factors": [{"root": strs(r.root), "level": r.level} for r in f.factors]}
+    split = translation_elliptic_split(rs, w)
+    return {
+        "type": str(rs.spec),
+        "translation": strs(split.translation.translation),
+        "translation_length": split.translation_report.length,
+        "elliptic_length": split.elliptic_report.length,
+        "elliptic_factors": [{"root": strs(r.root), "level": r.level} for r in split.elliptic_factorization.factors],
+    }

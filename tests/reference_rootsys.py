@@ -2,15 +2,17 @@
 integer closure of rootsys.build_root_system: the closure of the simple
 roots under Fraction reflections, the root-index tables from the direct
 pairing of every root with every root, the highest root from a walk over
-those tables, and the coroot lattice and the fundamental coweights from
-Fraction Gauss-Jordan eliminations."""
+those tables, the coroot lattice and the fundamental coweights from
+Fraction Gauss-Jordan eliminations, and the vector with given
+simple-coroot coordinates by Fraction multiply-adds."""
 
 from __future__ import annotations
 
+from fractions import Fraction as Q
 from math import lcm
 
 from coxlen.linalg import Mat, Vec, dot, rref, scale_to_ints
-from coxlen.rootsys import CorootLattice, RootSystemSpec, RootTables, _simple_roots, coroot, reflect
+from coxlen.rootsys import CorootLattice, RootSystem, RootSystemSpec, RootTables, _simple_roots, coroot, reflect
 
 
 def reference_roots(spec: RootSystemSpec) -> Mat:
@@ -112,3 +114,13 @@ def reference_coroot_lattice(simple: Mat, ambient_dim: int) -> CorootLattice:
     ]
     den, ints = scale_to_ints(weights + list(coroots))
     return CorootLattice(coroots, den, tuple(map(tuple, ints[:n])), tuple(map(tuple, ints[n:])))
+
+
+def reference_from_lattice_coords(rs: RootSystem, coeffs) -> Vec:
+    """RootSystem.from_lattice_coords as it was before it became one
+    integer combination of the simple coroots."""
+    out = [Q(0)] * rs.ambient_dim
+    for c, av in zip(coeffs, rs.coroot_lattice.coroots, strict=True):
+        for j in range(rs.ambient_dim):
+            out[j] += c * av[j]
+    return tuple(out)

@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coxlen.reflen
-from coxlen.affgroup import compose, is_elliptic
+from coxlen.affgroup import compose, is_elliptic, require_group_element
 from coxlen.affsym import (
     SetPartition,
     Window,
+    _window_pair,
     cycles,
     embed_window,
     good_origin_split,
@@ -201,13 +202,20 @@ def test_null_complex_cliques_are_the_minimal_null_partitions(v):
 
 
 def test_good_origin_split_checks_only_the_window(monkeypatch):
-    # the split hands over the factorisation of its elliptic part
-    checked = []
-    real = coxlen.reflen.require_group_element
-    monkeypatch.setattr(coxlen.reflen, "require_group_element", lambda rs, a: checked.append(a) or real(rs, a))
-    win = Window((6, 0, 7, -1, 3))
-    good_origin_split(win)
-    assert checked == [embed_window(win)]
+    # the pair is read off the window, so no matrix is checked; the split
+    # hands over the factorisation of its elliptic part, checked once
+    checked, split_off = [], coxlen.reflen._split_off
+    monkeypatch.setattr(coxlen.reflen, "require_group_element", lambda rs, a: checked.append(a))
+    monkeypatch.setattr(coxlen.reflen, "_split_off", lambda *args: checked.append("split") or split_off(*args))
+    good_origin_split(Window((6, 0, 7, -1, 3)))
+    assert checked == ["split"]
+
+
+@given(windows(nmin=2, nmax=8))
+@settings(max_examples=150, deadline=None)
+def test_window_pair_is_the_group_element_of_the_embedding(win):
+    rs = window_root_system(win.n)
+    assert _window_pair(rs, *win.normal_form()) == require_group_element(rs, embed_window(win))
 
 
 def test_nullity_values():

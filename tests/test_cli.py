@@ -20,11 +20,13 @@ import coxlen.affgroup
 import coxlen.cli
 import coxlen.oracle
 import coxlen.reflen
+import coxlen.rootsys
 from coxlen.cli import main, parse_element, parse_vector, parse_window_text
 from coxlen.errors import ParseError, UnsupportedTypeError
 from coxlen.genfun import BivariatePolynomial
 from coxlen.rootsys import root_system
 from reference_cli import parse_element as fraction_parse_element
+from reference_cli import public_payload
 from reference_genfun import poly_s_plus
 
 
@@ -105,6 +107,9 @@ def test_parse_element_matches_the_fraction_parser(typed):
 
 
 def test_element_path_builds_no_fraction_products(capsys, monkeypatch):
+    # parse_element builds its one matrix at the end; the commands run on
+    # the parser's (root permutation, coroot coordinates) pair and build
+    # no matrix at all (len --verify and oracle hand one to the oracle)
     def boom(*args):
         raise AssertionError("Fraction product on the --element path")
 
@@ -112,14 +117,77 @@ def test_element_path_builds_no_fraction_products(capsys, monkeypatch):
         monkeypatch.setattr(coxlen.affgroup, name, boom)
         monkeypatch.setattr(coxlen.cli, name, boom, raising=False)
     monkeypatch.setattr(coxlen.affgroup.AffineReflection, "make", staticmethod(boom))
-    for name, element in [
+    elements = [
         ("G2", "lambda=(1,-1,0); word=s1 s2 s1"),
         ("F4", "word=s4 s3 s2 s1 s2"),
         ("B8", "refl(1,1) refl(64,-2)"),
-    ]:
+    ]
+    for name, element in elements:
         assert parse_element(root_system(name), element) is not None
-        code, _, err = run(capsys, "len", "--type", name, "--element", element)
-        assert code == 0, err
+    for name in ("root_permutation", "linear_move_space"):
+        monkeypatch.setattr(coxlen.affgroup, name, boom)
+        monkeypatch.setattr(coxlen.reflen, name, boom, raising=False)
+    monkeypatch.setattr(coxlen.rootsys.RootTables, "linear", boom)
+    for name, element in elements:
+        for command in ("len", "factor", "split"):
+            code, _, err = run(capsys, command, "--type", name, "--element", element)
+            assert code == 0, err
+    code, _, err = run(capsys, "window", "--window", "[8,-1,0,12,-4]")
+    assert code == 0, err
+
+
+def test_len_verify_builds_the_matrix_for_the_oracle(capsys, monkeypatch):
+    built, linear = [], coxlen.rootsys.RootTables.linear
+    monkeypatch.setattr(coxlen.rootsys.RootTables, "linear", lambda self, perm: built.append(perm) or linear(self, perm))
+    argv = ["len", "--type", "B2", "--element", "lambda=(1,1); word=s1", "--json"]
+    assert run_json(capsys, *argv)["length"] == 3
+    assert built == []
+    payload = run_json(capsys, *argv, "--verify")
+    assert (payload["oracle_length"], payload["oracle_agrees"]) == (3, True)
+    assert len(built) == 1
+
+
+CORE_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{f}{n}" for f in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["G2", "F4"]
+)
+
+
+@st.composite
+def core_elements(draw):
+    """A root system of CORE_TYPES and an element of it as --element
+    text: up to four refl(i,j), or a word of up to 2 rank letters with or
+    without a lattice lambda of at most two nonzero simple-coroot
+    coordinates.  Then d <= 2, so the span and Hurwitz searches stay
+    small at rank 8."""
+    rs = root_system(draw(st.sampled_from(CORE_TYPES)))
+    if draw(st.booleans()):
+        n = len(rs.positive_roots)
+        pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(-3, 3)), min_size=1, max_size=4))
+        return rs, " ".join(f"refl({i},{j})" for i, j in pairs)
+    letters = draw(st.lists(st.integers(1, rs.rank), max_size=2 * rs.rank))
+    parts = ["word=" + " ".join(f"s{i}" for i in letters)]
+    if draw(st.booleans()):
+        coeffs = [0] * rs.rank
+        for i in draw(st.lists(st.integers(0, rs.rank - 1), min_size=1, max_size=2)):
+            coeffs[i] = draw(st.integers(-4, 4))
+        parts.append("lambda=(" + ",".join(map(str, rs.from_lattice_coords(coeffs))) + ")")
+    return rs, "; ".join(draw(st.permutations(parts)))
+
+
+@pytest.mark.parametrize("command", ["len", "factor", "split"])
+@given(typed=core_elements())
+@settings(max_examples=150, deadline=None)
+def test_integer_core_matches_the_public_api(command, typed):
+    # the command's JSON, from the parser's pair, against the JSON built
+    # from parse_element's AffineElement by the public functions
+    rs, text = typed
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([command, "--type", str(rs.spec), "--element", text, "--json"]) == 0
+    assert out.getvalue() == json.dumps(public_payload(rs, command, text)) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -343,17 +411,17 @@ def test_len_verify_names_the_oracle_certificate(capsys):
 
 
 def test_split_does_not_check_its_elliptic_part_again(capsys, monkeypatch):
-    # the split verifies u and factors it once; the command only prints it
-    checked = []
-    for module in (coxlen.cli, coxlen.reflen):
-        real = module.require_group_element
-        monkeypatch.setattr(
-            module, "require_group_element", lambda rs, a, real=real: checked.append(a) or real(rs, a)
-        )
+    # the command hands the parser's pair to the integer core, so no
+    # AffineElement is checked; the split verifies u and factors it once,
+    # and the command only prints it
+    checked, split_off = [], coxlen.reflen._split_off
+    for module in (coxlen.affgroup, coxlen.reflen):
+        monkeypatch.setattr(module, "require_group_element", lambda rs, a: checked.append(a))
+    monkeypatch.setattr(coxlen.reflen, "_split_off", lambda *args: checked.append("split") or split_off(*args))
     element = "lambda=(2,1,-1); word=s3 s2"
     payload = run_json(capsys, "split", "--type", "B3", "--element", element, "--json")
     assert (payload["translation_length"], payload["elliptic_length"]) == (2, 2)
-    assert checked == [parse_element(root_system("B3"), element)]
+    assert checked == ["split"]
 
 
 def test_profile_cap_names_the_cap_and_the_supports(capsys):
@@ -486,15 +554,29 @@ def test_budget_message_names_the_cap(capsys):
 
 
 def test_lattice_error_prints_the_vector(capsys):
-    code, _, err = run(capsys, "split", "--type", "B2", "--element", "lambda=(1,0)")
-    assert code == 2
-    assert err == "error: translation part (1, 0) is not in the coroot lattice\n"
+    for command in ("split", "factor"):
+        code, _, err = run(capsys, command, "--type", "B2", "--element", "lambda=(1,0)")
+        assert code == 2
+        assert err == "error: translation part (1, 0) is not in the coroot lattice\n"
     code, _, err = run(capsys, "len", "--type", "F4", "--element", "lambda=(1/2,1/2,1/2,1/2)")
     assert code == 2
     assert err == "error: translation part (1/2, 1/2, 1/2, 1/2) is not in the coroot lattice\n"
     code, _, err = run(capsys, "oracle", "--type", "B2", "--element", "lambda=(1,0)")
     assert code == 2
     assert err == "error: translation part (1, 0) is not in the coroot lattice\n"
+
+
+@pytest.mark.parametrize("argv", [["len"], ["len", "--verify"], ["factor"], ["split"]])
+def test_off_lattice_element_exits_before_any_search(capsys, monkeypatch, argv):
+    def boom(*args):
+        raise AssertionError("a search ran on an element outside the coroot lattice")
+
+    for name in ("_report", "_min_span_subset", "_peel_elliptic"):
+        monkeypatch.setattr(coxlen.reflen, name, boom)
+    monkeypatch.setattr(coxlen.cli, "brute_reflection_length", boom)
+    code, out, err = run(capsys, *argv, "--type", "B3", "--element", "word=s3 s1; lambda=(1,0,0)")
+    assert (code, out) == (2, "")
+    assert err == "error: translation part (1, 0, 0) is not in the coroot lattice\n"
 
 
 # factor, split and window outputs recorded before the root-index kernel

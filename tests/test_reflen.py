@@ -557,7 +557,7 @@ def test_fixed_point_levels_match_fraction_solve(typed):
     v = product((w,) + lifts)
     m = [[y - (i == j) for j, y in enumerate(row)] for i, row in enumerate(v.linear)]
     x = solve_affine(m, [-y for y in v.translation])[0]
-    form, unit = _fixed_point_levels(rs.tables, root_permutation(rs, v.linear), v.translation)
+    form, unit = _fixed_point_levels(rs, root_permutation(rs, v.linear), rs.lattice_coords(v.translation))
     for alpha, ints in zip(rs.roots, rs.tables.int_roots):
         if solve_affine(m, alpha) is not None:
             assert Q(sum(ints[p] * c for p, c in form), unit) == dot(x, alpha)
@@ -645,12 +645,12 @@ def test_a_wrong_split_fails_verification(monkeypatch, mutate, part):
     # the glide splits into one stripped pair and a one-factor suffix
     split_off = coxlen.reflen._split_off
 
-    def wrong(rs, w, rep, perm, coords, pairs, suffix):
+    def wrong(rs, rep, perm, coords, pairs, suffix):
         if part == "translation":
             pairs = mutate(rs, pairs)
         else:
             suffix = mutate(rs, suffix)
-        return split_off(rs, w, rep, perm, coords, pairs, suffix)
+        return split_off(rs, rep, perm, coords, pairs, suffix)
 
     glide = compose(refl(B2, 0, 0).to_element(), translation_element(vec([2, 0])))
     monkeypatch.setattr(coxlen.reflen, "_split_off", wrong)

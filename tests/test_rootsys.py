@@ -27,7 +27,7 @@ from coxlen.rootsys import (
 from reference_lattice import RationalLattice
 from reference_linalg import canonical_root
 from reference_rootsys import reference_coroot_lattice, reference_highest_root as walked_highest_root
-from reference_rootsys import reference_roots, reference_tables
+from reference_rootsys import reference_from_lattice_coords, reference_roots, reference_tables
 from w0_matrices import w0_matrices
 
 # (type, root count, Weyl order)
@@ -275,6 +275,17 @@ def test_lattice_coords_match_hermite_reference(probe):
     assert (coords is not None) == rs.in_coroot_lattice(v)
     if coords is not None:
         assert rs.from_lattice_coords(coords) == v
+
+
+@given(st.sampled_from(LATTICE_TYPES), st.data())
+@settings(max_examples=200, deadline=None)
+def test_from_lattice_coords_matches_the_fraction_multiply_adds(name, data):
+    # integer and rational coefficients: the tests build off-lattice
+    # vectors from rational ones
+    rs = root_system(name)
+    coeff = st.integers(-9, 9) | st.fractions(min_value=-6, max_value=6, max_denominator=6)
+    coeffs = data.draw(st.lists(coeff, min_size=rs.rank, max_size=rs.rank))
+    assert rs.from_lattice_coords(coeffs) == reference_from_lattice_coords(rs, coeffs)
 
 
 def test_coroot_lattice_weights_are_dual_to_the_simple_coroots():
