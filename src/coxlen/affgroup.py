@@ -283,19 +283,31 @@ def root_permutation(rs: RootSystem, linear: Mat) -> tuple[int, ...]:
     return tuple(perm)
 
 
+def _w0_permutation(rs: RootSystem, linear: Mat) -> tuple[int, ...]:
+    """root_permutation of linear, or ValueError unless linear lies in W0:
+    it is w sigma, sigma a diagram automorphism, and multiplying by s_i
+    while a_i maps to a negative root (negative coroot coordinates) leaves
+    sigma, which must fix the simple roots.  For A_n and G2, linear must
+    also fix the all-ones line off the root span."""
+    tables = rs.tables
+    perm = u = root_permutation(rs, linear)
+    while (i := next((i for i in tables.simple if sum(tables.coroot_coords[u[i]]) < 0), None)) is not None:
+        u = tuple(map(u.__getitem__, tables.reflected[i]))
+    off_span = rs.ambient_dim > rs.rank and any(sum(row) != 1 for row in linear)
+    if off_span or any(u[i] != i for i in tables.simple):
+        raise ValueError("linear part is not an element of W0")
+    return perm
+
+
 def require_group_element(rs, a: AffineElement) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Check membership in the affine Weyl group: the linear part must
-    permute the roots and the translation part must lie in the coroot
-    lattice; return (root permutation, simple-coroot coordinates).  Root
-    permutation also admits diagram automorphisms; those are rare in
-    practice and the factorisation routines fail loudly on them, whereas
-    a translation outside the lattice would fail in confusing ways deep
-    inside the peeling loop."""
+    lie in W0 and the translation part in the coroot lattice; return
+    (root permutation, simple-coroot coordinates)."""
     if a.dim != rs.ambient_dim:
         raise ValueError(
             f"element acts on dimension {a.dim}, root system lives in {rs.ambient_dim}"
         )
-    return root_permutation(rs, a.linear), require_lattice_coords(rs, a.translation)
+    return _w0_permutation(rs, a.linear), require_lattice_coords(rs, a.translation)
 
 
 def require_lattice_coords(rs, v: Vec) -> tuple[int, ...]:

@@ -37,10 +37,10 @@ from .affsym import (
     Window,
     cycles,
     good_origin_split,
+    l_map,
     null_complex,
+    nullity,
     proper_basic_null_block_count,
-    reflection_length,
-    relative_nullity,
 )
 from .genfun import classify_coroots, local_genfun
 from .oracle import brute_nullity, brute_reflection_length
@@ -264,15 +264,16 @@ def cmd_window(args) -> int:
     lam, pi = win.normal_form()
     n = len(win.values)
     origin, (t, u) = good_origin_split(win, budget=args.budget)
-    rep_len = reflection_length(win)
-    cyc = [sorted(b) for b in cycles(pi).blocks]
+    blocks = cycles(pi)
+    nu = nullity(l_map(blocks, lam))
+    cyc = [sorted(b) for b in blocks.blocks]
     payload = {
         "n": n,
         "lambda": list(lam),
         "permutation": list(pi),
         "cycles": cyc,
-        "relative_nullity": relative_nullity(lam, pi),
-        "length": rep_len,
+        "relative_nullity": nu,
+        "length": n - 2 * nu + len(blocks),
         "good_origin": _vec_json(origin),
         "translation_part": _vec_json(t.translation),
     }
@@ -283,7 +284,7 @@ def cmd_window(args) -> int:
         print(f"normal form: lambda = {tuple(lam)}, permutation = {tuple(pi)}")
         print(f"cycles: {cyc}")
         print(f"relative nullity = {payload['relative_nullity']}")
-        print(f"reflection length = {rep_len}")
+        print(f"reflection length = {payload['length']}")
         print(f"good origin = {_vec_str(origin)}")
         print(f"translation part = {_vec_str(t.translation)}")
     return 0

@@ -7,9 +7,9 @@ multiplication by the finitely many reflections whose level is at most
 a bound J.  The distance of a state from the identity is its reflection
 length relative to that generator set.  W0 is genfun.enumerate_w0's list
 of root permutations, and a target enters the search through
-affgroup.require_group_element, which returns its root permutation and
-its lattice coordinates; beyond these the oracle shares nothing with the
-closed-form machinery.
+affgroup.require_group_element, which checks its linear part lies in W0
+and returns its root permutation and lattice coordinates; beyond these
+the oracle shares nothing with the closed-form machinery.
 
 The search is two-sided, and only distances to given targets are
 computed.  One ball grows forward from the identity, and one in reverse
@@ -54,7 +54,7 @@ from .errors import BudgetExceeded
 from .linalg import in_span, is_zero
 from .affgroup import AffineElement, elliptic_rank, linear_move_space, require_group_element
 from .genfun import enumerate_w0
-from .rootsys import RootSystem, coroot, reflect
+from .rootsys import RootSystem
 
 ORACLE_MAX_RANK = 4
 ORACLE_MAX_NULLITY_N = 12
@@ -89,25 +89,19 @@ def _oracle_tables(rs: RootSystem):
     """Integer transition tables: the index of each element of W0 by its
     root permutation; for each positive root line, the permutation it
     induces on W0 by left multiplication, its matrix on coroot-lattice
-    coordinates, and the coordinates of its coroot."""
+    coordinates, and the coordinates of its coroot, all off RootTables:
+    s_a(a_j^vee) = a_j^vee - <a_j^vee, a> a^vee gives column j."""
     group = enumerate_w0(rs)
     index = {p: i for i, p in enumerate(group.elements)}
-    basis = rs.coroot_lattice.coroots
+    tables = rs.tables
     lines = []
-    for alpha in rs.positive_roots:
-        # s_alpha m sends root b to s_alpha(m(b))
-        s = rs.tables.reflected[rs.root_index[alpha]]
+    for a in [a for a, pos in enumerate(tables.positive) if pos]:
+        # s_a m sends root b to s_a(m(b))
+        s = tables.reflected[a]
         perm = tuple(index[tuple(s[b] for b in p)] for p in group.elements)
-        cols = []
-        for b in basis:
-            c = rs.lattice_coords(reflect(alpha, b))
-            assert c is not None, "reflection left the coroot lattice"
-            cols.append(c)
-        lat = tuple(
-            tuple(cols[j][i] for j in range(rs.rank)) for i in range(rs.rank)
-        )
-        ca = rs.lattice_coords(coroot(alpha))
-        assert ca is not None
+        ca = tables.coroot_coords[a]
+        pairing = [tables.cartan[b][a] for b in tables.simple]
+        lat = tuple(tuple(int(i == j) - p * c for j, p in enumerate(pairing)) for i, c in enumerate(ca))
         lines.append((perm, lat, ca))
     return index, tuple(lines)
 
@@ -195,14 +189,6 @@ def _ball(rs: RootSystem, level_bound: int, depth_bound: int, targets):
     return dist
 
 
-def _target_state(rs: RootSystem, w: AffineElement):
-    perm, coeffs = require_group_element(rs, w)
-    index, _ = _oracle_tables(rs)
-    if perm not in index:
-        raise ValueError("linear part is not an element of W0")
-    return index[perm], coeffs
-
-
 def brute_reflection_lengths(
     rs: RootSystem,
     elements,
@@ -214,7 +200,9 @@ def brute_reflection_lengths(
     second search at level_bound + 1, only for the elements with k > e + 1
     and only to depth k - 2, decides the stability certificate."""
     _require_oracle_rank(rs)
-    targets = [_target_state(rs, w) for w in elements]
+    pairs = [require_group_element(rs, w) for w in elements]
+    index, _ = _oracle_tables(rs)
+    targets = [(index[perm], coords) for perm, coords in pairs]
     if level_bound is None:
         widest = max((max(abs(c) for c in t[1]) for t in targets), default=0)
         level_bound = widest + 2

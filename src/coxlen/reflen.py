@@ -41,9 +41,9 @@ group element as the pair of the root permutation of its linear part and
 the simple-coroot coordinates of its translation.  RootTables.fold
 multiplies (root index, level) factors onto such a pair, one lookup and
 one integer vector add per factor, and every factorisation and split is
-checked by comparing pairs.  The public functions read the pair of an
-AffineElement (affgroup.require_group_element) and its move space
-(affgroup.linear_move_space), and build Fraction elements for outputs.
+checked by comparing pairs.  Each public function reads the root
+permutation of its AffineElement once, checking that it lies in W0, runs
+the integer core on it and builds Fraction elements only for outputs.
 """
 
 from __future__ import annotations
@@ -55,9 +55,8 @@ from typing import Literal, Sequence
 from .affgroup import (
     AffineElement,
     AffineReflection,
+    _w0_permutation,
     identity_element,
-    is_elliptic,
-    linear_move_space,
     product,
     require_group_element,
     translation_element,
@@ -243,18 +242,18 @@ def _root_basis_of_span(
 ) -> tuple[Vec, ...]:
     """Roots inside the span of primitive_rref rows basis forming a basis
     of it, the first such in root order; exists because every move-set of
-    a Weyl group element is spanned by roots."""
+    a Weyl group element is spanned by roots.  The chosen roots are kept
+    as residuals modulo those chosen before, pivoted at their first
+    nonzero entry, where later residuals vanish: int_residual is exact."""
     chosen: list[Vec] = []
-    chosen_ints: list[tuple[int, ...]] = []
-    cbasis, cpivots = (), ()
+    rows, rpivots = [], []
     for alpha, a in zip(rs.roots, rs.tables.int_roots):
         if len(chosen) == len(basis):
             break
-        if int_residual(basis, pivots, a) is None and int_residual(cbasis, cpivots, a) is not None:
+        if int_residual(basis, pivots, a) is None and (r := int_residual(rows, rpivots, a)) is not None:
             chosen.append(alpha)
-            chosen_ints.append(a)
-            cbasis = primitive_rref(chosen_ints)
-            cpivots = rref_pivots(cbasis)
+            rows.append(r)
+            rpivots.append(next(j for j, x in enumerate(r) if x))
     if len(chosen) != len(basis):
         raise AssertionError("move-set of a group element must be a root subspace")
     return tuple(chosen)
@@ -281,7 +280,7 @@ class DimensionReport:
 
 
 def dimension_report(rs: RootSystem, w: AffineElement) -> DimensionReport:
-    return _report(rs, linear_move_space(w.linear), scaled_ints(w.translation))
+    return _report(rs, rs.tables.move_space(_w0_permutation(rs, w.linear)), scaled_ints(w.translation))
 
 
 def pair_report(rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...]) -> DimensionReport:
@@ -333,9 +332,10 @@ def factor_elliptic(rs: RootSystem, v: AffineElement) -> ReflectionFactorization
     peeled and checked as min_factorization does.
     """
     perm, coords = require_group_element(rs, v)
-    if not is_elliptic(v):
+    rep = pair_report(rs, perm, coords)
+    if rep.d:
         raise ValueError("input is not elliptic")
-    return pair_factorization(rs, perm, coords, dimension_report(rs, v))
+    return _reflections(rs, _min_factorization(rs, rep, perm, coords))
 
 
 def _peel_elliptic(rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -415,14 +415,12 @@ def min_factorization(rs: RootSystem, w: AffineElement) -> ReflectionFactorizati
     level-zero reflections in the d lifted roots to reach an elliptic
     element whose move-set is the witness subspace, factor that, then
     append the lifted reflections again in reverse."""
-    perm, coords = require_group_element(rs, w)
-    return pair_factorization(rs, perm, coords, dimension_report(rs, w))
+    return pair_factorization(rs, *require_group_element(rs, w))
 
 
-def pair_factorization(rs: RootSystem, perm, coords, rep: DimensionReport | None = None) -> ReflectionFactorization:
-    """min_factorization of the group element (perm, coords), whose
-    report rep is pair_report's unless given."""
-    return _reflections(rs, _min_factorization(rs, rep or pair_report(rs, perm, coords), perm, coords))
+def pair_factorization(rs: RootSystem, perm, coords) -> ReflectionFactorization:
+    """min_factorization of the group element (perm, coords)."""
+    return _reflections(rs, _min_factorization(rs, pair_report(rs, perm, coords), perm, coords))
 
 
 def _min_factorization(
@@ -519,17 +517,16 @@ def translation_elliptic_split(
     conjugates by table lookup (RootTables.conjugate), which is
     hurwitz_move on the corresponding reflections.
     """
-    perm, coords = require_group_element(rs, w)
-    coords_t, coords_u, rep_t, rep_u, elliptic = pair_split(rs, perm, coords, budget, dimension_report(rs, w))
+    coords_t, coords_u, rep_t, rep_u, elliptic = pair_split(rs, *require_group_element(rs, w), budget)
     t = translation_element(rs.from_lattice_coords(coords_t))
     return TranslationEllipticSplit(t, AffineElement(w.linear, rs.from_lattice_coords(coords_u)), rep_t, rep_u, elliptic)
 
 
-def pair_split(rs: RootSystem, perm, coords, budget: int = DEFAULT_HURWITZ_BUDGET, rep: DimensionReport | None = None):
-    """translation_elliptic_split of the group element (perm, coords), rep
-    its report if given: the simple-coroot coordinates of t and of u, the
-    reports of t and of u, and the factorisation of u."""
-    rep = rep or pair_report(rs, perm, coords)
+def pair_split(rs: RootSystem, perm, coords, budget: int = DEFAULT_HURWITZ_BUDGET):
+    """translation_elliptic_split of the group element (perm, coords): the
+    simple-coroot coordinates of t and of u, the reports of t and of u,
+    and the factorisation of u."""
+    rep = pair_report(rs, perm, coords)
     conjugate = rs.tables.conjugate
 
     def shared_pair_at(f: tuple[tuple[int, int], ...]) -> int | None:

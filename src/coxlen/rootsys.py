@@ -265,7 +265,8 @@ class RootTables:
         """Im(u - I) for the W0 element with root permutation perm, as the
         primitive_rref rows that affgroup.linear_move_space gives for its
         matrix.  u fixes the complement of the root span, so Im(u - I) is
-        spanned by u(a_i) - a_i over the simple roots a_i."""
+        spanned by u(a_i) - a_i over the simple roots a_i.  Every report and
+        peel step of reflen reads its move space here."""
         roots = self.int_roots
         return primitive_rref(
             tuple(x - y for x, y in zip(roots[perm[i]], roots[i])) for i in self.simple if perm[i] != i

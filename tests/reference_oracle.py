@@ -6,6 +6,8 @@ depth_bound around the identity, pruned to the geodesic window
 |translation|^2 <= (K * J * R)^2, once at level bound J and once at
 J + 1, and reads every target off it.  It shares the transition tables
 and the certificate type with coxlen.oracle, and nothing else.
+fraction_oracle_tables builds those tables the way coxlen.oracle did
+before it read them off RootTables, in Fractions.
 """
 
 from __future__ import annotations
@@ -15,7 +17,35 @@ from fractions import Fraction as Q
 from coxlen.affgroup import AffineElement, elliptic_rank, require_group_element
 from coxlen.linalg import dot, scale_to_ints
 from coxlen.oracle import CertifiedLength, _oracle_tables as _transitions, _require_oracle_rank
-from coxlen.rootsys import RootSystem, coroot
+from coxlen.genfun import enumerate_w0
+from coxlen.rootsys import RootSystem, coroot, reflect
+
+
+def fraction_oracle_tables(rs: RootSystem):
+    """coxlen.oracle's transition tables as it built them before it read
+    them off RootTables: each line's lattice matrix from the Fraction
+    reflections of the simple coroots and its coroot from the Fraction
+    coroot, both through lattice_coords."""
+    group = enumerate_w0(rs)
+    index = {p: i for i, p in enumerate(group.elements)}
+    basis = rs.coroot_lattice.coroots
+    lines = []
+    for alpha in rs.positive_roots:
+        # s_alpha m sends root b to s_alpha(m(b))
+        s = rs.tables.reflected[rs.root_index[alpha]]
+        perm = tuple(index[tuple(s[b] for b in p)] for p in group.elements)
+        cols = []
+        for b in basis:
+            c = rs.lattice_coords(reflect(alpha, b))
+            assert c is not None, "reflection left the coroot lattice"
+            cols.append(c)
+        lat = tuple(
+            tuple(cols[j][i] for j in range(rs.rank)) for i in range(rs.rank)
+        )
+        ca = rs.lattice_coords(coroot(alpha))
+        assert ca is not None
+        lines.append((perm, lat, ca))
+    return index, tuple(lines)
 
 
 def _oracle_tables(rs: RootSystem):

@@ -1,15 +1,22 @@
-"""The d search as coxlen computed it before lines parallel modulo the
-prefix were skipped and the last two lines found in one pass: a
-depth-first walk that tests every independent later line against the
-residual target.  The tests compare reflen._min_span_subset with it."""
+"""Earlier forms of reflen helpers, which the tests compare with the
+current ones.
+
+dfs_min_span_subset is the d search as coxlen computed it before lines
+parallel modulo the prefix were skipped and the last two lines found in
+one pass: a depth-first walk that tests every independent later line
+against the residual target.  _root_basis_of_span is the root basis as
+coxlen chose it before the chosen roots were kept as reduced residuals:
+it takes the primitive_rref of the chosen roots again after each pick.
+"""
 
 from __future__ import annotations
 
 from typing import Sequence
 
 from coxlen.errors import BudgetExceeded
-from coxlen.linalg import Vec, int_line_rep, reduce_int, scaled_ints
+from coxlen.linalg import Vec, int_line_rep, int_residual, primitive_rref, reduce_int, rref_pivots, scaled_ints
 from coxlen.reflen import DEFAULT_SPAN_SEARCH_CAP
+from coxlen.rootsys import RootSystem
 
 
 def dfs_min_span_subset(
@@ -70,3 +77,25 @@ def dfs_min_span_subset(
         if found is not None:
             return k, tuple(lines[keys[i]] for i in found)
     raise AssertionError("projected root lines failed to span their own span")
+
+
+def _root_basis_of_span(
+    rs: RootSystem, basis: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]
+) -> tuple[Vec, ...]:
+    """Roots inside the span of primitive_rref rows basis forming a basis
+    of it, the first such in root order; exists because every move-set of
+    a Weyl group element is spanned by roots."""
+    chosen: list[Vec] = []
+    chosen_ints: list[tuple[int, ...]] = []
+    cbasis, cpivots = (), ()
+    for alpha, a in zip(rs.roots, rs.tables.int_roots):
+        if len(chosen) == len(basis):
+            break
+        if int_residual(basis, pivots, a) is None and int_residual(cbasis, cpivots, a) is not None:
+            chosen.append(alpha)
+            chosen_ints.append(a)
+            cbasis = primitive_rref(chosen_ints)
+            cpivots = rref_pivots(cbasis)
+    if len(chosen) != len(basis):
+        raise AssertionError("move-set of a group element must be a root subspace")
+    return tuple(chosen)

@@ -20,9 +20,11 @@ from coxlen.affgroup import (
     linear_move_space,
     product,
     require_group_element,
+    root_permutation,
     times_reflection,
     translation_element,
 )
+from coxlen.genfun import enumerate_w0
 from coxlen.linalg import (
     identity_matrix,
     is_zero,
@@ -233,12 +235,28 @@ def fraction_preserves_roots(rs, linear):
     return all(mat_vec(linear, a) in root_set for a in rs.roots)
 
 
-def accepts(rs, linear):
+def accepts(check, rs, linear):
+    """Whether check(rs, linear) returns without a ValueError."""
     try:
-        require_group_element(rs, AffineElement(linear, vec([0] * rs.ambient_dim)))
+        check(rs, linear)
     except ValueError:
         return False
     return True
+
+
+def in_group(rs, linear):
+    """require_group_element on linear with a zero translation."""
+    return require_group_element(rs, AffineElement(linear, vec([0] * rs.ambient_dim)))
+
+
+def fraction_in_w0(rs, linear):
+    """linear is the matrix of an element of W0: it preserves the roots,
+    its root permutation is one that enumerate_w0 lists, and it is that
+    element's matrix, which fixes the complement of the root span."""
+    if not fraction_preserves_roots(rs, linear):
+        return False
+    perm = tuple(rs.root_index[mat_vec(linear, a)] for a in rs.roots)
+    return perm in set(enumerate_w0(rs).elements) and rs.tables.linear(perm) == linear
 
 
 @st.composite
@@ -286,7 +304,8 @@ def test_integer_membership_matches_fraction_predicate(typed, data):
     elif change == "negate":
         m[i] = [-x for x in m[i]]
     linear = tuple(tuple(row) for row in m)
-    assert accepts(rs, linear) == fraction_preserves_roots(rs, linear)
+    assert accepts(root_permutation, rs, linear) == fraction_preserves_roots(rs, linear)
+    assert accepts(in_group, rs, linear) == fraction_in_w0(rs, linear)
 
 
 def test_integer_membership_on_fractional_linear_parts():
@@ -311,7 +330,8 @@ def test_integer_membership_on_fractional_linear_parts():
         (g2, tuple(tuple(x / 2 for x in row) for row in long_g2), False),
     ]:
         assert fraction_preserves_roots(rs, linear) is expected
-        assert accepts(rs, linear) is expected
+        assert accepts(root_permutation, rs, linear) is expected
+        assert accepts(in_group, rs, linear) is expected
 
 
 def reference_linear_move_space(linear):

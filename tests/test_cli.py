@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import coxlen
 import coxlen.affgroup
+import coxlen.affsym
 import coxlen.cli
 import coxlen.oracle
 import coxlen.reflen
@@ -422,6 +423,15 @@ def test_split_does_not_check_its_elliptic_part_again(capsys, monkeypatch):
     payload = run_json(capsys, "split", "--type", "B3", "--element", element, "--json")
     assert (payload["translation_length"], payload["elliptic_length"]) == (2, 2)
     assert checked == ["split"]
+
+
+def test_window_runs_the_null_complex_once(capsys, monkeypatch):
+    # the command computes nu once and reads the length off it
+    sums, null_complex = [], coxlen.affsym.null_complex
+    monkeypatch.setattr(coxlen.affsym, "null_complex", lambda v, **kw: sums.append(v) or null_complex(v, **kw))
+    payload = run_json(capsys, "window", "--window", "[6,0,7,-1,3]", "--json")
+    assert sums == [(1, 0, -1)]
+    assert payload["length"] == 5 - 2 * payload["relative_nullity"] + len(payload["cycles"])
 
 
 def test_profile_cap_names_the_cap_and_the_supports(capsys):

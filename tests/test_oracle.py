@@ -40,6 +40,7 @@ from coxlen.oracle import (
 from coxlen.reflen import dimension_report
 from coxlen.rootsys import coroot, root_system
 import reference_oracle
+from reference_oracle import fraction_oracle_tables
 from w0_matrices import w0_matrices
 
 A2 = root_system("A2")
@@ -229,6 +230,12 @@ def reference_oracle_tables(rs):
 def test_oracle_tables_match_matrix_reference(name):
     rs = root_system(name)
     assert _oracle_tables(rs) == reference_oracle_tables(rs)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"])
+def test_oracle_tables_match_fraction_reflections(name):
+    rs = root_system(name)
+    assert _oracle_tables(rs) == fraction_oracle_tables(rs)
 
 
 def test_linear_part_outside_w0_is_rejected():

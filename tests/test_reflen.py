@@ -32,7 +32,7 @@ from coxlen.affgroup import (
 from coxlen.affsym import reflection_length
 from coxlen.errors import BudgetExceeded
 from coxlen.genfun import _genfun_tables, enumerate_w0
-from coxlen.linalg import dot, in_span, is_zero, line_rep, mat_vec, reduce_against, rref, solve_affine, vec
+from coxlen.linalg import dot, in_span, is_zero, line_rep, mat_vec, reduce_against, rref, rref_pivots, solve_affine, vec
 from coxlen.reflen import (
     DimensionReport,
     ReflectionFactorization,
@@ -51,6 +51,7 @@ from coxlen.reflen import (
 from coxlen.rootsys import root_system
 from reference_affgroup import is_translation
 from reference_affsym import window_of_element
+from reference_reflen import _root_basis_of_span as reference_root_basis_of_span
 from reference_reflen import dfs_min_span_subset
 from w0_matrices import w0_matrices
 
@@ -687,3 +688,95 @@ def test_signed_nullity_is_not_a_chain_of_zero_prefixes():
         dp[m] = max(dp[m & ~(1 << i)] for i in range(len(sums)) if m >> i & 1) + is_zero_block(m)
     assert dp[-1] == 2
     assert zero_block_count(sums, True) == 1
+
+
+ROOT_BASIS_TYPES = [f"A{n}" for n in range(2, 9)] + [f"B{n}" for n in range(3, 9)] + ["C4"] + [
+    f"D{n}" for n in range(4, 9)
+] + ["G2", "F4"]
+
+
+@pytest.mark.parametrize("name", ROOT_BASIS_TYPES)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_root_basis_picks_the_roots_of_the_primitive_rref_reference(name, data):
+    # the move space of a random W0 element, folded from a word in the
+    # simple reflections
+    rs = root_system(name)
+    word = data.draw(st.lists(st.integers(0, rs.rank - 1), max_size=3 * rs.rank))
+    perm, _ = rs.tables.fold((rs.tables.simple[i], 0) for i in word)
+    basis = rs.tables.move_space(perm)
+    pivots = rref_pivots(basis)
+    assert _root_basis_of_span(rs, basis, pivots) == reference_root_basis_of_span(rs, basis, pivots)
+
+
+def _outside_w0():
+    """(root system, linear part) pairs that permute the roots but lie
+    outside W0.  RootTables.linear reads only the images of the simple
+    roots, so it builds a diagram automorphism from how it permutes them."""
+
+    def automorphism(name, images):
+        rs = root_system(name)
+        perm = list(range(len(rs.roots)))
+        for a, b in zip(rs.tables.simple, images(rs.tables.simple)):
+            perm[a] = b
+        return rs, rs.tables.linear(tuple(perm))
+
+    j = Q(2, 3)
+    return [
+        # 2J/3 - I: -1 on the zero-sum plane, the longest element times the flip
+        (A2, tuple(tuple(j - (i == k) for k in range(3)) for i in range(3))),
+        # I - 2J/3 fixes every root but reflects the all-ones line
+        (A2, tuple(tuple((i == k) - j for k in range(3)) for i in range(3))),
+        # the flip of the A3 diagram, a_1 <-> a_3
+        automorphism("A3", lambda s: s[::-1]),
+        # D4 triality: a_1 -> a_3 -> a_4 -> a_1, a_2 fixed
+        automorphism("D4", lambda s: (s[2], s[1], s[3], s[0])),
+    ]
+
+
+@pytest.mark.parametrize("rs,linear", _outside_w0())
+def test_linear_parts_outside_w0_are_rejected_by_every_public_call(rs, linear):
+    root_permutation(rs, linear)  # each of them permutes the roots
+    w = AffineElement(linear, vec([0] * rs.ambient_dim))
+    for call in (dimension_report, min_factorization, factor_elliptic, translation_elliptic_split):
+        with pytest.raises(ValueError, match="^linear part is not an element of W0$"):
+            call(rs, w)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "F4"])
+def test_every_element_of_w0_is_accepted(name):
+    rs = root_system(name)
+    zero = vec([0] * rs.ambient_dim)
+    for perm in enumerate_w0(rs).elements:
+        w = AffineElement(rs.tables.linear(perm), zero)
+        assert require_group_element(rs, w) == (perm, (0,) * rs.rank)
+        assert dimension_report(rs, w).d == 0
+
+
+def test_public_calls_read_one_report_off_the_root_permutation(monkeypatch):
+    # each call reads the root permutation once and builds one report on
+    # RootTables.move_space; the matrix move space is never computed
+    def boom(*args):
+        raise AssertionError("move space computed from the matrix")
+
+    for name in ("linear_move_space", "is_elliptic"):
+        monkeypatch.setattr(coxlen.affgroup, name, boom)
+        monkeypatch.setattr(coxlen.reflen, name, boom, raising=False)
+    calls = []
+    for module, name in ((coxlen.affgroup, "root_permutation"), (coxlen.reflen, "pair_report")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, f=original, n=name: calls.append(n) or f(*args))
+    b3 = root_system("B3")
+    w = product([refl(b3, 0, 1), refl(b3, 4, -2), refl(b3, 7, 1)])
+    elliptic = product([refl(b3, 0, 1), refl(b3, 2, 0)])
+    for call, element in [
+        (min_factorization, w),
+        (translation_elliptic_split, w),
+        (factor_elliptic, elliptic),
+    ]:
+        calls.clear()
+        call(b3, element)
+        assert calls == ["root_permutation", "pair_report"], call.__name__
+    calls.clear()
+    assert dimension_report(b3, w).length == 3
+    assert calls == ["root_permutation"]
