@@ -288,13 +288,13 @@ def _w0_permutation(rs: RootSystem, linear: Mat) -> tuple[int, ...]:
     it is w sigma, sigma a diagram automorphism, and multiplying by s_i
     while a_i maps to a negative root (negative coroot coordinates) leaves
     sigma, which must fix the simple roots.  For A_n and G2, linear must
-    also fix the all-ones line off the root span."""
+    also fix the all-ones line off the root span: scaled rows sum to den."""
     tables = rs.tables
     perm = u = root_permutation(rs, linear)
     while (i := next((i for i in tables.simple if sum(tables.coroot_coords[u[i]]) < 0), None)) is not None:
         u = tuple(map(u.__getitem__, tables.reflected[i]))
-    off_span = rs.ambient_dim > rs.rank and any(sum(row) != 1 for row in linear)
-    if off_span or any(u[i] != i for i in tables.simple):
+    den, rows = scale_to_ints(linear) if rs.ambient_dim > rs.rank else (1, ())
+    if any(sum(row) != den for row in rows) or any(u[i] != i for i in tables.simple):
         raise ValueError("linear part is not an element of W0")
     return perm
 

@@ -14,9 +14,9 @@ Reflection length is computed here without any geometry:
 
 where the relative nullity nu(lam / pi) is the largest number of blocks
 in a partition refinable into cycles of pi whose block sums vanish.
-Nullity itself is computed through the basic / minimal null block
-pipeline; the maximal cliques of their disjointness complex are the
-partitions into minimal null blocks, which null_complex lists directly.
+Nullity is reflen.zero_block_count, the kernel genfun also uses; the
+minimal null blocks and the maximal cliques of their disjointness complex
+(null_complex) list the null partitions for the nullity command only.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import accumulate, combinations, groupby
 from .affgroup import AffineElement, translation_element
 from .errors import BudgetExceeded, ParseError
 from .linalg import Vec, mat_vec, vec
-from .reflen import DEFAULT_HURWITZ_BUDGET, pair_split
+from .reflen import DEFAULT_HURWITZ_BUDGET, pair_split, zero_block_count
 from .rootsys import RootSystem, RootSystemSpec, build_root_system
 
 DEFAULT_CLIQUE_VERTEX_CAP = 64
@@ -156,7 +156,7 @@ def _sides(v):
     sums; the other only at those weights, by a count over the weights
     left to reach after each of its entries."""
     if sum(v) != 0:
-        raise ValueError("profiles need a zero-sum vector")
+        raise ValueError("nullity needs a zero-sum vector")
     xs = [(i, x) for i, x in enumerate(v, 1) if x > 0]
     ys = [(i, -x) for i, x in enumerate(v, 1) if x < 0]
     if max(len(xs), len(ys)) > DEFAULT_PROFILE_SIZE_CAP:
@@ -277,12 +277,10 @@ def null_complex(v, vertex_cap: int = DEFAULT_CLIQUE_VERTEX_CAP) -> NullComplex:
     return NullComplex(vertices=verts, edges=edges, maximal_cliques=tuple(cliques))
 
 
-def nullity(v, vertex_cap: int = DEFAULT_CLIQUE_VERTEX_CAP) -> int:
+def nullity(v) -> int:
     """Largest number of blocks in a partition of the index set with
     every block summing to zero."""
-    if sum(v) != 0:
-        raise ValueError("nullity needs a zero-sum vector")
-    return null_complex(v, vertex_cap=vertex_cap).nullity
+    return zero_block_count(v, False)
 
 
 def relative_nullity(lam, pi) -> int:

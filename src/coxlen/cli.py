@@ -464,9 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("genfun", help="local generating function at lambda")
     p.add_argument("--type", required=True)
-    p.add_argument("--lambda", dest="lam", default=None, help="vector in the coroot lattice")
-    p.add_argument("--classify", type=int, default=None, metavar="RADIUS",
-                   help="classify the whole coefficient box instead")
+    at = p.add_mutually_exclusive_group()
+    at.add_argument("--lambda", dest="lam", default=None, help="vector in the coroot lattice")
+    at.add_argument("--classify", type=int, default=None, metavar="RADIUS",
+                    help="classify the whole coefficient box instead")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_genfun)
 

@@ -20,11 +20,11 @@ signed permutation of [n]) a cycle of size m is negative (sign product
 vector v_B in {+-1}^B up to sign: each of its 2^(m-1) classes carries
 (m-1)! cycles.  e = n - k over the k positive cycles, and type D keeps
 only an even number of negative cycles.  In both, d = k - nu with nu
-reflen.zero_block_count of the sums <lam, v_B> (signed cycle types,
-Carter 1972; null partitions, McCammond-Petersen 2011).  A DP over the
-coordinate masks S holds, for each multiset of cycle sums, the weighted
-number of ways to cover S by positive cycles; the negative cycles on the
-other coordinates only contribute a weight.
+reflen.zero_block_count of the sums <lam, v_B>, as in affsym.nullity
+(signed cycle types, Carter 1972; null partitions, McCammond-Petersen
+2011).  A DP over the coordinate masks S holds, for each multiset of
+cycle sums, the weighted number of ways to cover S by positive cycles;
+the negative cycles on the other coordinates only contribute a weight.
 
 G2 and F4 enumerate W0 once, by breadth-first search over permutations
 of the root indices: right multiplication by a simple reflection s_i is

@@ -49,6 +49,7 @@ the integer core on it and builds Fraction elements only for outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice, product as iproduct
 from math import lcm
 from typing import Literal, Sequence
 
@@ -187,54 +188,53 @@ def zero_block_count(sums: Sequence[int], signed: bool, bare: int = 0) -> int:
     on the fixed vectors v_B of the cycles B of u (Im(u - I) is their
     orthogonal complement), and d = len(sums) - nu.  Type A is unsigned:
     every position lies in a zero block, whose sums add to 0 (null
-    partitions, McCammond-Petersen).  Types B-D are signed: a zero block
-    is one whose sums cancel under some choice of signs, and the positions
-    in no zero block form one free block, uncounted and possibly empty,
-    except that the single position i with bit i set in the mask bare
-    may not be the free block (type D, a cycle of size 1 when u has no
-    negative cycle).  A DP over the position masks: zero masks by their
-    signed subset sums (a bitset offset by the total), then the best
-    partition of each mask with a zero block holding its lowest position.
+    partitions, McCammond-Petersen; ValueError unless all add to 0).
+    Types B-D are signed: a zero block is one whose sums cancel under some
+    choice of signs, and the positions in no zero block form one free
+    block, uncounted and possibly empty, except that the single position i
+    with bit i set in the mask bare may not be the free block (type D, a
+    cycle of size 1 when u has no negative cycle).  Placing copies of the
+    sums one at a time (signed: with sign + or -, or into the free block),
+    a block closes each time the running total returns to 0; the most
+    returns depend only on the count placed of each item, a sum (signed:
+    its absolute value and whether it is bare): a DP over count vectors.
     """
-    k = len(sums)
-    full = (1 << k) - 1
-    zeros: list[int] = []
-    if signed:
-        off = sum(map(abs, sums))
-        # no zero block at all unless some sum is a signed sum of earlier ones
-        seen = 1 << off
-        for v in map(abs, sums):
-            if seen >> (off + v) & 1:
-                break
-            seen |= (seen << v) | (seen >> v)
-        else:
-            return 0
-        reach = [1 << off] + [0] * full
-        for m in range(1, full + 1):
-            low = m & -m
-            v = abs(sums[low.bit_length() - 1])
-            r = reach[m ^ low]
-            reach[m] = (r << v) | (r >> v)
-            if reach[m] >> off & 1:
-                zeros.append(m)
+    k, off = len(sums), sum(map(abs, sums))
+    if not signed and sum(sums):
+        raise ValueError("nullity needs a zero-sum vector")
+    # unsigned, a zero sum is a block on its own
+    vals = list(map(abs, sums)) if signed else [v for v in sums if v]
+    # no block but the whole set closes unless a nonempty subset cancels
+    # (unsigned, one of all but the last sum: its complement cancels too)
+    seen = 1 << off
+    for v in vals if signed else vals[:-1]:
+        if seen >> (off - v) & 1:
+            break
+        seen |= seen << v | seen >> v if signed else seen << off + v >> off
     else:
-        total = [0] * (full + 1)
-        for m in range(1, full + 1):
-            low = m & -m
-            total[m] = total[m ^ low] + sums[low.bit_length() - 1]
-            if total[m] == 0:
-                zeros.append(m)
-    best = [0] + [-1] * full
-    for m in range(1, full + 1):
-        low = m & -m
-        for z in zeros:
-            if z & low and z & m == z and best[m ^ z] >= 0:
-                best[m] = max(best[m], best[m ^ z] + 1)
-    if not signed:
-        return best[full]
-    return max(
-        best[full ^ f] for f in range(full + 1) if not (f & bare and f & (f - 1) == 0)
-    )
+        return 0 if signed else k - len(vals) + min(len(vals), 1)
+    keys = list(zip(vals, [bare >> i & 1 for i in range(k)] if signed else [0] * k))
+    items = {key: keys.count(key) for key in keys}
+    # reach[u] has bit off + t + r * width if an ordering of the copies
+    # counted by u ends at total t after r or more returns to 0.  A copy of
+    # v steps back one count and shifts by +-v (unsigned by v, a = off + v)
+    width = 2 * off + 1
+    zeros = sum(1 << r * width for r in range(k + 1)) << off
+    moves, lone, stride = [], [], 1
+    for (v, b), c in items.items():
+        moves.append([()] + [(stride, v if signed else off + v)] * c)
+        lone += [stride] * b
+        stride *= c + 1
+    reach = [1 << off]
+    for u, row in enumerate(islice(iproduct(*reversed(moves)), 1, None), 1):
+        x = 0
+        for s, a in filter(None, row):
+            y = reach[u - s]
+            x |= y << a | y >> a if signed else y << a >> off
+        reach.append(x | (x & zeros) << width)
+    # signed, the free copies counted by stride - 1 - u may not be one bare copy
+    ends = [r for u, r in enumerate(reach) if stride - 1 - u not in lone] if signed else reach[-1:]
+    return k - len(vals) + max(((r & zeros).bit_length() - 1 - off) // width for r in ends)
 
 
 def _root_basis_of_span(

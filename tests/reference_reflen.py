@@ -7,6 +7,8 @@ one pass: a depth-first walk that tests every independent later line
 against the residual target.  _root_basis_of_span is the root basis as
 coxlen chose it before the chosen roots were kept as reduced residuals:
 it takes the primitive_rref of the chosen roots again after each pick.
+mask_zero_block_count is nu as zero_block_count computed it before the
+DP ran over count vectors: a DP over the masks of positions.
 """
 
 from __future__ import annotations
@@ -99,3 +101,60 @@ def _root_basis_of_span(
     if len(chosen) != len(basis):
         raise AssertionError("move-set of a group element must be a root subspace")
     return tuple(chosen)
+
+
+def mask_zero_block_count(sums: Sequence[int], signed: bool, bare: int = 0) -> int:
+    """nu, the most zero blocks in a partition of the positions of sums.
+
+    For a classical element t_lam u, sums are the images <lam, v_B> of lam
+    on the fixed vectors v_B of the cycles B of u (Im(u - I) is their
+    orthogonal complement), and d = len(sums) - nu.  Type A is unsigned:
+    every position lies in a zero block, whose sums add to 0 (null
+    partitions, McCammond-Petersen).  Types B-D are signed: a zero block
+    is one whose sums cancel under some choice of signs, and the positions
+    in no zero block form one free block, uncounted and possibly empty,
+    except that the single position i with bit i set in the mask bare
+    may not be the free block (type D, a cycle of size 1 when u has no
+    negative cycle).  A DP over the position masks: zero masks by their
+    signed subset sums (a bitset offset by the total), then the best
+    partition of each mask with a zero block holding its lowest position.
+    """
+    k = len(sums)
+    full = (1 << k) - 1
+    zeros: list[int] = []
+    if signed:
+        off = sum(map(abs, sums))
+        # no zero block at all unless some sum is a signed sum of earlier ones
+        seen = 1 << off
+        for v in map(abs, sums):
+            if seen >> (off + v) & 1:
+                break
+            seen |= (seen << v) | (seen >> v)
+        else:
+            return 0
+        reach = [1 << off] + [0] * full
+        for m in range(1, full + 1):
+            low = m & -m
+            v = abs(sums[low.bit_length() - 1])
+            r = reach[m ^ low]
+            reach[m] = (r << v) | (r >> v)
+            if reach[m] >> off & 1:
+                zeros.append(m)
+    else:
+        total = [0] * (full + 1)
+        for m in range(1, full + 1):
+            low = m & -m
+            total[m] = total[m ^ low] + sums[low.bit_length() - 1]
+            if total[m] == 0:
+                zeros.append(m)
+    best = [0] + [-1] * full
+    for m in range(1, full + 1):
+        low = m & -m
+        for z in zeros:
+            if z & low and z & m == z and best[m ^ z] >= 0:
+                best[m] = max(best[m], best[m ^ z] + 1)
+    if not signed:
+        return best[full]
+    return max(
+        best[full ^ f] for f in range(full + 1) if not (f & bare and f & (f - 1) == 0)
+    )

@@ -7,7 +7,9 @@ the three maximal null partitions below all follow from the definitions
 by direct enumeration.
 """
 
+import random
 import re
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -34,7 +36,7 @@ from coxlen.affsym import (
 )
 from coxlen.errors import BudgetExceeded, ParseError
 from coxlen.oracle import brute_nullity
-from coxlen.reflen import dimension_report
+from coxlen.reflen import dimension_report, zero_block_count
 from reference_affgroup import is_translation
 from reference_affsym import (
     basic_null_blocks,
@@ -225,6 +227,32 @@ def test_nullity_values():
     assert nullity(()) == 0
     with pytest.raises(ValueError):
         nullity((1, 1))
+
+
+@given(zero_sum_vectors(nmax=10))
+@settings(max_examples=60, deadline=None)
+def test_nullity_is_the_kernel_and_agrees_with_brute_force_and_the_cliques(v):
+    assert nullity(v) == zero_block_count(v, False) == brute_nullity(v)
+    assert nullity(v) == null_complex(v, vertex_cap=1 << len(v)).nullity
+
+
+def test_nullity_answers_sixteen_entries_without_a_cap():
+    # at the default vertex cap of 64 the clique route gives up on
+    # (1, -1, ..., 8, -8) and on 7 of the 40 random vectors; uncapped, it
+    # agrees with the kernel on all of them
+    started = time.perf_counter()
+    assert nullity(tuple(x for i in range(1, 9) for x in (i, -i))) == 8
+    assert time.perf_counter() - started < 1
+    rng = random.Random(16)
+    vectors = []
+    while len(vectors) < 40:
+        v = tuple(rng.randint(-2, 2) for _ in range(16))
+        if sum(v) == 0:
+            vectors.append(v)
+    started = time.perf_counter()
+    answers = [nullity(v) for v in vectors]
+    assert time.perf_counter() - started < 2
+    assert answers == [null_complex(v, vertex_cap=1 << 16).nullity for v in vectors]
 
 
 def test_zero_entries_become_singleton_blocks():

@@ -425,13 +425,41 @@ def test_split_does_not_check_its_elliptic_part_again(capsys, monkeypatch):
     assert checked == ["split"]
 
 
-def test_window_runs_the_null_complex_once(capsys, monkeypatch):
+def test_window_runs_the_nu_kernel_once(capsys, monkeypatch):
     # the command computes nu once and reads the length off it
-    sums, null_complex = [], coxlen.affsym.null_complex
-    monkeypatch.setattr(coxlen.affsym, "null_complex", lambda v, **kw: sums.append(v) or null_complex(v, **kw))
+    calls, kernel = [], coxlen.affsym.zero_block_count
+    monkeypatch.setattr(coxlen.affsym, "zero_block_count", lambda *args: calls.append(args) or kernel(*args))
     payload = run_json(capsys, "window", "--window", "[6,0,7,-1,3]", "--json")
-    assert sums == [(1, 0, -1)]
+    assert calls == [((1, 0, -1), False)]
     assert payload["length"] == 5 - 2 * payload["relative_nullity"] + len(payload["cycles"])
+
+
+def test_lengths_never_build_minimal_null_blocks(capsys, monkeypatch):
+    # nullity, relative nullity, window length and the window command all
+    # take nu from reflen.zero_block_count, never from the null complex
+    def boom(*args, **kwargs):
+        raise AssertionError("minimal null blocks built")
+
+    monkeypatch.setattr(coxlen.affsym, "minimal_null_blocks", boom)
+    assert coxlen.affsym.nullity((-3, -2, -2, -1, 1, 2, 5)) == 3
+    assert coxlen.affsym.relative_nullity((1, 0, -1), (1, 2, 3)) == 2
+    assert coxlen.affsym.reflection_length(coxlen.affsym.Window((6, 0, 7, -1, 3))) == 4
+    payload = run_json(capsys, "window", "--window", "[6,0,7,-1,3]", "--json")
+    assert payload["length"] == 4
+    with pytest.raises(AssertionError, match="minimal null blocks built"):
+        main(["nullity", "--vector", "(1,-1)"])
+
+
+def test_genfun_lambda_and_classify_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(["genfun", "--type", "G2", "--lambda", "(1,-1,0)", "--classify", "1"])
+    assert ex.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_nullity_of_a_vector_off_zero_sum_names_the_command(capsys):
+    code, out, err = run(capsys, "nullity", "--vector", "(1,2)")
+    assert (code, out, err) == (2, "", "error: nullity needs a zero-sum vector\n")
 
 
 def test_profile_cap_names_the_cap_and_the_supports(capsys):

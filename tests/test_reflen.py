@@ -52,7 +52,7 @@ from coxlen.rootsys import root_system
 from reference_affgroup import is_translation
 from reference_affsym import window_of_element
 from reference_reflen import _root_basis_of_span as reference_root_basis_of_span
-from reference_reflen import dfs_min_span_subset
+from reference_reflen import dfs_min_span_subset, mask_zero_block_count
 from w0_matrices import w0_matrices
 
 A2 = root_system("A2")
@@ -688,6 +688,29 @@ def test_signed_nullity_is_not_a_chain_of_zero_prefixes():
         dp[m] = max(dp[m & ~(1 << i)] for i in range(len(sums)) if m >> i & 1) + is_zero_block(m)
     assert dp[-1] == 2
     assert zero_block_count(sums, True) == 1
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(-4, 4), max_size=8),
+        st.lists(st.integers(-4, 4), max_size=7).map(lambda xs: xs + [-sum(xs)]),
+    ),
+    st.booleans(),
+    st.integers(0, 255),
+)
+@settings(max_examples=400, deadline=None)
+def test_zero_block_count_matches_the_mask_dp(sums, signed, bare):
+    # the DP over count vectors against the DP over position masks it
+    # replaced: both signs, zero entries and random bare masks; unsigned
+    # sums that do not add to 0, where the mask DP gives -1, raise
+    sums = tuple(sums)
+    bare &= (1 << len(sums)) - 1
+    expected = mask_zero_block_count(sums, signed, bare)
+    if expected < 0:
+        with pytest.raises(ValueError, match="^nullity needs a zero-sum vector$"):
+            zero_block_count(sums, signed, bare)
+    else:
+        assert zero_block_count(sums, signed, bare) == expected
 
 
 ROOT_BASIS_TYPES = [f"A{n}" for n in range(2, 9)] + [f"B{n}" for n in range(3, 9)] + ["C4"] + [
