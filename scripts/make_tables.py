@@ -10,12 +10,7 @@ import argparse
 import sys
 from fractions import Fraction as Q
 
-from coxlen.affsym import (
-    minimal_null_blocks,
-    null_complex,
-    nullity,
-    proper_basic_null_block_count,
-)
+from coxlen.affsym import null_complex, nullity, proper_basic_null_block_count
 from coxlen.genfun import classify_coroots, exponent_product, local_genfun, poly1_format, spherical_genfun
 from coxlen.linalg import vec
 from coxlen.rootsys import root_system
@@ -90,11 +85,10 @@ def spherical_table(out) -> None:
 def null_stats(out) -> None:
     print("## Null statistics of v0 =", fmt_vec(V0), file=out)
     print(file=out)
-    blocks = minimal_null_blocks(V0)
     cx = null_complex(V0)
     print(f"proper basic null blocks: {proper_basic_null_block_count(V0)}", file=out)
-    print(f"minimal null blocks ({len(blocks)}):", file=out)
-    for b in blocks:
+    print(f"minimal null blocks ({len(cx.vertices)}):", file=out)
+    for b in cx.vertices:
         print("  " + "{" + ", ".join(str(i) for i in sorted(b)) + "}", file=out)
     print(f"disjointness complex: {len(cx.vertices)} vertices, {len(cx.edges)} edges", file=out)
     print(f"maximal cliques ({len(cx.maximal_cliques)}):", file=out)

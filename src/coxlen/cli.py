@@ -91,29 +91,24 @@ def parse_window_text(text: str) -> Window:
 
 
 def parse_element(rs: RootSystem, text: str) -> AffineElement:
-    """The element that text names, built once at the end from its root
-    permutation and its translation."""
-    perm, coords, lam = _parse(rs, text)
-    return AffineElement(rs.tables.linear(perm), rs.from_lattice_coords(coords) if lam is None else lam)
+    """The element that text names, as a matrix and a translation, built
+    once from its (root permutation, coroot coordinates) pair."""
+    perm, coords = _parse(rs, text)
+    return AffineElement(rs.tables.linear(perm), rs.from_lattice_coords(coords))
 
 
-def _group_element(rs: RootSystem, text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The (root permutation, simple-coroot coordinates) pair of the element
-    that text names; ValueError when lambda is not in the coroot lattice."""
-    perm, coords, lam = _parse(rs, text)
-    return perm, coords if lam is None else require_lattice_coords(rs, lam)
-
-
-def _parse(rs: RootSystem, text: str):
-    """(perm, coords, lam): the word's letters or the reflections folded by
-    lookups in RootTables, and the lambda= vector, which, if there is one,
-    is the translation in place of the simple-coroot coordinates coords."""
+def _parse(rs: RootSystem, text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (root permutation, simple-coroot coordinates) pair of the
+    element that text names: the word's letters or the reflections folded
+    by lookups in RootTables, and the lambda= vector, if there is one, in
+    place of the coordinates; ValueError when lambda is not in the coroot
+    lattice."""
     text = text.strip()
     if not text:
         raise ParseError("empty element")
     tables = rs.tables
     if text.startswith("refl"):
-        return *tables.fold(_reflection_factors(rs, text)), None
+        return tables.fold(_reflection_factors(rs, text))
     lam = None
     word: list[int] = []
     seen: set[str] = set()
@@ -143,7 +138,8 @@ def _parse(rs: RootSystem, text: str):
                 word.append(tables.simple[int(m.group(1)) - 1])
         else:
             raise ParseError(f"unknown element field {key!r}")
-    return *tables.fold((a, 0) for a in word), lam
+    perm, coords = tables.fold((a, 0) for a in word)
+    return perm, coords if lam is None else require_lattice_coords(rs, lam)
 
 
 def _reflection_factors(rs: RootSystem, text: str) -> list[tuple[int, int]]:
@@ -185,7 +181,7 @@ _CERTIFICATE_TEXT = {
 
 def cmd_len(args) -> int:
     rs = root_system(args.type)
-    perm, coords = _group_element(rs, args.element)
+    perm, coords = _parse(rs, args.element)
     rep = pair_report(rs, perm, coords)
     payload = {
         "type": str(rs.spec),
@@ -220,7 +216,7 @@ def cmd_len(args) -> int:
 
 def cmd_factor(args) -> int:
     rs = root_system(args.type)
-    f = pair_factorization(rs, *_group_element(rs, args.element))
+    f = pair_factorization(rs, *_parse(rs, args.element))
     payload = {
         "type": str(rs.spec),
         "length": len(f.factors),
@@ -239,7 +235,7 @@ def cmd_factor(args) -> int:
 
 def cmd_split(args) -> int:
     rs = root_system(args.type)
-    coords_t, _, rep_t, rep_u, elliptic = pair_split(rs, *_group_element(rs, args.element), args.budget)
+    coords_t, _, rep_t, rep_u, elliptic = pair_split(rs, *_parse(rs, args.element), args.budget)
     translation, factors = rs.from_lattice_coords(coords_t), elliptic.factors
     payload = {
         "type": str(rs.spec),

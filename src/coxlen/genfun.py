@@ -183,7 +183,7 @@ def enumerate_w0(rs: RootSystem) -> SphericalGroup:
             f"W0 of {rs.spec} has order {rs.w0_size}, above the cap {DEFAULT_W0_CAP}"
         )
     reflected = rs.tables.reflected
-    gens = [reflected[rs.root_index[a]] for a in rs.simple_roots]
+    gens = [reflected[i] for i in rs.tables.simple]
     start = (tuple(range(len(rs.roots))), ())
     order = [start]
     seen = {start[0]}
@@ -393,6 +393,8 @@ def classify_coroots(rs: RootSystem, radius: int) -> dict[BivariatePolynomial, t
     terms summed over the whole scan (every point sums at least one); a
     scan that needs more raises BudgetExceeded.  Elsewhere the scan is
     uncapped, as the W0 tables bound it."""
+    if radius < 0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
     cap = DEFAULT_CLASSIFY_CAP
     capped = rs.w0_size > DEFAULT_W0_CAP
     classes: dict[BivariatePolynomial, list[Vec]] = {}

@@ -38,9 +38,11 @@ the translation norm grows by at most J * R per step (linear parts are
 orthogonal; R is the largest coroot norm), so every state within K steps
 already satisfies |translation| <= K * J * R.
 
-The nullity and dimension oracles are plain exhaustion: all set
-partitions via restricted growth strings, and all root subsets of
-increasing size.
+The certificate's e is elliptic_rank of a target's own matrix, once per
+W0 index, so it does not lean on RootTables.move_space.  The nullity and
+dimension oracles are plain exhaustion: all set partitions via
+restricted growth strings, and all root subsets of increasing size,
+tested by Fraction in_span.
 """
 
 from __future__ import annotations
@@ -210,17 +212,20 @@ def brute_reflection_lengths(
         depth_bound = 2 * rs.rank
     dist = _ball(rs, level_bound, depth_bound, targets)
     lengths = [dist.get(t) for t in targets]
-    ranks = [None if k is None else elliptic_rank(w.linear) for k, w in zip(lengths, elements)]
-    unproved = {t: k for t, k, e in zip(targets, lengths, ranks) if k is not None and k > e + 1}
+    # e is a fact of the linear part alone: one rank per W0 index
+    linear = {i: w.linear for (i, _), w in zip(targets, elements)}
+    ranks = {i: elliptic_rank(m) for i, m in linear.items()}
+    unproved = {t: k for t, k in zip(targets, lengths) if k is not None and k > ranks[t[0]] + 1}
     # more generators never lengthen a factorisation, and every length
     # has the parity of e, so k is stable exactly when level_bound + 1
     # does not reach the target within k - 2 steps
     shorter = _ball(rs, level_bound + 1, max(unproved.values()) - 2, unproved) if unproved else {}
     out = []
-    for t, k, e in zip(targets, lengths, ranks):
+    for t, k in zip(targets, lengths):
         if k is None:
             out.append(CertifiedLength(None, None, level_bound, depth_bound))
             continue
+        e = ranks[t[0]]
         assert (k - e) % 2 == 0, "determinant parity violated by the search"
         certificate = "rank" if k <= e + 1 else "stable" if shorter.get(t, k) >= k else None
         out.append(CertifiedLength(k, certificate, level_bound, depth_bound))

@@ -11,7 +11,8 @@ Two pictures:
 
 All geometry is exact until the final coordinate formatting (fixed four
 decimals), and every scan is sorted, so byte-identical output is
-reproducible across runs.
+reproducible across runs.  The fundamental alcove and the lattice points
+are read off the integer tables; a radius must be finite and >= 0.
 
 Only the irreducible rank-2 types (A2, B2, C2, G2) are supported: the
 fundamental alcove of a reducible type is not a simplex, and higher
@@ -22,13 +23,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Q
+from itertools import product
+from operator import mul
 
 from .errors import UnsupportedTypeError
-from .linalg import Vec, dot, smul, solve_combination, vadd
+from .linalg import Vec, dot, smul, vadd
 from .affgroup import AffineElement, AffineReflection, identity_element, times_reflection
 from .genfun import classify_coroots
 from .reflen import dimension_report
-from .rootsys import RootSystem, coroot
+from .rootsys import RootSystem
 
 SCALE = 80.0
 NODE_RADIUS = 4.0
@@ -57,6 +60,11 @@ def _require_planar(rs: RootSystem) -> None:
         )
 
 
+def _require_radius(name: str, radius) -> None:
+    if not (math.isfinite(radius) and radius >= 0):
+        raise ValueError(f"{name} must be a finite non-negative number, got {radius}")
+
+
 def _plane_basis(rs: RootSystem) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Orthonormal basis of the span of the roots, as floats."""
     if rs.ambient_dim == 2:
@@ -75,31 +83,14 @@ def _to_plane(basis, v: Vec) -> tuple[float, float]:
 
 
 def _fundamental_alcove(rs: RootSystem) -> tuple[Vec, ...]:
-    """Vertices of the fundamental alcove: the origin plus, per simple
-    root, the point on the highest-root wall where the other simple
-    root vanishes."""
-    theta = rs.highest_root
-    verts = [tuple(Q(0) for _ in range(rs.ambient_dim))]
-    for i in range(rs.rank):
-        others = [rs.simple_roots[j] for j in range(rs.rank) if j != i]
-        verts.append(_alcove_vertex(rs, others, theta))
-    return tuple(verts)
-
-
-def _alcove_vertex(rs: RootSystem, zero_against, theta) -> Vec:
-    """The point x in the span of the coroots with <x, z> = 0 for each z
-    in zero_against and <x, theta> = 1."""
-    span = [coroot(a) for a in rs.simple_roots]
-    rows = [[dot(s, z) for s in span] for z in zero_against]
-    rows.append([dot(s, theta) for s in span])
-    rhs = tuple([Q(0)] * len(zero_against) + [Q(1)])
-    n = len(span)
-    cols = tuple(tuple(rows[i][j] for i in range(len(rows))) for j in range(n))
-    sol = solve_combination(cols, rhs)
-    assert sol is not None, "fundamental alcove vertex missing"
-    return tuple(
-        sum(sol[j] * span[j][k] for j in range(n)) for k in range(len(span[0]))
-    )
+    """Vertices of the fundamental alcove: the origin plus w_i^vee / m_i
+    per simple root a_i, with m_i = <theta, w_i^vee> the coefficient of
+    a_i in the highest root theta, off RootTables.coweights (w_i^vee /
+    scale times linear_den) and theta times scale, both integers."""
+    tables = rs.tables
+    theta = [int(x * tables.scale) for x in rs.highest_root]
+    origin = tuple(Q(0) for _ in range(rs.ambient_dim))
+    return (origin, *(tuple(Q(tables.scale * x, sum(map(mul, theta, w))) for x in w) for w in tables.coweights))
 
 
 def _wall_reflections(rs: RootSystem) -> tuple[AffineReflection, ...]:
@@ -117,6 +108,7 @@ def enumerate_alcoves(rs: RootSystem, radius) -> list[tuple[AffineElement, tuple
     radius of the origin, with the group element that produces them, by
     breadth-first search across shared walls."""
     _require_planar(rs)
+    _require_radius("radius", radius)
     r2 = Q(radius) * Q(radius)
     a0 = _fundamental_alcove(rs)
     walls = _wall_reflections(rs)
@@ -154,14 +146,17 @@ def enumerate_alcoves(rs: RootSystem, radius) -> list[tuple[AffineElement, tuple
 
 
 def _lattice_points(rs: RootSystem, radius) -> list[Vec]:
-    r2 = Q(radius) * Q(radius)
-    bound = int(3 * Q(radius)) + 1
+    """The coroot lattice points within the radius, sorted: each point of
+    the coefficient box is tested on CorootLattice.combination integers,
+    and only the points kept become Fraction vectors."""
+    lat, r = rs.coroot_lattice, Q(radius)
+    limit = math.floor(r * r * lat.den * lat.den)
+    bound = int(3 * r) + 1
     pts = []
-    for i in range(-bound, bound + 1):
-        for j in range(-bound, bound + 1):
-            lam = rs.from_lattice_coords((i, j))
-            if _norm2(lam) <= r2:
-                pts.append(lam)
+    for coords in product(range(-bound, bound + 1), repeat=2):
+        v = lat.combination(coords)
+        if sum(x * x for x in v) <= limit:
+            pts.append(tuple(Q(x, lat.den) for x in v))
     return sorted(pts)
 
 
@@ -254,6 +249,9 @@ def render_classes(rs: RootSystem, coeff_radius: int = 2, tiling_radius=None) ->
     tiling; the legend lists each class polynomial in first-seen
     order."""
     _require_planar(rs)
+    # classify_coroots checks coeff_radius; check this one before it runs
+    if tiling_radius is not None:
+        _require_radius("tiling_radius", tiling_radius)
     basis = _plane_basis(rs)
     classes = classify_coroots(rs, coeff_radius)
     pts_to_color = {}

@@ -143,22 +143,17 @@ class RootSystem:
 
     @property
     def is_reducible(self) -> bool:
-        # components of the Dynkin diagram on the simple roots
-        n = len(self.simple_roots)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            i = frontier.pop()
-            for j in range(n):
-                if j not in seen and dot(self.simple_roots[i], self.simple_roots[j]) != 0:
-                    seen.add(j)
-                    frontier.append(j)
-        return len(seen) < n
+        # components of the Dynkin diagram: simple roots with a nonzero
+        # integer Cartan entry are joined
+        simple, cartan = self.tables.simple, self.tables.cartan
+        seen = [simple[0]]
+        for a in seen:
+            seen += [b for b in simple if cartan[a][b] and b not in seen]
+        return len(seen) < len(simple)
 
     @cached_property
     def positive_roots(self) -> Mat:
-        zero = vec([0] * self.ambient_dim)
-        return tuple(r for r in self.roots if r > zero)
+        return tuple(r for r, pos in zip(self.roots, self.tables.positive) if pos)
 
     @cached_property
     def root_index(self) -> dict[Vec, int]:

@@ -604,6 +604,15 @@ def test_lattice_error_prints_the_vector(capsys):
     assert err == "error: translation part (1, 0) is not in the coroot lattice\n"
 
 
+def test_oracle_checks_the_lattice_before_the_rank_guard(capsys):
+    # the parser reads lambda as coroot coordinates, so an off-lattice
+    # lambda exits 2 before the oracle's rank guard can exit 4
+    code, _, err = run(capsys, "oracle", "--type", "B5", "--element", "lambda=(1,0,0,0,0)")
+    assert (code, err) == (2, "error: translation part (1, 0, 0, 0, 0) is not in the coroot lattice\n")
+    code, _, err = run(capsys, "oracle", "--type", "B5", "--element", "lambda=(1,1,0,0,0)")
+    assert (code, err) == (4, "error: brute-force oracle supports rank <= 4, got B5\n")
+
+
 @pytest.mark.parametrize("argv", [["len"], ["len", "--verify"], ["factor"], ["split"]])
 def test_off_lattice_element_exits_before_any_search(capsys, monkeypatch, argv):
     def boom(*args):

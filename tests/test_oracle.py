@@ -20,6 +20,7 @@ from coxlen.affgroup import (
     compose,
     identity_element,
     product,
+    require_group_element,
     translation_element,
 )
 import coxlen.oracle as oracle_module
@@ -296,6 +297,22 @@ def test_batch_equals_one_element_at_a_time():
         batch = brute_reflection_lengths(B2, els, level_bound, depth_bound)
         bound = batch[0].level_bound
         assert batch == [brute_reflection_length(B2, w, bound, depth_bound) for w in els]
+
+
+def test_elliptic_rank_runs_once_per_w0_index(monkeypatch):
+    calls = []
+    rank = oracle_module.elliptic_rank
+    monkeypatch.setattr(oracle_module, "elliptic_rank", lambda m: calls.append(m) or rank(m))
+    s0, s1 = refl(B2, 0, 0).to_element(), refl(B2, 1, 1).to_element()
+    els = [identity_element(2), translation_element(vec([1, 1])), s0, compose(translation_element(vec([2, 0])), s0),
+           s1, translation_element(vec([3, 1])), compose(s0, s1)]
+    index, _ = _oracle_tables(B2)
+    distinct = {index[require_group_element(B2, w)[0]] for w in els}
+    assert len(distinct) == 4
+    out = brute_reflection_lengths(B2, els)
+    assert len(calls) == len(distinct)
+    assert [r.length for r in out] == [dimension_report(B2, w).length for w in els]
+    assert all(r.certified for r in out)
 
 
 def test_no_stability_search_when_the_rank_certifies(monkeypatch):

@@ -6,21 +6,32 @@ by the covolume of the coroot lattice, which predicts ~44 for A2, ~50
 for B2, ~100 for C2 at r = 2, in line with the exact values.
 """
 
+import hashlib
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
+from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
+import coxlen.render
 from coxlen.errors import UnsupportedTypeError
+from coxlen.genfun import classify_coroots
 from coxlen.reflen import dimension_report
 from coxlen.render import (
     LENGTH_FILLS,
+    _fundamental_alcove,
+    _lattice_points,
     enumerate_alcoves,
     render_alcoves,
     render_classes,
 )
 from coxlen.rootsys import root_system
+import reference_render
 
 B2 = root_system("B2")
 
@@ -122,3 +133,80 @@ def test_g2_tiling_renders():
     svg = render_alcoves(root_system("G2"), 2)
     assert svg.count("<polygon") == 264
     ET.fromstring(svg)
+
+
+RANK2 = ("A2", "B2", "C2", "G2")
+
+
+@pytest.mark.parametrize("name", RANK2)
+def test_fundamental_alcove_matches_the_fraction_solve(name):
+    rs = root_system(name)
+    assert _fundamental_alcove(rs) == reference_render.fundamental_alcove(rs)
+
+
+@pytest.mark.parametrize("radius", [Q(1, 2), 2, Q(7, 2), 10])
+@pytest.mark.parametrize("name", RANK2)
+def test_lattice_points_match_the_fraction_scan(name, radius):
+    rs = root_system(name)
+    assert _lattice_points(rs, radius) == reference_render.lattice_points(rs, radius)
+
+
+def test_lattice_points_make_fractions_only_for_the_points_kept(monkeypatch):
+    # one Fraction for the radius, then one per coordinate of a kept point
+    made = []
+    monkeypatch.setattr(coxlen.render, "Q", lambda *args: made.append(args) or Q(*args))
+    pts = _lattice_points(root_system("G2"), 10)
+    assert len(made) == 1 + 3 * len(pts)
+
+
+@pytest.mark.parametrize("radius", [Q(1, 2), 2, Q(7, 2)])
+@pytest.mark.parametrize("name", RANK2)
+def test_alcove_walk_matches_the_reference_alcove(monkeypatch, name, radius):
+    # same elements, vertices and order as the walk from the Fraction-solved
+    # fundamental alcove
+    rs = root_system(name)
+    got = enumerate_alcoves(rs, radius)
+    monkeypatch.setattr(coxlen.render, "_fundamental_alcove", reference_render.fundamental_alcove)
+    assert got == enumerate_alcoves(rs, radius)
+
+
+def test_bad_radius_is_a_value_error():
+    for radius in (-1, -2, Q(-1, 2), float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="radius"):
+            enumerate_alcoves(B2, radius)
+        with pytest.raises(ValueError, match="radius"):
+            render_alcoves(B2, radius)
+        with pytest.raises(ValueError, match="tiling_radius"):
+            render_classes(B2, 1, radius)
+    for classify in (classify_coroots, render_classes):
+        with pytest.raises(ValueError, match="radius must be non-negative, got -1"):
+            classify(B2, -1)
+    assert enumerate_alcoves(B2, 0) == []
+
+
+# sha256 of each SVG that scripts/render_figures.py --radius 2 writes,
+# recorded before the fundamental alcove and the lattice points were read
+# off the integer tables
+RENDER_FIGURES_SHA256 = {
+    "alcoves_A2_r2.svg": "21f1c42eb32dc81cdfadb995d5eeccbdad1f8ae06e90dd2072b2afd85d893084",
+    "alcoves_B2_r2.svg": "8d3d9d178636bececaa3da9dd8a4630da56decd4e00a26955e83a4fad9e88060",
+    "alcoves_C2_r2.svg": "48c28a21abd9f6e2d272f01f3ab7e4db3c2fe1024938af3cd129283e82323b02",
+    "alcoves_G2_r2.svg": "176f44fce3509a2afc8c85bd14d906fa1d54e882e993191bfa4a48ef798cf2f0",
+    "classes_A2.svg": "f1f6b5b98e6b4fab4345479a5f86b45134e9981a0d8bfad8099fc3cd00655f07",
+    "classes_B2.svg": "996b26cd9cf217524312b6b4df913cd45361bf4462b6da005347756d2f3dfda9",
+    "classes_G2.svg": "e97a72eff9614c350e78c5121247f8f0fc869d2ed694ae9102a3655a9b9febe3",
+}
+
+
+def test_render_figures_output_is_frozen(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(coxlen.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
+    )
+    subprocess.run(
+        [sys.executable, str(root / "scripts" / "render_figures.py"), "--radius", "2", "--outdir", str(tmp_path)],
+        capture_output=True, check=True, env=env,
+    )
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == RENDER_FIGURES_SHA256
