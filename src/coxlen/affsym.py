@@ -309,9 +309,13 @@ def good_origin_split(
     constraint tree and recentring to coordinate-sum zero lands on a
     vertex inside the fixed set.
     """
-    n = win.n
+    return _good_origin_split(*win.normal_form(), budget)
+
+
+def _good_origin_split(lam, pi, budget: int) -> tuple[Vec, tuple[AffineElement, AffineElement]]:
+    """good_origin_split of the window with normal form (lam, pi)."""
+    n = len(pi)
     rs = window_root_system(n)
-    lam, pi = win.normal_form()
     coords_t, coords_u, _, _, elliptic = pair_split(rs, *_window_pair(rs, lam, pi), budget)
     # constraints x_a - x_b = level form a forest (independent roots),
     # so integer values propagate consistently from any per-tree anchor

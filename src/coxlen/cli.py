@@ -36,7 +36,7 @@ from .reflen import DEFAULT_HURWITZ_BUDGET, pair_factorization, pair_report, pai
 from .affsym import (
     Window,
     cycles,
-    good_origin_split,
+    _good_origin_split,
     l_map,
     null_complex,
     nullity,
@@ -259,7 +259,7 @@ def cmd_window(args) -> int:
     win = parse_window_text(args.window)
     lam, pi = win.normal_form()
     n = len(win.values)
-    origin, (t, u) = good_origin_split(win, budget=args.budget)
+    origin, (t, u) = _good_origin_split(lam, pi, args.budget)
     blocks = cycles(pi)
     nu = nullity(l_map(blocks, lam))
     cyc = [sorted(b) for b in blocks.blocks]

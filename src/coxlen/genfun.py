@@ -218,7 +218,7 @@ def _genfun_tables(rs: RootSystem):
     out = []
     for key, mult in counts.items():
         pivots = rref_pivots(key)
-        out.append((len(key), key, pivots, _quotient_lines(rs, key, pivots), mult))
+        out.append((len(key), key, pivots, _quotient_lines(rs, key, pivots)[0], mult))
     return tuple(out)
 
 
@@ -380,7 +380,7 @@ def is_generic(rs: RootSystem, lam: Vec) -> bool:
     _require_lattice_point(rs, lam)
     if is_zero(lam):
         return False
-    lines = _quotient_lines(rs, (), ())
+    lines = _quotient_lines(rs, (), ())[0]
     return _min_span_subset(lines, scaled_ints(lam), rs.rank)[0] == rs.rank
 
 

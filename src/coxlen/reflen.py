@@ -15,9 +15,14 @@ test against it is fraction-free (linalg.int_residual): the residual of
 lam, the projected root lines over the integer roots of RootSystem.tables
 and the root basis of the space.
 
-The d-search tries subset sizes k = 1, 2, ... of the projected root
-lines.  For each k it walks prefixes of independent lines depth first,
-keeping the target and the remaining lines reduced modulo the prefix as
+For type A, d has a closed form from null partitions: with w = t_lam u,
+d = #cycles of u - nu(mu), where mu_B sums lam over a cycle B and nu is
+the most zero-sum blocks in a partition of the cycles (zero_block_count).
+The d-search then runs only at that subset size, for the witness, and a
+search that finds another size raises AssertionError.  For the other
+types it tries subset sizes k = 1, 2, ... of the projected root lines.
+For each k it walks prefixes of independent lines depth first, keeping
+the target and the remaining lines reduced modulo the prefix as
 canonical integer line representatives (fraction-free elimination).  Of
 the lines parallel modulo a prefix only the first is kept, and the last
 two lines come from one pass that groups the remaining lines by their
@@ -79,21 +84,26 @@ DEFAULT_SPAN_SEARCH_CAP = 10**6
 
 def _quotient_lines(
     rs: RootSystem, ubasis: tuple[tuple[int, ...], ...], upivots: tuple[int, ...]
-) -> dict[tuple[int, ...], Vec]:
+) -> tuple[dict[tuple[int, ...], Vec], list[tuple[int, ...]]]:
     """Nonzero images of roots in the quotient by the span of primitive_rref
-    rows ubasis, deduped up to scalar.  Maps canonical line representative
+    rows ubasis, deduped up to scalar, and the integer positive roots
+    inside that span.  The images map canonical line representative
     (int_line_rep, equal to line_rep of the Fraction residual) -> the
     first positive root lifting it."""
     lines: dict[tuple[int, ...], Vec] = {}
+    inside = []
     t = rs.tables
     for alpha, a, pos in zip(rs.roots, t.int_roots, t.positive):
-        res = int_residual(ubasis, upivots, a) if pos else None
+        if not pos:
+            continue
+        res = int_residual(ubasis, upivots, a)
         if res is None:
+            inside.append(a)
             continue
         key = int_line_rep(res)
         if key not in lines:
             lines[key] = alpha
-    return lines
+    return lines, inside
 
 
 def _line_mod(v: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...] | None:
@@ -111,12 +121,15 @@ def _min_span_subset(
     max_k: int,
     *,
     witness: bool = True,
+    least: int = 1,
 ) -> tuple[int, tuple[Vec, ...]]:
     """Smallest k and a witness set of k roots whose projected lines span
     the nonzero integer target (a rational one is scaled to integers);
     the caller guarantees solvability at max_k.  Without a witness only k
     is wanted: a target that no fewer lines span is spanned at max_k, so
-    the search stops before that size and then returns (max_k, ()).
+    the search stops before that size and then returns (max_k, ()).  A
+    caller that knows no fewer than least lines span the target skips
+    the sizes 2 .. least - 1; size 1 is a lookup and always tried.
 
     The witness is the lexicographically first linearly independent
     k-subset of the sorted line keys whose span contains the target.  For
@@ -172,7 +185,7 @@ def _min_span_subset(
         return None
 
     start = [(i, tuple(map(int, key))) for i, key in enumerate(keys)]
-    for k in range(2, sizes + 1):
+    for k in range(max(2, least), sizes + 1):
         found = complete(tkey, start, k)
         if found is not None:
             return k, tuple(lines[keys[i]] for i in found)
@@ -237,6 +250,28 @@ def zero_block_count(sums: Sequence[int], signed: bool, bare: int = 0) -> int:
     return k - len(vals) + max(((r & zeros).bit_length() - 1 - off) // width for r in ends)
 
 
+def _null_partition_d(rs: RootSystem, inside: list[tuple[int, ...]], mu: Sequence[int]) -> int | None:
+    """d of the type-A element t_lam u by null partitions, None for the
+    other types and for a translation off the root span.
+
+    inside lists the positive roots e_i - e_j (i < j) of Im(u - I), which
+    holds e_i - e_j exactly when i and j lie in one cycle B of u; so each
+    index joins the least index of its cycle.  With mu_B the sum of the
+    multiple mu of lam over B, d = #cycles - nu(mu_B) (zero_block_count,
+    unsigned; McCammond-Petersen).
+    """
+    if rs.spec.family != "A" or sum(mu):
+        return None
+    head = list(range(len(mu)))
+    for a in inside:
+        j = a.index(-1)
+        head[j] = min(head[j], a.index(1))
+    sums = dict.fromkeys(head, 0)
+    for i, m in zip(head, mu):
+        sums[i] += m
+    return len(sums) - zero_block_count(list(sums.values()), False)
+
+
 def _root_basis_of_span(
     rs: RootSystem, basis: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]
 ) -> tuple[Vec, ...]:
@@ -298,7 +333,11 @@ def _report(rs: RootSystem, ubasis, mu, u_roots=None) -> DimensionReport:
     if res is None:
         d, lifts = 0, ()
     else:
-        d, lifts = _min_span_subset(_quotient_lines(rs, ubasis, upivots), res, rs.rank - e)
+        lines, inside = _quotient_lines(rs, ubasis, upivots)
+        rule = _null_partition_d(rs, inside, mu)
+        d, lifts = _min_span_subset(lines, res, rs.rank - e, least=rule or 1)
+        if rule not in (None, d):
+            raise AssertionError(f"null partitions give d = {rule}, the span search {d}")
     if u_roots is None:
         u_roots = _root_basis_of_span(rs, ubasis, upivots)
     return DimensionReport(e, d, d + e, 2 * d + e, u_roots, lifts, ubasis)

@@ -434,6 +434,15 @@ def test_window_runs_the_nu_kernel_once(capsys, monkeypatch):
     assert payload["length"] == 5 - 2 * payload["relative_nullity"] + len(payload["cycles"])
 
 
+def test_window_reads_the_normal_form_once(capsys, monkeypatch):
+    # the command hands its (lam, pi) to the good-origin split
+    calls, normal_form = [], coxlen.affsym.Window.normal_form
+    monkeypatch.setattr(coxlen.affsym.Window, "normal_form", lambda win: calls.append(win) or normal_form(win))
+    payload = run_json(capsys, "window", "--window", "[6,0,7,-1,3]", "--json")
+    assert calls == [coxlen.affsym.Window((6, 0, 7, -1, 3))]
+    assert (payload["lambda"], payload["permutation"]) == ([1, -1, 1, -1, 0], [1, 5, 2, 4, 3])
+
+
 def test_lengths_never_build_minimal_null_blocks(capsys, monkeypatch):
     # nullity, relative nullity, window length and the window command all
     # take nu from reflen.zero_block_count, never from the null complex

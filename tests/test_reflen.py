@@ -11,7 +11,7 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import coxlen.reflen
@@ -29,7 +29,7 @@ from coxlen.affgroup import (
     root_permutation,
     translation_element,
 )
-from coxlen.affsym import reflection_length
+from coxlen.affsym import Window, _window_pair, reflection_length, window_root_system
 from coxlen.errors import BudgetExceeded
 from coxlen.genfun import _genfun_tables, enumerate_w0
 from coxlen.linalg import dot, in_span, is_zero, line_rep, mat_vec, reduce_against, rref, rref_pivots, solve_affine, vec
@@ -45,6 +45,7 @@ from coxlen.reflen import (
     factor_elliptic,
     hurwitz_move,
     min_factorization,
+    pair_report,
     translation_elliptic_split,
     zero_block_count,
 )
@@ -286,7 +287,7 @@ def span_problems(draw, types=SPAN_TYPES):
     word = draw(st.lists(st.integers(0, rs.rank - 1), max_size=2 * rs.rank))
     w = element_of(rs, [AffineReflection.make(rs.simple_roots[i], 0) for i in word])
     ubasis, upivots = rref(linear_move_space(w.linear))
-    lines = _quotient_lines(rs, linear_move_space(w.linear), upivots)
+    lines = _quotient_lines(rs, linear_move_space(w.linear), upivots)[0]
     coeffs = draw(st.lists(st.integers(-12, 12), min_size=rs.rank, max_size=rs.rank))
     lam = [sum((c * a[j] for c, a in zip(coeffs, rs.simple_roots)), Q(0)) for j in range(rs.ambient_dim)]
     target = reduce_against(ubasis, upivots, tuple(lam))
@@ -316,7 +317,7 @@ def test_span_search_skips_lines_parallel_modulo_the_prefix(monkeypatch):
     # Modulo the prefix e3-e4, e2-e4 is parallel to e2-e3 and e1-e4 to
     # e1-e3, so the pass after that prefix reduces three lines, not five.
     A3 = root_system("A3")
-    lines = _quotient_lines(A3, (), ())
+    lines = _quotient_lines(A3, (), ())[0]
     target = vec([1, 2, 3, -6])
     witness = (vec([0, 0, 1, -1]), vec([0, 1, -1, 0]), vec([1, -1, 0, 0]))
     assert _min_span_subset(lines, target, 3) == dfs_min_span_subset(lines, target, 3) == (3, witness)
@@ -357,7 +358,7 @@ def test_frozen_translation_witnesses(name, coeffs, d, witness):
 
 def test_span_search_cap(monkeypatch):
     # (2, 4) in B2 needs two lines; one pass reduces all four lines first
-    lines = _quotient_lines(B2, (), ())
+    lines = _quotient_lines(B2, (), ())[0]
     target = vec([2, 4])
     assert _min_span_subset(lines, target, 2)[0] == 2
     monkeypatch.setattr("coxlen.reflen.DEFAULT_SPAN_SEARCH_CAP", 0)
@@ -378,6 +379,76 @@ def test_reach_matches_window_formula(name, expected):
     t = sum_i_coroots(rs)
     length = dimension_report(rs, t).length
     assert length == reflection_length(window_of_element(t)) == expected
+
+
+@st.composite
+def type_a_pairs(draw):
+    """(type name, root permutation, simple-coroot coordinates) of a
+    random A1-A6 element: a word of at most 2 * rank simple reflections
+    and coordinates in [-3, 3]."""
+    name = f"A{draw(st.integers(1, 6))}"
+    rs = root_system(name)
+    word = draw(st.lists(st.integers(0, rs.rank - 1), max_size=2 * rs.rank))
+    perm, _ = rs.tables.fold((rs.tables.simple[i], 0) for i in word)
+    coords = tuple(draw(st.lists(st.integers(-3, 3), min_size=rs.rank, max_size=rs.rank)))
+    return name, perm, coords
+
+
+def full_search_report(rs, perm, coords):
+    """pair_report with the null-partition rule switched off: the span
+    search from size 1, as for the types other than A."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coxlen.reflen, "_null_partition_d", lambda *args: None)
+        return pair_report(rs, perm, coords)
+
+
+@given(type_a_pairs())
+@example(("A3", tuple(range(12)), (0, 0, 0)))  # d = e = 0
+@example(("A3", tuple(range(12)), (1, 2, 3)))  # e = 0, d = 3
+@example(("A2", root_system("A2").tables.fold([(1, 0), (2, 0)])[0], (0, 0)))  # d = 0, e = 2
+@settings(max_examples=300, deadline=None)
+def test_null_partition_d_matches_the_full_search(case):
+    name, perm, coords = case
+    rs = root_system(name)
+    assert pair_report(rs, perm, coords) == full_search_report(rs, perm, coords)
+
+
+@st.composite
+def wide_windows(draw):
+    n = draw(st.integers(8, 9))
+    pi = draw(st.permutations(range(1, n + 1)))
+    head = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+    return Window(tuple(p + n * x for p, x in zip(pi, head + [-sum(head)])))
+
+
+@given(wide_windows())
+@settings(max_examples=25, deadline=None)
+def test_null_partition_d_at_ranks_7_and_8(win):
+    rs = window_root_system(win.n)
+    assert pair_report(rs, *_window_pair(rs, *win.normal_form())).length == reflection_length(win)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_a_wrong_null_partition_d_raises(monkeypatch, shift):
+    # one too few: no witness at that size, and the search found d above it;
+    # one too many at d = 1: the size-1 lookup finds the line anyway
+    rule = coxlen.reflen._null_partition_d
+    monkeypatch.setattr(coxlen.reflen, "_null_partition_d", lambda *args: rule(*args) + shift)
+    A3 = root_system("A3")
+    coords = (1, 2, 3) if shift < 0 else (1, 0, 0)
+    with pytest.raises(AssertionError, match="null partitions give d"):
+        pair_report(A3, tuple(range(12)), coords)
+
+
+def test_null_partitions_skip_the_smaller_sizes(monkeypatch):
+    # A8 at sum i alpha_i^vee: d = 8 is searched at size 8 only
+    sizes, search = [], coxlen.reflen._min_span_subset
+    monkeypatch.setattr(
+        coxlen.reflen, "_min_span_subset", lambda *args, **kw: sizes.append(kw["least"]) or search(*args, **kw)
+    )
+    A8 = root_system("A8")
+    rep = pair_report(A8, tuple(range(len(A8.roots))), tuple(range(1, 9)))
+    assert (sizes, rep.d, rep.length) == ([8], 8, 16)
 
 
 @pytest.mark.parametrize("name,length", [("B7", 8), ("D6", 8)])
@@ -465,7 +536,7 @@ def check_against_reference(rs, w):
     expected, lines = reference_dimension_report(rs, w)
     assert dimension_report(rs, w) == expected
     ubasis = linear_move_space(w.linear)
-    assert _quotient_lines(rs, ubasis, rref(ubasis)[1]) == lines
+    assert _quotient_lines(rs, ubasis, rref(ubasis)[1])[0] == lines
 
 
 @given(reported_elements())
