@@ -259,14 +259,15 @@ def is_elliptic(a: AffineElement) -> bool:
     return int_residual(basis, rref_pivots(basis), scaled_ints(a.translation)) is None
 
 
-def root_permutation(rs: RootSystem, linear: Mat) -> tuple[int, ...]:
-    """The permutation of root indices (RootTables) that linear induces,
-    perm[b] the index of linear(root b); ValueError if linear does not
-    permute the roots.
+def _scaled_root_permutation(rs: RootSystem, linear: Mat) -> tuple[int, list[list[int]], tuple[int, ...]]:
+    """(den, rows, perm): linear scaled to the integer rows of den times
+    it, den the lcm of its denominators (linalg.scale_to_ints), and the
+    permutation of root indices (RootTables) that linear induces, perm[b]
+    the index of linear(root b); ValueError if linear does not permute
+    the roots.
 
-    In integers: with den the lcm of the denominators of linear, a root r
-    (integer after scaling) maps to a root iff (den * linear) r is den
-    times an integer root."""
+    In integers: a root r (integer after scaling) maps to a root iff
+    (den * linear) r is den times an integer root."""
     tables = rs.tables
     den, rows = scale_to_ints(linear)
     columns = list(zip(*rows))
@@ -280,21 +281,21 @@ def root_permutation(rs: RootSystem, linear: Mat) -> tuple[int, ...]:
         if b is None:
             raise ValueError("linear part does not preserve the root system")
         perm.append(b)
-    return tuple(perm)
+    return den, rows, tuple(perm)
 
 
 def _w0_permutation(rs: RootSystem, linear: Mat) -> tuple[int, ...]:
-    """root_permutation of linear, or ValueError unless linear lies in W0:
-    it is w sigma, sigma a diagram automorphism, and multiplying by s_i
+    """The root permutation of linear, or ValueError unless linear lies in
+    W0: it is w sigma, sigma a diagram automorphism, and multiplying by s_i
     while a_i maps to a negative root (negative coroot coordinates) leaves
     sigma, which must fix the simple roots.  For A_n and G2, linear must
     also fix the all-ones line off the root span: scaled rows sum to den."""
     tables = rs.tables
-    perm = u = root_permutation(rs, linear)
+    den, rows, perm = _scaled_root_permutation(rs, linear)
+    u = perm
     while (i := next((i for i in tables.simple if sum(tables.coroot_coords[u[i]]) < 0), None)) is not None:
         u = tuple(map(u.__getitem__, tables.reflected[i]))
-    den, rows = scale_to_ints(linear) if rs.ambient_dim > rs.rank else (1, ())
-    if any(sum(row) != den for row in rows) or any(u[i] != i for i in tables.simple):
+    if (rs.ambient_dim > rs.rank and any(sum(row) != den for row in rows)) or any(u[i] != i for i in tables.simple):
         raise ValueError("linear part is not an element of W0")
     return perm
 

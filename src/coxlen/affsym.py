@@ -309,11 +309,21 @@ def good_origin_split(
     constraint tree and recentring to coordinate-sum zero lands on a
     vertex inside the fixed set.
     """
-    return _good_origin_split(*win.normal_form(), budget)
+    lam, pi = win.normal_form()
+    origin, coords_t, coords_u = _good_origin_split(lam, pi, budget)
+    rs = window_root_system(win.n)
+    t = translation_element(rs.from_lattice_coords(coords_t))
+    return origin, (t, AffineElement(perm_matrix(pi), rs.from_lattice_coords(coords_u)))
 
 
-def _good_origin_split(lam, pi, budget: int) -> tuple[Vec, tuple[AffineElement, AffineElement]]:
-    """good_origin_split of the window with normal form (lam, pi)."""
+def _good_origin_split(lam, pi, budget: int) -> tuple[Vec, tuple[int, ...], tuple[int, ...]]:
+    """The origin of good_origin_split for the window with normal form
+    (lam, pi), and the simple-coroot coordinates of t and of u.
+
+    The origin is checked in integers on the assignment x it recentres:
+    u = (P, mu), P sending e_j to e_pi(j), maps x_j to position pi(j), so
+    u fixes x exactly when x_pi(j) = x_j + mu_pi(j) for every j, and
+    recentring subtracts a multiple of the all-ones vector, which u fixes."""
     n = len(pi)
     rs = window_root_system(n)
     coords_t, coords_u, _, _, elliptic = pair_split(rs, *_window_pair(rs, lam, pi), budget)
@@ -339,11 +349,9 @@ def _good_origin_split(lam, pi, budget: int) -> tuple[Vec, tuple[AffineElement, 
                     stack.append(j)
                 elif assign[j] != assign[i] + delta:
                     raise AssertionError("dependent roots in an elliptic factorisation")
-    coords = [Q(assign[i]) for i in range(1, n + 1)]
-    shift = sum(coords) / n
-    origin = tuple(c - shift for c in coords)
-    t = translation_element(rs.from_lattice_coords(coords_t))
-    u = AffineElement(perm_matrix(pi), rs.from_lattice_coords(coords_u))
-    if u.apply(origin) != origin:
+    lattice = rs.coroot_lattice
+    mu = lattice.combination(coords_u)  # den times the translation of u
+    if any(lattice.den * (assign[p] - assign[j]) != mu[p - 1] for j, p in enumerate(pi, 1)):
         raise AssertionError("constructed origin is not fixed by the elliptic part")
-    return origin, (t, u)
+    shift = Q(sum(assign.values()), n)
+    return tuple(assign[i] - shift for i in range(1, n + 1)), coords_t, coords_u

@@ -41,6 +41,7 @@ from .affsym import (
     null_complex,
     nullity,
     proper_basic_null_block_count,
+    window_root_system,
 )
 from .genfun import classify_coroots, local_genfun
 from .oracle import brute_nullity, brute_reflection_length
@@ -259,7 +260,8 @@ def cmd_window(args) -> int:
     win = parse_window_text(args.window)
     lam, pi = win.normal_form()
     n = len(win.values)
-    origin, (t, u) = _good_origin_split(lam, pi, args.budget)
+    origin, coords_t, _ = _good_origin_split(lam, pi, args.budget)
+    translation = window_root_system(n).from_lattice_coords(coords_t)
     blocks = cycles(pi)
     nu = nullity(l_map(blocks, lam))
     cyc = [sorted(b) for b in blocks.blocks]
@@ -271,7 +273,7 @@ def cmd_window(args) -> int:
         "relative_nullity": nu,
         "length": n - 2 * nu + len(blocks),
         "good_origin": _vec_json(origin),
-        "translation_part": _vec_json(t.translation),
+        "translation_part": _vec_json(translation),
     }
     if args.json:
         print(json.dumps(payload))
@@ -282,7 +284,7 @@ def cmd_window(args) -> int:
         print(f"relative nullity = {payload['relative_nullity']}")
         print(f"reflection length = {payload['length']}")
         print(f"good origin = {_vec_str(origin)}")
-        print(f"translation part = {_vec_str(t.translation)}")
+        print(f"translation part = {_vec_str(translation)}")
     return 0
 
 

@@ -35,11 +35,19 @@ Factorisations mirror the structure above: peel d level-zero reflections
 to reach an elliptic element whose move-set is the witness subspace,
 then factor the elliptic part through a common fixed point, in one pass
 over the positive roots on the root permutation of its linear part.
+The pass tracks the move space by the fixed vectors orthogonal to it,
+with no elimination after a peel: the orbit sums of the simple roots
+(the sum of the roots in each cycle of the root permutation) span the
+fixed space within the root span, and peeling root a adds one vector,
+the sum of the roots in a's cycle under the new permutation (Brady-Watt:
+peeling a root of the move space lowers its dimension by one).
 Hurwitz moves act on factorisations, and the translation-elliptic split
 searches the Hurwitz orbit for a factorisation whose leading reflection
 pairs project to equal reflections of W0, so that each pair multiplies
 to a translation.  That search moves (root index, level) pairs through
-the integer tables of RootSystem.tables.
+the integer tables of RootSystem.tables, keys each state by its root
+indices, built from its parent's key, and tests each state for a shared
+pair as it generates it, so it stops at the first state that has one.
 
 The integer core (pair_report, pair_factorization, pair_split) takes a
 group element as the pair of the root permutation of its linear part and
@@ -56,6 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice, product as iproduct
 from math import lcm
+from operator import mul
 from typing import Literal, Sequence
 
 from .affgroup import (
@@ -394,25 +403,50 @@ def _peel_elliptic(rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...
     a.  Move spaces only shrink and levels at the fixed point x stay, so
     a root passed over is never peelable later, and one pass peels the
     same roots as a scan restarted from the top after every peel.
+
+    The move space is tracked by fixed vectors, with no elimination.  B
+    is orthogonal, so Mov(B) = Fix(B)^perp, and a root lies in Mov(B)
+    exactly when it is orthogonal to Fix(B) within the root span.  The
+    orbit sums of the simple roots span that part: the sum of the roots
+    in each cycle of the root permutation through a simple root, since
+    averaging over the powers of B projects onto Fix(B).  Peeling a adds
+    one vector.  Fix(B) is orthogonal to a, so s_a fixes it, and
+    Fix(s_a B) = Fix(B) + R y_a, where y_a, the sum of the roots in the
+    cycle of a under s_a B, is a positive multiple of the projection of a
+    onto Fix(s_a B).  That projection is nonzero exactly when a leaves
+    the move space, that is when e drops by one, so each peel checks
+    <y_a, a> > 0.  The echelon rows of _fixed_point_levels span Mov(A), so
+    e is their number, and the pass must peel e roots.
     """
     tables = rs.tables
+    roots = tables.int_roots
     form, unit = _fixed_point_levels(rs, perm, coords)
-    mov = tables.move_space(perm)
-    pivots = rref_pivots(mov)
+
+    def orbit_sum(perm: tuple[int, ...], b: int) -> list[int]:
+        """The sum of the roots in the cycle of perm through root b."""
+        total, c = list(roots[b]), perm[b]
+        while c != b:
+            total = [x + y for x, y in zip(total, roots[c])]
+            c = perm[c]
+        return total
+
+    fixed = [y for b in tables.simple if any(y := orbit_sum(perm, b))]
     factors: list[tuple[int, int]] = []
-    for a, (ints, pos) in enumerate(zip(tables.int_roots, tables.positive)):
-        if not (pos and mov):
+    for a, (ints, pos) in enumerate(zip(roots, tables.positive)):
+        if len(factors) == len(form):
+            break
+        if not pos:
             continue
         level, rest = divmod(sum(ints[p] * c for p, c in form), unit)
-        if rest or int_residual(mov, pivots, ints) is not None:
+        if rest or any(sum(map(mul, ints, y)) for y in fixed):
             continue
         factors.append((a, level))
         perm = tuple(tables.reflected[a][b] for b in perm)
-        peeled = tables.move_space(perm)
-        if len(peeled) != len(mov) - 1:
+        y = orbit_sum(perm, a)
+        if sum(map(mul, ints, y)) <= 0:
             raise AssertionError("peeling a root of the move space did not lower e by one")
-        mov, pivots = peeled, rref_pivots(peeled)
-    if mov:
+        fixed.append(y)
+    if len(factors) != len(form):
         raise AssertionError("move space is not empty after the pass over the positive roots")
     return factors
 
@@ -506,14 +540,38 @@ def hurwitz_move(
     return ReflectionFactorization(f.factors[:i] + new_pair + f.factors[i + 2 :])
 
 
-def _index_moves(conjugate, f: tuple[tuple[int, int], ...]):
+def _index_moves(conjugate, f: tuple[tuple[int, int], ...], key: tuple[int, ...]):
     """Every Hurwitz move of a factorisation given as (root index, level)
     pairs, in the order of hurwitz_move(f, i, direction) for i = 0, 1, ...
-    and direction right, then left; conjugate is RootTables.conjugate."""
+    and direction right, then left, each with its root-index key; key is
+    f's, tuple(a for a, _ in f), and a move changes two of its entries.
+    conjugate is RootTables.conjugate."""
     for i in range(len(f) - 1):
         (a, j), (b, k) = f[i], f[i + 1]
-        yield f[:i] + (conjugate(a, j, b, k), f[i]) + f[i + 2 :]
-        yield f[:i] + (f[i + 1], conjugate(b, k, a, j)) + f[i + 2 :]
+        c = conjugate(a, j, b, k)
+        yield f[:i] + (c, f[i]) + f[i + 2 :], key[:i] + (c[0], a) + key[i + 2 :]
+        c = conjugate(b, k, a, j)
+        yield f[:i] + (f[i + 1], c) + f[i + 2 :], key[:i] + (b, c[0]) + key[i + 2 :]
+
+
+def _hurwitz_states(conjugate, f: tuple[tuple[int, int], ...]):
+    """The Hurwitz orbit of f, one state per root-index key, with its key,
+    breadth first: f, then each state as _index_moves first reaches it,
+    layer by layer.  Lazy, so a caller that stops at a state has generated
+    no state after it."""
+    key = tuple(a for a, _ in f)
+    seen = {key}
+    layer = [(f, key)]
+    yield f, key
+    while layer:
+        nxt = []
+        for f, key in layer:
+            for g, gkey in _index_moves(conjugate, f, key):
+                if gkey not in seen:
+                    seen.add(gkey)
+                    yield g, gkey
+                    nxt.append((g, gkey))
+        layer = nxt
 
 
 @dataclass(frozen=True)
@@ -549,12 +607,17 @@ def translation_elliptic_split(
     rounds compose.  Search states are deduplicated by the projections
     of their factors to W0: the shared-pair goal only depends on the
     projection and Hurwitz moves commute with projecting, so the
-    quotient search is complete, and it is finite.  The budget caps
-    states visited across all rounds.
+    quotient search is complete, and it is finite.
 
     The search runs on (root index, level) pairs, one per factor, and
     conjugates by table lookup (RootTables.conjugate), which is
-    hurwitz_move on the corresponding reflections.
+    hurwitz_move on the corresponding reflections.  Each round tests its
+    states in breadth-first order as they are generated: the start, then
+    each state the first time a move reaches its key, and it stops at the
+    first state with a shared pair, so the rest of that layer is never
+    generated.  The budget caps the states tested across all rounds, the
+    start of each round included: the state that would exceed it raises
+    BudgetExceeded before it is tested.
     """
     coords_t, coords_u, rep_t, rep_u, elliptic = pair_split(rs, *require_group_element(rs, w), budget)
     t = translation_element(rs.from_lattice_coords(coords_t))
@@ -567,42 +630,22 @@ def pair_split(rs: RootSystem, perm, coords, budget: int = DEFAULT_HURWITZ_BUDGE
     and the factorisation of u."""
     rep = pair_report(rs, perm, coords)
     conjugate = rs.tables.conjugate
-
-    def shared_pair_at(f: tuple[tuple[int, int], ...]) -> int | None:
-        for i in range(len(f) - 1):
-            if f[i][0] == f[i + 1][0]:
-                return i
-        return None
-
     pairs: list[tuple[int, int]] = []
     current = _min_factorization(rs, rep, perm, coords)
     visited = 0
     for rnd in range(1, rep.d + 1):
-        found = None
-        seen = {tuple(a for a, _ in current)}
-        queue = [current]
-        while queue and found is None:
-            nxt = []
-            for f in queue:
-                visited += 1
-                if visited > budget:
-                    raise BudgetExceeded(
-                        f"Hurwitz search budget {budget} exceeded: {visited} states visited "
-                        f"by round {rnd} of {rep.d}; raise it with --budget or COXLEN_BUDGET"
-                    )
-                pos = shared_pair_at(f)
-                if pos is not None:
-                    found = (f, pos)
-                    break
-                for g in _index_moves(conjugate, f):
-                    key = tuple(a for a, _ in g)
-                    if key not in seen:
-                        seen.add(key)
-                        nxt.append(g)
-            queue = nxt
-        if found is None:
+        for f, key in _hurwitz_states(conjugate, current):
+            visited += 1
+            if visited > budget:
+                raise BudgetExceeded(
+                    f"Hurwitz search budget {budget} exceeded: {visited} states visited "
+                    f"by round {rnd} of {rep.d}; raise it with --budget or COXLEN_BUDGET"
+                )
+            pos = next((i for i in range(len(key) - 1) if key[i] == key[i + 1]), None)
+            if pos is not None:
+                break
+        else:
             raise AssertionError("Hurwitz orbit exhausted without a shared-root pair")
-        f, pos = found
         while pos > 0:
             # two right moves at pos - 1, then at pos
             (a, j), (b, k), (c, m) = f[pos - 1 : pos + 2]

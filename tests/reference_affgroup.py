@@ -1,6 +1,7 @@
 """Affine-group helpers that only the tests use: the affine move-set,
 the normal form relative to another origin, conjugation by a general
-element and the translation test, all on Fraction matrices."""
+element and the translation test, all on Fraction matrices, and the
+root permutation of a matrix alone."""
 
 from __future__ import annotations
 
@@ -8,11 +9,20 @@ from coxlen.affgroup import (
     AffineElement,
     AffineReflection,
     AffineSubspace,
+    _scaled_root_permutation,
     compose,
     linear_move_space,
     translation_element,
 )
-from coxlen.linalg import Vec, dot, identity_matrix, mat_vec, vsub
+from coxlen.linalg import Mat, Vec, dot, identity_matrix, mat_vec, vsub
+from coxlen.rootsys import RootSystem
+
+
+def root_permutation(rs: RootSystem, linear: Mat) -> tuple[int, ...]:
+    """The permutation of root indices (RootTables) that linear induces,
+    perm[b] the index of linear(root b); ValueError if linear does not
+    permute the roots."""
+    return _scaled_root_permutation(rs, linear)[2]
 
 
 def conjugated_by(r: AffineReflection, g: AffineElement) -> AffineReflection:

@@ -9,6 +9,12 @@ coxlen chose it before the chosen roots were kept as reduced residuals:
 it takes the primitive_rref of the chosen roots again after each pick.
 mask_zero_block_count is nu as zero_block_count computed it before the
 DP ran over count vectors: a DP over the masks of positions.
+_peel_elliptic is the elliptic peel as it was before the move space was
+tracked by orbit sums: it recomputes RootTables.move_space after every
+root it peels.  pair_split is the translation-elliptic split as it was
+before states were tested as they are generated: it generates each
+breadth-first layer whole, with keys rebuilt from every neighbour by
+_index_moves, before testing any state in it.
 """
 
 from __future__ import annotations
@@ -17,7 +23,14 @@ from typing import Sequence
 
 from coxlen.errors import BudgetExceeded
 from coxlen.linalg import Vec, int_line_rep, int_residual, primitive_rref, reduce_int, rref_pivots, scaled_ints
-from coxlen.reflen import DEFAULT_SPAN_SEARCH_CAP
+from coxlen.reflen import (
+    DEFAULT_HURWITZ_BUDGET,
+    DEFAULT_SPAN_SEARCH_CAP,
+    _fixed_point_levels,
+    _min_factorization,
+    _split_off,
+    pair_report,
+)
 from coxlen.rootsys import RootSystem
 
 
@@ -158,3 +171,107 @@ def mask_zero_block_count(sums: Sequence[int], signed: bool, bare: int = 0) -> i
     return max(
         best[full ^ f] for f in range(full + 1) if not (f & bare and f & (f - 1) == 0)
     )
+
+
+def _peel_elliptic(rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The reflections, through a common fixed point x, whose product is
+    the elliptic group element (perm, coords), as (positive root index,
+    level) pairs; unchecked.
+
+    One pass over the positive roots in canonical order peels each root
+    that lies in the current move space and whose hyperplane through x
+    has integer level.  Not every root in the move space gives an
+    integer level (a rotation about a deep vertex sees only some of the
+    hyperplanes through it), hence the explicit integrality filter.
+
+    Works on perm, the root permutation of the linear part A: peeling
+    root a replaces A by s_a A.  For a in Mov(A), dim Mov(s_a A) =
+    dim Mov(A) - 1 (Brady-Watt), so Mov(s_a A) lies in Mov(A) and misses
+    a.  Move spaces only shrink and levels at the fixed point x stay, so
+    a root passed over is never peelable later, and one pass peels the
+    same roots as a scan restarted from the top after every peel.
+    """
+    tables = rs.tables
+    form, unit = _fixed_point_levels(rs, perm, coords)
+    mov = tables.move_space(perm)
+    pivots = rref_pivots(mov)
+    factors: list[tuple[int, int]] = []
+    for a, (ints, pos) in enumerate(zip(tables.int_roots, tables.positive)):
+        if not (pos and mov):
+            continue
+        level, rest = divmod(sum(ints[p] * c for p, c in form), unit)
+        if rest or int_residual(mov, pivots, ints) is not None:
+            continue
+        factors.append((a, level))
+        perm = tuple(tables.reflected[a][b] for b in perm)
+        peeled = tables.move_space(perm)
+        if len(peeled) != len(mov) - 1:
+            raise AssertionError("peeling a root of the move space did not lower e by one")
+        mov, pivots = peeled, rref_pivots(peeled)
+    if mov:
+        raise AssertionError("move space is not empty after the pass over the positive roots")
+    return factors
+
+
+def _index_moves(conjugate, f: tuple[tuple[int, int], ...]):
+    """Every Hurwitz move of a factorisation given as (root index, level)
+    pairs, in the order of hurwitz_move(f, i, direction) for i = 0, 1, ...
+    and direction right, then left; conjugate is RootTables.conjugate."""
+    for i in range(len(f) - 1):
+        (a, j), (b, k) = f[i], f[i + 1]
+        yield f[:i] + (conjugate(a, j, b, k), f[i]) + f[i + 2 :]
+        yield f[:i] + (f[i + 1], conjugate(b, k, a, j)) + f[i + 2 :]
+
+
+def pair_split(rs: RootSystem, perm, coords, budget: int = DEFAULT_HURWITZ_BUDGET):
+    """translation_elliptic_split of the group element (perm, coords): the
+    simple-coroot coordinates of t and of u, the reports of t and of u,
+    and the factorisation of u."""
+    rep = pair_report(rs, perm, coords)
+    conjugate = rs.tables.conjugate
+
+    def shared_pair_at(f: tuple[tuple[int, int], ...]) -> int | None:
+        for i in range(len(f) - 1):
+            if f[i][0] == f[i + 1][0]:
+                return i
+        return None
+
+    pairs: list[tuple[int, int]] = []
+    current = _min_factorization(rs, rep, perm, coords)
+    visited = 0
+    for rnd in range(1, rep.d + 1):
+        found = None
+        seen = {tuple(a for a, _ in current)}
+        queue = [current]
+        while queue and found is None:
+            nxt = []
+            for f in queue:
+                visited += 1
+                if visited > budget:
+                    raise BudgetExceeded(
+                        f"Hurwitz search budget {budget} exceeded: {visited} states visited "
+                        f"by round {rnd} of {rep.d}; raise it with --budget or COXLEN_BUDGET"
+                    )
+                pos = shared_pair_at(f)
+                if pos is not None:
+                    found = (f, pos)
+                    break
+                for g in _index_moves(conjugate, f):
+                    key = tuple(a for a, _ in g)
+                    if key not in seen:
+                        seen.add(key)
+                        nxt.append(g)
+            queue = nxt
+        if found is None:
+            raise AssertionError("Hurwitz orbit exhausted without a shared-root pair")
+        f, pos = found
+        while pos > 0:
+            # two right moves at pos - 1, then at pos
+            (a, j), (b, k), (c, m) = f[pos - 1 : pos + 2]
+            f = f[: pos - 1] + (conjugate(a, j, b, k), conjugate(a, j, c, m), (a, j)) + f[pos + 2 :]
+            pos -= 1
+        if f[0][0] != f[1][0]:
+            raise AssertionError("bubbling a shared pair broke it")
+        pairs.extend(f[:2])
+        current = f[2:]
+    return _split_off(rs, rep, perm, coords, pairs, current)

@@ -20,7 +20,6 @@ from coxlen.affgroup import (
     linear_move_space,
     product,
     require_group_element,
-    root_permutation,
     times_reflection,
     translation_element,
 )
@@ -37,7 +36,7 @@ from coxlen.linalg import (
     vsub,
 )
 from coxlen.rootsys import root_system
-from reference_affgroup import conjugated_by, is_translation, move_set, rebased_normal_form
+from reference_affgroup import conjugated_by, is_translation, move_set, rebased_normal_form, root_permutation
 
 B2 = root_system("B2")
 G2 = root_system("G2")

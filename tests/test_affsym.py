@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coxlen.affsym
 import coxlen.reflen
-from coxlen.affgroup import compose, is_elliptic, require_group_element
+from coxlen.affgroup import AffineReflection, compose, is_elliptic, require_group_element
 from coxlen.affsym import (
     SetPartition,
     Window,
@@ -36,7 +37,7 @@ from coxlen.affsym import (
 )
 from coxlen.errors import BudgetExceeded, ParseError
 from coxlen.oracle import brute_nullity
-from coxlen.reflen import dimension_report, zero_block_count
+from coxlen.reflen import ReflectionFactorization, dimension_report, zero_block_count
 from reference_affgroup import is_translation
 from reference_affsym import (
     basic_null_blocks,
@@ -300,6 +301,23 @@ def test_good_origin_split_frozen():
     for i in range(5):
         for j in range(5):
             assert (origin[i] - origin[j]).denominator == 1
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_good_origin_split_rejects_a_shifted_assignment(monkeypatch, k):
+    # one elliptic hyperplane moved by one level shifts the integer
+    # assignment off the fixed set of u, which the integer check must see
+    split = coxlen.affsym.pair_split
+
+    def shifted(*args):
+        coords_t, coords_u, rep_t, rep_u, elliptic = split(*args)
+        factors = list(elliptic.factors)
+        factors[k] = AffineReflection(factors[k].root, factors[k].level + 1)
+        return coords_t, coords_u, rep_t, rep_u, ReflectionFactorization(tuple(factors))
+
+    monkeypatch.setattr(coxlen.affsym, "pair_split", shifted)
+    with pytest.raises(AssertionError, match="not fixed by the elliptic part"):
+        good_origin_split(Window((6, 0, 7, -1, 3)))
 
 
 @given(windows())

@@ -125,7 +125,7 @@ def test_element_path_builds_no_fraction_products(capsys, monkeypatch):
     ]
     for name, element in elements:
         assert parse_element(root_system(name), element) is not None
-    for name in ("root_permutation", "linear_move_space"):
+    for name in ("_scaled_root_permutation", "linear_move_space"):
         monkeypatch.setattr(coxlen.affgroup, name, boom)
         monkeypatch.setattr(coxlen.reflen, name, boom, raising=False)
     monkeypatch.setattr(coxlen.rootsys.RootTables, "linear", boom)

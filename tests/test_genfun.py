@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxlen.affgroup import AffineElement, AffineReflection, root_permutation
+from coxlen.affgroup import AffineElement, AffineReflection
 from coxlen import genfun
 from coxlen.errors import BudgetExceeded
 from coxlen.genfun import (
@@ -35,6 +35,7 @@ from coxlen.genfun import (
 from coxlen.linalg import identity_matrix, mat_mul, vec
 from coxlen.reflen import dimension_report
 from coxlen.rootsys import root_system
+from reference_affgroup import root_permutation
 from reference_genfun import poly_s_plus
 from w0_matrices import w0_matrices, word_matrix
 

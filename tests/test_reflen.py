@@ -8,7 +8,7 @@ translation, and the length is 2d + e.
 """
 
 from fractions import Fraction as Q
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -26,7 +26,6 @@ from coxlen.affgroup import (
     linear_move_space,
     product,
     require_group_element,
-    root_permutation,
     translation_element,
 )
 from coxlen.affsym import Window, _window_pair, reflection_length, window_root_system
@@ -39,6 +38,7 @@ from coxlen.reflen import (
     _fixed_point_levels,
     _index_moves,
     _min_span_subset,
+    _peel_elliptic,
     _quotient_lines,
     _root_basis_of_span,
     dimension_report,
@@ -46,14 +46,17 @@ from coxlen.reflen import (
     hurwitz_move,
     min_factorization,
     pair_report,
+    pair_split,
     translation_elliptic_split,
     zero_block_count,
 )
 from coxlen.rootsys import root_system
-from reference_affgroup import is_translation
+from reference_affgroup import is_translation, root_permutation
 from reference_affsym import window_of_element
 from reference_reflen import _root_basis_of_span as reference_root_basis_of_span
+from reference_reflen import _peel_elliptic as reference_move_space_peel
 from reference_reflen import dfs_min_span_subset, mask_zero_block_count
+from reference_reflen import pair_split as reference_pair_split
 from w0_matrices import w0_matrices
 
 A2 = root_system("A2")
@@ -472,10 +475,9 @@ def typed_factorisations(draw):
 def test_index_hurwitz_moves_match_hurwitz_move(typed):
     rs, f = typed
     pairs = tuple((rs.root_index[r.root], r.level) for r in f.factors)
-    got = [
-        tuple(AffineReflection(rs.roots[a], j) for a, j in g)
-        for g in _index_moves(rs.tables.conjugate, pairs)
-    ]
+    moves = list(_index_moves(rs.tables.conjugate, pairs, tuple(a for a, _ in pairs)))
+    assert [key for _, key in moves] == [tuple(a for a, _ in g) for g, _ in moves]
+    got = [tuple(AffineReflection(rs.roots[a], j) for a, j in g) for g, _ in moves]
     expected = [
         hurwitz_move(f, i, direction).factors
         for i in range(len(f) - 1)
@@ -646,10 +648,10 @@ def test_require_group_element_returns_permutation_and_coordinates(typed):
 
 
 @st.composite
-def reflection_pairs(draw):
-    """A root system of PEEL_TYPES and at most rank + 3 (positive root
-    index, level) pairs, levels in [-3, 3]."""
-    rs = root_system(draw(st.sampled_from(PEEL_TYPES)))
+def reflection_pairs(draw, types=PEEL_TYPES):
+    """A root system of types and at most rank + 3 (positive root index,
+    level) pairs, levels in [-3, 3]."""
+    rs = root_system(draw(st.sampled_from(types)))
     positive = [a for a, pos in enumerate(rs.tables.positive) if pos]
     n = draw(st.integers(0, rs.rank + 3))
     return rs, [(draw(st.sampled_from(positive)), draw(st.integers(-3, 3))) for _ in range(n)]
@@ -665,6 +667,57 @@ def test_integer_fold_matches_fraction_product(typed, data):
     assert rs.tables.fold(pairs) == expected
     cut = data.draw(st.integers(0, len(pairs)))
     assert rs.tables.fold(pairs[cut:], rs.tables.fold(pairs[:cut])) == expected
+
+
+@given(reflection_pairs(PEEL_TYPES + ["A5", "B5", "C5", "D5"]))
+@settings(max_examples=200, deadline=None)
+def test_orbit_sum_peel_matches_move_space_peel(typed):
+    # the elliptic element min_factorization peels: w times its lifts
+    rs, pairs = typed
+    perm, coords = rs.tables.fold(pairs)
+    lifts = [(rs.root_index[alpha], 0) for alpha in pair_report(rs, perm, coords).lift_roots]
+    peeled, _ = rs.tables.fold(lifts, (perm, coords))
+    assert _peel_elliptic(rs, peeled, coords) == reference_move_space_peel(rs, peeled, coords)
+
+
+def split_or_message(split, rs, perm, coords, budget):
+    try:
+        coords_t, coords_u, _, _, elliptic = split(rs, perm, coords, budget)
+    except BudgetExceeded as ex:
+        return str(ex)
+    return coords_t, coords_u, elliptic.factors
+
+
+@given(reflection_pairs(), st.sampled_from([0, 1, 2, 3, 5, 8, 13, 30, 100, 10**6]))
+@settings(max_examples=300, deadline=None)
+def test_split_tested_as_generated_matches_layer_search(typed, budget):
+    # the same split, or the same budget message with the same count
+    rs, pairs = typed
+    perm, coords = rs.tables.fold(pairs)
+    expected = split_or_message(reference_pair_split, rs, perm, coords, budget)
+    assert split_or_message(pair_split, rs, perm, coords, budget) == expected
+
+
+@pytest.mark.parametrize("name,coords,word", [
+    ("A3", (1, 2, 3), ()),
+    ("B3", (1, 2, 3), ()),
+    ("D4", (2, 1, 2, -2), (2, 1)),
+    ("D4", (0, 1, 1, -2), (2, 4, 2, 1, 4, 4)),
+    ("F4", (-2, -1, -1, -2), (2, 3, 1, 2, 3, 3)),
+])
+def test_split_least_budget_matches_layer_search(name, coords, word):
+    # d >= 2, so the budget counts the states of several rounds: the least
+    # budget the layer search gets through with, and the message one
+    # below it, must be the same, found states included in the count
+    rs = root_system(name)
+    perm, _ = rs.tables.fold((rs.tables.simple[i - 1], 0) for i in word)
+    assert pair_report(rs, perm, coords).d >= 2
+    least = next(
+        b for b in count() if not isinstance(split_or_message(reference_pair_split, rs, perm, coords, b), str)
+    )
+    for budget in (least - 1, least):
+        expected = split_or_message(reference_pair_split, rs, perm, coords, budget)
+        assert split_or_message(pair_split, rs, perm, coords, budget) == expected
 
 
 # mutations of a list of (root index, level) pairs
@@ -857,7 +910,7 @@ def test_public_calls_read_one_report_off_the_root_permutation(monkeypatch):
         monkeypatch.setattr(coxlen.affgroup, name, boom)
         monkeypatch.setattr(coxlen.reflen, name, boom, raising=False)
     calls = []
-    for module, name in ((coxlen.affgroup, "root_permutation"), (coxlen.reflen, "pair_report")):
+    for module, name in ((coxlen.affgroup, "_scaled_root_permutation"), (coxlen.reflen, "pair_report")):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, f=original, n=name: calls.append(n) or f(*args))
     b3 = root_system("B3")
@@ -870,7 +923,7 @@ def test_public_calls_read_one_report_off_the_root_permutation(monkeypatch):
     ]:
         calls.clear()
         call(b3, element)
-        assert calls == ["root_permutation", "pair_report"], call.__name__
+        assert calls == ["_scaled_root_permutation", "pair_report"], call.__name__
     calls.clear()
     assert dimension_report(b3, w).length == 3
-    assert calls == ["root_permutation"]
+    assert calls == ["_scaled_root_permutation"]
