@@ -380,8 +380,7 @@ def is_generic(rs: RootSystem, lam: Vec) -> bool:
     _require_lattice_point(rs, lam)
     if is_zero(lam):
         return False
-    lines = _quotient_lines(rs, (), ())[0]
-    return _min_span_subset(lines, scaled_ints(lam), rs.rank)[0] == rs.rank
+    return _min_span_subset(rs.root_lines, scaled_ints(lam), rs.rank)[0] == rs.rank
 
 
 def classify_coroots(rs: RootSystem, radius: int) -> dict[BivariatePolynomial, tuple[Vec, ...]]:

@@ -10,10 +10,12 @@ For an element w with linear part A and translation part lam:
   reflection length = 2 d(w) + e(w).
 
 Both terms are read off the move space Im(A - I), which
-RootTables.move_space returns as primitive integer RREF rows.  Every
-test against it is fraction-free (linalg.int_residual): the residual of
-lam, the projected root lines over the integer roots of RootSystem.tables
-and the root basis of the space.
+RootTables.move_space returns as primitive integer RREF rows.  The
+residual of lam and the projected root lines are fraction-free
+(linalg.int_residual); a translation reads RootSystem.root_lines.  The
+root basis of the space takes roots that pair to zero with the orbit
+sums of the simple roots (sums of the roots over cycles of the root
+permutation), which span the fixed space within the root span.
 
 For type A, d has a closed form from null partitions: with w = t_lam u,
 d = #cycles of u - nu(mu), where mu_B sums lam over a cycle B and nu is
@@ -35,12 +37,11 @@ Factorisations mirror the structure above: peel d level-zero reflections
 to reach an elliptic element whose move-set is the witness subspace,
 then factor the elliptic part through a common fixed point, in one pass
 over the positive roots on the root permutation of its linear part.
-The pass tracks the move space by the fixed vectors orthogonal to it,
-with no elimination after a peel: the orbit sums of the simple roots
-(the sum of the roots in each cycle of the root permutation) span the
-fixed space within the root span, and peeling root a adds one vector,
-the sum of the roots in a's cycle under the new permutation (Brady-Watt:
-peeling a root of the move space lowers its dimension by one).
+The pass tracks the move space by fixed vectors, with no elimination:
+the orbit sums of the simple roots, and per peeled root a the sum of
+the roots in a's cycle under the new permutation (Brady-Watt: peeling a
+root of the move space lowers its dimension by one).  Levels through the
+fixed point are weighted sums of pairings along one root cycle.
 Hurwitz moves act on factorisations, and the translation-elliptic split
 searches the Hurwitz orbit for a factorisation whose leading reflection
 pairs project to equal reflections of W0, so that each pair multiplies
@@ -62,8 +63,7 @@ the integer core on it and builds Fraction elements only for outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, product as iproduct
-from math import lcm
+from itertools import compress, islice, product as iproduct
 from operator import mul
 from typing import Literal, Sequence
 
@@ -77,14 +77,7 @@ from .affgroup import (
     translation_element,
 )
 from .errors import BudgetExceeded
-from .linalg import (
-    Vec,
-    int_line_rep,
-    int_residual,
-    primitive_rref,
-    rref_pivots,
-    scaled_ints,
-)
+from .linalg import Vec, int_line_rep, int_residual, rref_pivots, scaled_ints
 from .rootsys import RootSystem
 
 DEFAULT_HURWITZ_BUDGET = 10**6
@@ -281,24 +274,43 @@ def _null_partition_d(rs: RootSystem, inside: list[tuple[int, ...]], mu: Sequenc
     return len(sums) - zero_block_count(list(sums.values()), False)
 
 
-def _root_basis_of_span(
-    rs: RootSystem, basis: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]
-) -> tuple[Vec, ...]:
-    """Roots inside the span of primitive_rref rows basis forming a basis
-    of it, the first such in root order; exists because every move-set of
-    a Weyl group element is spanned by roots.  The chosen roots are kept
-    as residuals modulo those chosen before, pivoted at their first
-    nonzero entry, where later residuals vanish: int_residual is exact."""
+def _orbit_sum(roots, perm: tuple[int, ...], b: int) -> list[int]:
+    """The sum of the integer roots in the cycle of perm through root b."""
+    cycle, c = [b], perm[b]
+    while c != b:
+        cycle.append(c)
+        c = perm[c]
+    return list(map(sum, zip(*map(roots.__getitem__, cycle))))
+
+
+def _fixed_sums(tables, perm: tuple[int, ...]) -> list[list[int]]:
+    """The nonzero orbit sums of the simple roots under the root
+    permutation perm of u.  Averaging over the powers of u projects onto
+    Fix(u), so they span Fix(u) within the root span, and a root lies in
+    Mov(u) = Fix(u)^perp exactly when it pairs to zero with each."""
+    return [y for b in tables.simple if any(y := _orbit_sum(tables.int_roots, perm, b))]
+
+
+def _root_basis_of_span(rs: RootSystem, perm: tuple[int, ...], e: int) -> tuple[Vec, ...]:
+    """The first roots, in root order, inside Mov(u) and independent of
+    the roots chosen before them: a basis of Mov(u), of dimension e, for
+    the W0 element u with root permutation perm (every move-set of a Weyl
+    group element is spanned by roots).  Membership is by pairings with
+    _fixed_sums, made only when 0 < e < rank (at e = rank every root is
+    inside).  The chosen roots are kept as
+    residuals modulo those before them, pivoted at their first nonzero
+    entry, so int_residual is exact and eliminates on at most e rows."""
+    fixed = _fixed_sums(rs.tables, perm) if 0 < e < rs.rank else ()
     chosen: list[Vec] = []
     rows, rpivots = [], []
     for alpha, a in zip(rs.roots, rs.tables.int_roots):
-        if len(chosen) == len(basis):
+        if len(chosen) == e:
             break
-        if int_residual(basis, pivots, a) is None and (r := int_residual(rows, rpivots, a)) is not None:
+        if not any(sum(map(mul, a, y)) for y in fixed) and (r := int_residual(rows, rpivots, a)) is not None:
             chosen.append(alpha)
             rows.append(r)
             rpivots.append(next(j for j, x in enumerate(r) if x))
-    if len(chosen) != len(basis):
+    if len(chosen) != e:
         raise AssertionError("move-set of a group element must be a root subspace")
     return tuple(chosen)
 
@@ -324,31 +336,33 @@ class DimensionReport:
 
 
 def dimension_report(rs: RootSystem, w: AffineElement) -> DimensionReport:
-    return _report(rs, rs.tables.move_space(_w0_permutation(rs, w.linear)), scaled_ints(w.translation))
+    perm = _w0_permutation(rs, w.linear)
+    return _report(rs, perm, rs.tables.move_space(perm), scaled_ints(w.translation))
 
 
 def pair_report(rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...]) -> DimensionReport:
     """dimension_report of the group element with root permutation perm
     and simple-coroot coordinates coords."""
-    return _report(rs, rs.tables.move_space(perm), rs.coroot_lattice.combination(coords))
+    return _report(rs, perm, rs.tables.move_space(perm), rs.coroot_lattice.combination(coords))
 
 
-def _report(rs: RootSystem, ubasis, mu, u_roots=None) -> DimensionReport:
-    """The report from the primitive_rref rows ubasis of the move space, a
-    positive integer multiple mu of lam and, if known, ubasis's root basis."""
+def _report(rs: RootSystem, perm, ubasis, mu, u_roots=None) -> DimensionReport:
+    """The report from the root permutation perm of the linear part, the
+    primitive_rref rows ubasis of its move space, a positive integer
+    multiple mu of lam and, if known, ubasis's root basis."""
     upivots = rref_pivots(ubasis)
     e = len(ubasis)
     res = int_residual(ubasis, upivots, mu)
     if res is None:
         d, lifts = 0, ()
     else:
-        lines, inside = _quotient_lines(rs, ubasis, upivots)
+        lines, inside = _quotient_lines(rs, ubasis, upivots) if e else (rs.root_lines, [])
         rule = _null_partition_d(rs, inside, mu)
         d, lifts = _min_span_subset(lines, res, rs.rank - e, least=rule or 1)
         if rule not in (None, d):
             raise AssertionError(f"null partitions give d = {rule}, the span search {d}")
     if u_roots is None:
-        u_roots = _root_basis_of_span(rs, ubasis, upivots)
+        u_roots = _root_basis_of_span(rs, perm, e)
     return DimensionReport(e, d, d + e, 2 * d + e, u_roots, lifts, ubasis)
 
 
@@ -402,85 +416,65 @@ def _peel_elliptic(rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...
     dim Mov(A) - 1 (Brady-Watt), so Mov(s_a A) lies in Mov(A) and misses
     a.  Move spaces only shrink and levels at the fixed point x stay, so
     a root passed over is never peelable later, and one pass peels the
-    same roots as a scan restarted from the top after every peel.
+    same roots as a scan restarted from the top after every peel.  It
+    stops when perm reaches the identity, and must reach it.
 
-    The move space is tracked by fixed vectors, with no elimination.  B
-    is orthogonal, so Mov(B) = Fix(B)^perp, and a root lies in Mov(B)
-    exactly when it is orthogonal to Fix(B) within the root span.  The
-    orbit sums of the simple roots span that part: the sum of the roots
-    in each cycle of the root permutation through a simple root, since
-    averaging over the powers of B projects onto Fix(B).  Peeling a adds
-    one vector.  Fix(B) is orthogonal to a, so s_a fixes it, and
-    Fix(s_a B) = Fix(B) + R y_a, where y_a, the sum of the roots in the
-    cycle of a under s_a B, is a positive multiple of the projection of a
-    onto Fix(s_a B).  That projection is nonzero exactly when a leaves
-    the move space, that is when e drops by one, so each peel checks
-    <y_a, a> > 0.  The echelon rows of _fixed_point_levels span Mov(A), so
-    e is their number, and the pass must peel e roots.
+    Nothing is eliminated.  A root lies in Mov(B) when it pairs to zero
+    with fixed vectors spanning Fix(B) in the root span, at first
+    _fixed_sums of A, and mu must pair to zero with those for a fixed
+    point to exist.  Peeling a adds one vector.  Fix(B) is orthogonal to
+    a, so s_a fixes it, and Fix(s_a B) = Fix(B) + R y_a, y_a the sum of
+    the roots in the cycle of a under s_a B: a positive multiple of a's
+    projection onto Fix(s_a B), nonzero exactly when e drops by one, as
+    each peel checks.  Levels come from cycles of the starting A
+    (_fixed_point_level), as Mov(B) lies in Mov(A).
     """
     tables = rs.tables
     roots = tables.int_roots
-    form, unit = _fixed_point_levels(rs, perm, coords)
-
-    def orbit_sum(perm: tuple[int, ...], b: int) -> list[int]:
-        """The sum of the roots in the cycle of perm through root b."""
-        total, c = list(roots[b]), perm[b]
-        while c != b:
-            total = [x + y for x, y in zip(total, roots[c])]
-            c = perm[c]
-        return total
-
-    fixed = [y for b in tables.simple if any(y := orbit_sum(perm, b))]
+    mu = rs.coroot_lattice.combination(coords)
+    fixed = _fixed_sums(tables, perm)
+    if any(sum(map(mul, mu, y)) for y in fixed):
+        raise AssertionError("element to peel has no fixed point")
+    start, identity = perm, tuple(range(len(perm)))
     factors: list[tuple[int, int]] = []
-    for a, (ints, pos) in enumerate(zip(roots, tables.positive)):
-        if len(factors) == len(form):
+    for a, ints in compress(enumerate(roots), tables.positive):
+        if perm == identity:
             break
-        if not pos:
+        if any(sum(map(mul, ints, y)) for y in fixed):
             continue
-        level, rest = divmod(sum(ints[p] * c for p, c in form), unit)
-        if rest or any(sum(map(mul, ints, y)) for y in fixed):
+        level, rest = divmod(*_fixed_point_level(rs, start, mu, a))
+        if rest:
             continue
         factors.append((a, level))
-        perm = tuple(tables.reflected[a][b] for b in perm)
-        y = orbit_sum(perm, a)
+        perm = tuple(map(tables.reflected[a].__getitem__, perm))
+        y = _orbit_sum(roots, perm, a)
         if sum(map(mul, ints, y)) <= 0:
             raise AssertionError("peeling a root of the move space did not lower e by one")
         fixed.append(y)
-    if len(factors) != len(form):
+    if perm != identity:
         raise AssertionError("move space is not empty after the pass over the positive roots")
     return factors
 
 
-def _fixed_point_levels(
-    rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...]
-) -> tuple[tuple[tuple[int, int], ...], int]:
-    """(form, unit) with <x, root a> = sum(int_roots[a][p] * c for p, c in
-    form) / unit for every root a in Mov(A) and every fixed point x of the
-    element (perm, coords): linear part A with root permutation perm and
-    translation mu with simple-coroot coordinates coords.
-
-    x = A x + mu and A orthogonal give <x, A b - b> = <mu, A b> for every
-    b, and the A b - b over the simple roots span Mov(A) (as in
-    RootTables.move_space).  Fraction-free elimination of these integer
-    equations leaves <x, r_j> = v_j / den on reduced echelon rows r_j of
-    Mov(A) with pivots p_j, and a root a of Mov(A) is the sum of
-    a[p_j] / r_j[p_j] times r_j.  Fixed points differ by vectors of
-    Fix(A), orthogonal to Mov(A), so every one gives the same levels.
-    """
-    tables, lattice = rs.tables, rs.coroot_lattice
-    mu = lattice.combination(coords)
-    roots = tables.int_roots
-    rows = primitive_rref(
-        [x - y for x, y in zip(roots[perm[i]], roots[i])] + [sum(m * y for m, y in zip(mu, roots[perm[i]]))]
-        for i in tables.simple
-        if perm[i] != i
-    )
-    pivots = rref_pivots(rows)
-    if len(mu) in pivots:
-        raise AssertionError("element to peel has no fixed point")
-    common = lcm(*(row[p] for row, p in zip(rows, pivots)))
-    form = tuple((p, row[-1] * (common // row[p])) for row, p in zip(rows, pivots))
-    return form, common * lattice.den * tables.scale
+def _fixed_point_level(rs: RootSystem, perm: tuple[int, ...], mu, a: int) -> tuple[int, int]:
+    """(n, q) with <x, root a> = n / q at every fixed point x of the
+    element with root permutation perm (linear part A) and translation
+    lam = mu / den (mu = CorootLattice.combination of its coordinates),
+    for a root a in Mov(A).  Let a_k = A^k a over the cycle of a, of
+    length c, so a_c = a.  x = A x + lam and A orthogonal give <x, a_k> =
+    <x, a_(k-1)> + <lam, a_k>.  The orbit sum a_1 + ... + a_c, c times the
+    projection of a onto Fix(A), is zero for a in Mov(A) = Fix(A)^perp, so
+    summing over the cycle leaves <x, a> = sum_(k <= c) k <lam, a_k> / c:
+    on int_roots (the roots times scale), n = sum_(k <= c) k <mu,
+    int_roots[a_k]> over q = c den scale."""
+    roots = rs.tables.int_roots
+    n, k, c = 0, 0, a
+    while True:
+        c = perm[c]
+        k += 1
+        n += k * sum(map(mul, mu, roots[c]))
+        if c == a:
+            return n, k * rs.coroot_lattice.den * rs.tables.scale
 
 
 def min_factorization(rs: RootSystem, w: AffineElement) -> ReflectionFactorization:
@@ -668,8 +662,8 @@ def _split_off(rs, rep, perm, coords, pairs, suffix):
     tables, lattice = rs.tables, rs.coroot_lattice
     perm_t, coords_t = tables.fold(pairs)
     perm_u, coords_u = tables.fold(suffix)
-    rep_t = _report(rs, (), lattice.combination(coords_t))
-    rep_u = _report(rs, rep.move_space, lattice.combination(coords_u), rep.elliptic_roots)
+    rep_t = _report(rs, perm_t, (), lattice.combination(coords_t))
+    rep_u = _report(rs, perm, rep.move_space, lattice.combination(coords_u), rep.elliptic_roots)
     ok = (
         perm_t == tuple(range(len(perm)))
         and rep_u.d == 0

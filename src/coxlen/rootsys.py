@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 
 from .errors import ParseError, UnsupportedTypeError
-from .linalg import Mat, Vec, dot, primitive_rref, scale_to_ints, smul, vec
+from .linalg import Mat, Vec, dot, int_line_rep, primitive_rref, scale_to_ints, smul, vec
 
 MAX_RANK = 8
 
@@ -158,6 +158,13 @@ class RootSystem:
     @cached_property
     def root_index(self) -> dict[Vec, int]:
         return {r: i for i, r in enumerate(self.roots)}
+
+    @cached_property
+    def root_lines(self) -> dict[tuple[int, ...], Vec]:
+        """int_line_rep of each positive integer root -> the root: the lines
+        a translation's d search reads (and never writes)."""
+        t = self.tables
+        return {int_line_rep(a): r for r, a, pos in zip(self.roots, t.int_roots, t.positive) if pos}
 
     def in_coroot_lattice(self, v: Vec) -> bool:
         return self.lattice_coords(v) is not None

@@ -11,14 +11,21 @@ mask_zero_block_count is nu as zero_block_count computed it before the
 DP ran over count vectors: a DP over the masks of positions.
 _peel_elliptic is the elliptic peel as it was before the move space was
 tracked by orbit sums: it recomputes RootTables.move_space after every
-root it peels.  pair_split is the translation-elliptic split as it was
-before states were tested as they are generated: it generates each
-breadth-first layer whole, with keys rebuilt from every neighbour by
-_index_moves, before testing any state in it.
+root it peels.  _fixed_point_levels is how the peel read the levels of
+its fixed point before they came from one root cycle: one elimination
+of the equations <x, A b - b> = <mu, A b> over the simple roots b.  The
+cycle formula that replaced it sums k <mu, A^k a> around the cycle of a
+and divides by the cycle's length, which holds because a root a of
+Mov(A) = Fix(A)^perp has a zero orbit sum: the sum of the A^k a is a
+multiple of a's projection onto Fix(A).  pair_split is the
+translation-elliptic split as it was before states were tested as they
+are generated: it generates each breadth-first layer whole, with keys
+rebuilt from every neighbour by _index_moves, before testing any state
+in it.
 """
-
 from __future__ import annotations
 
+from math import lcm
 from typing import Sequence
 
 from coxlen.errors import BudgetExceeded
@@ -26,7 +33,6 @@ from coxlen.linalg import Vec, int_line_rep, int_residual, primitive_rref, reduc
 from coxlen.reflen import (
     DEFAULT_HURWITZ_BUDGET,
     DEFAULT_SPAN_SEARCH_CAP,
-    _fixed_point_levels,
     _min_factorization,
     _split_off,
     pair_report,
@@ -211,6 +217,38 @@ def _peel_elliptic(rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...
     if mov:
         raise AssertionError("move space is not empty after the pass over the positive roots")
     return factors
+
+
+def _fixed_point_levels(
+    rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...]
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """(form, unit) with <x, root a> = sum(int_roots[a][p] * c for p, c in
+    form) / unit for every root a in Mov(A) and every fixed point x of the
+    element (perm, coords): linear part A with root permutation perm and
+    translation mu with simple-coroot coordinates coords.
+
+    x = A x + mu and A orthogonal give <x, A b - b> = <mu, A b> for every
+    b, and the A b - b over the simple roots span Mov(A) (as in
+    RootTables.move_space).  Fraction-free elimination of these integer
+    equations leaves <x, r_j> = v_j / den on reduced echelon rows r_j of
+    Mov(A) with pivots p_j, and a root a of Mov(A) is the sum of
+    a[p_j] / r_j[p_j] times r_j.  Fixed points differ by vectors of
+    Fix(A), orthogonal to Mov(A), so every one gives the same levels.
+    """
+    tables, lattice = rs.tables, rs.coroot_lattice
+    mu = lattice.combination(coords)
+    roots = tables.int_roots
+    rows = primitive_rref(
+        [x - y for x, y in zip(roots[perm[i]], roots[i])] + [sum(m * y for m, y in zip(mu, roots[perm[i]]))]
+        for i in tables.simple
+        if perm[i] != i
+    )
+    pivots = rref_pivots(rows)
+    if len(mu) in pivots:
+        raise AssertionError("element to peel has no fixed point")
+    common = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    form = tuple((p, row[-1] * (common // row[p])) for row, p in zip(rows, pivots))
+    return form, common * lattice.den * tables.scale
 
 
 def _index_moves(conjugate, f: tuple[tuple[int, int], ...]):

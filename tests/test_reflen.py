@@ -31,11 +31,12 @@ from coxlen.affgroup import (
 from coxlen.affsym import Window, _window_pair, reflection_length, window_root_system
 from coxlen.errors import BudgetExceeded
 from coxlen.genfun import _genfun_tables, enumerate_w0
-from coxlen.linalg import dot, in_span, is_zero, line_rep, mat_vec, reduce_against, rref, rref_pivots, solve_affine, vec
+from coxlen.linalg import dot, in_span, int_residual, is_zero, line_rep, mat_vec, reduce_against, rref, rref_pivots, solve_affine, vec
 from coxlen.reflen import (
     DimensionReport,
     ReflectionFactorization,
-    _fixed_point_levels,
+    _fixed_point_level,
+    _fixed_sums,
     _index_moves,
     _min_span_subset,
     _peel_elliptic,
@@ -550,11 +551,16 @@ def test_dimension_report_matches_fraction_reference(typed):
 @pytest.mark.parametrize("name", ["A4", "B4", "F4"])
 def test_root_basis_of_every_move_space(name):
     # some move spaces of these types (30 of the 268 of F4) contain a
-    # root dependent on the roots before it, which must be skipped
+    # root dependent on the roots before it, which must be skipped; each
+    # move space is reached through the first element of W0 that has it
     rs = root_system(name)
-    for _, ubasis, upivots, _, _ in _genfun_tables(rs):
+    spaces = {}
+    for perm in enumerate_w0(rs).elements:
+        spaces.setdefault(rs.tables.move_space(perm), perm)
+    assert len(spaces) == len(_genfun_tables(rs))
+    for ubasis, perm in spaces.items():
         basis, pivots = rref(ubasis)
-        assert _root_basis_of_span(rs, ubasis, upivots) == reference_root_basis(rs, basis, pivots)
+        assert _root_basis_of_span(rs, perm, len(ubasis)) == reference_root_basis(rs, basis, pivots)
 
 
 @pytest.mark.parametrize("name,word,lam", [
@@ -631,10 +637,19 @@ def test_fixed_point_levels_match_fraction_solve(typed):
     v = product((w,) + lifts)
     m = [[y - (i == j) for j, y in enumerate(row)] for i, row in enumerate(v.linear)]
     x = solve_affine(m, [-y for y in v.translation])[0]
-    form, unit = _fixed_point_levels(rs, root_permutation(rs, v.linear), rs.lattice_coords(v.translation))
-    for alpha, ints in zip(rs.roots, rs.tables.int_roots):
+    perm = root_permutation(rs, v.linear)
+    mu = rs.coroot_lattice.combination(rs.lattice_coords(v.translation))
+    for a, alpha in enumerate(rs.roots):
         if solve_affine(m, alpha) is not None:
-            assert Q(sum(ints[p] * c for p, c in form), unit) == dot(x, alpha)
+            assert Q(*_fixed_point_level(rs, perm, mu, a)) == dot(x, alpha)
+
+
+@pytest.mark.parametrize("name,coords", [("A1", (1,)), ("B2", (0, 1)), ("G2", (2, -1)), ("F4", (0, 0, 1, 0))])
+def test_peel_without_a_fixed_point_raises(name, coords):
+    # a nonzero translation fixes no point
+    rs = root_system(name)
+    with pytest.raises(AssertionError, match="^element to peel has no fixed point$"):
+        _peel_elliptic(rs, tuple(range(len(rs.roots))), coords)
 
 
 @given(reflection_products())
@@ -792,6 +807,38 @@ def test_permutation_move_space_is_linear_move_space(name):
         assert rs.tables.move_space(perm) == linear_move_space(linear)
 
 
+def check_orbit_sum_membership(rs, perm):
+    """A root pairs to zero with every orbit sum of the simple roots
+    exactly when it lies in the move space."""
+    fixed = _fixed_sums(rs.tables, perm)
+    basis = rs.tables.move_space(perm)
+    pivots = rref_pivots(basis)
+    for a in rs.tables.int_roots:
+        paired = not any(sum(x * y for x, y in zip(a, f)) for f in fixed)
+        assert paired == (int_residual(basis, pivots, a) is None)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4"])
+def test_orbit_sums_decide_move_space_membership_on_all_of_w0(name):
+    rs = root_system(name)
+    for perm in enumerate_w0(rs).elements:
+        check_orbit_sum_membership(rs, perm)
+
+
+@given(st.sampled_from(["B5", "B6", "B7", "B8"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_orbit_sums_decide_move_space_membership_at_higher_rank(name, data):
+    rs = root_system(name)
+    word = data.draw(st.lists(st.integers(0, rs.rank - 1), max_size=3 * rs.rank))
+    check_orbit_sum_membership(rs, rs.tables.fold((rs.tables.simple[i], 0) for i in word)[0])
+
+
+@pytest.mark.parametrize("name", ["A1", "A8", "B2", "B8", "C8", "D4", "D8", "G2", "F4"])
+def test_root_lines_are_the_quotient_lines_of_a_translation(name):
+    rs = root_system(name)
+    assert rs.root_lines == _quotient_lines(rs, (), ())[0]
+
+
 def test_signed_nullity_is_not_a_chain_of_zero_prefixes():
     # The subset DP dp[m] = max over i in m of dp[m - i] + [m is a zero
     # block] counts a chain of nested zero blocks.  For type A the steps of
@@ -853,7 +900,7 @@ def test_root_basis_picks_the_roots_of_the_primitive_rref_reference(name, data):
     perm, _ = rs.tables.fold((rs.tables.simple[i], 0) for i in word)
     basis = rs.tables.move_space(perm)
     pivots = rref_pivots(basis)
-    assert _root_basis_of_span(rs, basis, pivots) == reference_root_basis_of_span(rs, basis, pivots)
+    assert _root_basis_of_span(rs, perm, len(basis)) == reference_root_basis_of_span(rs, basis, pivots)
 
 
 def _outside_w0():
