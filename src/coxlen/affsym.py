@@ -17,6 +17,9 @@ in a partition refinable into cycles of pi whose block sums vanish.
 Nullity is reflen.zero_block_count, the kernel genfun also uses; the
 minimal null blocks and the maximal cliques of their disjointness complex
 (null_complex) list the null partitions for the nullity command only.
+
+good_origin_split walks the cycles of pi for a vertex fixed by the
+elliptic part of the split, which runs in A_(n-1): n <= MAX_RANK + 1.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ from fractions import Fraction as Q
 from itertools import accumulate, combinations, groupby
 
 from .affgroup import AffineElement, translation_element
-from .errors import BudgetExceeded, ParseError
+from .errors import BudgetExceeded, ParseError, UnsupportedTypeError
 from .linalg import Vec, mat_vec, vec
 from .reflen import DEFAULT_HURWITZ_BUDGET, pair_split, zero_block_count
-from .rootsys import RootSystem, RootSystemSpec, build_root_system
+from .rootsys import MAX_RANK, RootSystem, RootSystemSpec, build_root_system
 
 DEFAULT_CLIQUE_VERTEX_CAP = 64
 DEFAULT_PROFILE_SIZE_CAP = 22
@@ -69,6 +72,8 @@ class Window:
 
 
 def window_root_system(n: int) -> RootSystem:
+    if n > MAX_RANK + 1:
+        raise UnsupportedTypeError(f"window size n = {n} out of range: the split runs in A_(n-1), n <= {MAX_RANK + 1}")
     return build_root_system(RootSystemSpec("A", n - 1))
 
 
@@ -303,11 +308,10 @@ def good_origin_split(
     length 2d and e).
 
     Vertices of type A are the points of the zero-sum hyperplane all of
-    whose coordinate differences are integers.  The elliptic factor is
-    factored through a common fixed point; its reflection hyperplanes
-    x_a - x_b = m have integer offsets, so assigning integers along each
-    constraint tree and recentring to coordinate-sum zero lands on a
-    vertex inside the fixed set.
+    whose coordinate differences are integers.  A fixed point of the
+    elliptic part steps by its translation along each cycle of pi, so
+    walking each cycle from its least index, set to 0, and recentring to
+    coordinate-sum zero lands on a vertex inside the fixed set.
     """
     lam, pi = win.normal_form()
     origin, coords_t, coords_u = _good_origin_split(lam, pi, budget)
@@ -320,37 +324,24 @@ def _good_origin_split(lam, pi, budget: int) -> tuple[Vec, tuple[int, ...], tupl
     """The origin of good_origin_split for the window with normal form
     (lam, pi), and the simple-coroot coordinates of t and of u.
 
-    The origin is checked in integers on the assignment x it recentres:
-    u = (P, mu), P sending e_j to e_pi(j), maps x_j to position pi(j), so
-    u fixes x exactly when x_pi(j) = x_j + mu_pi(j) for every j, and
+    x walks each cycle of pi from its least index; u = (P, mu), P sending
+    e_j to e_pi(j), maps x_j to position pi(j), so u fixes x exactly when
+    x_pi(j) = x_j + mu_pi(j) for every j, checked in integers, and
     recentring subtracts a multiple of the all-ones vector, which u fixes."""
     n = len(pi)
     rs = window_root_system(n)
-    coords_t, coords_u, _, _, elliptic = pair_split(rs, *_window_pair(rs, lam, pi), budget)
-    # constraints x_a - x_b = level form a forest (independent roots),
-    # so integer values propagate consistently from any per-tree anchor
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, n + 1)}
-    for r in elliptic.factors:
-        a = next(i for i, c in enumerate(r.root) if c == 1) + 1
-        b = next(i for i, c in enumerate(r.root) if c == -1) + 1
-        adj[a].append((b, -r.level))
-        adj[b].append((a, r.level))
+    coords_t, coords_u, _, _, _ = pair_split(rs, *_window_pair(rs, lam, pi), budget)
+    lattice = rs.coroot_lattice
+    mu = lattice.combination(coords_u)  # den times the translation of u
     assign: dict[int, int] = {}
     for start in range(1, n + 1):
         if start in assign:
             continue
         assign[start] = 0
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j, delta in adj[i]:
-                if j not in assign:
-                    assign[j] = assign[i] + delta
-                    stack.append(j)
-                elif assign[j] != assign[i] + delta:
-                    raise AssertionError("dependent roots in an elliptic factorisation")
-    lattice = rs.coroot_lattice
-    mu = lattice.combination(coords_u)  # den times the translation of u
+        j = start
+        while (p := pi[j - 1]) != start:
+            assign[p] = assign[j] + mu[p - 1] // lattice.den
+            j = p
     if any(lattice.den * (assign[p] - assign[j]) != mu[p - 1] for j, p in enumerate(pi, 1)):
         raise AssertionError("constructed origin is not fixed by the elliptic part")
     shift = Q(sum(assign.values()), n)

@@ -218,7 +218,7 @@ def _genfun_tables(rs: RootSystem):
     out = []
     for key, mult in counts.items():
         pivots = rref_pivots(key)
-        out.append((len(key), key, pivots, _quotient_lines(rs, key, pivots)[0], mult))
+        out.append((len(key), key, pivots, _quotient_lines(rs, key, pivots), mult))
     return tuple(out)
 
 

@@ -20,6 +20,7 @@ permutation), which span the fixed space within the root span.
 For type A, d has a closed form from null partitions: with w = t_lam u,
 d = #cycles of u - nu(mu), where mu_B sums lam over a cycle B and nu is
 the most zero-sum blocks in a partition of the cycles (zero_block_count).
+The cycles are read off the simple-root images under the root permutation.
 The d-search then runs only at that subset size, for the witness, and a
 search that finds another size raises AssertionError.  For the other
 types it tries subset sizes k = 1, 2, ... of the projected root lines.
@@ -86,26 +87,20 @@ DEFAULT_SPAN_SEARCH_CAP = 10**6
 
 def _quotient_lines(
     rs: RootSystem, ubasis: tuple[tuple[int, ...], ...], upivots: tuple[int, ...]
-) -> tuple[dict[tuple[int, ...], Vec], list[tuple[int, ...]]]:
+) -> dict[tuple[int, ...], Vec]:
     """Nonzero images of roots in the quotient by the span of primitive_rref
-    rows ubasis, deduped up to scalar, and the integer positive roots
-    inside that span.  The images map canonical line representative
+    rows ubasis, deduped up to scalar: canonical line representative
     (int_line_rep, equal to line_rep of the Fraction residual) -> the
     first positive root lifting it."""
     lines: dict[tuple[int, ...], Vec] = {}
-    inside = []
     t = rs.tables
     for alpha, a, pos in zip(rs.roots, t.int_roots, t.positive):
         if not pos:
             continue
         res = int_residual(ubasis, upivots, a)
-        if res is None:
-            inside.append(a)
-            continue
-        key = int_line_rep(res)
-        if key not in lines:
-            lines[key] = alpha
-    return lines, inside
+        if res is not None:
+            lines.setdefault(int_line_rep(res), alpha)
+    return lines
 
 
 def _line_mod(v: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...] | None:
@@ -252,26 +247,30 @@ def zero_block_count(sums: Sequence[int], signed: bool, bare: int = 0) -> int:
     return k - len(vals) + max(((r & zeros).bit_length() - 1 - off) // width for r in ends)
 
 
-def _null_partition_d(rs: RootSystem, inside: list[tuple[int, ...]], mu: Sequence[int]) -> int | None:
+def _null_partition_d(rs: RootSystem, perm: tuple[int, ...], mu: Sequence[int]) -> int | None:
     """d of the type-A element t_lam u by null partitions, None for the
     other types and for a translation off the root span.
 
-    inside lists the positive roots e_i - e_j (i < j) of Im(u - I), which
-    holds e_i - e_j exactly when i and j lie in one cycle B of u; so each
-    index joins the least index of its cycle.  With mu_B the sum of the
-    multiple mu of lam over B, d = #cycles - nu(mu_B) (zero_block_count,
-    unsigned; McCammond-Petersen).
+    perm sends the simple root e_k - e_(k+1) to e_s(k) - e_s(k+1): s(k) is
+    the +1 of that image, s(n) the -1 of the last, and u permutes the
+    coordinates by s.  With mu_B the sum of the multiple mu of lam over a
+    cycle B of s, d = #cycles - nu(mu_B) (zero_block_count, unsigned;
+    McCammond-Petersen).
     """
     if rs.spec.family != "A" or sum(mu):
         return None
-    head = list(range(len(mu)))
-    for a in inside:
-        j = a.index(-1)
-        head[j] = min(head[j], a.index(1))
-    sums = dict.fromkeys(head, 0)
-    for i, m in zip(head, mu):
-        sums[i] += m
-    return len(sums) - zero_block_count(list(sums.values()), False)
+    images = [rs.tables.int_roots[perm[b]] for b in rs.tables.simple]
+    s = [a.index(1) for a in images] + [images[-1].index(-1)]
+    sums, seen = [], set()
+    for start in range(len(s)):
+        if start not in seen:
+            sums.append(0)
+        i = start
+        while i not in seen:
+            seen.add(i)
+            sums[-1] += mu[i]
+            i = s[i]
+    return len(sums) - zero_block_count(sums, False)
 
 
 def _orbit_sum(roots, perm: tuple[int, ...], b: int) -> list[int]:
@@ -356,8 +355,8 @@ def _report(rs: RootSystem, perm, ubasis, mu, u_roots=None) -> DimensionReport:
     if res is None:
         d, lifts = 0, ()
     else:
-        lines, inside = _quotient_lines(rs, ubasis, upivots) if e else (rs.root_lines, [])
-        rule = _null_partition_d(rs, inside, mu)
+        lines = _quotient_lines(rs, ubasis, upivots) if e else rs.root_lines
+        rule = _null_partition_d(rs, perm, mu)
         d, lifts = _min_span_subset(lines, res, rs.rank - e, least=rule or 1)
         if rule not in (None, d):
             raise AssertionError(f"null partitions give d = {rule}, the span search {d}")

@@ -1,18 +1,28 @@
 """Window-notation helpers that only the tests use: windows from and to
 normal forms and elements, a window's value at any integer, window
-composition, the dimensions e and d read off a window, and the profiles,
+composition, the dimensions e and d read off a window, the profiles,
 basic null blocks and minimal null blocks built from every signed subset
-up front."""
+up front, and the good origin found by a depth-first search over the
+hyperplanes of the elliptic factors."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction as Q
 from itertools import combinations
 
 from coxlen.affgroup import AffineElement
-from coxlen.affsym import DEFAULT_PROFILE_SIZE_CAP, Window, cycles, relative_nullity
+from coxlen.affsym import (
+    DEFAULT_PROFILE_SIZE_CAP,
+    Window,
+    _window_pair,
+    cycles,
+    relative_nullity,
+    window_root_system,
+)
 from coxlen.errors import BudgetExceeded
-from coxlen.linalg import mat_vec, transpose
+from coxlen.linalg import Vec, mat_vec, transpose
+from coxlen.reflen import pair_split
 
 
 def window_from_normal_form(lam, pi) -> Window:
@@ -135,3 +145,44 @@ def reference_minimal_null_blocks(v, cap: int | None = None) -> tuple[frozenset[
                         f"by weight {w} of {p.positive_weight}"
                     )
     return tuple(sorted(confirmed + singles, key=sorted))
+
+
+def reference_good_origin_split(lam, pi, budget: int) -> tuple[Vec, tuple[int, ...], tuple[int, ...]]:
+    """The origin of good_origin_split for the window with normal form
+    (lam, pi), and the simple-coroot coordinates of t and of u.
+
+    The origin is checked in integers on the assignment x it recentres:
+    u = (P, mu), P sending e_j to e_pi(j), maps x_j to position pi(j), so
+    u fixes x exactly when x_pi(j) = x_j + mu_pi(j) for every j, and
+    recentring subtracts a multiple of the all-ones vector, which u fixes."""
+    n = len(pi)
+    rs = window_root_system(n)
+    coords_t, coords_u, _, _, elliptic = pair_split(rs, *_window_pair(rs, lam, pi), budget)
+    # constraints x_a - x_b = level form a forest (independent roots),
+    # so integer values propagate consistently from any per-tree anchor
+    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, n + 1)}
+    for r in elliptic.factors:
+        a = next(i for i, c in enumerate(r.root) if c == 1) + 1
+        b = next(i for i, c in enumerate(r.root) if c == -1) + 1
+        adj[a].append((b, -r.level))
+        adj[b].append((a, r.level))
+    assign: dict[int, int] = {}
+    for start in range(1, n + 1):
+        if start in assign:
+            continue
+        assign[start] = 0
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j, delta in adj[i]:
+                if j not in assign:
+                    assign[j] = assign[i] + delta
+                    stack.append(j)
+                elif assign[j] != assign[i] + delta:
+                    raise AssertionError("dependent roots in an elliptic factorisation")
+    lattice = rs.coroot_lattice
+    mu = lattice.combination(coords_u)  # den times the translation of u
+    if any(lattice.den * (assign[p] - assign[j]) != mu[p - 1] for j, p in enumerate(pi, 1)):
+        raise AssertionError("constructed origin is not fixed by the elliptic part")
+    shift = Q(sum(assign.values()), n)
+    return tuple(assign[i] - shift for i in range(1, n + 1)), coords_t, coords_u

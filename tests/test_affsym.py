@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 
 import coxlen.affsym
 import coxlen.reflen
-from coxlen.affgroup import AffineReflection, compose, is_elliptic, require_group_element
+from coxlen.affgroup import compose, is_elliptic, require_group_element
 from coxlen.affsym import (
     SetPartition,
     Window,
+    _good_origin_split,
     _window_pair,
     cycles,
     embed_window,
@@ -37,7 +38,7 @@ from coxlen.affsym import (
 )
 from coxlen.errors import BudgetExceeded, ParseError
 from coxlen.oracle import brute_nullity
-from coxlen.reflen import ReflectionFactorization, dimension_report, zero_block_count
+from coxlen.reflen import DEFAULT_HURWITZ_BUDGET, dimension_report, zero_block_count
 from reference_affgroup import is_translation
 from reference_affsym import (
     basic_null_blocks,
@@ -45,6 +46,7 @@ from reference_affsym import (
     differential_dimension_window,
     elliptic_dimension_window,
     profiles,
+    reference_good_origin_split,
     reference_minimal_null_blocks,
     window_from_normal_form,
     window_of_element,
@@ -305,15 +307,16 @@ def test_good_origin_split_frozen():
 
 @pytest.mark.parametrize("k", [0, -1])
 def test_good_origin_split_rejects_a_shifted_assignment(monkeypatch, k):
-    # one elliptic hyperplane moved by one level shifts the integer
-    # assignment off the fixed set of u, which the integer check must see
+    # one simple coroot added to the translation of u moves mu across two
+    # cycles of pi ({1}, {2, 5, 3}, {4}), so the walk along a cycle no
+    # longer closes, which the integer check must see
     split = coxlen.affsym.pair_split
 
     def shifted(*args):
         coords_t, coords_u, rep_t, rep_u, elliptic = split(*args)
-        factors = list(elliptic.factors)
-        factors[k] = AffineReflection(factors[k].root, factors[k].level + 1)
-        return coords_t, coords_u, rep_t, rep_u, ReflectionFactorization(tuple(factors))
+        coords_u = list(coords_u)
+        coords_u[k] += 1
+        return coords_t, tuple(coords_u), rep_t, rep_u, elliptic
 
     monkeypatch.setattr(coxlen.affsym, "pair_split", shifted)
     with pytest.raises(AssertionError, match="not fixed by the elliptic part"):
@@ -360,6 +363,16 @@ def test_good_origin_split_properties(win):
     assert dimension_report(rs, t).length == 2 * differential_dimension_window(win)
     assert dimension_report(rs, u).length == elliptic_dimension_window(win)
     assert sum(origin) == 0
+
+
+@given(windows(nmin=2, nmax=9))
+@settings(max_examples=200, deadline=None)
+def test_good_origin_split_matches_the_search_over_factor_hyperplanes(win):
+    # the trees of the factor hyperplanes are the cycles of pi, and both
+    # anchor each at its least index
+    lam, pi = win.normal_form()
+    expected = reference_good_origin_split(lam, pi, DEFAULT_HURWITZ_BUDGET)
+    assert _good_origin_split(lam, pi, DEFAULT_HURWITZ_BUDGET) == expected
 
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=9).map(lambda xs: tuple(xs) + (-sum(xs),)))

@@ -532,6 +532,12 @@ def test_exit_code_2_on_bad_input(capsys):
                "--out", "-")[0] == 2
 
 
+def test_window_above_size_9_exits_3_naming_the_size(capsys):
+    code, out, err = run(capsys, "window", "--window", "[1,2,3,4,5,6,7,8,9,10]")
+    assert (code, out) == (3, "")
+    assert err == "error: window size n = 10 out of range: the split runs in A_(n-1), n <= 9\n"
+
+
 def test_exit_code_3_on_unsupported_type(capsys):
     assert run(capsys, "len", "--type", "E8", "--element", "word=s1")[0] == 3
     assert run(capsys, "len", "--type", "A9", "--element", "word=s1")[0] == 3
@@ -694,6 +700,10 @@ FROZEN_OUTPUTS = [
      '{"n": 4, "lambda": [1, -1, -1, 1], "permutation": [2, 1, 4, 3], "cycles": [[1, 2], [3, 4]], "relative_nullity": 2, "length": 2, "good_origin": ["0", "1", "0", "-1"], "translation_part": ["0", "0", "0", "0"]}'),
     (['window', '--window', '[8,-1,0,12,-4]'],
      '{"n": 5, "lambda": [1, -1, -1, 2, -1], "permutation": [3, 4, 5, 2, 1], "cycles": [[1, 3, 5], [2, 4]], "relative_nullity": 1, "length": 5, "good_origin": ["0", "0", "1", "-1", "0"], "translation_part": ["-1", "1", "0", "0", "0"]}'),
+    # n = 9, the largest window, with cycles of sizes 6, 2 and 1, recorded
+    # when the origin came from a search over the elliptic factors
+    (['window', '--window', '[-1,27,-11,13,21,5,-17,15,-7]'],
+     '{"n": 9, "lambda": [-1, 2, -2, 1, 2, 0, -2, 1, -1], "permutation": [8, 9, 7, 4, 3, 5, 1, 6, 2], "cycles": [[1, 3, 5, 6, 7, 8], [2, 9], [4]], "relative_nullity": 1, "length": 10, "good_origin": ["-1", "-1", "3", "-1", "0", "0", "1", "-2", "1"], "translation_part": ["0", "1", "-1", "1", "0", "-1", "0", "0", "0"]}'),
     # V0, as printed before the clique search gave way to the direct
     # enumeration of null partitions; then a vector with zero entries and
     # one whose cliques are now listed by block count, recorded after it

@@ -291,7 +291,7 @@ def span_problems(draw, types=SPAN_TYPES):
     word = draw(st.lists(st.integers(0, rs.rank - 1), max_size=2 * rs.rank))
     w = element_of(rs, [AffineReflection.make(rs.simple_roots[i], 0) for i in word])
     ubasis, upivots = rref(linear_move_space(w.linear))
-    lines = _quotient_lines(rs, linear_move_space(w.linear), upivots)[0]
+    lines = _quotient_lines(rs, linear_move_space(w.linear), upivots)
     coeffs = draw(st.lists(st.integers(-12, 12), min_size=rs.rank, max_size=rs.rank))
     lam = [sum((c * a[j] for c, a in zip(coeffs, rs.simple_roots)), Q(0)) for j in range(rs.ambient_dim)]
     target = reduce_against(ubasis, upivots, tuple(lam))
@@ -321,7 +321,7 @@ def test_span_search_skips_lines_parallel_modulo_the_prefix(monkeypatch):
     # Modulo the prefix e3-e4, e2-e4 is parallel to e2-e3 and e1-e4 to
     # e1-e3, so the pass after that prefix reduces three lines, not five.
     A3 = root_system("A3")
-    lines = _quotient_lines(A3, (), ())[0]
+    lines = _quotient_lines(A3, (), ())
     target = vec([1, 2, 3, -6])
     witness = (vec([0, 0, 1, -1]), vec([0, 1, -1, 0]), vec([1, -1, 0, 0]))
     assert _min_span_subset(lines, target, 3) == dfs_min_span_subset(lines, target, 3) == (3, witness)
@@ -362,7 +362,7 @@ def test_frozen_translation_witnesses(name, coeffs, d, witness):
 
 def test_span_search_cap(monkeypatch):
     # (2, 4) in B2 needs two lines; one pass reduces all four lines first
-    lines = _quotient_lines(B2, (), ())[0]
+    lines = _quotient_lines(B2, (), ())
     target = vec([2, 4])
     assert _min_span_subset(lines, target, 2)[0] == 2
     monkeypatch.setattr("coxlen.reflen.DEFAULT_SPAN_SEARCH_CAP", 0)
@@ -407,6 +407,7 @@ def full_search_report(rs, perm, coords):
 
 
 @given(type_a_pairs())
+@example(("A1", (0, 1), (1,)))  # one simple-root image gives both s(1) and s(2); d = 1
 @example(("A3", tuple(range(12)), (0, 0, 0)))  # d = e = 0
 @example(("A3", tuple(range(12)), (1, 2, 3)))  # e = 0, d = 3
 @example(("A2", root_system("A2").tables.fold([(1, 0), (2, 0)])[0], (0, 0)))  # d = 0, e = 2
@@ -539,7 +540,7 @@ def check_against_reference(rs, w):
     expected, lines = reference_dimension_report(rs, w)
     assert dimension_report(rs, w) == expected
     ubasis = linear_move_space(w.linear)
-    assert _quotient_lines(rs, ubasis, rref(ubasis)[1])[0] == lines
+    assert _quotient_lines(rs, ubasis, rref(ubasis)[1]) == lines
 
 
 @given(reported_elements())
@@ -836,7 +837,7 @@ def test_orbit_sums_decide_move_space_membership_at_higher_rank(name, data):
 @pytest.mark.parametrize("name", ["A1", "A8", "B2", "B8", "C8", "D4", "D8", "G2", "F4"])
 def test_root_lines_are_the_quotient_lines_of_a_translation(name):
     rs = root_system(name)
-    assert rs.root_lines == _quotient_lines(rs, (), ())[0]
+    assert rs.root_lines == _quotient_lines(rs, (), ())
 
 
 def test_signed_nullity_is_not_a_chain_of_zero_prefixes():
