@@ -26,31 +26,42 @@ reflen.zero_block_count of the sums <lam, v_B>, as in affsym.nullity
 cycle sums, the weighted number of ways to cover S by positive cycles;
 the negative cycles on the other coordinates only contribute a weight.
 
-G2 and F4 enumerate W0 once, by breadth-first search over permutations
-of the root indices: right multiplication by a simple reflection s_i is
-an index lookup in RootSystem.tables.reflected, and duplicates are found
-by hashing integer tuples.  An element of W0 is its root permutation
-throughout.  f_lam depends on u only through its move space Im(u - I):
-e(u) is its dimension and d(t_lam u) is the span search of lam modulo
-it.  The lam-independent tables therefore hold one entry per distinct
-move space (its primitive integer RREF basis, its projected root lines
-and the number of elements of W0 with that move space), so classifying
-many lattice points repeats only the small span search, once per space.
-The tables and the reduction of lam modulo each space are fraction-free.
-These tables also serve as the reference for types A-D in the tests.
+G2 and F4 read f_lam off lam-independent tables, one row per root
+subspace that is the move space Im(u - I) of some u in W0: e(u) is its
+dimension and d(t_lam u) the span search of lam modulo it, so f_lam
+depends on u only through that space.  The rows come from the flats,
+with no W0 enumeration.  By Steinberg's theorem the pointwise
+stabiliser of Fix(u) is a parabolic subgroup, conjugate to a standard
+W_J, so the move spaces are the W0-images of the spans of the standard
+parabolic subsystems Phi_J, and the u with move space M are the
+elements of the reflection group W_M of the roots in M with no fixed
+vector in M.  By Shephard-Todd there are prod e_i of them over the
+exponents e_i of W_J, which Kostant's theorem reads off the heights of
+the positive roots of Phi_J (the dual partition).  Each row holds the space's primitive integer RREF basis,
+its projected root lines and that count, so classifying many lattice
+points repeats only the small span search, once per space.  The tables
+and the reduction of lam modulo each space are fraction-free.  These
+tables also serve as the reference for types A-D in the tests.
+
+W0 itself is enumerated, for the oracle, by breadth-first search over
+permutations of the root indices: right multiplication by a simple
+reflection s_i is an index lookup in RootSystem.tables.reflected, and
+duplicates are found by hashing integer tuples.  An element of W0 is its
+root permutation throughout.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import BudgetExceeded
-from .linalg import Vec, int_residual, is_zero, rref_pivots, scaled_ints
+from .linalg import Vec, int_residual, is_zero, primitive_rref, rref_pivots, scaled_ints
 from .reflen import _min_span_subset, _quotient_lines, zero_block_count
-from .rootsys import RootSystem
+from .rootsys import RootSystem, RootTables
 
 DEFAULT_W0_CAP = 10**5
 DEFAULT_CLASSIFY_CAP = 10**5
@@ -176,12 +187,16 @@ class SphericalGroup:
         return len(self.elements)
 
 
-@lru_cache(maxsize=None)
-def enumerate_w0(rs: RootSystem) -> SphericalGroup:
+def _require_w0_reach(rs: RootSystem) -> None:
     if rs.w0_size > DEFAULT_W0_CAP:
         raise BudgetExceeded(
             f"W0 of {rs.spec} has order {rs.w0_size}, above the cap {DEFAULT_W0_CAP}"
         )
+
+
+@lru_cache(maxsize=None)
+def enumerate_w0(rs: RootSystem) -> SphericalGroup:
+    _require_w0_reach(rs)
     reflected = rs.tables.reflected
     gens = [reflected[i] for i in rs.tables.simple]
     start = (tuple(range(len(rs.roots))), ())
@@ -204,21 +219,58 @@ def enumerate_w0(rs: RootSystem) -> SphericalGroup:
     return SphericalGroup(elements=elements, words=words)
 
 
+def _height_exponents(tables: RootTables, inside) -> tuple[int, ...]:
+    """The exponents, ascending, of the Weyl group of the standard
+    parabolic subsystem whose root indices are inside.  By Kostant's
+    theorem they are the dual partition of the heights of its positive
+    roots: with m_k positive roots of height k, m_k exponents are at
+    least k.  The heights are those of the coroots, the sums of
+    coroot_coords (the dual system has the same Weyl group), and a root
+    is positive for the simple system when its height is, which the
+    lexicographic RootTables.positive is not for G2."""
+    m = Counter(h for a in inside if (h := sum(tables.coroot_coords[a])) > 0)
+    return tuple(sorted(sum(c > j for c in m.values()) for j in range(m[1])))
+
+
 @lru_cache(maxsize=None)
 def _genfun_tables(rs: RootSystem):
-    """The lam-independent data, one entry per distinct move space of W0,
-    in first-seen order: (e, the primitive_rref basis of the space, its
-    pivots, projected root lines, number of elements with that move
-    space).  Each move space is read from the element's root permutation
-    (RootTables.move_space), as the elliptic peel of reflen reads it."""
-    counts: dict[tuple[tuple[int, ...], ...], int] = {}
-    for perm in enumerate_w0(rs).elements:
-        key = rs.tables.move_space(perm)
-        counts[key] = counts.get(key, 0) + 1
+    """The lam-independent data, one row per move space of W0: (e, the
+    primitive_rref basis of the space, its pivots, projected root lines,
+    number of elements of W0 with that move space).
+
+    The move spaces are the flats, the W0-images of the spans of the
+    standard parabolic subsystems Phi_J (Steinberg), so no element of W0
+    is enumerated.  For each subset J of the simple roots, Phi_J holds
+    the roots whose coroot_coords vanish off J; unless an earlier orbit
+    holds it, its W0-orbit is walked by lookups in tables.reflected,
+    each flat keyed by the set of root indices in it and carrying the
+    images of J's simple roots, which span it.  Every flat of the orbit
+    counts the elements of a conjugate of W_J with no fixed vector in
+    the flat: prod e_i over the exponents of W_J (Shephard-Todd), read
+    off the heights (_height_exponents).  Rows come orbit by orbit, J in
+    binary order, each orbit breadth first."""
+    _require_w0_reach(rs)
+    tables = rs.tables
+    gens = [tables.reflected[i] for i in tables.simple]
+    support = [sum(1 << i for i, x in enumerate(c) if x) for c in tables.coroot_coords]
+    seen: set[frozenset[int]] = set()
     out = []
-    for key, mult in counts.items():
-        pivots = rref_pivots(key)
-        out.append((len(key), key, pivots, _quotient_lines(rs, key, pivots), mult))
+    for bits in range(1 << rs.rank):
+        inside = frozenset(a for a, s in enumerate(support) if not s & ~bits)
+        if inside in seen:
+            continue
+        seen.add(inside)
+        mult = prod(_height_exponents(tables, inside))
+        orbit = [(inside, [b for i, b in enumerate(tables.simple) if bits >> i & 1])]
+        for flat, images in orbit:
+            key = primitive_rref(tables.int_roots[b] for b in images)
+            pivots = rref_pivots(key)
+            out.append((len(key), key, pivots, _quotient_lines(rs, key, pivots), mult))
+            for g in gens:
+                image = frozenset(map(g.__getitem__, flat))
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append((image, [g[b] for b in images]))
     return tuple(out)
 
 
@@ -355,7 +407,9 @@ def local_genfun(rs: RootSystem, lam: Vec) -> BivariatePolynomial:
 
 def spherical_genfun(rs: RootSystem) -> tuple[int, ...]:
     """Distribution of reflection length over W0 (elliptic elements have
-    length equal to e); computed by counting, not from the exponents."""
+    length equal to e); computed by counting, not from rs.exponents.  For
+    G2 and F4 the W0 tables count the elements of each move space by the
+    exponents of a parabolic subgroup, read off its root heights."""
     counts = [0] * (rs.rank + 1)
     if rs.spec.family in CLASSICAL:
         for (_, e), mult in _partition_counts(rs, (0,) * rs.ambient_dim)[0].items():

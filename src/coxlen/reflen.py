@@ -290,16 +290,14 @@ def _fixed_sums(tables, perm: tuple[int, ...]) -> list[list[int]]:
     return [y for b in tables.simple if any(y := _orbit_sum(tables.int_roots, perm, b))]
 
 
-def _root_basis_of_span(rs: RootSystem, perm: tuple[int, ...], e: int) -> tuple[Vec, ...]:
+def _root_basis_of_span(rs: RootSystem, e: int, fixed) -> tuple[Vec, ...]:
     """The first roots, in root order, inside Mov(u) and independent of
     the roots chosen before them: a basis of Mov(u), of dimension e, for
-    the W0 element u with root permutation perm (every move-set of a Weyl
+    the W0 element u whose _fixed_sums are fixed (every move-set of a Weyl
     group element is spanned by roots).  Membership is by pairings with
-    _fixed_sums, made only when 0 < e < rank (at e = rank every root is
-    inside).  The chosen roots are kept as
+    fixed.  The chosen roots are kept as
     residuals modulo those before them, pivoted at their first nonzero
     entry, so int_residual is exact and eliminates on at most e rows."""
-    fixed = _fixed_sums(rs.tables, perm) if 0 < e < rs.rank else ()
     chosen: list[Vec] = []
     rows, rpivots = [], []
     for alpha, a in zip(rs.roots, rs.tables.int_roots):
@@ -328,6 +326,8 @@ class DimensionReport:
     lift_roots: tuple[Vec, ...]
     # the primitive_rref rows of Im(A - I) the report was read from
     move_space: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
+    # _fixed_sums of A, made for the root basis when e > 0, else None
+    fixed_sums: tuple[list[int], ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def witness_roots(self) -> tuple[Vec, ...]:
@@ -345,10 +345,13 @@ def pair_report(rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...]) 
     return _report(rs, perm, rs.tables.move_space(perm), rs.coroot_lattice.combination(coords))
 
 
-def _report(rs: RootSystem, perm, ubasis, mu, u_roots=None) -> DimensionReport:
+def _report(rs: RootSystem, perm, ubasis, mu, same_linear: DimensionReport | None = None) -> DimensionReport:
     """The report from the root permutation perm of the linear part, the
     primitive_rref rows ubasis of its move space, a positive integer
-    multiple mu of lam and, if known, ubasis's root basis."""
+    multiple mu of lam and, if known, a report same_linear of the same
+    linear part, whose root basis and fixed sums are reused.  The fixed
+    sums are made only when 0 < e < rank: at e = rank every orbit sum is
+    zero, as Fix(u) misses the root span, and at e = 0 no root is chosen."""
     upivots = rref_pivots(ubasis)
     e = len(ubasis)
     res = int_residual(ubasis, upivots, mu)
@@ -360,9 +363,12 @@ def _report(rs: RootSystem, perm, ubasis, mu, u_roots=None) -> DimensionReport:
         d, lifts = _min_span_subset(lines, res, rs.rank - e, least=rule or 1)
         if rule not in (None, d):
             raise AssertionError(f"null partitions give d = {rule}, the span search {d}")
-    if u_roots is None:
-        u_roots = _root_basis_of_span(rs, perm, e)
-    return DimensionReport(e, d, d + e, 2 * d + e, u_roots, lifts, ubasis)
+    if same_linear is None:
+        fixed = tuple(_fixed_sums(rs.tables, perm)) if 0 < e < rs.rank else () if e else None
+        u_roots = _root_basis_of_span(rs, e, fixed or ())
+    else:
+        fixed, u_roots = same_linear.fixed_sums, same_linear.elliptic_roots
+    return DimensionReport(e, d, d + e, 2 * d + e, u_roots, lifts, ubasis, fixed)
 
 
 @dataclass(frozen=True)
@@ -399,10 +405,13 @@ def factor_elliptic(rs: RootSystem, v: AffineElement) -> ReflectionFactorization
     return _reflections(rs, _min_factorization(rs, rep, perm, coords))
 
 
-def _peel_elliptic(rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...]) -> list[tuple[int, int]]:
+def _peel_elliptic(
+    rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...], fixed=None
+) -> list[tuple[int, int]]:
     """The reflections, through a common fixed point x, whose product is
     the elliptic group element (perm, coords), as (positive root index,
-    level) pairs; unchecked.
+    level) pairs; unchecked.  fixed, when a report already made them, is
+    _fixed_sums of perm.
 
     One pass over the positive roots in canonical order peels each root
     that lies in the current move space and whose hyperplane through x
@@ -431,7 +440,7 @@ def _peel_elliptic(rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...
     tables = rs.tables
     roots = tables.int_roots
     mu = rs.coroot_lattice.combination(coords)
-    fixed = _fixed_sums(tables, perm)
+    fixed = _fixed_sums(tables, perm) if fixed is None else list(fixed)
     if any(sum(map(mul, mu, y)) for y in fixed):
         raise AssertionError("element to peel has no fixed point")
     start, identity = perm, tuple(range(len(perm)))
@@ -504,7 +513,8 @@ def _min_factorization(
     """
     lifts = [(rs.root_index[alpha], 0) for alpha in rep.lift_roots]
     peeled, _ = rs.tables.fold(lifts, (perm, coords))
-    pairs = tuple(_peel_elliptic(rs, peeled, coords) + lifts[::-1])
+    # with no lift the peel starts at perm, whose fixed sums rep holds
+    pairs = tuple(_peel_elliptic(rs, peeled, coords, None if lifts else rep.fixed_sums) + lifts[::-1])
     if len(pairs) != rep.length or rs.tables.fold(pairs) != (perm, coords):
         raise AssertionError("minimum factorisation failed verification")
     return pairs
@@ -656,13 +666,13 @@ def _split_off(rs, rep, perm, coords, pairs, suffix):
     u that of the suffix, checked in integers: folded on RootTables, t must
     have the identity root permutation, u that of w, and their coordinates
     must add up to those of w, since t u = (A, mu_t + mu_u).  Then the
-    reports of t and u, u's on the move space and root basis of w's report
-    rep, must give t length 2d and u length e with d(u) = 0."""
+    reports of t and u, u's on the move space, root basis and fixed sums
+    of w's report rep, must give t length 2d and u length e with d(u) = 0."""
     tables, lattice = rs.tables, rs.coroot_lattice
     perm_t, coords_t = tables.fold(pairs)
     perm_u, coords_u = tables.fold(suffix)
     rep_t = _report(rs, perm_t, (), lattice.combination(coords_t))
-    rep_u = _report(rs, perm, rep.move_space, lattice.combination(coords_u), rep.elliptic_roots)
+    rep_u = _report(rs, perm, rep.move_space, lattice.combination(coords_u), rep)
     ok = (
         perm_t == tuple(range(len(perm)))
         and rep_u.d == 0

@@ -20,6 +20,8 @@ from coxlen import genfun
 from coxlen.errors import BudgetExceeded
 from coxlen.genfun import (
     BivariatePolynomial,
+    _genfun_tables,
+    _height_exponents,
     _partition_counts,
     _table_counts,
     classify_coroots,
@@ -36,7 +38,7 @@ from coxlen.linalg import identity_matrix, mat_mul, vec
 from coxlen.reflen import dimension_report
 from coxlen.rootsys import root_system
 from reference_affgroup import root_permutation
-from reference_genfun import poly_s_plus
+from reference_genfun import poly_s_plus, reference_genfun_tables
 from w0_matrices import w0_matrices, word_matrix
 
 A2 = root_system("A2")
@@ -229,6 +231,39 @@ def test_w0_cap():
     # |W0(B8)| = 10,321,920 is above DEFAULT_W0_CAP
     with pytest.raises(BudgetExceeded):
         enumerate_w0(root_system("B8"))
+    with pytest.raises(BudgetExceeded, match="W0 of B8 has order 10321920, above the cap"):
+        _genfun_tables(root_system("B8"))
+
+
+def table_map(rows):
+    """The W0 tables as a map from move space to (e, mult, lines); no
+    space may have two rows."""
+    out = {key: (e, mult, lines) for e, key, _, lines, mult in rows}
+    assert len(out) == len(rows)
+    return out
+
+
+TABLE_TYPES = [f"A{n}" for n in range(1, 6)] + [f"{f}{n}" for f in "BC" for n in range(2, 6)]
+
+
+@pytest.mark.parametrize("name", TABLE_TYPES + ["D4", "D5", "G2", "F4"])
+def test_tables_from_flats_match_the_element_loop(name):
+    rs = root_system(name)
+    tables = _genfun_tables(rs)
+    assert table_map(tables) == table_map(reference_genfun_tables(rs))
+    assert sum(mult for *_, mult in tables) == rs.w0_size
+
+
+HEIGHT_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"{f}{n}" for f in "BC" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+)
+
+
+@pytest.mark.parametrize("name", HEIGHT_TYPES + ["G2", "F4"])
+def test_exponents_are_the_dual_partition_of_the_coroot_heights(name):
+    # Kostant: no W0 is needed, and the closed form in rootsys is independent
+    rs = root_system(name)
+    assert _height_exponents(rs.tables, range(len(rs.roots))) == rs.exponents
 
 
 SHEPHARD_TODD = [

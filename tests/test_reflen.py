@@ -561,7 +561,7 @@ def test_root_basis_of_every_move_space(name):
     assert len(spaces) == len(_genfun_tables(rs))
     for ubasis, perm in spaces.items():
         basis, pivots = rref(ubasis)
-        assert _root_basis_of_span(rs, perm, len(ubasis)) == reference_root_basis(rs, basis, pivots)
+        assert _root_basis_of_span(rs, len(ubasis), _fixed_sums(rs.tables, perm)) == reference_root_basis(rs, basis, pivots)
 
 
 @pytest.mark.parametrize("name,word,lam", [
@@ -773,7 +773,7 @@ MUTATION_ELEMENTS = [
 def test_a_wrong_peel_fails_verification(monkeypatch, name, make, mutate):
     rs, w = root_system(name), make()
     peel = coxlen.reflen._peel_elliptic
-    monkeypatch.setattr(coxlen.reflen, "_peel_elliptic", lambda rs, x, perm: mutate(rs, peel(rs, x, perm)))
+    monkeypatch.setattr(coxlen.reflen, "_peel_elliptic", lambda rs, x, perm, fixed: mutate(rs, peel(rs, x, perm, fixed)))
     with pytest.raises(AssertionError, match="failed verification"):
         min_factorization(rs, w)
     with pytest.raises(AssertionError, match="failed verification"):
@@ -901,7 +901,8 @@ def test_root_basis_picks_the_roots_of_the_primitive_rref_reference(name, data):
     perm, _ = rs.tables.fold((rs.tables.simple[i], 0) for i in word)
     basis = rs.tables.move_space(perm)
     pivots = rref_pivots(basis)
-    assert _root_basis_of_span(rs, perm, len(basis)) == reference_root_basis_of_span(rs, basis, pivots)
+    expected = reference_root_basis_of_span(rs, basis, pivots)
+    assert _root_basis_of_span(rs, len(basis), _fixed_sums(rs.tables, perm)) == expected
 
 
 def _outside_w0():
