@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands: len, factor, split, window, nullity, genfun, render-svg,
-oracle.  Exit codes: 0 success, 2 bad input, 3 unsupported type,
-4 budget exceeded.
+oracle.  Exit codes: 0 success, 1 the oracle disagrees (len --verify,
+nullity --verify), 2 bad input, 3 unsupported type, 4 budget exceeded.
 
 Element grammar (for --element):
 
@@ -44,7 +44,7 @@ from .affsym import (
     window_root_system,
 )
 from .genfun import classify_coroots, local_genfun
-from .oracle import brute_nullity, brute_reflection_length
+from .oracle import _pair_lengths, brute_nullity
 from .render import render_alcoves, render_classes
 
 
@@ -65,9 +65,9 @@ def parse_vector(text: str) -> Vec:
     m = re.fullmatch(r"\s*\(([^()]*)\)\s*", text)
     if not m:
         raise ParseError(f"expected a vector like (1,-1,0), got {text!r}")
-    entries = [p.strip() for p in m.group(1).split(",") if p.strip()]
-    if not entries:
-        raise ParseError("empty vector")
+    entries = [p.strip() for p in m.group(1).split(",")]
+    if "" in entries:
+        raise ParseError(f"empty entry in vector {text!r}")
     out = []
     for p in entries:
         try:
@@ -81,9 +81,9 @@ def parse_window_text(text: str) -> Window:
     m = re.fullmatch(r"\s*\[([^\[\]]*)\]\s*", text)
     if not m:
         raise ParseError(f"expected a window like [4,2,0], got {text!r}")
-    entries = [p.strip() for p in m.group(1).split(",") if p.strip()]
-    if not entries:
-        raise ParseError("empty window")
+    entries = [p.strip() for p in m.group(1).split(",")]
+    if "" in entries:
+        raise ParseError(f"empty entry in window {text!r}")
     try:
         values = tuple(int(p) for p in entries)
     except ValueError as ex:
@@ -123,12 +123,7 @@ def _parse(rs: RootSystem, text: str) -> tuple[tuple[int, ...], tuple[int, ...]]
             raise ParseError(f"element field {key!r} appears twice")
         seen.add(key)
         if key == "lambda":
-            lam = parse_vector(value)
-            if len(lam) != rs.ambient_dim:
-                raise ParseError(
-                    f"lambda has {len(lam)} coordinates, {rs.spec} lives in "
-                    f"dimension {rs.ambient_dim}"
-                )
+            lam = _parse_lambda(rs, value)
         elif key == "word":
             for tok in value.split():
                 m = re.fullmatch(r"s(\d+)", tok)
@@ -141,6 +136,15 @@ def _parse(rs: RootSystem, text: str) -> tuple[tuple[int, ...], tuple[int, ...]]
             raise ParseError(f"unknown element field {key!r}")
     perm, coords = tables.fold((a, 0) for a in word)
     return perm, coords if lam is None else require_lattice_coords(rs, lam)
+
+
+def _parse_lambda(rs: RootSystem, text: str) -> Vec:
+    """The vector text names, which must have one coordinate per
+    dimension of rs's ambient space."""
+    lam = parse_vector(text)
+    if len(lam) != rs.ambient_dim:
+        raise ParseError(f"lambda has {len(lam)} coordinates, {rs.spec} lives in dimension {rs.ambient_dim}")
+    return lam
 
 
 def _reflection_factors(rs: RootSystem, text: str) -> list[tuple[int, int]]:
@@ -193,7 +197,7 @@ def cmd_len(args) -> int:
         "witness_roots": [_vec_json(r) for r in rep.witness_roots],
     }
     if args.verify:
-        res = brute_reflection_length(rs, AffineElement(rs.tables.linear(perm), rs.from_lattice_coords(coords)))
+        res = _pair_lengths(rs, [(perm, coords)], None, None)[0]
         payload["oracle_length"] = res.length
         payload["oracle_certified"] = res.certified
         payload["oracle_certificate"] = res.certificate
@@ -353,12 +357,7 @@ def cmd_genfun(args) -> int:
         return 0
     if args.lam is None:
         raise ParseError("genfun needs either --lambda or --classify")
-    lam = parse_vector(args.lam)
-    if len(lam) != rs.ambient_dim:
-        raise ParseError(
-            f"lambda has {len(lam)} coordinates, {rs.spec} lives in "
-            f"dimension {rs.ambient_dim}"
-        )
+    lam = _parse_lambda(rs, args.lam)
     f = local_genfun(rs, lam)
     payload = {
         "type": str(rs.spec),
@@ -398,10 +397,7 @@ def cmd_render(args) -> int:
 
 def cmd_oracle(args) -> int:
     rs = root_system(args.type)
-    w = parse_element(rs, args.element)
-    res = brute_reflection_length(
-        rs, w, level_bound=args.level_bound, depth_bound=args.depth_bound
-    )
+    res = _pair_lengths(rs, [_parse(rs, args.element)], args.level_bound, args.depth_bound)[0]
     payload = {
         "type": str(rs.spec),
         "length": res.length,
@@ -507,9 +503,6 @@ def main(argv=None) -> int:
             if value is not None and value < 0:
                 raise ParseError(f"--{flag.replace('_', '-')} must be non-negative, got {value}")
         return args.func(args)
-    except ParseError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
     except UnsupportedTypeError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 3

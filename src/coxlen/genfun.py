@@ -407,16 +407,11 @@ def local_genfun(rs: RootSystem, lam: Vec) -> BivariatePolynomial:
 
 def spherical_genfun(rs: RootSystem) -> tuple[int, ...]:
     """Distribution of reflection length over W0 (elliptic elements have
-    length equal to e); computed by counting, not from rs.exponents.  For
-    G2 and F4 the W0 tables count the elements of each move space by the
-    exponents of a parabolic subgroup, read off its root heights."""
+    length equal to e); computed by counting, not from rs.exponents: the
+    e-marginal of f_0, where every term has d = 0."""
     counts = [0] * (rs.rank + 1)
-    if rs.spec.family in CLASSICAL:
-        for (_, e), mult in _partition_counts(rs, (0,) * rs.ambient_dim)[0].items():
-            counts[e] += mult
-    else:
-        for e, _, _, _, mult in _genfun_tables(rs):
-            counts[e] += mult
+    for (_, e), mult in _local_counts(rs, (0,) * rs.ambient_dim).items():
+        counts[e] += mult
     return tuple(counts)
 
 

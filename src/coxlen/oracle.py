@@ -6,10 +6,11 @@ translation part in the simple-coroot basis), and the moves are left
 multiplication by the finitely many reflections whose level is at most
 a bound J.  The distance of a state from the identity is its reflection
 length relative to that generator set.  W0 is genfun.enumerate_w0's list
-of root permutations, and a target enters the search through
-affgroup.require_group_element, which checks its linear part lies in W0
-and returns its root permutation and lattice coordinates; beyond these
-the oracle shares nothing with the closed-form machinery.
+of root permutations, and a target enters the search as its (root
+permutation, lattice coordinates) pair: an AffineElement through
+affgroup.require_group_element, which checks its linear part lies in W0,
+and a CLI target as the pair the parser reads; beyond these the oracle
+shares nothing with the closed-form machinery.
 
 The search is two-sided, and only distances to given targets are
 computed.  One ball grows forward from the identity, and one in reverse
@@ -38,11 +39,11 @@ the translation norm grows by at most J * R per step (linear parts are
 orthogonal; R is the largest coroot norm), so every state within K steps
 already satisfies |translation| <= K * J * R.
 
-The certificate's e is elliptic_rank of a target's own matrix, once per
-W0 index, so it does not lean on RootTables.move_space.  The nullity and
-dimension oracles are plain exhaustion: all set partitions via
-restricted growth strings, and all root subsets of increasing size,
-tested by Fraction in_span.
+The certificate's e is elliptic_rank of the matrix of the target's root
+permutation (RootTables.linear), taken once per W0 index, so it does not
+lean on RootTables.move_space.  The nullity and dimension oracles are
+plain exhaustion: all set partitions via restricted growth strings, and
+all root subsets of increasing size, tested by Fraction in_span.
 """
 
 from __future__ import annotations
@@ -191,18 +192,13 @@ def _ball(rs: RootSystem, level_bound: int, depth_bound: int, targets):
     return dist
 
 
-def brute_reflection_lengths(
-    rs: RootSystem,
-    elements,
-    level_bound: int | None = None,
-    depth_bound: int | None = None,
+def _pair_lengths(
+    rs: RootSystem, pairs, level_bound: int | None, depth_bound: int | None
 ) -> list[CertifiedLength]:
-    """Lengths for many elements from one two-sided search: a forward
-    ball from the identity against a reverse ball from each element.  A
-    second search at level_bound + 1, only for the elements with k > e + 1
-    and only to depth k - 2, decides the stability certificate."""
+    """brute_reflection_lengths on (root permutation, lattice coordinates)
+    pairs, the form in which require_group_element and the CLI parser
+    give an element."""
     _require_oracle_rank(rs)
-    pairs = [require_group_element(rs, w) for w in elements]
     index, _ = _oracle_tables(rs)
     targets = [(index[perm], coords) for perm, coords in pairs]
     if level_bound is None:
@@ -213,8 +209,7 @@ def brute_reflection_lengths(
     dist = _ball(rs, level_bound, depth_bound, targets)
     lengths = [dist.get(t) for t in targets]
     # e is a fact of the linear part alone: one rank per W0 index
-    linear = {i: w.linear for (i, _), w in zip(targets, elements)}
-    ranks = {i: elliptic_rank(m) for i, m in linear.items()}
+    ranks = {index[p]: elliptic_rank(rs.tables.linear(p)) for p in {p for p, _ in pairs}}
     unproved = {t: k for t, k in zip(targets, lengths) if k is not None and k > ranks[t[0]] + 1}
     # more generators never lengthen a factorisation, and every length
     # has the parity of e, so k is stable exactly when level_bound + 1
@@ -230,6 +225,19 @@ def brute_reflection_lengths(
         certificate = "rank" if k <= e + 1 else "stable" if shorter.get(t, k) >= k else None
         out.append(CertifiedLength(k, certificate, level_bound, depth_bound))
     return out
+
+
+def brute_reflection_lengths(
+    rs: RootSystem,
+    elements,
+    level_bound: int | None = None,
+    depth_bound: int | None = None,
+) -> list[CertifiedLength]:
+    """Lengths for many elements from one two-sided search: a forward
+    ball from the identity against a reverse ball from each element.  A
+    second search at level_bound + 1, only for the elements with k > e + 1
+    and only to depth k - 2, decides the stability certificate."""
+    return _pair_lengths(rs, [require_group_element(rs, w) for w in elements], level_bound, depth_bound)
 
 
 def brute_reflection_length(

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Q
+from functools import reduce
 from itertools import product
 from operator import mul
 
 from .errors import UnsupportedTypeError
-from .linalg import Vec, dot, smul, vadd
+from .linalg import Vec, dot, vadd
 from .affgroup import AffineElement, AffineReflection, identity_element, times_reflection
 from .genfun import classify_coroots
 from .reflen import dimension_report
@@ -99,8 +100,9 @@ def _wall_reflections(rs: RootSystem) -> tuple[AffineReflection, ...]:
     return tuple(walls)
 
 
-def _norm2(v: Vec) -> Q:
-    return dot(v, v)
+def _vertex_sum(verts: tuple[Vec, ...]) -> Vec:
+    """The sum of an alcove's vertices, len(verts) times its centroid."""
+    return reduce(vadd, verts)
 
 
 def enumerate_alcoves(rs: RootSystem, radius) -> list[tuple[AffineElement, tuple[Vec, ...]]]:
@@ -109,22 +111,20 @@ def enumerate_alcoves(rs: RootSystem, radius) -> list[tuple[AffineElement, tuple
     breadth-first search across shared walls."""
     _require_planar(rs)
     _require_radius("radius", radius)
-    r2 = Q(radius) * Q(radius)
     a0 = _fundamental_alcove(rs)
     walls = _wall_reflections(rs)
-    nverts = len(a0)
+    # the centroid lies within radius iff the vertex sum lies within len(a0) * radius
+    r2 = (Q(radius) * len(a0)) ** 2
 
-    def centroid(verts):
-        acc = verts[0]
-        for v in verts[1:]:
-            acc = vadd(acc, v)
-        return smul(Q(1, nverts), acc)
+    def inside(verts):
+        total = _vertex_sum(verts)
+        return dot(total, total) <= r2
 
     start = identity_element(rs.ambient_dim)
     out = []
     seen = {(start.linear, start.translation)}
     queue = [start]
-    if _norm2(centroid(a0)) <= r2:
+    if inside(a0):
         out.append((start, a0))
     else:
         queue = []
@@ -138,7 +138,7 @@ def enumerate_alcoves(rs: RootSystem, radius) -> list[tuple[AffineElement, tuple
                     continue
                 seen.add(key)
                 verts = tuple(nw.apply(v) for v in a0)
-                if _norm2(centroid(verts)) <= r2:
+                if inside(verts):
                     nxt.append(nw)
                     out.append((nw, verts))
         queue = nxt
@@ -219,16 +219,9 @@ def render_alcoves(rs: RootSystem, radius=3) -> str:
     basis = _plane_basis(rs)
     alcoves = enumerate_alcoves(rs, radius)
     canvas = _Canvas(float(radius) + 0.5)
-    # sort by centroid for a reproducible paint order
-    def sort_key(item):
-        _, verts = item
-        acc = verts[0]
-        for v in verts[1:]:
-            acc = vadd(acc, v)
-        return tuple(acc)
-
     lengths = {}
-    for w, verts in sorted(alcoves, key=sort_key):
+    # sort by centroid for a reproducible paint order
+    for w, verts in sorted(alcoves, key=lambda item: _vertex_sum(item[1])):
         ell = dimension_report(rs, w).length
         lengths[ell] = lengths.get(ell, 0) + 1
         fill = LENGTH_FILLS[min(ell, len(LENGTH_FILLS) - 1)]

@@ -191,13 +191,12 @@ class RootSystem:
 
 @dataclass(frozen=True, eq=False)
 class CorootLattice:
-    """The coroot lattice in the basis of the simple coroots ``coroots``.
+    """The coroot lattice in the basis of the simple coroots.
 
     ``weights`` and ``int_coroots`` are the fundamental weights (in the
     root span) and the simple coroots, both times ``den``, as integers.
     """
 
-    coroots: Mat
     den: int
     weights: tuple[tuple[int, ...], ...]
     int_coroots: tuple[tuple[int, ...], ...]
@@ -412,10 +411,10 @@ def _coroot_lattice(ints, norms, dual, scale: int) -> CorootLattice:
     lattice_coords runs in integers.
     """
     weights = [[Q(x, p * scale) for x in u] for p, u in dual]
-    coroots = tuple(tuple(Q(2 * scale * x, m) for x in a) for a, m in zip(ints, norms))
-    den, scaled = scale_to_ints(weights + list(coroots))
+    coroots = [[Q(2 * scale * x, m) for x in a] for a, m in zip(ints, norms)]
+    den, scaled = scale_to_ints(weights + coroots)
     n = len(ints)
-    return CorootLattice(coroots, den, tuple(map(tuple, scaled[:n])), tuple(map(tuple, scaled[n:])))
+    return CorootLattice(den, tuple(map(tuple, scaled[:n])), tuple(map(tuple, scaled[n:])))
 
 
 def root_system(text: str) -> RootSystem:

@@ -28,7 +28,7 @@ def fraction_oracle_tables(rs: RootSystem):
     coroot, both through lattice_coords."""
     group = enumerate_w0(rs)
     index = {p: i for i, p in enumerate(group.elements)}
-    basis = rs.coroot_lattice.coroots
+    basis = [coroot(a) for a in rs.simple_roots]
     lines = []
     for alpha in rs.positive_roots:
         # s_alpha m sends root b to s_alpha(m(b))
@@ -52,7 +52,7 @@ def _oracle_tables(rs: RootSystem):
     """coxlen.oracle's transition tables, plus the lattice Gram matrix
     and the largest coroot norm, both scaled to integers."""
     index, lines = _transitions(rs)
-    basis = rs.coroot_lattice.coroots
+    basis = [coroot(a) for a in rs.simple_roots]
     gram = [[dot(a, b) for b in basis] for a in basis]
     denom, rows = scale_to_ints(gram)
     gram_scaled = tuple(map(tuple, rows))

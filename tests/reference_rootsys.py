@@ -113,14 +113,14 @@ def reference_coroot_lattice(simple: Mat, ambient_dim: int) -> CorootLattice:
         for row in reduced
     ]
     den, ints = scale_to_ints(weights + list(coroots))
-    return CorootLattice(coroots, den, tuple(map(tuple, ints[:n])), tuple(map(tuple, ints[n:])))
+    return CorootLattice(den, tuple(map(tuple, ints[:n])), tuple(map(tuple, ints[n:])))
 
 
 def reference_from_lattice_coords(rs: RootSystem, coeffs) -> Vec:
     """RootSystem.from_lattice_coords as it was before it became one
     integer combination of the simple coroots."""
     out = [Q(0)] * rs.ambient_dim
-    for c, av in zip(coeffs, rs.coroot_lattice.coroots, strict=True):
+    for c, av in zip(coeffs, [coroot(a) for a in rs.simple_roots], strict=True):
         for j in range(rs.ambient_dim):
             out[j] += c * av[j]
     return tuple(out)

@@ -110,7 +110,8 @@ def test_parse_element_matches_the_fraction_parser(typed):
 def test_element_path_builds_no_fraction_products(capsys, monkeypatch):
     # parse_element builds its one matrix at the end; the commands run on
     # the parser's (root permutation, coroot coordinates) pair and build
-    # no matrix at all (len --verify and oracle hand one to the oracle)
+    # no matrix at all (len --verify and oracle hand the pair to the
+    # oracle, which builds one per W0 index for the certificate)
     def boom(*args):
         raise AssertionError("Fraction product on the --element path")
 
@@ -137,15 +138,33 @@ def test_element_path_builds_no_fraction_products(capsys, monkeypatch):
     assert code == 0, err
 
 
-def test_len_verify_builds_the_matrix_for_the_oracle(capsys, monkeypatch):
+def record_matrix_work(monkeypatch):
+    """The root permutations RootTables.linear builds a matrix for, and
+    the matrices _scaled_root_permutation scans back into one."""
     built, linear = [], coxlen.rootsys.RootTables.linear
+    scanned, scan = [], coxlen.affgroup._scaled_root_permutation
     monkeypatch.setattr(coxlen.rootsys.RootTables, "linear", lambda self, perm: built.append(perm) or linear(self, perm))
+    monkeypatch.setattr(coxlen.affgroup, "_scaled_root_permutation", lambda rs, m: scanned.append(m) or scan(rs, m))
+    return built, scanned
+
+
+def test_len_verify_builds_the_matrix_for_the_oracle(capsys, monkeypatch):
+    built, scanned = record_matrix_work(monkeypatch)
     argv = ["len", "--type", "B2", "--element", "lambda=(1,1); word=s1", "--json"]
     assert run_json(capsys, *argv)["length"] == 3
     assert built == []
     payload = run_json(capsys, *argv, "--verify")
     assert (payload["oracle_length"], payload["oracle_agrees"]) == (3, True)
     assert len(built) == 1
+    assert scanned == []
+
+
+def test_oracle_command_hands_the_parsed_pair_to_the_oracle(capsys, monkeypatch):
+    built, scanned = record_matrix_work(monkeypatch)
+    payload = run_json(capsys, "oracle", "--type", "B2", "--element", "lambda=(1,1); word=s1", "--json")
+    assert (payload["length"], payload["certified"]) == (3, True)
+    assert len(built) == 1
+    assert scanned == []
 
 
 CORE_TYPES = (
@@ -635,7 +654,7 @@ def test_off_lattice_element_exits_before_any_search(capsys, monkeypatch, argv):
 
     for name in ("_report", "_min_span_subset", "_peel_elliptic"):
         monkeypatch.setattr(coxlen.reflen, name, boom)
-    monkeypatch.setattr(coxlen.cli, "brute_reflection_length", boom)
+    monkeypatch.setattr(coxlen.cli, "_pair_lengths", boom)
     code, out, err = run(capsys, *argv, "--type", "B3", "--element", "word=s3 s1; lambda=(1,0,0)")
     assert (code, out) == (2, "")
     assert err == "error: translation part (1, 0, 0) is not in the coroot lattice\n"
@@ -820,6 +839,18 @@ def test_main_reuses_one_parser_across_calls(capsys, monkeypatch):
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert in_process[0][0] == 4
     assert [code for code, _, _ in in_process[1:]] == [0] * (len(IN_PROCESS_SEQUENCE) - 1)
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["nullity", "--vector", "(1,,-1)"], "vector '(1,,-1)'"),
+    (["window", "--window", "[4,,2,0,]"], "window '[4,,2,0,]'"),
+    (["len", "--type", "B2", "--element", "lambda=(1,,1)"], "vector '(1,,1)'"),
+    (["genfun", "--type", "B2", "--lambda", "(,3,1,)"], "vector '(,3,1,)'"),
+], ids=["nullity", "window", "len", "genfun"])
+def test_empty_entry_exits_2_naming_the_text(capsys, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: empty entry in {text}\n"
 
 
 def test_genfun_lattice_error_prints_the_vector(capsys):

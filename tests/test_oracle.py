@@ -8,6 +8,7 @@ length search against the one-sided reference in reference_oracle.
 """
 
 from functools import lru_cache
+from itertools import product as iproduct
 from unittest.mock import patch
 
 import pytest
@@ -26,12 +27,14 @@ from coxlen.affgroup import (
 import coxlen.oracle as oracle_module
 from coxlen.affsym import nullity
 from coxlen.errors import BudgetExceeded
+from coxlen.genfun import enumerate_w0
 from coxlen.linalg import mat_mul, mat_vec, vec
 from coxlen.oracle import (
     CertifiedLength,
     ORACLE_MAX_NULLITY_N,
     ORACLE_MAX_RANK,
     _oracle_tables,
+    _pair_lengths,
     _partitions,
     brute_move_dimension,
     brute_nullity,
@@ -313,6 +316,20 @@ def test_elliptic_rank_runs_once_per_w0_index(monkeypatch):
     assert len(calls) == len(distinct)
     assert [r.length for r in out] == [dimension_report(B2, w).length for w in els]
     assert all(r.certified for r in out)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2"])
+def test_pair_entry_matches_the_element_entry_on_the_box_sweep(name):
+    # the tables bench sweep: every element of W0 times every translation
+    # with simple-coroot coordinates in [-2, 2], once as matrices and once
+    # as (root permutation, coordinates) pairs off the W0 enumeration
+    rs = root_system(name)
+    box = list(iproduct(range(-2, 3), repeat=rs.rank))
+    elements = [AffineElement(m, rs.from_lattice_coords(c)) for c in box for m in w0_matrices(rs)]
+    pairs = [(perm, c) for c in box for perm in enumerate_w0(rs).elements]
+    got = _pair_lengths(rs, pairs, None, None)
+    assert got == brute_reflection_lengths(rs, elements)
+    assert [r.length for r in got] == [dimension_report(rs, w).length for w in elements]
 
 
 def test_no_stability_search_when_the_rank_certifies(monkeypatch):
