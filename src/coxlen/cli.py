@@ -1,8 +1,10 @@
 """Command line interface.
 
 Subcommands: len, factor, split, window, nullity, genfun, render-svg,
-oracle.  Exit codes: 0 success, 1 the oracle disagrees (len --verify,
-nullity --verify), 2 bad input, 3 unsupported type, 4 budget exceeded.
+oracle.  Each returns its JSON payload and its text lines (render-svg
+writes its SVG itself), and main prints the payload under --json, else
+the lines.  Exit codes: 0 success, 1 the oracle disagrees (the payload's
+oracle_agrees is false), 2 bad input, 3 unsupported type, 4 budget exceeded.
 
 Element grammar (for --element):
 
@@ -45,7 +47,7 @@ from .affsym import (
 )
 from .genfun import classify_coroots, local_genfun
 from .oracle import _pair_lengths, brute_nullity
-from .render import render_alcoves, render_classes
+from .render import _require_planar, render_alcoves, render_classes
 
 
 def _default_budget() -> int:
@@ -169,12 +171,21 @@ def _vec_json(v: Vec) -> list[str]:
     return [str(x) for x in v]
 
 
-def _vec_str(v: Vec) -> str:
-    return "(" + ", ".join(map(str, v)) + ")"
+def _vec_str(entries: list[str]) -> str:
+    """A vector's text, from the entries _vec_json gave it."""
+    return "(" + ", ".join(entries) + ")"
 
 
-def _refl_strs(factors) -> list[str]:
-    return [f"root={_vec_str(r.root)} level={r.level}" for r in factors]
+def _element(args) -> tuple[RootSystem, tuple[int, ...], tuple[int, ...]]:
+    """The root system of --type, and _parse's pair for --element in it."""
+    rs = root_system(args.type)
+    return (rs, *_parse(rs, args.element))
+
+
+def _factors(factors) -> tuple[list[dict], list[str]]:
+    """The JSON entries and the text lines of a list of reflections."""
+    entries = [{"root": _vec_json(r.root), "level": r.level} for r in factors]
+    return entries, [f"  root={_vec_str(e['root'])} level={e['level']}" for e in entries]
 
 
 _CERTIFICATE_TEXT = {
@@ -184,9 +195,8 @@ _CERTIFICATE_TEXT = {
 }
 
 
-def cmd_len(args) -> int:
-    rs = root_system(args.type)
-    perm, coords = _parse(rs, args.element)
+def cmd_len(args) -> tuple[dict, list[str]]:
+    rs, perm, coords = _element(args)
     rep = pair_report(rs, perm, coords)
     payload = {
         "type": str(rs.spec),
@@ -196,76 +206,55 @@ def cmd_len(args) -> int:
         "length": rep.length,
         "witness_roots": [_vec_json(r) for r in rep.witness_roots],
     }
+    lines = [
+        f"type {rs.spec}",
+        f"e = {rep.e}  d = {rep.d}  dim = {rep.dim}",
+        f"reflection length = {rep.length}",
+        "witness roots: " + ", ".join(map(_vec_str, payload["witness_roots"])),
+    ]
     if args.verify:
         res = _pair_lengths(rs, [(perm, coords)], None, None)[0]
-        payload["oracle_length"] = res.length
-        payload["oracle_certified"] = res.certified
-        payload["oracle_certificate"] = res.certificate
-        payload["oracle_agrees"] = res.length == rep.length
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(f"type {payload['type']}")
-        print(f"e = {rep.e}  d = {rep.d}  dim = {rep.dim}")
-        print(f"reflection length = {rep.length}")
-        print("witness roots: " + ", ".join(_vec_str(r) for r in rep.witness_roots))
-        if args.verify:
-            tag = "agrees" if payload["oracle_agrees"] else "DISAGREES"
-            cert = "certified" if res.certified else "uncertified"
-            print(f"oracle: {res.length} ({cert}, {tag})")
-            print(f"oracle certificate: {_CERTIFICATE_TEXT[res.certificate]}")
-    if args.verify and not payload["oracle_agrees"]:
-        return 1
-    return 0
+        agrees = res.length == rep.length
+        payload.update(oracle_length=res.length, oracle_certified=res.certified,
+                       oracle_certificate=res.certificate, oracle_agrees=agrees)
+        cert = "certified" if res.certified else "uncertified"
+        lines.append(f"oracle: {res.length} ({cert}, {'agrees' if agrees else 'DISAGREES'})")
+        lines.append(f"oracle certificate: {_CERTIFICATE_TEXT[res.certificate]}")
+    return payload, lines
 
 
-def cmd_factor(args) -> int:
-    rs = root_system(args.type)
-    f = pair_factorization(rs, *_parse(rs, args.element))
+def cmd_factor(args) -> tuple[dict, list[str]]:
+    rs, perm, coords = _element(args)
+    factors = pair_factorization(rs, perm, coords).factors
+    entries, lines = _factors(factors)
+    payload = {"type": str(rs.spec), "length": len(factors), "factors": entries}
+    return payload, [f"type {rs.spec}: {len(factors)} reflections", *lines]
+
+
+def cmd_split(args) -> tuple[dict, list[str]]:
+    rs, perm, coords = _element(args)
+    coords_t, _, rep_t, rep_u, elliptic = pair_split(rs, perm, coords, args.budget)
+    entries, lines = _factors(elliptic.factors)
     payload = {
         "type": str(rs.spec),
-        "length": len(f.factors),
-        "factors": [
-            {"root": _vec_json(r.root), "level": r.level} for r in f.factors
-        ],
-    }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(f"type {payload['type']}: {len(f.factors)} reflections")
-        for line in _refl_strs(f.factors):
-            print("  " + line)
-    return 0
-
-
-def cmd_split(args) -> int:
-    rs = root_system(args.type)
-    coords_t, _, rep_t, rep_u, elliptic = pair_split(rs, *_parse(rs, args.element), args.budget)
-    translation, factors = rs.from_lattice_coords(coords_t), elliptic.factors
-    payload = {
-        "type": str(rs.spec),
-        "translation": _vec_json(translation),
+        "translation": _vec_json(rs.from_lattice_coords(coords_t)),
         "translation_length": rep_t.length,
         "elliptic_length": rep_u.length,
-        "elliptic_factors": [{"root": _vec_json(r.root), "level": r.level} for r in factors],
+        "elliptic_factors": entries,
     }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(f"type {payload['type']}")
-        print(f"translation part {_vec_str(translation)} of length {rep_t.length}")
-        print(f"elliptic part of length {rep_u.length}, factors:")
-        for line in _refl_strs(factors):
-            print("  " + line)
-    return 0
+    return payload, [
+        f"type {rs.spec}",
+        f"translation part {_vec_str(payload['translation'])} of length {rep_t.length}",
+        f"elliptic part of length {rep_u.length}, factors:",
+        *lines,
+    ]
 
 
-def cmd_window(args) -> int:
+def cmd_window(args) -> tuple[dict, list[str]]:
     win = parse_window_text(args.window)
     lam, pi = win.normal_form()
     n = len(win.values)
     origin, coords_t, _ = _good_origin_split(lam, pi, args.budget)
-    translation = window_root_system(n).from_lattice_coords(coords_t)
     blocks = cycles(pi)
     nu = nullity(l_map(blocks, lam))
     cyc = [sorted(b) for b in blocks.blocks]
@@ -277,22 +266,20 @@ def cmd_window(args) -> int:
         "relative_nullity": nu,
         "length": n - 2 * nu + len(blocks),
         "good_origin": _vec_json(origin),
-        "translation_part": _vec_json(translation),
+        "translation_part": _vec_json(window_root_system(n).from_lattice_coords(coords_t)),
     }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(f"n = {n}")
-        print(f"normal form: lambda = {tuple(lam)}, permutation = {tuple(pi)}")
-        print(f"cycles: {cyc}")
-        print(f"relative nullity = {payload['relative_nullity']}")
-        print(f"reflection length = {payload['length']}")
-        print(f"good origin = {_vec_str(origin)}")
-        print(f"translation part = {_vec_str(translation)}")
-    return 0
+    return payload, [
+        f"n = {n}",
+        f"normal form: lambda = {tuple(lam)}, permutation = {tuple(pi)}",
+        f"cycles: {cyc}",
+        f"relative nullity = {nu}",
+        f"reflection length = {payload['length']}",
+        f"good origin = {_vec_str(payload['good_origin'])}",
+        f"translation part = {_vec_str(payload['translation_part'])}",
+    ]
 
 
-def cmd_nullity(args) -> int:
+def cmd_nullity(args) -> tuple[dict, list[str]]:
     v = parse_vector(args.vector)
     if any(x.denominator != 1 for x in v):
         raise ParseError("nullity vectors must have integer entries")
@@ -309,52 +296,41 @@ def cmd_nullity(args) -> int:
         ],
         "nullity": cx.nullity,
     }
+    lines = [
+        f"vector {iv}",
+        f"minimal null blocks ({len(cx.vertices)}): "
+        + " ".join("{" + ",".join(map(str, b)) + "}" for b in payload["minimal_null_blocks"]),
+        f"proper basic null blocks: {payload['proper_basic_null_blocks']}",
+        f"disjointness complex: {len(cx.vertices)} vertices, {len(cx.edges)} edges",
+        f"maximal cliques: {payload['maximal_cliques']}",
+        f"nullity = {cx.nullity}",
+    ]
     if args.verify:
-        payload["oracle_nullity"] = brute_nullity(iv)
-        payload["oracle_agrees"] = payload["oracle_nullity"] == payload["nullity"]
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(f"vector {iv}")
-        print(f"minimal null blocks ({len(cx.vertices)}): "
-              + " ".join("{" + ",".join(map(str, sorted(b))) + "}" for b in cx.vertices))
-        print(f"proper basic null blocks: {payload['proper_basic_null_blocks']}")
-        print(f"disjointness complex: {len(cx.vertices)} vertices, {len(cx.edges)} edges")
-        print(f"maximal cliques: {payload['maximal_cliques']}")
-        print(f"nullity = {payload['nullity']}")
-        if args.verify:
-            tag = "agrees" if payload["oracle_agrees"] else "DISAGREES"
-            print(f"oracle nullity = {payload['oracle_nullity']} ({tag})")
-    if args.verify and not payload["oracle_agrees"]:
-        return 1
-    return 0
+        oracle = brute_nullity(iv)
+        agrees = oracle == cx.nullity
+        payload.update(oracle_nullity=oracle, oracle_agrees=agrees)
+        lines.append(f"oracle nullity = {oracle} ({'agrees' if agrees else 'DISAGREES'})")
+    return payload, lines
 
 
-def cmd_genfun(args) -> int:
+def cmd_genfun(args) -> tuple[dict, list[str]]:
     rs = root_system(args.type)
     if args.classify is not None:
         classes = classify_coroots(rs, args.classify)
-        payload = {
-            "type": str(rs.spec),
-            "radius": args.classify,
-            "classes": [
-                {
-                    "polynomial": f.format(),
-                    "terms": f.to_json_terms(),
-                    "points": len(pts),
-                    "sample": _vec_json(pts[0]),
-                }
-                for f, pts in classes.items()
-            ],
-        }
-        if args.json:
-            print(json.dumps(payload))
-        else:
-            print(f"type {payload['type']}, radius {args.classify}: "
-                  f"{len(classes)} classes")
-            for entry in payload["classes"]:
-                print(f"  [{entry['points']:4d} points] {entry['polynomial']}")
-        return 0
+        entries = [
+            {
+                "polynomial": f.format(),
+                "terms": f.to_json_terms(),
+                "points": len(pts),
+                "sample": _vec_json(pts[0]),
+            }
+            for f, pts in classes.items()
+        ]
+        payload = {"type": str(rs.spec), "radius": args.classify, "classes": entries}
+        return payload, [
+            f"type {rs.spec}, radius {args.classify}: {len(classes)} classes",
+            *(f"  [{entry['points']:4d} points] {entry['polynomial']}" for entry in entries),
+        ]
     if args.lam is None:
         raise ParseError("genfun needs either --lambda or --classify")
     lam = _parse_lambda(rs, args.lam)
@@ -366,15 +342,13 @@ def cmd_genfun(args) -> int:
         "terms": f.to_json_terms(),
         "specialized": list(f.specialize()),
     }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(f"f_lambda(s,t) = {f.format()}")
-        print(f"f_lambda(t^2,t) coefficients: {list(f.specialize())}")
-    return 0
+    return payload, [
+        f"f_lambda(s,t) = {payload['polynomial']}",
+        f"f_lambda(t^2,t) coefficients: {payload['specialized']}",
+    ]
 
 
-def cmd_render(args) -> int:
+def cmd_render(args) -> tuple[dict, list[str]]:
     rs = root_system(args.type)
     if args.mode == "alcoves":
         render, radius = render_alcoves, args.radius
@@ -382,22 +356,24 @@ def cmd_render(args) -> int:
         render, radius = render_classes, int(args.radius)
     else:
         raise ParseError(f"radius must be an integer in classes mode, got {args.radius}")
+    # check the type before --out is opened, so that a failed render
+    # leaves the file as it was, and open --out before rendering, so that
+    # a bad path fails at once
+    _require_planar(rs)
     if args.out == "-":
         sys.stdout.write(render(rs, radius))
-        return 0
-    # open --out before rendering, so that a bad path fails at once
+        return {}, []
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(render(rs, radius))
     except OSError as ex:
         raise ParseError(f"cannot write {args.out}: {ex.strerror}") from ex
-    print(f"wrote {args.out}")
-    return 0
+    return {}, [f"wrote {args.out}"]
 
 
-def cmd_oracle(args) -> int:
-    rs = root_system(args.type)
-    res = _pair_lengths(rs, [_parse(rs, args.element)], args.level_bound, args.depth_bound)[0]
+def cmd_oracle(args) -> tuple[dict, list[str]]:
+    rs, perm, coords = _element(args)
+    res = _pair_lengths(rs, [(perm, coords)], args.level_bound, args.depth_bound)[0]
     payload = {
         "type": str(rs.spec),
         "length": res.length,
@@ -406,14 +382,12 @@ def cmd_oracle(args) -> int:
         "level_bound": res.level_bound,
         "depth_bound": res.depth_bound,
     }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        state = "certified" if res.certified else "uncertified"
-        print(f"oracle length = {res.length} ({state}, levels up to "
-              f"{res.level_bound}, depth up to {res.depth_bound})")
-        print(f"certificate: {_CERTIFICATE_TEXT[res.certificate]}")
-    return 0
+    state = "certified" if res.certified else "uncertified"
+    return payload, [
+        f"oracle length = {res.length} ({state}, levels up to "
+        f"{res.level_bound}, depth up to {res.depth_bound})",
+        f"certificate: {_CERTIFICATE_TEXT[res.certificate]}",
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,59 +399,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--type", required=True, help="root system, e.g. A2, B3, G2")
-        p.add_argument("--element", required=True, help="see module docstring")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+    def command(name, func, help, *, typed=True, element=False, report=True):
+        """A subparser with the shared options it takes; every report takes --json."""
+        p = sub.add_parser(name, help=help)
+        if typed:
+            p.add_argument("--type", required=True, help="root system, e.g. A2, B3, G2")
+        if element:
+            p.add_argument("--element", required=True, help="see module docstring")
+        if report:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("len", help="reflection length and dimensions")
-    add_common(p)
+    p = command("len", cmd_len, "reflection length and dimensions", element=True)
     p.add_argument("--verify", action="store_true", help="cross-check with the oracle")
-    p.set_defaults(func=cmd_len)
 
-    p = sub.add_parser("factor", help="minimum-length reflection factorisation")
-    add_common(p)
-    p.set_defaults(func=cmd_factor)
+    command("factor", cmd_factor, "minimum-length reflection factorisation", element=True)
 
-    p = sub.add_parser("split", help="translation * elliptic splitting")
-    add_common(p)
+    p = command("split", cmd_split, "translation * elliptic splitting", element=True)
     p.add_argument("--budget", type=int, default=None, help="Hurwitz search cap")
-    p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("window", help="affine permutation from window notation")
+    p = command("window", cmd_window, "affine permutation from window notation", typed=False)
     p.add_argument("--window", required=True, help="e.g. [4,2,0]")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_window)
 
-    p = sub.add_parser("nullity", help="null partition statistics of a vector")
+    p = command("nullity", cmd_nullity, "null partition statistics of a vector", typed=False)
     p.add_argument("--vector", required=True, help="e.g. (-3,-2,-2,-1,1,2,5)")
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_nullity)
 
-    p = sub.add_parser("genfun", help="local generating function at lambda")
-    p.add_argument("--type", required=True)
+    p = command("genfun", cmd_genfun, "local generating function at lambda")
     at = p.add_mutually_exclusive_group()
     at.add_argument("--lambda", dest="lam", default=None, help="vector in the coroot lattice")
     at.add_argument("--classify", type=int, default=None, metavar="RADIUS",
                     help="classify the whole coefficient box instead")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_genfun)
 
-    p = sub.add_parser("render-svg", help="deterministic SVG picture")
-    p.add_argument("--type", required=True)
+    p = command("render-svg", cmd_render, "deterministic SVG picture", report=False)
     p.add_argument("--mode", choices=["alcoves", "classes"], default="alcoves")
     p.add_argument("--radius", type=float, default=3.0,
                    help="Euclidean radius (alcoves) or coefficient radius (classes)")
     p.add_argument("--out", required=True, help="output path, or - for stdout")
-    p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("oracle", help="brute-force certified length")
-    add_common(p)
+    p = command("oracle", cmd_oracle, "brute-force certified length", element=True)
     p.add_argument("--level-bound", type=int, default=None)
     p.add_argument("--depth-bound", type=int, default=None)
-    p.set_defaults(func=cmd_oracle)
 
     return ap
 
@@ -502,16 +466,15 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < 0:
                 raise ParseError(f"--{flag.replace('_', '-')} must be non-negative, got {value}")
-        return args.func(args)
-    except UnsupportedTypeError as ex:
+        payload, lines = args.func(args)
+    except (BudgetExceeded, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
-        return 3
-    except BudgetExceeded as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 4
-    except ValueError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
+        return 4 if isinstance(ex, BudgetExceeded) else 3 if isinstance(ex, UnsupportedTypeError) else 2
+    if getattr(args, "json", False):
+        print(json.dumps(payload))
+    elif lines:  # render-svg to stdout has written its SVG and has no lines
+        print("\n".join(lines))
+    return 1 if payload.get("oracle_agrees") is False else 0
 
 
 if __name__ == "__main__":

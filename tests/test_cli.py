@@ -1,6 +1,8 @@
 """Command line interface: parsing, JSON payloads, and exit codes."""
 
+import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -744,6 +746,212 @@ def test_frozen_outputs(capsys, argv, expected):
     code, out, err = run(capsys, *argv, "--json")
     assert code == 0, err
     assert out == expected + "\n"
+
+
+# The text twin of each FROZEN_OUTPUTS argv, then both --verify paths,
+# genfun in both modes, oracle and the line render-svg prints for a file,
+# recorded before the subcommands handed their text to main to print;
+# {out} stands for a file in the test's directory.
+FROZEN_TEXT_OUTPUTS = [
+    (['factor', '--type', 'A3', '--element', 'lambda=(2,-1,0,-1); word=s1 s2'],
+     'type A3: 4 reflections\n  root=(0, 0, 1, -1) level=1\n  root=(0, 1, 0, -1) level=1\n  root=(1, 0, 0, -1) level=2\n  root=(0, 0, 1, -1) level=0\n'),
+    (['split', '--type', 'A3', '--element', 'lambda=(2,-1,0,-1); word=s1 s2'],
+     'type A3\ntranslation part (1, 0, 0, -1) of length 2\nelliptic part of length 2, factors:\n  root=(0, 1, -1, 0) level=0\n  root=(1, 0, -1, 0) level=1\n'),
+    (['factor', '--type', 'A3', '--element', 'lambda=(1,1,-1,-1); word=s2'],
+     'type A3: 3 reflections\n  root=(0, 1, -1, 0) level=1\n  root=(1, 0, 0, -1) level=1\n  root=(1, 0, 0, -1) level=0\n'),
+    (['split', '--type', 'A3', '--element', 'lambda=(1,1,-1,-1); word=s2'],
+     'type A3\ntranslation part (1, 0, 0, -1) of length 2\nelliptic part of length 1, factors:\n  root=(0, 1, -1, 0) level=1\n'),
+    (['factor', '--type', 'B3', '--element', 'lambda=(2,1,-1); word=s3 s2'],
+     'type B3: 4 reflections\n  root=(0, 0, 1) level=-2\n  root=(0, 1, -1) level=1\n  root=(1, -1, 0) level=2\n  root=(1, -1, 0) level=0\n'),
+    (['split', '--type', 'B3', '--element', 'lambda=(2,1,-1); word=s3 s2'],
+     'type B3\ntranslation part (2, 0, 2) of length 2\nelliptic part of length 2, factors:\n  root=(0, 0, 1) level=-2\n  root=(0, 1, -1) level=1\n'),
+    (['factor', '--type', 'B3', '--element', 'lambda=(2,3,-1); word=s1'],
+     'type B3: 5 reflections\n  root=(0, 0, 1) level=-3\n  root=(0, 1, -1) level=5\n  root=(1, 0, -1) level=2\n  root=(0, 1, -1) level=0\n  root=(0, 0, 1) level=0\n'),
+    (['split', '--type', 'B3', '--element', 'lambda=(2,3,-1); word=s1'],
+     'type B3\ntranslation part (5, 0, -1) of length 4\nelliptic part of length 1, factors:\n  root=(1, -1, 0) level=-3\n'),
+    (['factor', '--type', 'C3', '--element', 'lambda=(1,-2,0); word=s3 s1'],
+     'type C3: 4 reflections\n  root=(0, 0, 2) level=1\n  root=(0, 1, -1) level=-1\n  root=(1, 0, -1) level=1\n  root=(0, 1, -1) level=0\n'),
+    (['split', '--type', 'C3', '--element', 'lambda=(1,-2,0); word=s3 s1'],
+     'type C3\ntranslation part (-1, 0, -1) of length 2\nelliptic part of length 2, factors:\n  root=(0, 0, 2) level=1\n  root=(1, -1, 0) level=2\n'),
+    (['factor', '--type', 'C3', '--element', 'lambda=(3,1,-2); word=s2'],
+     'type C3: 5 reflections\n  root=(0, 0, 2) level=2\n  root=(0, 1, 1) level=1\n  root=(1, -1, 0) level=3\n  root=(1, -1, 0) level=0\n  root=(0, 0, 2) level=0\n'),
+    (['split', '--type', 'C3', '--element', 'lambda=(3,1,-2); word=s2'],
+     'type C3\ntranslation part (3, 2, -3) of length 4\nelliptic part of length 1, factors:\n  root=(0, 1, -1) level=-1\n'),
+    (['factor', '--type', 'D4', '--element', 'lambda=(1,2,-1,0); word=s4 s2'],
+     'type D4: 4 reflections\n  root=(0, 0, 1, 1) level=-2\n  root=(0, 1, -1, 0) level=2\n  root=(1, 0, 0, -1) level=1\n  root=(1, 0, 0, -1) level=0\n'),
+    (['split', '--type', 'D4', '--element', 'lambda=(1,2,-1,0); word=s4 s2'],
+     'type D4\ntranslation part (1, 0, 1, 0) of length 2\nelliptic part of length 2, factors:\n  root=(0, 0, 1, 1) level=-2\n  root=(0, 1, -1, 0) level=2\n'),
+    (['factor', '--type', 'D4', '--element', 'lambda=(2,1,1,0); word=s1'],
+     'type D4: 5 reflections\n  root=(0, 1, -1, 0) level=1\n  root=(0, 1, 1, 0) level=0\n  root=(1, 0, -1, 0) level=2\n  root=(1, 1, 0, 0) level=0\n  root=(0, 1, -1, 0) level=0\n'),
+    (['split', '--type', 'D4', '--element', 'lambda=(2,1,1,0); word=s1'],
+     'type D4\ntranslation part (1, 2, 1, 0) of length 4\nelliptic part of length 1, factors:\n  root=(1, -1, 0, 0) level=1\n'),
+    (['factor', '--type', 'G2', '--element', 'lambda=(1,1,-2); word=s1'],
+     'type G2: 3 reflections\n  root=(0, 1, -1) level=2\n  root=(1, 0, -1) level=1\n  root=(0, 1, -1) level=0\n'),
+    (['split', '--type', 'G2', '--element', 'lambda=(1,1,-2); word=s1'],
+     'type G2\ntranslation part (2, 0, -2) of length 2\nelliptic part of length 1, factors:\n  root=(1, -1, 0) level=-1\n'),
+    (['factor', '--type', 'G2', '--element', 'lambda=(2,-1,-1); word=s2 s1 s2'],
+     'type G2: 3 reflections\n  root=(0, 1, -1) level=-1\n  root=(1, -1, 0) level=2\n  root=(0, 1, -1) level=0\n'),
+    (['split', '--type', 'G2', '--element', 'lambda=(2,-1,-1); word=s2 s1 s2'],
+     'type G2\ntranslation part (1, -1, 0) of length 2\nelliptic part of length 1, factors:\n  root=(1, 0, -1) level=1\n'),
+    (['factor', '--type', 'F4', '--element', 'lambda=(2,1,0,1); word=s3'],
+     'type F4: 5 reflections\n  root=(0, 0, 0, 1) level=-1\n  root=(0, 1, 0, -1) level=1\n  root=(1, -1, 0, 0) level=2\n  root=(1, -1, 0, 0) level=0\n  root=(0, 1, 0, -1) level=0\n'),
+    (['split', '--type', 'F4', '--element', 'lambda=(2,1,0,1); word=s3'],
+     'type F4\ntranslation part (2, 1, 0, 3) of length 4\nelliptic part of length 1, factors:\n  root=(0, 0, 0, 1) level=-1\n'),
+    (['factor', '--type', 'F4', '--element', 'lambda=(2,1,-1,0); word=s4 s2'],
+     'type F4: 4 reflections\n  root=(0, 0, 1, -1) level=-2\n  root=(0, 1, 0, 1) level=3\n  root=(1/2, 1/2, -1/2, 1/2) level=2\n  root=(0, 1, 0, 1) level=0\n'),
+    (['split', '--type', 'F4', '--element', 'lambda=(2,1,-1,0); word=s4 s2'],
+     'type F4\ntranslation part (3, 0, 0, -3) of length 2\nelliptic part of length 2, factors:\n  root=(0, 0, 1, -1) level=-2\n  root=(1/2, -1/2, -1/2, -1/2) level=-1\n'),
+    (['window', '--window', '[5,1,0]'],
+     'n = 3\nnormal form: lambda = (1, 0, -1), permutation = (2, 1, 3)\ncycles: [[1, 2], [3]]\nrelative nullity = 1\nreflection length = 3\ngood origin = (-1/3, 2/3, -1/3)\ntranslation part = (1, 0, -1)\n'),
+    (['window', '--window', '[6,-3,0,7]'],
+     'n = 4\nnormal form: lambda = (1, -1, -1, 1), permutation = (2, 1, 4, 3)\ncycles: [[1, 2], [3, 4]]\nrelative nullity = 2\nreflection length = 2\ngood origin = (0, 1, 0, -1)\ntranslation part = (0, 0, 0, 0)\n'),
+    (['window', '--window', '[8,-1,0,12,-4]'],
+     'n = 5\nnormal form: lambda = (1, -1, -1, 2, -1), permutation = (3, 4, 5, 2, 1)\ncycles: [[1, 3, 5], [2, 4]]\nrelative nullity = 1\nreflection length = 5\ngood origin = (0, 0, 1, -1, 0)\ntranslation part = (-1, 1, 0, 0, 0)\n'),
+    (['window', '--window', '[-1,27,-11,13,21,5,-17,15,-7]'],
+     'n = 9\nnormal form: lambda = (-1, 2, -2, 1, 2, 0, -2, 1, -1), permutation = (8, 9, 7, 4, 3, 5, 1, 6, 2)\ncycles: [[1, 3, 5, 6, 7, 8], [2, 9], [4]]\nrelative nullity = 1\nreflection length = 10\ngood origin = (-1, -1, 3, -1, 0, 0, 1, -2, 1)\ntranslation part = (0, 1, -1, 1, 0, -1, 0, 0, 0)\n'),
+    (['nullity', '--vector', '(-3,-2,-2,-1,1,2,5)'],
+     'vector (-3, -2, -2, -1, 1, 2, 5)\nminimal null blocks (7): {1,2,7} {1,3,7} {1,5,6} {2,3,4,7} {2,6} {3,6} {4,5}\nproper basic null blocks: 12\ndisjointness complex: 7 vertices, 7 edges\nmaximal cliques: [[[1, 5, 6], [2, 3, 4, 7]], [[1, 2, 7], [3, 6], [4, 5]], [[1, 3, 7], [2, 6], [4, 5]]]\nnullity = 3\n'),
+    (['nullity', '--vector', '(1,0,-1,1,-1)'],
+     'vector (1, 0, -1, 1, -1)\nminimal null blocks (5): {1,3} {1,5} {2} {3,4} {4,5}\nproper basic null blocks: 4\ndisjointness complex: 5 vertices, 6 edges\nmaximal cliques: [[[1, 3], [2], [4, 5]], [[1, 5], [2], [3, 4]]]\nnullity = 3\n'),
+    (['nullity', '--vector', '(2,3,-2,-1,1,4,-7)'],
+     'vector (2, 3, -2, -1, 1, 4, -7)\nminimal null blocks (5): {1,3} {1,5,6,7} {2,3,4} {2,6,7} {4,5}\nproper basic null blocks: 8\ndisjointness complex: 5 vertices, 4 edges\nmaximal cliques: [[[1, 5, 6, 7], [2, 3, 4]], [[1, 3], [2, 6, 7], [4, 5]]]\nnullity = 3\n'),
+    (['nullity', '--vector', '(' + '1,' * 22 + '-22)'],
+     'vector (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, -22)\nminimal null blocks (1): {1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23}\nproper basic null blocks: 0\ndisjointness complex: 1 vertices, 0 edges\nmaximal cliques: [[[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23]]]\nnullity = 1\n'),
+    (['len', '--type', 'B2', '--element', 'lambda=(2,4)', '--verify'],
+     'type B2\ne = 0  d = 2  dim = 2\nreflection length = 4\nwitness roots: (0, 1), (1, -1)\noracle: 4 (certified, agrees)\noracle certificate: stable (same length at the next level bound, a heuristic)\n'),
+    (['nullity', '--vector', '(-3,-2,-2,-1,1,2,5)', '--verify'],
+     'vector (-3, -2, -2, -1, 1, 2, 5)\nminimal null blocks (7): {1,2,7} {1,3,7} {1,5,6} {2,3,4,7} {2,6} {3,6} {4,5}\nproper basic null blocks: 12\ndisjointness complex: 7 vertices, 7 edges\nmaximal cliques: [[[1, 5, 6], [2, 3, 4, 7]], [[1, 2, 7], [3, 6], [4, 5]], [[1, 3, 7], [2, 6], [4, 5]]]\nnullity = 3\noracle nullity = 3 (agrees)\n'),
+    (['genfun', '--type', 'A3', '--classify', '1'],
+     'type A3, radius 1: 5 classes\n  [  12 points] t + 5*t^2 + 6*t^3 + s + 5*s*t + 6*s*t^2\n  [   8 points] 2*t^2 + 6*t^3 + 3*s*t + 9*s*t^2 + s^2 + 3*s^2*t\n  [   4 points] 2*t^2 + 6*t^3 + 4*s*t + 9*s*t^2 + s^2 + 2*s^2*t\n  [   2 points] t^2 + 6*t^3 + 2*s*t + 10*s*t^2 + s^2 + 4*s^2*t\n  [   1 points] 1 + 6*t + 11*t^2 + 6*t^3\n'),
+    (['genfun', '--type', 'B2', '--lambda', '(3,1)'],
+     'f_lambda(s,t) = 3*t^2 + 4*s*t + s^2\nf_lambda(t^2,t) coefficients: [0, 0, 3, 4, 1]\n'),
+    (['oracle', '--type', 'B2', '--element', 'lambda=(2,4)'],
+     'oracle length = 4 (certified, levels up to 5, depth up to 4)\ncertificate: stable (same length at the next level bound, a heuristic)\n'),
+    (['render-svg', '--type', 'B2', '--mode', 'classes', '--radius', '1', '--out', '{out}'],
+     'wrote {out}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,expected", FROZEN_TEXT_OUTPUTS, ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_frozen_text_outputs(tmp_path, capsys, argv, expected):
+    out_path = str(tmp_path / "out.svg")
+    code, out, err = run(capsys, *(a.replace("{out}", out_path) for a in argv))
+    assert (code, err) == (0, "")
+    assert out == expected.replace("{out}", out_path)
+
+
+# Every option of every subcommand, as (option strings, dest, required,
+# default, type, choices, action class), recorded before the shared
+# options were declared once; the order within a subcommand is free.
+OPTION_TABLE = {
+    'coxlen': [
+        (('-h', '--help'), 'help', False, '==SUPPRESS==', None, None, '_HelpAction'),
+        ((), 'command', True, None, None, ('len', 'factor', 'split', 'window', 'nullity', 'genfun', 'render-svg', 'oracle'), '_SubParsersAction'),
+    ],
+    'len': [
+        (('-h', '--help'), 'help', False, '==SUPPRESS==', None, None, '_HelpAction'),
+        (('--type',), 'type', True, None, None, None, '_StoreAction'),
+        (('--element',), 'element', True, None, None, None, '_StoreAction'),
+        (('--json',), 'json', False, False, None, None, '_StoreTrueAction'),
+        (('--verify',), 'verify', False, False, None, None, '_StoreTrueAction'),
+    ],
+    'factor': [
+        (('-h', '--help'), 'help', False, '==SUPPRESS==', None, None, '_HelpAction'),
+        (('--type',), 'type', True, None, None, None, '_StoreAction'),
+        (('--element',), 'element', True, None, None, None, '_StoreAction'),
+        (('--json',), 'json', False, False, None, None, '_StoreTrueAction'),
+    ],
+    'split': [
+        (('-h', '--help'), 'help', False, '==SUPPRESS==', None, None, '_HelpAction'),
+        (('--type',), 'type', True, None, None, None, '_StoreAction'),
+        (('--element',), 'element', True, None, None, None, '_StoreAction'),
+        (('--json',), 'json', False, False, None, None, '_StoreTrueAction'),
+        (('--budget',), 'budget', False, None, 'int', None, '_StoreAction'),
+    ],
+    'window': [
+        (('-h', '--help'), 'help', False, '==SUPPRESS==', None, None, '_HelpAction'),
+        (('--window',), 'window', True, None, None, None, '_StoreAction'),
+        (('--budget',), 'budget', False, None, 'int', None, '_StoreAction'),
+        (('--json',), 'json', False, False, None, None, '_StoreTrueAction'),
+    ],
+    'nullity': [
+        (('-h', '--help'), 'help', False, '==SUPPRESS==', None, None, '_HelpAction'),
+        (('--vector',), 'vector', True, None, None, None, '_StoreAction'),
+        (('--verify',), 'verify', False, False, None, None, '_StoreTrueAction'),
+        (('--json',), 'json', False, False, None, None, '_StoreTrueAction'),
+    ],
+    'genfun': [
+        (('-h', '--help'), 'help', False, '==SUPPRESS==', None, None, '_HelpAction'),
+        (('--type',), 'type', True, None, None, None, '_StoreAction'),
+        (('--lambda',), 'lam', False, None, None, None, '_StoreAction'),
+        (('--classify',), 'classify', False, None, 'int', None, '_StoreAction'),
+        (('--json',), 'json', False, False, None, None, '_StoreTrueAction'),
+    ],
+    'render-svg': [
+        (('-h', '--help'), 'help', False, '==SUPPRESS==', None, None, '_HelpAction'),
+        (('--type',), 'type', True, None, None, None, '_StoreAction'),
+        (('--mode',), 'mode', False, 'alcoves', None, ['alcoves', 'classes'], '_StoreAction'),
+        (('--radius',), 'radius', False, 3.0, 'float', None, '_StoreAction'),
+        (('--out',), 'out', True, None, None, None, '_StoreAction'),
+    ],
+    'oracle': [
+        (('-h', '--help'), 'help', False, '==SUPPRESS==', None, None, '_HelpAction'),
+        (('--type',), 'type', True, None, None, None, '_StoreAction'),
+        (('--element',), 'element', True, None, None, None, '_StoreAction'),
+        (('--json',), 'json', False, False, None, None, '_StoreTrueAction'),
+        (('--level-bound',), 'level_bound', False, None, 'int', None, '_StoreAction'),
+        (('--depth-bound',), 'depth_bound', False, None, 'int', None, '_StoreAction'),
+    ],
+}
+
+
+def _option_rows(parser):
+    return {
+        a.dest: (tuple(a.option_strings), a.dest, a.required, a.default,
+                 getattr(a.type, "__name__", a.type),
+                 tuple(a.choices) if isinstance(a.choices, dict) else a.choices,
+                 type(a).__name__)
+        for a in parser._actions
+    }
+
+
+def test_subcommand_options_are_frozen():
+    parser = coxlen.cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    parsers = {"coxlen": parser, **subparsers.choices}
+    assert list(parsers) == list(OPTION_TABLE)
+    for name, rows in OPTION_TABLE.items():
+        assert _option_rows(parsers[name]) == {row[1]: row for row in rows}, name
+
+
+@pytest.mark.parametrize("argv", [
+    ["len", "--type", "B2", "--element", "lambda=(2,4)", "--verify"],
+    ["nullity", "--vector", "(-3,-2,-2,-1,1,2,5)", "--verify"],
+], ids=["len", "nullity"])
+def test_oracle_disagreement_exits_1(capsys, monkeypatch, argv):
+    pair_lengths = coxlen.cli._pair_lengths
+    monkeypatch.setattr(coxlen.cli, "_pair_lengths", lambda *args: [
+        dataclasses.replace(r, length=r.length + 1) for r in pair_lengths(*args)
+    ])
+    monkeypatch.setattr(coxlen.cli, "brute_nullity", lambda v: -1)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert "DISAGREES" in out
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    assert '"oracle_agrees": false' in out
+
+
+@pytest.mark.parametrize("spec", ["D2", "A3"])
+def test_failed_render_leaves_out_untouched(tmp_path, capsys, spec):
+    old, new = tmp_path / "old.svg", tmp_path / "new.svg"
+    old.write_text("<svg>old</svg>\n")
+    for target in (old, new):
+        code, out, err = run(capsys, "render-svg", "--type", spec, "--out", str(target))
+        assert (code, out) == (3, "")
+        assert err == f"error: SVG rendering supports irreducible rank-2 types, got {spec}\n"
+    assert old.read_text() == "<svg>old</svg>\n"
+    assert not new.exists()
 
 
 def console_script_wrapper(entry_point):
