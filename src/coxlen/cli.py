@@ -47,7 +47,7 @@ from .affsym import (
 )
 from .genfun import classify_coroots, local_genfun
 from .oracle import _pair_lengths, brute_nullity
-from .render import _require_planar, render_alcoves, render_classes
+from .render import _require_classes_reach, _require_planar, render_alcoves, render_classes
 
 
 def _default_budget() -> int:
@@ -356,10 +356,12 @@ def cmd_render(args) -> tuple[dict, list[str]]:
         render, radius = render_classes, int(args.radius)
     else:
         raise ParseError(f"radius must be an integer in classes mode, got {args.radius}")
-    # check the type before --out is opened, so that a failed render
-    # leaves the file as it was, and open --out before rendering, so that
-    # a bad path fails at once
+    # check the type and the classes cap before --out is opened, so that a
+    # failed render leaves the file as it was, and open --out before
+    # rendering, so that a bad path fails at once
     _require_planar(rs)
+    if args.mode == "classes":
+        _require_classes_reach(radius)
     if args.out == "-":
         sys.stdout.write(render(rs, radius))
         return {}, []

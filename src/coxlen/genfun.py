@@ -27,21 +27,22 @@ cycle sums, the weighted number of ways to cover S by positive cycles;
 the negative cycles on the other coordinates only contribute a weight.
 
 G2 and F4 read f_lam off lam-independent tables, one row per root
-subspace that is the move space Im(u - I) of some u in W0: e(u) is its
-dimension and d(t_lam u) the span search of lam modulo it, so f_lam
-depends on u only through that space.  The rows come from the flats,
-with no W0 enumeration.  By Steinberg's theorem the pointwise
-stabiliser of Fix(u) is a parabolic subgroup, conjugate to a standard
-W_J, so the move spaces are the W0-images of the spans of the standard
-parabolic subsystems Phi_J, and the u with move space M are the
-elements of the reflection group W_M of the roots in M with no fixed
-vector in M.  By Shephard-Todd there are prod e_i of them over the
-exponents e_i of W_J, which Kostant's theorem reads off the heights of
-the positive roots of Phi_J (the dual partition).  Each row holds the space's primitive integer RREF basis,
-its projected root lines and that count, so classifying many lattice
-points repeats only the small span search, once per space.  The tables
-and the reduction of lam modulo each space are fraction-free.  These
-tables also serve as the reference for types A-D in the tests.
+subspace M that is the move space Im(u - I) of some u in W0: e(u) is
+its dimension and d(t_lam u) + e(u) the least dimension of a root
+subspace that contains M and holds lam, so f_lam depends on u only
+through M.  The root subspaces are the table that build_root_system
+makes for G2 and F4 (rootsys.flat_table), with no W0 enumeration, and
+lam is tested against each by its normals, fraction-free.  By
+Steinberg's theorem the pointwise stabiliser of Fix(u) is a parabolic
+subgroup, conjugate to a standard W_J, so the move spaces are the
+W0-images of the spans of the standard parabolic subsystems Phi_J, and
+the u with move space M are the elements of the reflection group W_M
+of the roots in M with no fixed vector in M.  By Shephard-Todd there
+are prod e_i of them over the exponents e_i of W_J, which Kostant's
+theorem reads off the heights of the positive roots of Phi_J (the dual
+partition).  Each row holds the space and that count, so classifying
+many lattice points repeats only the tests of lam against the spaces.
+These tables also serve as the reference for types A-D in the tests.
 
 W0 itself is enumerated, for the oracle, by breadth-first search over
 permutations of the root indices: right multiplication by a simple
@@ -59,9 +60,9 @@ from itertools import product as iproduct
 from math import comb, factorial, prod
 
 from .errors import BudgetExceeded
-from .linalg import Vec, int_residual, is_zero, primitive_rref, rref_pivots, scaled_ints
-from .reflen import _min_span_subset, _quotient_lines, zero_block_count
-from .rootsys import RootSystem, RootTables
+from .linalg import Vec, scaled_ints
+from .reflen import zero_block_count
+from .rootsys import Flat, FlatTable, RootSystem, RootTables, flat_table
 
 DEFAULT_W0_CAP = 10**5
 DEFAULT_CLASSIFY_CAP = 10**5
@@ -233,45 +234,28 @@ def _height_exponents(tables: RootTables, inside) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _genfun_tables(rs: RootSystem):
-    """The lam-independent data, one row per move space of W0: (e, the
-    primitive_rref basis of the space, its pivots, projected root lines,
-    number of elements of W0 with that move space).
-
-    The move spaces are the flats, the W0-images of the spans of the
-    standard parabolic subsystems Phi_J (Steinberg), so no element of W0
-    is enumerated.  For each subset J of the simple roots, Phi_J holds
-    the roots whose coroot_coords vanish off J; unless an earlier orbit
-    holds it, its W0-orbit is walked by lookups in tables.reflected,
-    each flat keyed by the set of root indices in it and carrying the
-    images of J's simple roots, which span it.  Every flat of the orbit
-    counts the elements of a conjugate of W_J with no fixed vector in
-    the flat: prod e_i over the exponents of W_J (Shephard-Todd), read
-    off the heights (_height_exponents).  Rows come orbit by orbit, J in
-    binary order, each orbit breadth first."""
+def _genfun_tables(rs: RootSystem) -> tuple[FlatTable, tuple[tuple[Flat, int], ...]]:
+    """The lam-independent data: the table of root subspaces (the one
+    build_root_system made for G2 and F4, else rootsys.flat_table) and,
+    per subspace in layer order, the number of elements of W0 whose move
+    space it is.  The move spaces are the root subspaces, the W0-images
+    of the spans of the standard parabolic subsystems Phi_J (Steinberg),
+    so no element of W0 is enumerated.  Every subspace of the orbit of
+    span Phi_J counts the elements of a conjugate of W_J with no fixed
+    vector in it: prod e_i over the exponents of W_J (Shephard-Todd),
+    read off the heights (_height_exponents)."""
     _require_w0_reach(rs)
     tables = rs.tables
-    gens = [tables.reflected[i] for i in tables.simple]
-    support = [sum(1 << i for i, x in enumerate(c) if x) for c in tables.coroot_coords]
-    seen: set[frozenset[int]] = set()
-    out = []
-    for bits in range(1 << rs.rank):
-        inside = frozenset(a for a, s in enumerate(support) if not s & ~bits)
-        if inside in seen:
-            continue
-        seen.add(inside)
-        mult = prod(_height_exponents(tables, inside))
-        orbit = [(inside, [b for i, b in enumerate(tables.simple) if bits >> i & 1])]
-        for flat, images in orbit:
-            key = primitive_rref(tables.int_roots[b] for b in images)
-            pivots = rref_pivots(key)
-            out.append((len(key), key, pivots, _quotient_lines(rs, key, pivots), mult))
-            for g in gens:
-                image = frozenset(map(g.__getitem__, flat))
-                if image not in seen:
-                    seen.add(image)
-                    orbit.append((image, [g[b] for b in images]))
-    return tuple(out)
+    flats = tables.flats or flat_table(tables)
+    mults: dict[int, int] = {}
+    rows = []
+    for layer in flats.layers:
+        for flat in layer:
+            if flat.standard not in mults:
+                inside = [a for a in range(len(rs.roots)) if flat.standard >> a & 1]
+                mults[flat.standard] = prod(_height_exponents(tables, inside))
+            rows.append((flat, mults[flat.standard]))
+    return flats, tuple(rows)
 
 
 def _require_lattice_point(rs: RootSystem, lam: Vec) -> None:
@@ -282,16 +266,18 @@ def _require_lattice_point(rs: RootSystem, lam: Vec) -> None:
 
 
 def _table_counts(rs: RootSystem, lam: Vec) -> dict[tuple[int, int], int]:
-    """The coefficients (d, e) -> count of f_lam from the W0 tables."""
-    lam_ints = scaled_ints(lam)
+    """The coefficients (d, e) -> count of f_lam from the W0 tables: for
+    u with move space M, d + e is the least dimension of a root subspace
+    that contains M and holds lam."""
+    flats, rows = _genfun_tables(rs)
+    held = list(flats.holding(scaled_ints(lam)))
+    own = {h.mask for h in held}
     counts: dict[tuple[int, int], int] = {}
-    for e, ubasis, upivots, lines, mult in _genfun_tables(rs):
-        res = int_residual(ubasis, upivots, lam_ints)
-        if res is None:
-            d = 0
-        else:
-            d = _min_span_subset(lines, res, rs.rank - e, witness=False)[0]
-        counts[(d, e)] = counts.get((d, e), 0) + mult
+    for flat, mult in rows:
+        # held is ascending in dimension, so the first one above M is least
+        top = flat.dim if flat.mask in own else next(h.dim for h in held if h.mask & flat.mask == flat.mask)
+        key = (top - flat.dim, flat.dim)
+        counts[key] = counts.get(key, 0) + mult
     return counts
 
 
@@ -424,12 +410,20 @@ def exponent_product(rs: RootSystem) -> tuple[int, ...]:
 
 
 def is_generic(rs: RootSystem, lam: Vec) -> bool:
-    """lam lies in no proper root subspace: the identity-element d-search
-    needs a full rank's worth of roots."""
+    """lam lies in no proper root subspace, so d(t_lam) = rank.  For A-D
+    this is the null-partition rule at u = 1, whose cycles are the
+    coordinates with sums the entries of lam: d = #coordinates - nu
+    (zero_block_count; type D forbids a free single coordinate, as u has
+    no negative cycle).  For G2 and F4 no root subspace of corank 1 may
+    hold lam (FlatTable.holding)."""
     _require_lattice_point(rs, lam)
-    if is_zero(lam):
-        return False
-    return _min_span_subset(rs.root_lines, scaled_ints(lam), rs.rank)[0] == rs.rank
+    x = scaled_ints(lam)
+    family = rs.spec.family
+    if family == "A":
+        return zero_block_count(x, False) == 1
+    if family in CLASSICAL:
+        return zero_block_count(x, True, (1 << len(x)) - 1 if family == "D" else 0) == 0
+    return next(rs.tables.flats.holding(x)).dim == rs.rank
 
 
 def classify_coroots(rs: RootSystem, radius: int) -> dict[BivariatePolynomial, tuple[Vec, ...]]:

@@ -169,6 +169,23 @@ def int_residual(
     return v if any(v) else None
 
 
+def int_kernel(basis: Sequence[Sequence[int]], pivots: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
+    """An integer basis of the vectors of length n orthogonal to the
+    primitive_rref rows basis with these pivots: one per free column f,
+    den at f and -den b[f] / b[p] at the pivot p of each row b, den the
+    lcm of the pivot entries."""
+    den = lcm(*(b[p] for b, p in zip(basis, pivots)))
+    out = []
+    for f in range(n):
+        if f not in pivots:
+            v = [0] * n
+            v[f] = den
+            for b, p in zip(basis, pivots):
+                v[p] = -den // b[p] * b[f]
+            out.append(tuple(v))
+    return tuple(out)
+
+
 def scale_to_ints(rows: Sequence[Sequence[Q]]) -> tuple[int, list[list[int]]]:
     """(den, the rows times den as integers), den the lcm of every
     denominator in the rows; fraction-free, numerator times a quotient of

@@ -9,21 +9,31 @@ For an element w with linear part A and translation part lam:
          containing the move-set of w;
   reflection length = 2 d(w) + e(w).
 
-Both terms are read off the move space Im(A - I), which
-RootTables.move_space returns as primitive integer RREF rows.  The
-residual of lam and the projected root lines are fraction-free
-(linalg.int_residual); a translation reads RootSystem.root_lines.  The
-root basis of the space takes roots that pair to zero with the orbit
-sums of the simple roots (sums of the roots over cycles of the root
-permutation), which span the fixed space within the root span.
+Both terms are read off the move space Im(A - I), as primitive integer
+RREF rows.  The residual of lam and the projected root lines are
+fraction-free (linalg.int_residual); a translation reads
+RootSystem.root_lines.  The root basis of the space takes roots that
+pair to zero with the orbit sums of the simple roots (sums of the roots
+over cycles of the root permutation), which span the fixed space within
+the root span.
 
-For type A, d has a closed form from null partitions: with w = t_lam u,
-d = #cycles of u - nu(mu), where mu_B sums lam over a cycle B and nu is
-the most zero-sum blocks in a partition of the cycles (zero_block_count).
-The cycles are read off the simple-root images under the root permutation.
-The d-search then runs only at that subset size, for the witness, and a
-search that finds another size raises AssertionError.  For the other
-types it tries subset sizes k = 1, 2, ... of the projected root lines.
+G2 and F4 read both terms off the table of root subspaces that
+build_root_system makes for them (rootsys.FlatTable).  Mov(u) is found
+there by its roots, those that pair to zero with the orbit sums, and
+d + e is the least dimension of a root subspace that contains Mov(u) and
+holds lam, as the paper defines dim(w); the witness is the least greedy
+basis of the quotient lines over those least subspaces (_flat_search).
+Nothing is searched and nothing eliminated but the residuals of the
+roots of those subspaces.
+
+For A-D the move space is RootTables.move_space.  For type A, d has a
+closed form from null partitions: with w = t_lam u, d = #cycles of u -
+nu(mu), where mu_B sums lam over a cycle B and nu is the most zero-sum
+blocks in a partition of the cycles (zero_block_count).  The cycles are
+read off the simple-root images under the root permutation.  The
+d-search then runs only at that subset size, for the witness, and a
+search that finds another size raises AssertionError.  Types B-D try
+subset sizes k = 1, 2, ... of the projected root lines (the span search).
 For each k it walks prefixes of independent lines depth first, keeping
 the target and the remaining lines reduced modulo the prefix as
 canonical integer line representatives (fraction-free elimination).  Of
@@ -64,8 +74,9 @@ the integer core on it and builds Fraction elements only for outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, islice, product as iproduct
-from operator import mul
+from functools import reduce
+from itertools import compress, islice, product as iproduct, takewhile
+from operator import mul, or_
 from typing import Literal, Sequence
 
 from .affgroup import (
@@ -79,23 +90,24 @@ from .affgroup import (
 )
 from .errors import BudgetExceeded
 from .linalg import Vec, int_line_rep, int_residual, rref_pivots, scaled_ints
-from .rootsys import RootSystem
+from .rootsys import Flat, RootSystem
 
 DEFAULT_HURWITZ_BUDGET = 10**6
 DEFAULT_SPAN_SEARCH_CAP = 10**6
 
 
 def _quotient_lines(
-    rs: RootSystem, ubasis: tuple[tuple[int, ...], ...], upivots: tuple[int, ...]
+    rs: RootSystem, ubasis: tuple[tuple[int, ...], ...], upivots: tuple[int, ...], mask: int = -1
 ) -> dict[tuple[int, ...], Vec]:
     """Nonzero images of roots in the quotient by the span of primitive_rref
     rows ubasis, deduped up to scalar: canonical line representative
     (int_line_rep, equal to line_rep of the Fraction residual) -> the
-    first positive root lifting it."""
+    first positive root lifting it.  Only the roots whose bit is set in
+    mask are read."""
     lines: dict[tuple[int, ...], Vec] = {}
     t = rs.tables
-    for alpha, a, pos in zip(rs.roots, t.int_roots, t.positive):
-        if not pos:
+    for i, (alpha, a, pos) in enumerate(zip(rs.roots, t.int_roots, t.positive)):
+        if not pos or not mask >> i & 1:
             continue
         res = int_residual(ubasis, upivots, a)
         if res is not None:
@@ -290,26 +302,104 @@ def _fixed_sums(tables, perm: tuple[int, ...]) -> list[list[int]]:
     return [y for b in tables.simple if any(y := _orbit_sum(tables.int_roots, perm, b))]
 
 
-def _root_basis_of_span(rs: RootSystem, e: int, fixed) -> tuple[Vec, ...]:
+def _root_basis_of_span(rs: RootSystem, e: int, fixed, mask: int = -1) -> tuple[Vec, ...]:
     """The first roots, in root order, inside Mov(u) and independent of
     the roots chosen before them: a basis of Mov(u), of dimension e, for
     the W0 element u whose _fixed_sums are fixed (every move-set of a Weyl
     group element is spanned by roots).  Membership is by pairings with
-    fixed.  The chosen roots are kept as
+    fixed, and by bit i of mask for root i.  The chosen roots are kept as
     residuals modulo those before them, pivoted at their first nonzero
     entry, so int_residual is exact and eliminates on at most e rows."""
     chosen: list[Vec] = []
     rows, rpivots = [], []
-    for alpha, a in zip(rs.roots, rs.tables.int_roots):
+    for i, (alpha, a) in enumerate(zip(rs.roots, rs.tables.int_roots)):
         if len(chosen) == e:
             break
-        if not any(sum(map(mul, a, y)) for y in fixed) and (r := int_residual(rows, rpivots, a)) is not None:
+        if (
+            mask >> i & 1
+            and not any(sum(map(mul, a, y)) for y in fixed)
+            and (r := int_residual(rows, rpivots, a)) is not None
+        ):
             chosen.append(alpha)
             rows.append(r)
             rpivots.append(next(j for j, x in enumerate(r) if x))
     if len(chosen) != e:
         raise AssertionError("move-set of a group element must be a root subspace")
     return tuple(chosen)
+
+
+def _move_flat(tables, fixed) -> Flat:
+    """The row of Mov(u) in the table of root subspaces (G2, F4), found
+    by its roots: those that pair to zero with fixed, the _fixed_sums of u."""
+    mask = 0
+    for a, ints in compress(enumerate(tables.int_roots), tables.positive):
+        if not any(sum(map(mul, ints, y)) for y in fixed):
+            mask |= 1 << a | 1 << tables.negated[a]
+    return tables.flats.by_mask[mask]
+
+
+def _flat_search(rs: RootSystem, flat: Flat, mu) -> tuple[int, tuple[Vec, ...]]:
+    """d and the lifted roots of t_lam u, for G2 and F4, off the table of
+    root subspaces: flat is the row of Mov(u), and mu a positive integer
+    multiple of lam.  d + e is the least dimension of a root subspace that
+    contains Mov(u) and holds lam (FlatTable.holding).
+
+    The lifted roots are the witness _min_span_subset finds, the
+    lexicographically first independent d-subset of the sorted quotient
+    line keys whose span holds lam.  Such a subset spans, with Mov(u),
+    one of the least root subspaces R found, and every basis of R / Mov(u)
+    drawn from the lines of R spans lam; within one R the lexicographically
+    first basis is the greedy one (a matroid fact).  So the witness is the
+    least greedy basis over those R, each line lifted to the first
+    positive root on it (_quotient_lines of the roots of R)."""
+    if flat.holds(mu):
+        return 0, ()
+    # a translation along a root line is the size-1 lookup of _min_span_subset
+    if not flat.dim and (root := rs.root_lines.get(int_line_rep(mu))) is not None:
+        return 1, (root,)
+    held = rs.tables.flats.holding(mu, flat)
+    least = next(held, None)
+    if least is None:
+        raise AssertionError("projected root lines failed to span their own span")
+    d = least.dim - flat.dim
+    minimal = [least, *takewhile(lambda f: f.dim == least.dim, held)]
+    if flat.dim or d < rs.rank:
+        lines = _quotient_lines(rs, flat.rows, flat.pivots, reduce(or_, (R.mask for R in minimal)))
+    else:
+        lines = rs.root_lines
+    keys = sorted(lines)
+    best = None
+    for R in minimal:
+        # the chosen lines are kept as residuals modulo those before them,
+        # pivoted at their first nonzero entry, as in _root_basis_of_span;
+        # a line lies in R / Mov(u) when its key lies in R
+        basis, rows, pivots = [], [], []
+        for key in keys if len(minimal) == 1 else filter(R.holds, keys):
+            if (r := int_residual(rows, pivots, key)) is not None:
+                basis.append(key)
+                rows.append(r)
+                pivots.append(next(j for j, x in enumerate(r) if x))
+                if len(basis) == d:
+                    break
+        if best is None or basis < best:
+            best = basis
+    return d, tuple(lines[key] for key in best)
+
+
+def _span_search(rs: RootSystem, perm, ubasis, mu) -> tuple[int, tuple[Vec, ...]]:
+    """d and the lifted roots of t_lam u, for A-D: the span search of lam,
+    a positive integer multiple mu of it, modulo the primitive_rref rows
+    ubasis of Mov(u), at the one size null partitions give for type A."""
+    upivots = rref_pivots(ubasis)
+    res = int_residual(ubasis, upivots, mu)
+    if res is None:
+        return 0, ()
+    lines = _quotient_lines(rs, ubasis, upivots) if ubasis else rs.root_lines
+    rule = _null_partition_d(rs, perm, mu)
+    d, lifts = _min_span_subset(lines, res, rs.rank - len(ubasis), least=rule or 1)
+    if rule not in (None, d):
+        raise AssertionError(f"null partitions give d = {rule}, the span search {d}")
+    return d, lifts
 
 
 @dataclass(frozen=True)
@@ -328,6 +418,8 @@ class DimensionReport:
     move_space: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
     # _fixed_sums of A, made for the root basis when e > 0, else None
     fixed_sums: tuple[list[int], ...] | None = field(default=None, compare=False, repr=False)
+    # the row of Im(A - I) in the table of root subspaces (G2, F4), else None
+    flat: Flat | None = field(default=None, compare=False, repr=False)
 
     @property
     def witness_roots(self) -> tuple[Vec, ...]:
@@ -335,40 +427,45 @@ class DimensionReport:
 
 
 def dimension_report(rs: RootSystem, w: AffineElement) -> DimensionReport:
-    perm = _w0_permutation(rs, w.linear)
-    return _report(rs, perm, rs.tables.move_space(perm), scaled_ints(w.translation))
+    return _report(rs, _w0_permutation(rs, w.linear), scaled_ints(w.translation))
 
 
 def pair_report(rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...]) -> DimensionReport:
     """dimension_report of the group element with root permutation perm
     and simple-coroot coordinates coords."""
-    return _report(rs, perm, rs.tables.move_space(perm), rs.coroot_lattice.combination(coords))
+    return _report(rs, perm, rs.coroot_lattice.combination(coords))
 
 
-def _report(rs: RootSystem, perm, ubasis, mu, same_linear: DimensionReport | None = None) -> DimensionReport:
-    """The report from the root permutation perm of the linear part, the
-    primitive_rref rows ubasis of its move space, a positive integer
-    multiple mu of lam and, if known, a report same_linear of the same
-    linear part, whose root basis and fixed sums are reused.  The fixed
-    sums are made only when 0 < e < rank: at e = rank every orbit sum is
-    zero, as Fix(u) misses the root span, and at e = 0 no root is chosen."""
-    upivots = rref_pivots(ubasis)
+def _report(rs: RootSystem, perm, mu, same_linear: DimensionReport | None = None) -> DimensionReport:
+    """The report from the root permutation perm of the linear part and a
+    positive integer multiple mu of lam.  A report same_linear of the same
+    linear part, if known, lends its move space, root basis and fixed sums.
+
+    For G2 and F4 the fixed sums find the move space in the table of root
+    subspaces (_move_flat), and d comes from there (_flat_search).  For
+    A-D the move space is RootTables.move_space, d the span search of lam
+    modulo it, and the fixed sums are made only when 0 < e < rank: at
+    e = rank every orbit sum is zero, as Fix(u) misses the root span, and
+    at e = 0 no root is chosen."""
+    tables = rs.tables
+    if same_linear is not None:
+        ubasis, flat, fixed = same_linear.move_space, same_linear.flat, same_linear.fixed_sums
+    elif tables.flats is not None:
+        sums = _fixed_sums(tables, perm)
+        flat = _move_flat(tables, sums)
+        ubasis, fixed = flat.rows, tuple(sums) if flat.dim else None
+    else:
+        ubasis, flat = tables.move_space(perm), None
+        fixed = tuple(_fixed_sums(tables, perm)) if 0 < len(ubasis) < rs.rank else () if ubasis else None
     e = len(ubasis)
-    res = int_residual(ubasis, upivots, mu)
-    if res is None:
-        d, lifts = 0, ()
+    d, lifts = _flat_search(rs, flat, mu) if flat is not None else _span_search(rs, perm, ubasis, mu)
+    if same_linear is not None:
+        u_roots = same_linear.elliptic_roots
+    elif flat is not None:
+        u_roots = _root_basis_of_span(rs, e, (), flat.mask)
     else:
-        lines = _quotient_lines(rs, ubasis, upivots) if e else rs.root_lines
-        rule = _null_partition_d(rs, perm, mu)
-        d, lifts = _min_span_subset(lines, res, rs.rank - e, least=rule or 1)
-        if rule not in (None, d):
-            raise AssertionError(f"null partitions give d = {rule}, the span search {d}")
-    if same_linear is None:
-        fixed = tuple(_fixed_sums(rs.tables, perm)) if 0 < e < rs.rank else () if e else None
         u_roots = _root_basis_of_span(rs, e, fixed or ())
-    else:
-        fixed, u_roots = same_linear.fixed_sums, same_linear.elliptic_roots
-    return DimensionReport(e, d, d + e, 2 * d + e, u_roots, lifts, ubasis, fixed)
+    return DimensionReport(e, d, d + e, 2 * d + e, u_roots, lifts, ubasis, fixed, flat)
 
 
 @dataclass(frozen=True)
@@ -666,13 +763,15 @@ def _split_off(rs, rep, perm, coords, pairs, suffix):
     u that of the suffix, checked in integers: folded on RootTables, t must
     have the identity root permutation, u that of w, and their coordinates
     must add up to those of w, since t u = (A, mu_t + mu_u).  Then the
-    reports of t and u, u's on the move space, root basis and fixed sums
-    of w's report rep, must give t length 2d and u length e with d(u) = 0."""
+    reports of t and u, t's on the zero move space of the identity and u's
+    on the move space, root basis and fixed sums of w's report rep, must
+    give t length 2d and u length e with d(u) = 0."""
     tables, lattice = rs.tables, rs.coroot_lattice
     perm_t, coords_t = tables.fold(pairs)
     perm_u, coords_u = tables.fold(suffix)
-    rep_t = _report(rs, perm_t, (), lattice.combination(coords_t))
-    rep_u = _report(rs, perm, rep.move_space, lattice.combination(coords_u), rep)
+    identity = DimensionReport(0, 0, 0, 0, (), (), (), None, tables.flats and tables.flats.layers[0][0])
+    rep_t = _report(rs, perm_t, lattice.combination(coords_t), identity)
+    rep_u = _report(rs, perm, lattice.combination(coords_u), rep)
     ok = (
         perm_t == tuple(range(len(perm)))
         and rep_u.d == 0

@@ -27,7 +27,7 @@ from functools import reduce
 from itertools import product
 from operator import mul
 
-from .errors import UnsupportedTypeError
+from .errors import BudgetExceeded, UnsupportedTypeError
 from .linalg import Vec, dot, vadd
 from .affgroup import AffineElement, AffineReflection, identity_element, times_reflection
 from .genfun import classify_coroots
@@ -40,6 +40,10 @@ MARGIN = 30.0
 
 # grayscale ramp indexed by reflection length 0..4 (light to dark)
 LENGTH_FILLS = ("#f7f7f7", "#d9d9d9", "#b5b5b5", "#8a8a8a", "#5c5c5c")
+
+# the most coroot lattice points render_classes colours, (2r + 1)^2 at
+# coefficient radius r; the tiling under them grows with the same square
+CLASSES_POINT_CAP = 289
 
 # colour-blind-safe palette for class colouring, reused cyclically
 CLASS_COLORS = (
@@ -58,6 +62,17 @@ def _require_planar(rs: RootSystem) -> None:
     if rs.rank != 2 or rs.is_reducible:
         raise UnsupportedTypeError(
             f"SVG rendering supports irreducible rank-2 types, got {rs.spec}"
+        )
+
+
+def _require_classes_reach(coeff_radius: int) -> None:
+    """BudgetExceeded, before any work, when the coefficient box of
+    render_classes holds more than CLASSES_POINT_CAP lattice points."""
+    side = 2 * coeff_radius + 1
+    if side > 0 and side * side > CLASSES_POINT_CAP:
+        raise BudgetExceeded(
+            f"classes render cap {CLASSES_POINT_CAP} lattice points exceeded: radius {coeff_radius} "
+            f"has {side * side}; the largest radius that fits is {(math.isqrt(CLASSES_POINT_CAP) - 1) // 2}"
         )
 
 
@@ -242,6 +257,7 @@ def render_classes(rs: RootSystem, coeff_radius: int = 2, tiling_radius=None) ->
     tiling; the legend lists each class polynomial in first-seen
     order."""
     _require_planar(rs)
+    _require_classes_reach(coeff_radius)
     # classify_coroots checks coeff_radius; check this one before it runs
     if tiling_radius is not None:
         _require_radius("tiling_radius", tiling_radius)

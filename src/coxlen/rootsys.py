@@ -25,13 +25,15 @@ its matrix.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction as Q
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import lcm
+from operator import mul, or_
+from typing import Iterator
 
 from .errors import ParseError, UnsupportedTypeError
-from .linalg import Mat, Vec, dot, int_line_rep, primitive_rref, scale_to_ints, smul, vec
+from .linalg import Mat, Vec, dot, int_kernel, int_line_rep, primitive_rref, rref_pivots, scale_to_ints, smul, vec
 
 MAX_RANK = 8
 
@@ -247,6 +249,8 @@ class RootTables:
     coweights: tuple[tuple[int, ...], ...]
     fixed: tuple[tuple[int, ...], ...]
     linear_den: int
+    # the root subspaces, for G2 and F4 (flat_table); None for A-D
+    flats: FlatTable | None = None
 
     def linear(self, perm: tuple[int, ...]) -> Mat:
         """The matrix of the W0 element u with root permutation perm:
@@ -296,6 +300,99 @@ class RootTables:
         if self.positive[c]:
             return c, level
         return self.negated[c], -level
+
+
+@dataclass(frozen=True, eq=False)
+class Flat:
+    """A root subspace R, the span of the roots it holds: the orthogonal
+    complement of a flat of the reflection arrangement.  ``mask`` has bit
+    a set for each root index a in R, ``rows`` and ``pivots`` are R's
+    primitive_rref rows and their pivots, ``normals`` an integer basis of
+    R^perp in the ambient space (for A_n and G2 it holds the line off
+    the root span), and ``standard`` the mask of the standard parabolic
+    R_J = span Phi_J of R's W0-orbit."""
+
+    mask: int
+    rows: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, ...]
+    normals: tuple[tuple[int, ...], ...]
+    standard: int
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def holds(self, x) -> bool:
+        """Whether the integer vector x lies in R."""
+        return not any(sum(map(mul, n, x)) for n in self.normals)
+
+
+@dataclass(frozen=True, eq=False)
+class FlatTable:
+    """Every root subspace of a root system: ``layers[k]`` holds those of
+    dimension k, orbit by orbit, and ``by_mask`` finds one by its roots."""
+
+    layers: tuple[tuple[Flat, ...], ...]
+    by_mask: dict[int, Flat]
+
+    def holding(self, x, above: Flat | None = None) -> Iterator[Flat]:
+        """The root subspaces that hold the integer vector x, ascending in
+        dimension, lazily: all of them, or only those that contain the
+        subspace above.  A proper one lies in one of corank 1, so those are
+        tested first, and a lower one only if its roots lie in those that
+        held x."""
+        mask, low = (above.mask, above.dim) if above else (0, 0)
+        *lower, hyper, top = self.layers
+        # below the top every subspace has a normal, and the first alone
+        # rules out most
+        hits = [f for f in hyper if f.mask & mask == mask and not sum(map(mul, f.normals[0], x)) and f.holds(x)]
+        if hits:
+            covered = reduce(or_, (f.mask for f in hits))
+            for layer in lower[low:]:
+                yield from (
+                    f
+                    for f in layer
+                    if f.mask & mask == mask
+                    and not f.mask & ~covered
+                    and not sum(map(mul, f.normals[0], x))
+                    and f.holds(x)
+                )
+            yield from hits
+        yield from (f for f in top if f.holds(x))
+
+
+def flat_table(tables: RootTables) -> FlatTable:
+    """The root subspaces, as W0-orbits of the standard parabolic ones
+    (Steinberg: every root subspace is the move space of an element of
+    W0, so is conjugate to some R_J).  For each subset J of the simple
+    roots, Phi_J holds the roots whose coroot_coords vanish off J; unless
+    an earlier orbit holds it, its W0-orbit is walked by lookups in
+    tables.reflected, each subspace keyed by the set of root indices in it
+    and carrying the images of J's simple roots, which span it.  Within a
+    layer, orbits come J in binary order, each breadth first."""
+    gens = [tables.reflected[i] for i in tables.simple]
+    rank, dim = len(tables.simple), len(tables.int_roots[0])
+    support = [sum(1 << i for i, x in enumerate(c) if x) for c in tables.coroot_coords]
+    seen: set[frozenset[int]] = set()
+    layers: list[list[Flat]] = [[] for _ in range(rank + 1)]
+    for bits in range(1 << rank):
+        inside = frozenset(a for a, s in enumerate(support) if not s & ~bits)
+        if inside in seen:
+            continue
+        seen.add(inside)
+        standard = sum(1 << a for a in inside)
+        orbit = [(inside, [b for i, b in enumerate(tables.simple) if bits >> i & 1])]
+        for roots, images in orbit:
+            rows = primitive_rref(tables.int_roots[b] for b in images)
+            pivots = rref_pivots(rows)
+            normals = int_kernel(rows, pivots, dim)
+            layers[len(rows)].append(Flat(sum(1 << a for a in roots), rows, pivots, normals, standard))
+            for g in gens:
+                image = frozenset(map(g.__getitem__, roots))
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append((image, [g[b] for b in images]))
+    return FlatTable(tuple(map(tuple, layers)), {f.mask: f for layer in layers for f in layer})
 
 
 @lru_cache(maxsize=None)
@@ -376,6 +473,8 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
         fixed=tuple(map(tuple, linear_rows[rank:])),
         linear_den=linear_den,
     )
+    if spec.family in "GF":
+        tables = replace(tables, flats=flat_table(tables))
     fraction = {x: Q(x, scale) for x in {x for r in int_roots for x in r}}
     roots = tuple(tuple(map(fraction.__getitem__, r)) for r in int_roots)
 

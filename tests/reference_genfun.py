@@ -1,11 +1,14 @@
-"""Polynomial factors and the W0 tables as the element loop built them,
-which only the tests use."""
+"""Polynomial factors, the W0 tables as the element loop built them, and
+local counts and genericity by the span search, which only the tests
+use."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from coxlen.genfun import BivariatePolynomial, enumerate_w0
-from coxlen.linalg import rref_pivots
-from coxlen.reflen import _quotient_lines
+from coxlen.linalg import int_residual, is_zero, rref_pivots, scaled_ints
+from coxlen.reflen import _min_span_subset, _quotient_lines
 
 
 def poly_s_plus(k: int) -> BivariatePolynomial:
@@ -16,6 +19,7 @@ def poly_s_plus(k: int) -> BivariatePolynomial:
 def reference_genfun_tables(rs):
     """genfun._genfun_tables by enumerating W0 and reading each element's
     move space (RootTables.move_space) off its root permutation, one row
+    (e, primitive_rref rows, mask of the roots in it, number of elements)
     per distinct space in first-seen order."""
     counts: dict[tuple[tuple[int, ...], ...], int] = {}
     for perm in enumerate_w0(rs).elements:
@@ -24,5 +28,36 @@ def reference_genfun_tables(rs):
     out = []
     for key, mult in counts.items():
         pivots = rref_pivots(key)
-        out.append((len(key), key, pivots, _quotient_lines(rs, key, pivots), mult))
+        mask = sum(1 << a for a, r in enumerate(rs.tables.int_roots) if int_residual(key, pivots, r) is None)
+        out.append((len(key), key, mask, mult))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _span_search_rows(rs):
+    """(e, move space rows, their pivots, projected root lines, number of
+    elements) per reference_genfun_tables row."""
+    out = []
+    for e, key, _, mult in reference_genfun_tables(rs):
+        pivots = rref_pivots(key)
+        out.append((e, key, pivots, _quotient_lines(rs, key, pivots), mult))
+    return out
+
+
+def span_search_counts(rs, lam) -> dict[tuple[int, int], int]:
+    """genfun._table_counts as it was before the table of root subspaces:
+    over the reference_genfun_tables rows, d is the span search of lam
+    modulo each move space."""
+    x = scaled_ints(lam)
+    counts: dict[tuple[int, int], int] = {}
+    for e, key, pivots, lines, mult in _span_search_rows(rs):
+        res = int_residual(key, pivots, x)
+        d = 0 if res is None else _min_span_subset(lines, res, rs.rank - e, witness=False)[0]
+        counts[(d, e)] = counts.get((d, e), 0) + mult
+    return counts
+
+
+def span_search_is_generic(rs, lam) -> bool:
+    """genfun.is_generic as it was before the null-partition rule and the
+    table: the span search of lam over the root lines needs rank lines."""
+    return not is_zero(lam) and _min_span_subset(rs.root_lines, scaled_ints(lam), rs.rank, witness=False)[0] == rs.rank

@@ -21,7 +21,9 @@ multiple of a's projection onto Fix(A).  pair_split is the
 translation-elliptic split as it was before states were tested as they
 are generated: it generates each breadth-first layer whole, with keys
 rebuilt from every neighbour by _index_moves, before testing any state
-in it.
+in it.  span_search_report is pair_report as G2 and F4 computed it before
+d and the witness were read off the table of root subspaces: the span
+search of lam modulo RootTables.move_space, as types A-D still do.
 """
 from __future__ import annotations
 
@@ -33,7 +35,12 @@ from coxlen.linalg import Vec, int_line_rep, int_residual, primitive_rref, reduc
 from coxlen.reflen import (
     DEFAULT_HURWITZ_BUDGET,
     DEFAULT_SPAN_SEARCH_CAP,
+    DimensionReport,
+    _fixed_sums,
     _min_factorization,
+    _min_span_subset,
+    _quotient_lines,
+    _root_basis_of_span as _orbit_root_basis,
     _split_off,
     pair_report,
 )
@@ -313,3 +320,20 @@ def pair_split(rs: RootSystem, perm, coords, budget: int = DEFAULT_HURWITZ_BUDGE
         pairs.extend(f[:2])
         current = f[2:]
     return _split_off(rs, rep, perm, coords, pairs, current)
+
+
+def span_search_report(rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...]) -> DimensionReport:
+    """pair_report by the span search: the move space is the elimination
+    RootTables.move_space, d and the lifted roots come from
+    _min_span_subset over its projected root lines, and the root basis
+    from pairings with the fixed sums."""
+    ubasis = rs.tables.move_space(perm)
+    upivots = rref_pivots(ubasis)
+    e = len(ubasis)
+    res = int_residual(ubasis, upivots, rs.coroot_lattice.combination(coords))
+    if res is None:
+        d, lifts = 0, ()
+    else:
+        d, lifts = _min_span_subset(_quotient_lines(rs, ubasis, upivots), res, rs.rank - e)
+    u_roots = _orbit_root_basis(rs, e, _fixed_sums(rs.tables, perm))
+    return DimensionReport(e, d, d + e, 2 * d + e, u_roots, lifts)

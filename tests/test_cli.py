@@ -23,9 +23,10 @@ import coxlen.affsym
 import coxlen.cli
 import coxlen.oracle
 import coxlen.reflen
+import coxlen.render
 import coxlen.rootsys
 from coxlen.cli import main, parse_element, parse_vector, parse_window_text
-from coxlen.errors import ParseError, UnsupportedTypeError
+from coxlen.errors import BudgetExceeded, ParseError, UnsupportedTypeError
 from coxlen.genfun import BivariatePolynomial
 from coxlen.rootsys import root_system
 from reference_cli import parse_element as fraction_parse_element
@@ -383,6 +384,29 @@ def test_render_command_checks_the_path_before_rendering(tmp_path, capsys, monke
                        "--out", str(target))
     assert (code, out, rendered) == (0, f"wrote {target}\n", [1])
     assert target.read_text() == "<svg/>"
+
+
+def test_classes_render_beyond_the_cap_exits_4_before_any_work(tmp_path, capsys, monkeypatch):
+    def boom(*args):
+        raise AssertionError("a classes render beyond the cap did some work")
+
+    monkeypatch.setattr(coxlen.render, "classify_coroots", boom)
+    target = tmp_path / "b2.svg"
+    target.write_text("kept")
+    for radius, points in (("9", 361), ("200", 160801)):
+        code, out, err = run(capsys, "render-svg", "--type", "B2", "--mode", "classes", "--radius", radius,
+                             "--out", str(target))
+        assert (code, out) == (4, "")
+        assert err == (
+            f"error: classes render cap 289 lattice points exceeded: radius {radius} has {points}; "
+            "the largest radius that fits is 8\n"
+        )
+        assert target.read_text() == "kept"
+    with pytest.raises(BudgetExceeded, match="largest radius that fits is 8"):
+        coxlen.render.render_classes(root_system("G2"), 9)
+    # radius 8, the largest that fits, passes the check
+    coxlen.render._require_classes_reach(8)
+    assert coxlen.render.CLASSES_POINT_CAP == 17 * 17
 
 
 @pytest.mark.parametrize("radius", ["2.5", "0.5"])

@@ -8,6 +8,7 @@ below factor as (s + t)(1 + m t) on subregular points and
 """
 
 import random
+import time
 from collections import Counter
 from itertools import product as iproduct
 
@@ -38,7 +39,7 @@ from coxlen.linalg import identity_matrix, mat_mul, vec
 from coxlen.reflen import dimension_report
 from coxlen.rootsys import root_system
 from reference_affgroup import root_permutation
-from reference_genfun import poly_s_plus, reference_genfun_tables
+from reference_genfun import poly_s_plus, reference_genfun_tables, span_search_counts, span_search_is_generic
 from w0_matrices import w0_matrices, word_matrix
 
 A2 = root_system("A2")
@@ -196,6 +197,56 @@ def test_partition_sum_matches_w0_tables_on_samples(name):
         assert _partition_counts(rs, lam)[0] == _table_counts(rs, lam), lam
 
 
+# d + e is the least dimension of a root subspace above the move space
+# that holds lam; the span search it replaced must give the same counts
+TABLE_COUNT_BOXES = [("G2", 3), ("F4", 1), ("A4", 1), ("B4", 1), ("D4", 1)]
+
+
+@pytest.mark.parametrize("name,radius", TABLE_COUNT_BOXES)
+def test_table_counts_match_the_span_search_on_a_box(name, radius):
+    rs = root_system(name)
+    for coeffs in iproduct(range(-radius, radius + 1), repeat=rs.rank):
+        lam = rs.from_lattice_coords(coeffs)
+        assert _table_counts(rs, lam) == span_search_counts(rs, lam), coeffs
+
+
+GENERIC_TYPES = (
+    [f"A{n}" for n in range(1, 6)] + [f"{f}{n}" for f in "BC" for n in range(2, 6)] + ["D3", "D4", "D5", "G2", "F4"]
+)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_is_generic_matches_the_span_search(data):
+    rs = root_system(data.draw(st.sampled_from(GENERIC_TYPES)))
+    bound = data.draw(st.sampled_from([2, 40]))
+    coeffs = data.draw(st.lists(st.integers(-bound, bound), min_size=rs.rank, max_size=rs.rank))
+    lam = rs.from_lattice_coords(coeffs)
+    assert is_generic(rs, lam) == span_search_is_generic(rs, lam)
+
+
+@pytest.mark.parametrize("name,lam,generic", [
+    ("B8", vec([38, 670, -829, -180, 244, -143, 368, 220]), True),
+    ("C8", (-24, 50, 5, -45, 28, -47, 54, -15), False),
+])
+def test_is_generic_answers_at_rank_8(name, lam, generic):
+    # the span search raised BudgetExceeded at both points after seconds.
+    # The C8 point, in simple-coroot coordinates, is (-24, 74, -45, -50,
+    # 73, -75, 101, -69), whose entries 1, 2 and 4 add to 0: it lies in the
+    # root subspace x1 + x2 + x4 = 0, spanned by 2e_i (i not 1, 2, 4), the
+    # e_i +- e_j among those and e1 - e2, e2 - e4.  For B and C, lam is
+    # generic exactly when no signed subset of its entries cancels.
+    rs = root_system(name)
+    if name == "C8":
+        lam = rs.from_lattice_coords(lam)
+        assert lam[0] + lam[1] + lam[3] == 0
+    started = time.perf_counter()
+    assert is_generic(rs, lam) == generic
+    assert time.perf_counter() - started < 1
+    cancels = any(sum(s * x for s, x in zip(signs, lam)) == 0 for signs in iproduct((-1, 0, 1), repeat=8) if any(signs))
+    assert cancels != generic
+
+
 def test_classify_cap(monkeypatch):
     # the cap holds only where W0 is out of reach; B2 at radius 2 sums
     # 143 partition-sum terms
@@ -236,9 +287,10 @@ def test_w0_cap():
 
 
 def table_map(rows):
-    """The W0 tables as a map from move space to (e, mult, lines); no
+    """The W0 tables as a map from move space to (e, mult, root mask); no
     space may have two rows."""
-    out = {key: (e, mult, lines) for e, key, _, lines, mult in rows}
+    rows = list(rows)
+    out = {key: (e, mult, mask) for e, key, mask, mult in rows}
     assert len(out) == len(rows)
     return out
 
@@ -249,9 +301,12 @@ TABLE_TYPES = [f"A{n}" for n in range(1, 6)] + [f"{f}{n}" for f in "BC" for n in
 @pytest.mark.parametrize("name", TABLE_TYPES + ["D4", "D5", "G2", "F4"])
 def test_tables_from_flats_match_the_element_loop(name):
     rs = root_system(name)
-    tables = _genfun_tables(rs)
-    assert table_map(tables) == table_map(reference_genfun_tables(rs))
-    assert sum(mult for *_, mult in tables) == rs.w0_size
+    flats, rows = _genfun_tables(rs)
+    got = table_map((flat.dim, flat.rows, flat.mask, mult) for flat, mult in rows)
+    assert got == table_map(reference_genfun_tables(rs))
+    assert sum(mult for _, mult in rows) == rs.w0_size
+    assert [flat for layer in flats.layers for flat in layer] == [flat for flat, _ in rows]
+    assert all(flats.by_mask[flat.mask] is flat for flat, _ in rows)
 
 
 HEIGHT_TYPES = (

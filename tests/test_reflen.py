@@ -7,6 +7,7 @@ root lines whose span (mod the elliptic directions) contains the
 translation, and the length is 2d + e.
 """
 
+import random
 from fractions import Fraction as Q
 from itertools import combinations, count
 
@@ -58,6 +59,7 @@ from reference_reflen import _root_basis_of_span as reference_root_basis_of_span
 from reference_reflen import _peel_elliptic as reference_move_space_peel
 from reference_reflen import dfs_min_span_subset, mask_zero_block_count
 from reference_reflen import pair_split as reference_pair_split
+from reference_reflen import span_search_report
 from w0_matrices import w0_matrices
 
 A2 = root_system("A2")
@@ -558,7 +560,7 @@ def test_root_basis_of_every_move_space(name):
     spaces = {}
     for perm in enumerate_w0(rs).elements:
         spaces.setdefault(rs.tables.move_space(perm), perm)
-    assert len(spaces) == len(_genfun_tables(rs))
+    assert len(spaces) == len(_genfun_tables(rs)[1])
     for ubasis, perm in spaces.items():
         basis, pivots = rref(ubasis)
         assert _root_basis_of_span(rs, len(ubasis), _fixed_sums(rs.tables, perm)) == reference_root_basis(rs, basis, pivots)
@@ -976,3 +978,65 @@ def test_public_calls_read_one_report_off_the_root_permutation(monkeypatch):
     calls.clear()
     assert dimension_report(b3, w).length == 3
     assert calls == ["_scaled_root_permutation"]
+
+
+# G2 and F4 read d and the witness off the table of root subspaces; the
+# span search they used before must agree on every element of W0, each
+# with seeded translations in [-9, 9]^rank.
+@pytest.mark.parametrize("name,per_element", [("G2", 40), ("F4", 4)])
+def test_table_report_matches_the_span_search_on_every_w0_element(name, per_element):
+    rs = root_system(name)
+    rng = random.Random(name)
+    for perm in enumerate_w0(rs).elements:
+        for _ in range(per_element):
+            coords = tuple(rng.randint(-9, 9) for _ in range(rs.rank))
+            assert pair_report(rs, perm, coords) == span_search_report(rs, perm, coords), (perm, coords)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_table_report_matches_the_span_search(data):
+    rs = root_system(data.draw(st.sampled_from(["G2", "F4"])))
+    elements = enumerate_w0(rs).elements
+    perm = elements[data.draw(st.integers(0, len(elements) - 1))]
+    coords = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=rs.rank, max_size=rs.rank)))
+    assert pair_report(rs, perm, coords) == span_search_report(rs, perm, coords)
+
+
+@pytest.mark.parametrize("text", [
+    "lambda=(-3,-22,-11,90)",
+    "lambda=(-11,51,-60,64)",
+    "lambda=(2,-1,0,-9); word=s3 s2 s4 s3",
+    "lambda=(2,-2,0,2); word=s1 s1 s4",
+])
+def test_f4_reports_and_splits_run_no_span_search(monkeypatch, text):
+    from coxlen.cli import parse_element
+
+    rs = root_system("F4")
+    perm, coords = require_group_element(rs, parse_element(rs, text))
+    expected = span_search_report(rs, perm, coords)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("G2 and F4 read d off the table of root subspaces")
+
+    monkeypatch.setattr(coxlen.reflen, "_min_span_subset", boom)
+    monkeypatch.setattr(type(rs.tables), "move_space", boom)
+    assert pair_report(rs, perm, coords) == expected
+    split = pair_split(rs, perm, coords)
+    assert split[2].length == 2 * expected.d and split[3].length == expected.e
+
+
+@pytest.mark.parametrize("word,coords,least", [
+    ((), (-4, -4, -8, -4), 4),
+    ((3,), (0, -4, -3, 6), 3),
+    ((0, 1, 2, 3, 1, 2, 0, 1, 2, 3, 0, 1, 2, 1, 0), (5, 7, 7, 4), 2),
+])
+def test_witness_over_several_least_root_subspaces(word, coords, least):
+    # the least root subspaces above Mov(u) that hold lam are several here,
+    # and the witness is the least of their greedy bases
+    rs = root_system("F4")
+    perm, _ = rs.tables.fold([(rs.tables.simple[i], 0) for i in word])
+    rep = pair_report(rs, perm, coords)
+    held = list(rs.tables.flats.holding(rs.coroot_lattice.combination(coords), rep.flat))
+    assert sum(f.dim == rep.dim for f in held) == least
+    assert rep == span_search_report(rs, perm, coords)

@@ -15,7 +15,7 @@ import coxlen.linalg
 import coxlen.rootsys
 from coxlen.errors import ParseError, UnsupportedTypeError
 from coxlen.genfun import enumerate_w0
-from coxlen.linalg import dot, solve_combination, vec
+from coxlen.linalg import dot, primitive_rref, solve_combination, vec
 from coxlen.rootsys import (
     RootSystemSpec,
     build_root_system,
@@ -336,3 +336,31 @@ def test_construction_is_fraction_free(monkeypatch):
     for name in LATTICE_TYPES:
         rs = build_root_system.__wrapped__(parse_type_spec(name))
         rs.tables, rs.highest_root, rs.coroot_lattice
+
+
+@pytest.mark.parametrize("name,sizes", [("G2", [1, 6, 1]), ("F4", [1, 24, 122, 120, 1])])
+def test_flat_table_lists_each_root_subspace_once(name, sizes):
+    # each root subspace has its roots as mask, its rows, and normals that
+    # cut it out of the ambient space: a root lies in it exactly when it
+    # pairs to zero with every normal
+    rs = root_system(name)
+    table = rs.tables.flats
+    assert [len(layer) for layer in table.layers] == sizes
+    assert len(table.by_mask) == sum(sizes)
+    for k, layer in enumerate(table.layers):
+        for flat in layer:
+            assert flat.dim == k and table.by_mask[flat.mask] is flat
+            assert flat.rows == primitive_rref(a for i, a in enumerate(rs.tables.int_roots) if flat.mask >> i & 1)
+            assert len(flat.normals) == rs.ambient_dim - k
+            assert primitive_rref(flat.rows + flat.normals) == primitive_rref(identity_rows(rs.ambient_dim))
+            assert all(dot(n, r) == 0 for n in flat.normals for r in flat.rows)
+            assert flat.mask == sum(1 << i for i, a in enumerate(rs.tables.int_roots) if flat.holds(a))
+            assert table.by_mask[flat.standard].standard == flat.standard
+
+
+def identity_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_only_g2_and_f4_carry_a_flat_table():
+    assert [name for name in LATTICE_TYPES if root_system(name).tables.flats is not None] == ["G2", "F4"]
