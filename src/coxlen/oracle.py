@@ -127,15 +127,27 @@ def _ball(rs: RootSystem, level_bound: int, depth_bound: int, targets):
     It holds the forward ball the two-sided search stored, and each
     target state it reached within depth_bound, with its distance; a
     target missing from it lies further away.  DEFAULT_ORACLE_STATE_CAP
-    bounds the states stored on both sides together."""
+    bounds the states stored on both sides together.  A first round that
+    is not the last stores every reflection, so one that would pass the
+    cap raises before any move is built."""
     _, lines = _oracle_tables(rs)
+    start = (0, (0,) * rs.rank)
+    # the reverse ball of each unsettled target: its states, and its frontier
+    reverse = {t: {t} for t in targets if t != start}
+    rfront = {t: [t] for t in reverse}
+    first = 1 + len(reverse) + len(lines) * (2 * level_bound + 1)
+    if reverse and depth_bound > 1 and first > DEFAULT_ORACLE_STATE_CAP:
+        fits = (DEFAULT_ORACLE_STATE_CAP - 1 - len(reverse) - len(lines)) // (2 * len(lines))
+        raise BudgetExceeded(
+            f"oracle state cap DEFAULT_ORACLE_STATE_CAP = {DEFAULT_ORACLE_STATE_CAP} exceeded: the first round "
+            f"would store {first} states at level bound {level_bound}; the largest level bound that fits is {fits}"
+        )
     span = range(-level_bound, level_bound + 1)
     moves = [(perm, lat, [tuple(j * x for x in ca) for j in span]) for perm, lat, ca in lines]
-    start = (0, (0,) * rs.rank)
     dist = {start: 0}
     front = [start]
     radii = [0, 0]  # forward, reverse
-    stored = 1
+    stored = 1 + len(reverse)
 
     def store() -> None:
         nonlocal stored
@@ -148,10 +160,6 @@ def _ball(rs: RootSystem, level_bound: int, depth_bound: int, targets):
                 "lower --level-bound or --depth-bound"
             )
 
-    # the reverse ball of each unsettled target: its states, and its frontier
-    reverse = {t: {t} for t in targets if t != start}
-    rfront = {t: [t] for t in reverse}
-    stored += len(reverse)
     found = {}
     while reverse and sum(radii) < depth_bound:
         last = sum(radii) + 1 == depth_bound

@@ -73,9 +73,10 @@ the integer core on it and builds Fraction elements only for outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import compress, islice, product as iproduct, takewhile
+from math import gcd
 from operator import mul, or_
 from typing import Literal, Sequence
 
@@ -129,16 +130,13 @@ def _min_span_subset(
     target: Sequence[int],
     max_k: int,
     *,
-    witness: bool = True,
     least: int = 1,
 ) -> tuple[int, tuple[Vec, ...]]:
     """Smallest k and a witness set of k roots whose projected lines span
     the nonzero integer target (a rational one is scaled to integers);
-    the caller guarantees solvability at max_k.  Without a witness only k
-    is wanted: a target that no fewer lines span is spanned at max_k, so
-    the search stops before that size and then returns (max_k, ()).  A
-    caller that knows no fewer than least lines span the target skips
-    the sizes 2 .. least - 1; size 1 is a lookup and always tried.
+    the caller guarantees solvability at max_k.  A caller that knows no
+    fewer than least lines span the target skips the sizes 2 .. least - 1;
+    size 1 is a lookup and always tried.
 
     The witness is the lexicographically first linearly independent
     k-subset of the sorted line keys whose span contains the target.  For
@@ -158,12 +156,9 @@ def _min_span_subset(
     raises BudgetExceeded.
     """
     cap = DEFAULT_SPAN_SEARCH_CAP
-    sizes = max_k if witness else max_k - 1
     tkey = int_line_rep(scaled_ints(target))
-    if sizes and tkey in lines:
+    if max_k and tkey in lines:
         return 1, (lines[tkey],)
-    if sizes < 2 and not witness:
-        return max_k, ()
     keys = sorted(lines)
     tested = 0
 
@@ -194,12 +189,10 @@ def _min_span_subset(
         return None
 
     start = [(i, tuple(map(int, key))) for i, key in enumerate(keys)]
-    for k in range(max(2, least), sizes + 1):
+    for k in range(max(2, least), max_k + 1):
         found = complete(tkey, start, k)
         if found is not None:
             return k, tuple(lines[keys[i]] for i in found)
-    if not witness:
-        return max_k, ()
     raise AssertionError("projected root lines failed to span their own span")
 
 
@@ -224,6 +217,9 @@ def zero_block_count(sums: Sequence[int], signed: bool, bare: int = 0) -> int:
     k, off = len(sums), sum(map(abs, sums))
     if not signed and sum(sums):
         raise ValueError("nullity needs a zero-sum vector")
+    # over their gcd the zero blocks stay and the bitsets narrow, worth it from 2^16
+    if off >= 1 << 16 and (g := gcd(*sums)) > 1:
+        sums, off = [v // g for v in sums], off // g
     # unsigned, a zero sum is a block on its own
     vals = list(map(abs, sums)) if signed else [v for v in sums if v]
     # no block but the whole set closes unless a nonempty subset cancels
@@ -302,24 +298,20 @@ def _fixed_sums(tables, perm: tuple[int, ...]) -> list[list[int]]:
     return [y for b in tables.simple if any(y := _orbit_sum(tables.int_roots, perm, b))]
 
 
-def _root_basis_of_span(rs: RootSystem, e: int, fixed, mask: int = -1) -> tuple[Vec, ...]:
+def _root_basis_of_span(rs: RootSystem, e: int, fixed) -> tuple[Vec, ...]:
     """The first roots, in root order, inside Mov(u) and independent of
     the roots chosen before them: a basis of Mov(u), of dimension e, for
     the W0 element u whose _fixed_sums are fixed (every move-set of a Weyl
     group element is spanned by roots).  Membership is by pairings with
-    fixed, and by bit i of mask for root i.  The chosen roots are kept as
-    residuals modulo those before them, pivoted at their first nonzero
-    entry, so int_residual is exact and eliminates on at most e rows."""
+    fixed.  The chosen roots are kept as residuals modulo those before
+    them, pivoted at their first nonzero entry, so int_residual is exact
+    and eliminates on at most e rows."""
     chosen: list[Vec] = []
     rows, rpivots = [], []
-    for i, (alpha, a) in enumerate(zip(rs.roots, rs.tables.int_roots)):
+    for alpha, a in zip(rs.roots, rs.tables.int_roots):
         if len(chosen) == e:
             break
-        if (
-            mask >> i & 1
-            and not any(sum(map(mul, a, y)) for y in fixed)
-            and (r := int_residual(rows, rpivots, a)) is not None
-        ):
+        if not any(sum(map(mul, a, y)) for y in fixed) and (r := int_residual(rows, rpivots, a)) is not None:
             chosen.append(alpha)
             rows.append(r)
             rpivots.append(next(j for j, x in enumerate(r) if x))
@@ -404,9 +396,9 @@ def _span_search(rs: RootSystem, perm, ubasis, mu) -> tuple[int, tuple[Vec, ...]
 
 @dataclass(frozen=True)
 class DimensionReport:
-    """All four statistics plus a root basis of the witness subspace (the
-    minimal root subspace containing the move-set): first the roots
-    spanning the elliptic direction space, then the d lifted roots."""
+    """A plain value: all four statistics plus a root basis of the witness
+    subspace (the minimal root subspace containing the move-set), first
+    the roots spanning the elliptic direction space, then the d lifted roots."""
 
     e: int
     d: int
@@ -414,12 +406,6 @@ class DimensionReport:
     length: int
     elliptic_roots: tuple[Vec, ...]
     lift_roots: tuple[Vec, ...]
-    # the primitive_rref rows of Im(A - I) the report was read from
-    move_space: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
-    # _fixed_sums of A, made for the root basis when e > 0, else None
-    fixed_sums: tuple[list[int], ...] | None = field(default=None, compare=False, repr=False)
-    # the row of Im(A - I) in the table of root subspaces (G2, F4), else None
-    flat: Flat | None = field(default=None, compare=False, repr=False)
 
     @property
     def witness_roots(self) -> tuple[Vec, ...]:
@@ -436,36 +422,28 @@ def pair_report(rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...]) 
     return _report(rs, perm, rs.coroot_lattice.combination(coords))
 
 
-def _report(rs: RootSystem, perm, mu, same_linear: DimensionReport | None = None) -> DimensionReport:
+def _report(rs: RootSystem, perm, mu) -> DimensionReport:
     """The report from the root permutation perm of the linear part and a
-    positive integer multiple mu of lam.  A report same_linear of the same
-    linear part, if known, lends its move space, root basis and fixed sums.
+    positive integer multiple mu of lam.
 
     For G2 and F4 the fixed sums find the move space in the table of root
     subspaces (_move_flat), and d comes from there (_flat_search).  For
-    A-D the move space is RootTables.move_space, d the span search of lam
-    modulo it, and the fixed sums are made only when 0 < e < rank: at
+    A-D the move space is RootTables.move_space and d the span search of
+    lam modulo it; the fixed sums are made only when 0 < e < rank: at
     e = rank every orbit sum is zero, as Fix(u) misses the root span, and
     at e = 0 no root is chosen."""
     tables = rs.tables
-    if same_linear is not None:
-        ubasis, flat, fixed = same_linear.move_space, same_linear.flat, same_linear.fixed_sums
-    elif tables.flats is not None:
-        sums = _fixed_sums(tables, perm)
-        flat = _move_flat(tables, sums)
-        ubasis, fixed = flat.rows, tuple(sums) if flat.dim else None
+    if tables.flats is not None:
+        fixed = _fixed_sums(tables, perm)
+        flat = _move_flat(tables, fixed)
+        e = flat.dim
+        d, lifts = _flat_search(rs, flat, mu)
     else:
-        ubasis, flat = tables.move_space(perm), None
-        fixed = tuple(_fixed_sums(tables, perm)) if 0 < len(ubasis) < rs.rank else () if ubasis else None
-    e = len(ubasis)
-    d, lifts = _flat_search(rs, flat, mu) if flat is not None else _span_search(rs, perm, ubasis, mu)
-    if same_linear is not None:
-        u_roots = same_linear.elliptic_roots
-    elif flat is not None:
-        u_roots = _root_basis_of_span(rs, e, (), flat.mask)
-    else:
-        u_roots = _root_basis_of_span(rs, e, fixed or ())
-    return DimensionReport(e, d, d + e, 2 * d + e, u_roots, lifts, ubasis, fixed, flat)
+        ubasis = tables.move_space(perm)
+        e = len(ubasis)
+        fixed = _fixed_sums(tables, perm) if 0 < e < rs.rank else ()
+        d, lifts = _span_search(rs, perm, ubasis, mu)
+    return DimensionReport(e, d, d + e, 2 * d + e, _root_basis_of_span(rs, e, fixed), lifts)
 
 
 @dataclass(frozen=True)
@@ -502,13 +480,10 @@ def factor_elliptic(rs: RootSystem, v: AffineElement) -> ReflectionFactorization
     return _reflections(rs, _min_factorization(rs, rep, perm, coords))
 
 
-def _peel_elliptic(
-    rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...], fixed=None
-) -> list[tuple[int, int]]:
+def _peel_elliptic(rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...]) -> list[tuple[int, int]]:
     """The reflections, through a common fixed point x, whose product is
     the elliptic group element (perm, coords), as (positive root index,
-    level) pairs; unchecked.  fixed, when a report already made them, is
-    _fixed_sums of perm.
+    level) pairs; unchecked but for the fixed point, which must exist.
 
     One pass over the positive roots in canonical order peels each root
     that lies in the current move space and whose hyperplane through x
@@ -537,7 +512,7 @@ def _peel_elliptic(
     tables = rs.tables
     roots = tables.int_roots
     mu = rs.coroot_lattice.combination(coords)
-    fixed = _fixed_sums(tables, perm) if fixed is None else list(fixed)
+    fixed = _fixed_sums(tables, perm)
     if any(sum(map(mul, mu, y)) for y in fixed):
         raise AssertionError("element to peel has no fixed point")
     start, identity = perm, tuple(range(len(perm)))
@@ -610,8 +585,7 @@ def _min_factorization(
     """
     lifts = [(rs.root_index[alpha], 0) for alpha in rep.lift_roots]
     peeled, _ = rs.tables.fold(lifts, (perm, coords))
-    # with no lift the peel starts at perm, whose fixed sums rep holds
-    pairs = tuple(_peel_elliptic(rs, peeled, coords, None if lifts else rep.fixed_sums) + lifts[::-1])
+    pairs = tuple(_peel_elliptic(rs, peeled, coords) + lifts[::-1])
     if len(pairs) != rep.length or rs.tables.fold(pairs) != (perm, coords):
         raise AssertionError("minimum factorisation failed verification")
     return pairs
@@ -676,8 +650,9 @@ def _hurwitz_states(conjugate, f: tuple[tuple[int, int], ...]):
 
 @dataclass(frozen=True)
 class TranslationEllipticSplit:
-    """w = translation * elliptic, the dimension reports that verified both
-    and a factorisation of the elliptic part.  Unpacks as (translation, elliptic)."""
+    """w = translation * elliptic, the dimension reports of both (the
+    elliptic part's is w's with d = 0) and a factorisation of the
+    elliptic part.  Unpacks as (translation, elliptic)."""
 
     translation: AffineElement
     elliptic: AffineElement
@@ -762,26 +737,21 @@ def _split_off(rs, rep, perm, coords, pairs, suffix):
     """w = (perm, coords) = t * u, t the product of the stripped pairs and
     u that of the suffix, checked in integers: folded on RootTables, t must
     have the identity root permutation, u that of w, and their coordinates
-    must add up to those of w, since t u = (A, mu_t + mu_u).  Then the
-    reports of t and u, t's on the zero move space of the identity and u's
-    on the move space, root basis and fixed sums of w's report rep, must
-    give t length 2d and u length e with d(u) = 0."""
-    tables, lattice = rs.tables, rs.coroot_lattice
-    perm_t, coords_t = tables.fold(pairs)
-    perm_u, coords_u = tables.fold(suffix)
-    identity = DimensionReport(0, 0, 0, 0, (), (), (), None, tables.flats and tables.flats.layers[0][0])
-    rep_t = _report(rs, perm_t, lattice.combination(coords_t), identity)
-    rep_u = _report(rs, perm, lattice.combination(coords_u), rep)
+    must add up to those of w, since t u = (A, mu_t + mu_u), and t's report
+    must give length 2d.  u has w's linear part, so its report is w's rep
+    with d = 0; u's peel checks that u is elliptic, as it needs a fixed
+    point and _min_factorization checks that e factors fold to u."""
+    perm_t, coords_t = rs.tables.fold(pairs)
+    perm_u, coords_u = rs.tables.fold(suffix)
     ok = (
         perm_t == tuple(range(len(perm)))
-        and rep_u.d == 0
         and perm_u == perm
         and tuple(x + y for x, y in zip(coords_t, coords_u)) == coords
-        and rep_t.length == 2 * rep.d
-        and rep_u.length == rep.e
+        and (rep_t := _report(rs, perm_t, rs.coroot_lattice.combination(coords_t))).length == 2 * rep.d
     )
     if not ok:
         raise AssertionError("translation-elliptic split failed verification")
-    # with no pair stripped (d = 0) the suffix is already u's peel
+    rep_u = replace(rep, d=0, dim=rep.e, length=rep.e, lift_roots=())
+    # with no pair stripped d = 0 and u = w, whose peel the suffix already is
     elliptic = suffix if not pairs else _min_factorization(rs, rep_u, perm, coords_u)
     return coords_t, coords_u, rep_t, rep_u, _reflections(rs, elliptic)

@@ -52,7 +52,7 @@ def span_search_counts(rs, lam) -> dict[tuple[int, int], int]:
     counts: dict[tuple[int, int], int] = {}
     for e, key, pivots, lines, mult in _span_search_rows(rs):
         res = int_residual(key, pivots, x)
-        d = 0 if res is None else _min_span_subset(lines, res, rs.rank - e, witness=False)[0]
+        d = 0 if res is None else _min_span_subset(lines, res, rs.rank - e)[0]
         counts[(d, e)] = counts.get((d, e), 0) + mult
     return counts
 
@@ -60,4 +60,4 @@ def span_search_counts(rs, lam) -> dict[tuple[int, int], int]:
 def span_search_is_generic(rs, lam) -> bool:
     """genfun.is_generic as it was before the null-partition rule and the
     table: the span search of lam over the root lines needs rank lines."""
-    return not is_zero(lam) and _min_span_subset(rs.root_lines, scaled_ints(lam), rs.rank, witness=False)[0] == rs.rank
+    return not is_zero(lam) and _min_span_subset(rs.root_lines, scaled_ints(lam), rs.rank)[0] == rs.rank

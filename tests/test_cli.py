@@ -567,6 +567,30 @@ def test_oracle_state_cap_exits_4(capsys, monkeypatch):
     assert "oracle state cap DEFAULT_ORACLE_STATE_CAP = 1000 exceeded: 1001 states stored" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--type", "A2", "--element", "lambda=(1,-1,0)", "--level-bound", "100000000"],
+    # the default level bound is the widest coordinate plus 2
+    ["len", "--type", "A2", "--element", "lambda=(100000000,-100000000,0)", "--verify"],
+])
+def test_oracle_refuses_a_first_round_past_the_state_cap_at_once(capsys, argv):
+    # the first round would store every reflection of level at most J,
+    # 3 (2J + 1) of them in A2, so J above 333332 cannot fit the cap
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 2
+    assert (code, out) == (4, "")
+    assert "DEFAULT_ORACLE_STATE_CAP = 2000000 exceeded: the first round would store 6000000" in err
+    assert "the largest level bound that fits is 333332\n" in err
+
+
+def test_len_of_a_wide_root_direction_answers_at_once(capsys):
+    # nu's bitsets are as wide as the cycle sums over their gcd, here 1
+    started = time.perf_counter()
+    payload = run_json(capsys, "len", "--type", "A4", "--element", "lambda=(1000000000000,-1000000000000,0,0,0)", "--json")
+    assert time.perf_counter() - started < 1
+    assert (payload["e"], payload["d"], payload["length"]) == (0, 1, 2)
+
+
 def test_exit_code_2_on_bad_input(capsys):
     assert run(capsys, "len", "--type", "B2", "--element", "garbage=1")[0] == 2
     assert run(capsys, "len", "--type", "A 2x", "--element", "word=s1")[0] == 2

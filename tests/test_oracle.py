@@ -352,6 +352,24 @@ def test_no_stability_search_when_the_rank_certifies(monkeypatch):
     assert calls == [3, 3, 4]
 
 
+def test_state_cap_refuses_a_first_round_that_cannot_fit(monkeypatch):
+    # the first round of B2 at J = 5 stores 1 + 1 + 4 (2J + 1) = 46 states:
+    # a cap one lower refuses before any move is built, and at 46 the
+    # search stores them all and trips the cap in its next round
+    t = translation_element(vec([2, 4]))
+    monkeypatch.setattr(oracle_module, "DEFAULT_ORACLE_STATE_CAP", 45)
+    with pytest.raises(BudgetExceeded, match=(
+        r"^oracle state cap DEFAULT_ORACLE_STATE_CAP = 45 exceeded: the first round would store 46 "
+        r"states at level bound 5; the largest level bound that fits is 4$")):
+        brute_reflection_length(B2, t)
+    # a last first round stores nothing, and the identity needs no round
+    assert brute_reflection_length(B2, t, depth_bound=1).length is None
+    assert brute_reflection_length(B2, identity_element(2)).length == 0
+    monkeypatch.setattr(oracle_module, "DEFAULT_ORACLE_STATE_CAP", 46)
+    with pytest.raises(BudgetExceeded, match=r"exceeded: 47 states stored with the forward ball at radius 1 "):
+        brute_reflection_length(B2, t)
+
+
 def test_state_cap_names_the_cap_the_states_and_the_radii(monkeypatch):
     monkeypatch.setattr(oracle_module, "DEFAULT_ORACLE_STATE_CAP", 100)
     with pytest.raises(BudgetExceeded, match=(

@@ -7,6 +7,7 @@ root lines whose span (mod the elliptic directions) contains the
 translation, and the length is 2d + e.
 """
 
+import dataclasses
 import random
 from fractions import Fraction as Q
 from itertools import combinations, count
@@ -40,6 +41,7 @@ from coxlen.reflen import (
     _fixed_sums,
     _index_moves,
     _min_span_subset,
+    _move_flat,
     _peel_elliptic,
     _quotient_lines,
     _root_basis_of_span,
@@ -775,7 +777,7 @@ MUTATION_ELEMENTS = [
 def test_a_wrong_peel_fails_verification(monkeypatch, name, make, mutate):
     rs, w = root_system(name), make()
     peel = coxlen.reflen._peel_elliptic
-    monkeypatch.setattr(coxlen.reflen, "_peel_elliptic", lambda rs, x, perm, fixed: mutate(rs, peel(rs, x, perm, fixed)))
+    monkeypatch.setattr(coxlen.reflen, "_peel_elliptic", lambda rs, x, perm: mutate(rs, peel(rs, x, perm)))
     with pytest.raises(AssertionError, match="failed verification"):
         min_factorization(rs, w)
     with pytest.raises(AssertionError, match="failed verification"):
@@ -885,6 +887,23 @@ def test_zero_block_count_matches_the_mask_dp(sums, signed, bare):
             zero_block_count(sums, signed, bare)
     else:
         assert zero_block_count(sums, signed, bare) == expected
+
+
+@given(
+    st.lists(st.integers(-4, 4), max_size=8),
+    st.booleans(),
+    st.integers(0, 255),
+    st.sampled_from([10**12, -3 * 10**12]),
+)
+@settings(max_examples=150, deadline=None)
+def test_zero_block_count_of_scaled_sums(sums, signed, bare, scale):
+    # the bitsets are as wide as the sums over their gcd, so sums scaled
+    # by 10^12 answer at once, with the zero blocks of the unscaled ones:
+    # unsigned, signed, and signed with a bare mask
+    sums = tuple(sums) if signed else tuple(sums) + (-sum(sums),)
+    bare &= (1 << len(sums)) - 1
+    expected = mask_zero_block_count(sums, signed, bare)
+    assert zero_block_count([scale * v for v in sums], signed, bare) == expected
 
 
 ROOT_BASIS_TYPES = [f"A{n}" for n in range(2, 9)] + [f"B{n}" for n in range(3, 9)] + ["C4"] + [
@@ -1003,6 +1022,33 @@ def test_table_report_matches_the_span_search(data):
     assert pair_report(rs, perm, coords) == span_search_report(rs, perm, coords)
 
 
+def test_dimension_report_is_its_six_fields():
+    # a report is a plain value: nothing it was read from rides along
+    names = tuple(f.name for f in dataclasses.fields(DimensionReport))
+    assert names == ("e", "d", "dim", "length", "elliptic_roots", "lift_roots")
+
+
+@st.composite
+def lattice_pairs(draw):
+    """(root system of SPAN_TYPES, root permutation folded from a word in
+    the simple reflections, simple-coroot coordinates in [-6, 6])."""
+    rs = root_system(draw(st.sampled_from(SPAN_TYPES)))
+    word = draw(st.lists(st.integers(0, rs.rank - 1), max_size=2 * rs.rank))
+    perm, _ = rs.tables.fold([(rs.tables.simple[i], 0) for i in word])
+    return rs, perm, tuple(draw(st.lists(st.integers(-6, 6), min_size=rs.rank, max_size=rs.rank)))
+
+
+@given(lattice_pairs())
+@settings(max_examples=150, deadline=None)
+def test_split_reports_equal_fresh_reports_of_t_and_u(typed):
+    # u's report is w's with d = 0, and t's is made on the identity: each
+    # equals the report of its part made from scratch
+    rs, perm, coords = typed
+    coords_t, coords_u, rep_t, rep_u, _ = pair_split(rs, perm, coords)
+    assert rep_u == pair_report(rs, perm, coords_u)
+    assert rep_t == pair_report(rs, tuple(range(len(perm))), coords_t)
+
+
 @pytest.mark.parametrize("text", [
     "lambda=(-3,-22,-11,90)",
     "lambda=(-11,51,-60,64)",
@@ -1037,6 +1083,7 @@ def test_witness_over_several_least_root_subspaces(word, coords, least):
     rs = root_system("F4")
     perm, _ = rs.tables.fold([(rs.tables.simple[i], 0) for i in word])
     rep = pair_report(rs, perm, coords)
-    held = list(rs.tables.flats.holding(rs.coroot_lattice.combination(coords), rep.flat))
+    flat = _move_flat(rs.tables, _fixed_sums(rs.tables, perm))
+    held = list(rs.tables.flats.holding(rs.coroot_lattice.combination(coords), flat))
     assert sum(f.dim == rep.dim for f in held) == least
     assert rep == span_search_report(rs, perm, coords)
