@@ -213,7 +213,10 @@ def cmd_len(args) -> tuple[dict, list[str]]:
         "witness roots: " + ", ".join(map(_vec_str, payload["witness_roots"])),
     ]
     if args.verify:
-        res = _pair_lengths(rs, [(perm, coords)], None, None)[0]
+        try:
+            res = _pair_lengths(rs, [(perm, coords)], None, None)[0]
+        except BudgetExceeded as ex:
+            raise BudgetExceeded(f"{ex}; the formula gives length {rep.length} (d = {rep.d}, e = {rep.e})") from ex
         agrees = res.length == rep.length
         payload.update(oracle_length=res.length, oracle_certified=res.certified,
                        oracle_certificate=res.certificate, oracle_agrees=agrees)

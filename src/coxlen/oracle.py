@@ -41,9 +41,10 @@ already satisfies |translation| <= K * J * R.
 
 The certificate's e is elliptic_rank of the matrix of the target's root
 permutation (RootTables.linear), taken once per W0 index, so it does not
-lean on RootTables.move_space.  The nullity and dimension oracles are
-plain exhaustion: all set partitions via restricted growth strings, and
-all root subsets of increasing size, tested by Fraction in_span.
+lean on the move spaces reflen reads off the root permutation.  The
+nullity and dimension oracles are plain exhaustion: all set partitions
+via restricted growth strings, and all root subsets of increasing size,
+tested by Fraction in_span.
 """
 
 from __future__ import annotations

@@ -9,31 +9,38 @@ For an element w with linear part A and translation part lam:
          containing the move-set of w;
   reflection length = 2 d(w) + e(w).
 
-Both terms are read off the move space Im(A - I), as primitive integer
-RREF rows.  The residual of lam and the projected root lines are
-fraction-free (linalg.int_residual); a translation reads
-RootSystem.root_lines.  The root basis of the space takes roots that
-pair to zero with the orbit sums of the simple roots (sums of the roots
-over cycles of the root permutation), which span the fixed space within
-the root span.
+Both terms are read off the image of lam and of the roots in the
+quotient V / Im(A - I), as canonical integer line representatives; a
+translation reads RootSystem.root_lines.  The root basis of the move
+space takes the first independent roots inside it, in root order.
 
 G2 and F4 read both terms off the table of root subspaces that
 build_root_system makes for them (rootsys.FlatTable).  Mov(u) is found
-there by its roots, those that pair to zero with the orbit sums, and
-d + e is the least dimension of a root subspace that contains Mov(u) and
-holds lam, as the paper defines dim(w); the witness is the least greedy
-basis of the quotient lines over those least subspaces (_flat_search).
-Nothing is searched and nothing eliminated but the residuals of the
-roots of those subspaces.
+there by its roots, those that pair to zero with the orbit sums of the
+simple roots (sums of the roots over cycles of the root permutation,
+which span the fixed space within the root span), and d + e is the
+least dimension of a root subspace that contains Mov(u) and holds lam,
+as the paper defines dim(w); the witness is the least greedy basis of
+the quotient lines over those least subspaces (_flat_search).  Nothing
+is searched and nothing eliminated but the residuals of the roots of
+those subspaces.
 
-For A-D the move space is RootTables.move_space.  For type A, d has a
-closed form from null partitions: with w = t_lam u, d = #cycles of u -
-nu(mu), where mu_B sums lam over a cycle B and nu is the most zero-sum
-blocks in a partition of the cycles (zero_block_count).  The cycles are
-read off the simple-root images under the root permutation.  The
-d-search then runs only at that subset size, for the witness, and a
-search that finds another size raises AssertionError.  Types B-D try
-subset sizes k = 1, 2, ... of the projected root lines (the span search).
+For A-D, u permutes the coordinates up to sign, u e_k = sigma_k e_s(k),
+read off the images of a few roots under the root permutation
+(RootTables.coordinate_roots), and everything comes from the cycles of
+that signed permutation (Carter; for type A, McCammond-Petersen), with
+no elimination: Fix(u) is spanned by one vector v_B per positive cycle
+B (the product of its signs is 1), so e = #coordinates - #positive
+cycles, and the image of a vector a in V / Mov(u) is <a, v_B> at the
+largest coordinate of each positive cycle (_cycle_key), the residual of a
+modulo the reduced echelon rows of Mov(u).  A root lies in Mov(u) exactly
+when its image is zero.  For type A, d has a closed form from null
+partitions: d = #cycles of u - nu(mu), where mu_B sums lam over a cycle
+B and nu is the most zero-sum blocks in a partition of the cycles
+(zero_block_count).  The d-search then runs only at that subset size,
+for the witness, and a search that finds another size raises
+AssertionError.  Types B-D try subset sizes k = 1, 2, ... of the
+projected root lines (the span search).
 For each k it walks prefixes of independent lines depth first, keeping
 the target and the remaining lines reduced modulo the prefix as
 canonical integer line representatives (fraction-free elimination).  Of
@@ -90,11 +97,13 @@ from .affgroup import (
     translation_element,
 )
 from .errors import BudgetExceeded
-from .linalg import Vec, int_line_rep, int_residual, rref_pivots, scaled_ints
+from .linalg import Vec, int_line_rep, int_residual, scaled_ints
 from .rootsys import Flat, RootSystem
 
 DEFAULT_HURWITZ_BUDGET = 10**6
 DEFAULT_SPAN_SEARCH_CAP = 10**6
+# bits of the bitsets zero_block_count may build: states x (k + 1) x (2 off + 1)
+DEFAULT_NULLITY_BITS_CAP = 1 << 34
 
 
 def _quotient_lines(
@@ -213,8 +222,13 @@ def zero_block_count(sums: Sequence[int], signed: bool, bare: int = 0) -> int:
     a block closes each time the running total returns to 0; the most
     returns depend only on the count placed of each item, a sum (signed:
     its absolute value and whether it is bare): a DP over count vectors.
+    Its bitsets hold at most (number of count vectors) x (k + 1) x
+    (2 off + 1) bits, off = sum |sums| over their gcd; a DP that could
+    need more than DEFAULT_NULLITY_BITS_CAP, read at each call, raises
+    BudgetExceeded before it starts.
     """
     k, off = len(sums), sum(map(abs, sums))
+    total = off
     if not signed and sum(sums):
         raise ValueError("nullity needs a zero-sum vector")
     # over their gcd the zero blocks stay and the bitsets narrow, worth it from 2^16
@@ -243,6 +257,11 @@ def zero_block_count(sums: Sequence[int], signed: bool, bare: int = 0) -> int:
         moves.append([()] + [(stride, v if signed else off + v)] * c)
         lone += [stride] * b
         stride *= c + 1
+    if (bits := stride * (k + 1) * width) > DEFAULT_NULLITY_BITS_CAP:
+        raise BudgetExceeded(
+            f"nullity cap {DEFAULT_NULLITY_BITS_CAP} bits exceeded: {k} sums with sum |sums| = {total} "
+            f"need up to {bits} bits"
+        )
     reach = [1 << off]
     for u, row in enumerate(islice(iproduct(*reversed(moves)), 1, None), 1):
         x = 0
@@ -255,30 +274,82 @@ def zero_block_count(sums: Sequence[int], signed: bool, bare: int = 0) -> int:
     return k - len(vals) + max(((r & zeros).bit_length() - 1 - off) // width for r in ends)
 
 
-def _null_partition_d(rs: RootSystem, perm: tuple[int, ...], mu: Sequence[int]) -> int | None:
+def _null_partition_d(rs: RootSystem, sums: Sequence[int]) -> int | None:
     """d of the type-A element t_lam u by null partitions, None for the
-    other types and for a translation off the root span.
-
-    perm sends the simple root e_k - e_(k+1) to e_s(k) - e_s(k+1): s(k) is
-    the +1 of that image, s(n) the -1 of the last, and u permutes the
-    coordinates by s.  With mu_B the sum of the multiple mu of lam over a
-    cycle B of s, d = #cycles - nu(mu_B) (zero_block_count, unsigned;
-    McCammond-Petersen).
+    other types and for a translation off the root span: sums are the
+    sums mu_B of the multiple mu of lam over the cycles B of u, and d =
+    #cycles - nu(mu_B) (zero_block_count, unsigned; McCammond-Petersen).
     """
-    if rs.spec.family != "A" or sum(mu):
+    if rs.spec.family != "A" or sum(sums):
         return None
-    images = [rs.tables.int_roots[perm[b]] for b in rs.tables.simple]
-    s = [a.index(1) for a in images] + [images[-1].index(-1)]
-    sums, seen = [], set()
-    for start in range(len(s)):
-        if start not in seen:
-            sums.append(0)
-        i = start
-        while i not in seen:
-            seen.add(i)
-            sums[-1] += mu[i]
-            i = s[i]
     return len(sums) - zero_block_count(sums, False)
+
+
+def _signed_cycles(tables, perm: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
+    """(weight, home, tops) of the W0 element u of types A-D with root
+    permutation perm.  u e_k = sigma_k e_s(k) is read off the images of
+    RootTables.coordinate_roots, at their entry of largest absolute value,
+    the positive one if any (for A, the +1 of u(e_k - e_j)).  A positive
+    cycle B of s (its signs multiply to 1) has the fixed vector v_B with
+    v_s(k) = sigma_k v_k and v_m = 1 at its largest coordinate m: weight[b]
+    is v_B at b (0 on the negative cycles), home[b] that m, and tops lists
+    the m.  Scanning the starts in descending order, each new cycle starts
+    at its m."""
+    roots = tables.int_roots
+    s, sign = [], []
+    for group in tables.coordinate_roots:
+        image = roots[perm[group[0]]] if len(group) == 1 else list(map(sum, zip(*(roots[perm[a]] for a in group))))
+        top = max(image)
+        s.append(image.index(top if top > 0 else min(image)))
+        sign.append(1 if top > 0 else -1)
+    n = len(s)
+    weight, home, tops, seen = [0] * n, [0] * n, [], [False] * n
+    for m in reversed(range(n)):
+        if seen[m]:
+            continue
+        cycle, v, k = [], 1, m
+        while not seen[k]:
+            seen[k] = True
+            cycle.append((k, v))
+            v *= sign[k]
+            k = s[k]
+        # back at m, v is the product of the signs of the cycle
+        if v == 1:
+            tops.append(m)
+            for k, v in cycle:
+                weight[k], home[k] = v, m
+    return weight, home, tops
+
+
+def _cycle_key(a: Sequence[int], weight: list[int], home: list[int]) -> list[int]:
+    """The image of the integer vector a in V / Mov(u), for the
+    _signed_cycles (weight, home) of u: <a, v_B> at the largest coordinate
+    m of each positive cycle B, 0 elsewhere.  This is the residual of a
+    modulo the primitive_rref rows of Mov(u), up to a positive factor:
+    those rows pivot on every coordinate but the m (each v_B ends at its
+    m), so the residual lives on the m and pairs with each v_B as a does."""
+    key = [0] * len(a)
+    for x, v, m in zip(a, weight, home):
+        if x and v:
+            key[m] += v * x
+    return key
+
+
+def _cycle_lines(rs: RootSystem, weight: list[int], home: list[int]) -> tuple[dict[tuple[int, ...], Vec], int]:
+    """_quotient_lines modulo Mov(u) off the _signed_cycles (weight, home)
+    of u, with no elimination, and the mask of the roots in Mov(u): those
+    whose _cycle_key is zero."""
+    lines: dict[tuple[int, ...], Vec] = {}
+    mask = 0
+    t = rs.tables
+    for i, (alpha, a, pos) in enumerate(zip(rs.roots, t.int_roots, t.positive)):
+        if pos:
+            key = _cycle_key(a, weight, home)
+            if any(key):
+                lines.setdefault(int_line_rep(key), alpha)
+            else:
+                mask |= 1 << i | 1 << t.negated[i]
+    return lines, mask
 
 
 def _orbit_sum(roots, perm: tuple[int, ...], b: int) -> list[int]:
@@ -298,20 +369,20 @@ def _fixed_sums(tables, perm: tuple[int, ...]) -> list[list[int]]:
     return [y for b in tables.simple if any(y := _orbit_sum(tables.int_roots, perm, b))]
 
 
-def _root_basis_of_span(rs: RootSystem, e: int, fixed) -> tuple[Vec, ...]:
+def _root_basis_of_span(rs: RootSystem, e: int, mask: int) -> tuple[Vec, ...]:
     """The first roots, in root order, inside Mov(u) and independent of
     the roots chosen before them: a basis of Mov(u), of dimension e, for
-    the W0 element u whose _fixed_sums are fixed (every move-set of a Weyl
-    group element is spanned by roots).  Membership is by pairings with
-    fixed.  The chosen roots are kept as residuals modulo those before
-    them, pivoted at their first nonzero entry, so int_residual is exact
-    and eliminates on at most e rows."""
+    the W0 element u whose roots in Mov(u) have their bits set in mask
+    (every move-set of a Weyl group element is spanned by roots).  The
+    chosen roots are kept as residuals modulo those before them, pivoted
+    at their first nonzero entry, so int_residual is exact and eliminates
+    on at most e rows."""
     chosen: list[Vec] = []
     rows, rpivots = [], []
-    for alpha, a in zip(rs.roots, rs.tables.int_roots):
+    for i, (alpha, a) in enumerate(zip(rs.roots, rs.tables.int_roots)):
         if len(chosen) == e:
             break
-        if not any(sum(map(mul, a, y)) for y in fixed) and (r := int_residual(rows, rpivots, a)) is not None:
+        if mask >> i & 1 and (r := int_residual(rows, rpivots, a)) is not None:
             chosen.append(alpha)
             rows.append(r)
             rpivots.append(next(j for j, x in enumerate(r) if x))
@@ -320,14 +391,20 @@ def _root_basis_of_span(rs: RootSystem, e: int, fixed) -> tuple[Vec, ...]:
     return tuple(chosen)
 
 
-def _move_flat(tables, fixed) -> Flat:
-    """The row of Mov(u) in the table of root subspaces (G2, F4), found
-    by its roots: those that pair to zero with fixed, the _fixed_sums of u."""
+def _move_mask(tables, fixed) -> int:
+    """The mask of the roots in Mov(u), bit a for root a: those that pair
+    to zero with fixed, the _fixed_sums of u."""
     mask = 0
     for a, ints in compress(enumerate(tables.int_roots), tables.positive):
         if not any(sum(map(mul, ints, y)) for y in fixed):
             mask |= 1 << a | 1 << tables.negated[a]
-    return tables.flats.by_mask[mask]
+    return mask
+
+
+def _move_flat(tables, fixed) -> Flat:
+    """The row of Mov(u) in the table of root subspaces (G2, F4), found
+    by its roots (_move_mask)."""
+    return tables.flats.by_mask[_move_mask(tables, fixed)]
 
 
 def _flat_search(rs: RootSystem, flat: Flat, mu) -> tuple[int, tuple[Vec, ...]]:
@@ -378,17 +455,15 @@ def _flat_search(rs: RootSystem, flat: Flat, mu) -> tuple[int, tuple[Vec, ...]]:
     return d, tuple(lines[key] for key in best)
 
 
-def _span_search(rs: RootSystem, perm, ubasis, mu) -> tuple[int, tuple[Vec, ...]]:
-    """d and the lifted roots of t_lam u, for A-D: the span search of lam,
-    a positive integer multiple mu of it, modulo the primitive_rref rows
-    ubasis of Mov(u), at the one size null partitions give for type A."""
-    upivots = rref_pivots(ubasis)
-    res = int_residual(ubasis, upivots, mu)
-    if res is None:
+def _span_search(rs: RootSystem, lines, target, sums, max_k: int) -> tuple[int, tuple[Vec, ...]]:
+    """d and the lifted roots of t_lam u, for A-D: the span search of the
+    image target of lam (a positive integer multiple of it) over the
+    quotient lines of Mov(u), at the one size null partitions give for
+    type A from the sums of lam over the cycles of u."""
+    if not any(target):
         return 0, ()
-    lines = _quotient_lines(rs, ubasis, upivots) if ubasis else rs.root_lines
-    rule = _null_partition_d(rs, perm, mu)
-    d, lifts = _min_span_subset(lines, res, rs.rank - len(ubasis), least=rule or 1)
+    rule = _null_partition_d(rs, sums)
+    d, lifts = _min_span_subset(lines, target, max_k, least=rule or 1)
     if rule not in (None, d):
         raise AssertionError(f"null partitions give d = {rule}, the span search {d}")
     return d, lifts
@@ -428,22 +503,26 @@ def _report(rs: RootSystem, perm, mu) -> DimensionReport:
 
     For G2 and F4 the fixed sums find the move space in the table of root
     subspaces (_move_flat), and d comes from there (_flat_search).  For
-    A-D the move space is RootTables.move_space and d the span search of
-    lam modulo it; the fixed sums are made only when 0 < e < rank: at
-    e = rank every orbit sum is zero, as Fix(u) misses the root span, and
-    at e = 0 no root is chosen."""
+    A-D everything is read off the signed cycles of u (_signed_cycles),
+    with no elimination: e = #coordinates - #positive cycles, and the
+    quotient lines, the image of lam and the roots of Mov(u) come from
+    _cycle_key.  At e = 0, u is the identity, and the lines are
+    RootSystem.root_lines and the image mu itself."""
     tables = rs.tables
     if tables.flats is not None:
-        fixed = _fixed_sums(tables, perm)
-        flat = _move_flat(tables, fixed)
-        e = flat.dim
+        flat = _move_flat(tables, _fixed_sums(tables, perm))
+        e, mask = flat.dim, flat.mask
         d, lifts = _flat_search(rs, flat, mu)
     else:
-        ubasis = tables.move_space(perm)
-        e = len(ubasis)
-        fixed = _fixed_sums(tables, perm) if 0 < e < rs.rank else ()
-        d, lifts = _span_search(rs, perm, ubasis, mu)
-    return DimensionReport(e, d, d + e, 2 * d + e, _root_basis_of_span(rs, e, fixed), lifts)
+        weight, home, tops = _signed_cycles(tables, perm)
+        e = len(weight) - len(tops)
+        if e:
+            lines, mask = _cycle_lines(rs, weight, home)
+            target = _cycle_key(mu, weight, home)
+        else:
+            lines, mask, target = rs.root_lines, 0, mu
+        d, lifts = _span_search(rs, lines, target, [target[m] for m in tops], rs.rank - e)
+    return DimensionReport(e, d, d + e, 2 * d + e, _root_basis_of_span(rs, e, mask), lifts)
 
 
 @dataclass(frozen=True)

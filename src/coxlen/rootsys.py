@@ -224,6 +224,9 @@ class RootTables:
     ``positive[a]`` whether a is lexicographically positive,
     ``simple`` the indices of the simple roots, in their order, and
     ``coroot_coords[a]`` the simple-coroot coordinates of a^vee.
+    For A-D, ``coordinate_roots[k]`` holds the roots whose images under an
+    element u of W0 give u e_k = +-e_s(k) (_coordinate_roots,
+    reflen._signed_cycles).
     ``coweights[k]`` is the fundamental coweight w_k^vee (<a_j, w_k^vee>
     = delta_jk, in the root span) divided by ``scale``, and ``fixed`` the
     projector onto the complement of the root span (the all-ones line for
@@ -251,6 +254,8 @@ class RootTables:
     linear_den: int
     # the root subspaces, for G2 and F4 (flat_table); None for A-D
     flats: FlatTable | None = None
+    # None for G2 and F4
+    coordinate_roots: tuple[tuple[int, ...], ...] | None = None
 
     def linear(self, perm: tuple[int, ...]) -> Mat:
         """The matrix of the W0 element u with root permutation perm:
@@ -265,17 +270,6 @@ class RootTables:
                     row = [y + c * x for y, x in zip(row, w)]
             rows.append(tuple(Q(y, self.linear_den) for y in row))
         return tuple(rows)
-
-    def move_space(self, perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """Im(u - I) for the W0 element with root permutation perm, as the
-        primitive_rref rows that affgroup.linear_move_space gives for its
-        matrix.  u fixes the complement of the root span, so Im(u - I) is
-        spanned by u(a_i) - a_i over the simple roots a_i.  Every report and
-        peel step of reflen reads its move space here."""
-        roots = self.int_roots
-        return primitive_rref(
-            tuple(x - y for x, y in zip(roots[perm[i]], roots[i])) for i in self.simple if perm[i] != i
-        )
 
     def fold(self, factors, start: tuple[tuple[int, ...], tuple[int, ...]] | None = None):
         """The element (perm, coords) start, the identity by default, times
@@ -472,6 +466,7 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
         coweights=tuple(map(tuple, linear_rows[:rank])),
         fixed=tuple(map(tuple, linear_rows[rank:])),
         linear_den=linear_den,
+        coordinate_roots=None if spec.family in "GF" else _coordinate_roots(spec.family, index, dim),
     )
     if spec.family in "GF":
         tables = replace(tables, flats=flat_table(tables))
@@ -495,6 +490,20 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
         highest_root=roots[max(range(n), key=height.__getitem__)],
         coroot_lattice=_coroot_lattice(ints, norms, dual, scale),
     )
+
+
+def _coordinate_roots(family: str, index: dict[tuple[int, ...], int], dim: int) -> tuple[tuple[int, ...], ...]:
+    """RootTables.coordinate_roots of a classical type: per coordinate k,
+    the indices of e_k - e_j (A), e_k (B), 2 e_k (C), or e_k - e_j and
+    e_k + e_j (D), with j = k + 1, or k - 1 for the last coordinate."""
+    signs = {"A": (-1,), "B": (0,), "C": (0,), "D": (-1, 1)}[family]
+    out = []
+    for k in range(dim):
+        j = k + 1 if k + 1 < dim else k - 1
+        unit = [0] * dim
+        unit[k] = 2 if family == "C" else 1
+        out.append(tuple(index[(*unit[:j], sign, *unit[j + 1 :])] for sign in signs))
+    return tuple(out)
 
 
 def _coroot_lattice(ints, norms, dual, scale: int) -> CorootLattice:

@@ -9,6 +9,7 @@ from functools import lru_cache
 from coxlen.genfun import BivariatePolynomial, enumerate_w0
 from coxlen.linalg import int_residual, is_zero, rref_pivots, scaled_ints
 from coxlen.reflen import _min_span_subset, _quotient_lines
+from reference_rootsys import move_space
 
 
 def poly_s_plus(k: int) -> BivariatePolynomial:
@@ -18,12 +19,12 @@ def poly_s_plus(k: int) -> BivariatePolynomial:
 
 def reference_genfun_tables(rs):
     """genfun._genfun_tables by enumerating W0 and reading each element's
-    move space (RootTables.move_space) off its root permutation, one row
+    move space (reference_rootsys.move_space) off its root permutation, one row
     (e, primitive_rref rows, mask of the roots in it, number of elements)
     per distinct space in first-seen order."""
     counts: dict[tuple[tuple[int, ...], ...], int] = {}
     for perm in enumerate_w0(rs).elements:
-        key = rs.tables.move_space(perm)
+        key = move_space(rs.tables, perm)
         counts[key] = counts.get(key, 0) + 1
     out = []
     for key, mult in counts.items():

@@ -10,7 +10,7 @@ it takes the primitive_rref of the chosen roots again after each pick.
 mask_zero_block_count is nu as zero_block_count computed it before the
 DP ran over count vectors: a DP over the masks of positions.
 _peel_elliptic is the elliptic peel as it was before the move space was
-tracked by orbit sums: it recomputes RootTables.move_space after every
+tracked by orbit sums: it recomputes reference_rootsys.move_space after every
 root it peels.  _fixed_point_levels is how the peel read the levels of
 its fixed point before they came from one root cycle: one elimination
 of the equations <x, A b - b> = <mu, A b> over the simple roots b.  The
@@ -23,7 +23,7 @@ are generated: it generates each breadth-first layer whole, with keys
 rebuilt from every neighbour by _index_moves, before testing any state
 in it.  span_search_report is pair_report as G2 and F4 computed it before
 d and the witness were read off the table of root subspaces: the span
-search of lam modulo RootTables.move_space, as types A-D still do.
+search of lam modulo reference_rootsys.move_space.
 """
 from __future__ import annotations
 
@@ -39,12 +39,14 @@ from coxlen.reflen import (
     _fixed_sums,
     _min_factorization,
     _min_span_subset,
+    _move_mask,
     _quotient_lines,
     _root_basis_of_span as _orbit_root_basis,
     _split_off,
     pair_report,
 )
 from coxlen.rootsys import RootSystem
+from reference_rootsys import move_space
 
 
 def dfs_min_span_subset(
@@ -206,7 +208,7 @@ def _peel_elliptic(rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...
     """
     tables = rs.tables
     form, unit = _fixed_point_levels(rs, perm, coords)
-    mov = tables.move_space(perm)
+    mov = move_space(tables, perm)
     pivots = rref_pivots(mov)
     factors: list[tuple[int, int]] = []
     for a, (ints, pos) in enumerate(zip(tables.int_roots, tables.positive)):
@@ -217,7 +219,7 @@ def _peel_elliptic(rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...
             continue
         factors.append((a, level))
         perm = tuple(tables.reflected[a][b] for b in perm)
-        peeled = tables.move_space(perm)
+        peeled = move_space(tables, perm)
         if len(peeled) != len(mov) - 1:
             raise AssertionError("peeling a root of the move space did not lower e by one")
         mov, pivots = peeled, rref_pivots(peeled)
@@ -236,7 +238,7 @@ def _fixed_point_levels(
 
     x = A x + mu and A orthogonal give <x, A b - b> = <mu, A b> for every
     b, and the A b - b over the simple roots span Mov(A) (as in
-    RootTables.move_space).  Fraction-free elimination of these integer
+    reference_rootsys.move_space).  Fraction-free elimination of these integer
     equations leaves <x, r_j> = v_j / den on reduced echelon rows r_j of
     Mov(A) with pivots p_j, and a root a of Mov(A) is the sum of
     a[p_j] / r_j[p_j] times r_j.  Fixed points differ by vectors of
@@ -324,10 +326,10 @@ def pair_split(rs: RootSystem, perm, coords, budget: int = DEFAULT_HURWITZ_BUDGE
 
 def span_search_report(rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...]) -> DimensionReport:
     """pair_report by the span search: the move space is the elimination
-    RootTables.move_space, d and the lifted roots come from
+    reference_rootsys.move_space, d and the lifted roots come from
     _min_span_subset over its projected root lines, and the root basis
     from pairings with the fixed sums."""
-    ubasis = rs.tables.move_space(perm)
+    ubasis = move_space(rs.tables, perm)
     upivots = rref_pivots(ubasis)
     e = len(ubasis)
     res = int_residual(ubasis, upivots, rs.coroot_lattice.combination(coords))
@@ -335,5 +337,5 @@ def span_search_report(rs: RootSystem, perm: tuple[int, ...], coords: tuple[int,
         d, lifts = 0, ()
     else:
         d, lifts = _min_span_subset(_quotient_lines(rs, ubasis, upivots), res, rs.rank - e)
-    u_roots = _orbit_root_basis(rs, e, _fixed_sums(rs.tables, perm))
+    u_roots = _orbit_root_basis(rs, e, _move_mask(rs.tables, _fixed_sums(rs.tables, perm)))
     return DimensionReport(e, d, d + e, 2 * d + e, u_roots, lifts)

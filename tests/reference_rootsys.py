@@ -4,14 +4,16 @@ roots under Fraction reflections, the root-index tables from the direct
 pairing of every root with every root, the highest root from a walk over
 those tables, the coroot lattice and the fundamental coweights from
 Fraction Gauss-Jordan eliminations, and the vector with given
-simple-coroot coordinates by Fraction multiply-adds."""
+simple-coroot coordinates by Fraction multiply-adds.  move_space is
+RootTables.move_space as it was before reports of types A-D read Mov(u)
+off the signed cycles of u: the elimination of the u(a_i) - a_i."""
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import lcm
 
-from coxlen.linalg import Mat, Vec, dot, rref, scale_to_ints
+from coxlen.linalg import Mat, Vec, dot, primitive_rref, rref, scale_to_ints
 from coxlen.rootsys import CorootLattice, RootSystem, RootSystemSpec, RootTables, _simple_roots, coroot, reflect
 
 
@@ -124,3 +126,15 @@ def reference_from_lattice_coords(rs: RootSystem, coeffs) -> Vec:
         for j in range(rs.ambient_dim):
             out[j] += c * av[j]
     return tuple(out)
+
+
+def move_space(tables: RootTables, perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Im(u - I) for the W0 element with root permutation perm, as the
+    primitive_rref rows that affgroup.linear_move_space gives for its
+    matrix.  u fixes the complement of the root span, so Im(u - I) is
+    spanned by u(a_i) - a_i over the simple roots a_i.  Every report and
+    peel step of reflen reads its move space here."""
+    roots = tables.int_roots
+    return primitive_rref(
+        tuple(x - y for x, y in zip(roots[perm[i]], roots[i])) for i in tables.simple if perm[i] != i
+    )

@@ -574,13 +574,44 @@ def test_oracle_state_cap_exits_4(capsys, monkeypatch):
 ])
 def test_oracle_refuses_a_first_round_past_the_state_cap_at_once(capsys, argv):
     # the first round would store every reflection of level at most J,
-    # 3 (2J + 1) of them in A2, so J above 333332 cannot fit the cap
+    # 3 (2J + 1) of them in A2, so J above 333332 cannot fit the cap; len
+    # --verify appends the formula's answer to the oracle's refusal
+    tail = "; the formula gives length 2 (d = 1, e = 0)" if "--verify" in argv else ""
     started = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - started < 2
     assert (code, out) == (4, "")
     assert "DEFAULT_ORACLE_STATE_CAP = 2000000 exceeded: the first round would store 6000000" in err
-    assert "the largest level bound that fits is 333332\n" in err
+    assert f"the largest level bound that fits is 333332{tail}\n" in err
+
+
+@pytest.mark.parametrize("element", [
+    "lambda=(100000000,-100000000,0)",
+    "lambda=(100000000,-100000000,0); word=s2",
+    "lambda=(-7000000,0,7000000); word=s1 s2",
+])
+def test_len_verify_keeps_the_formula_answer_when_the_oracle_refuses(capsys, element):
+    # exit 4 and the oracle's message stay, and the error line ends with
+    # what len without --verify prints
+    p = run_json(capsys, "len", "--type", "A2", "--element", element, "--json")
+    code, out, err = run(capsys, "len", "--type", "A2", "--element", element, "--verify", "--json")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: oracle state cap DEFAULT_ORACLE_STATE_CAP = 2000000 exceeded: ")
+    assert err.endswith(f"; the formula gives length {p['length']} (d = {p['d']}, e = {p['e']})\n")
+
+
+def test_len_of_wide_coprime_cycle_sums_exits_4_at_once(capsys):
+    # the gcd cannot narrow nu's bitsets here, and the DP would need about
+    # 1.2e11 bits: it is refused before it starts, naming the cap
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "len", "--type", "A8", "--element",
+        "lambda=(1000003,-1000003,2000011,-2000011,3000017,-3000017,1,2,-3)",
+    )
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: nullity cap {coxlen.reflen.DEFAULT_NULLITY_BITS_CAP} bits exceeded: 9 sums")
+    assert "sum |sums| = 108000612" in err
 
 
 def test_len_of_a_wide_root_direction_answers_at_once(capsys):

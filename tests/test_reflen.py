@@ -9,6 +9,8 @@ translation, and the length is 2d + e.
 
 import dataclasses
 import random
+import sys
+import time
 from fractions import Fraction as Q
 from itertools import combinations, count
 
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import coxlen.linalg
 import coxlen.reflen
 from coxlen.affgroup import (
     AffineElement,
@@ -33,22 +36,27 @@ from coxlen.affgroup import (
 from coxlen.affsym import Window, _window_pair, reflection_length, window_root_system
 from coxlen.errors import BudgetExceeded
 from coxlen.genfun import _genfun_tables, enumerate_w0
-from coxlen.linalg import dot, in_span, int_residual, is_zero, line_rep, mat_vec, reduce_against, rref, rref_pivots, solve_affine, vec
+from coxlen.linalg import dot, in_span, int_line_rep, int_residual, is_zero, line_rep, mat_vec, reduce_against, rref, rref_pivots, solve_affine, vec
 from coxlen.reflen import (
     DimensionReport,
     ReflectionFactorization,
+    _cycle_key,
+    _cycle_lines,
     _fixed_point_level,
     _fixed_sums,
     _index_moves,
     _min_span_subset,
     _move_flat,
+    _move_mask,
     _peel_elliptic,
     _quotient_lines,
     _root_basis_of_span,
+    _signed_cycles,
     dimension_report,
     factor_elliptic,
     hurwitz_move,
     min_factorization,
+    pair_factorization,
     pair_report,
     pair_split,
     translation_elliptic_split,
@@ -62,6 +70,7 @@ from reference_reflen import _peel_elliptic as reference_move_space_peel
 from reference_reflen import dfs_min_span_subset, mask_zero_block_count
 from reference_reflen import pair_split as reference_pair_split
 from reference_reflen import span_search_report
+from reference_rootsys import move_space
 from w0_matrices import w0_matrices
 
 A2 = root_system("A2")
@@ -561,11 +570,12 @@ def test_root_basis_of_every_move_space(name):
     rs = root_system(name)
     spaces = {}
     for perm in enumerate_w0(rs).elements:
-        spaces.setdefault(rs.tables.move_space(perm), perm)
+        spaces.setdefault(move_space(rs.tables, perm), perm)
     assert len(spaces) == len(_genfun_tables(rs)[1])
     for ubasis, perm in spaces.items():
         basis, pivots = rref(ubasis)
-        assert _root_basis_of_span(rs, len(ubasis), _fixed_sums(rs.tables, perm)) == reference_root_basis(rs, basis, pivots)
+        mask = _move_mask(rs.tables, _fixed_sums(rs.tables, perm))
+        assert _root_basis_of_span(rs, len(ubasis), mask) == reference_root_basis(rs, basis, pivots)
 
 
 @pytest.mark.parametrize("name,word,lam", [
@@ -809,14 +819,14 @@ def test_permutation_move_space_is_linear_move_space(name):
     group = enumerate_w0(rs)
     for linear, perm in zip(w0_matrices(rs), group.elements, strict=True):
         assert root_permutation(rs, linear) == perm
-        assert rs.tables.move_space(perm) == linear_move_space(linear)
+        assert move_space(rs.tables, perm) == linear_move_space(linear)
 
 
 def check_orbit_sum_membership(rs, perm):
     """A root pairs to zero with every orbit sum of the simple roots
     exactly when it lies in the move space."""
     fixed = _fixed_sums(rs.tables, perm)
-    basis = rs.tables.move_space(perm)
+    basis = move_space(rs.tables, perm)
     pivots = rref_pivots(basis)
     for a in rs.tables.int_roots:
         paired = not any(sum(x * y for x, y in zip(a, f)) for f in fixed)
@@ -920,10 +930,10 @@ def test_root_basis_picks_the_roots_of_the_primitive_rref_reference(name, data):
     rs = root_system(name)
     word = data.draw(st.lists(st.integers(0, rs.rank - 1), max_size=3 * rs.rank))
     perm, _ = rs.tables.fold((rs.tables.simple[i], 0) for i in word)
-    basis = rs.tables.move_space(perm)
+    basis = move_space(rs.tables, perm)
     pivots = rref_pivots(basis)
     expected = reference_root_basis_of_span(rs, basis, pivots)
-    assert _root_basis_of_span(rs, len(basis), _fixed_sums(rs.tables, perm)) == expected
+    assert _root_basis_of_span(rs, len(basis), _move_mask(rs.tables, _fixed_sums(rs.tables, perm))) == expected
 
 
 def _outside_w0():
@@ -971,8 +981,8 @@ def test_every_element_of_w0_is_accepted(name):
 
 
 def test_public_calls_read_one_report_off_the_root_permutation(monkeypatch):
-    # each call reads the root permutation once and builds one report on
-    # RootTables.move_space; the matrix move space is never computed
+    # each call reads the root permutation once and builds one report off
+    # it; the matrix move space is never computed
     def boom(*args):
         raise AssertionError("move space computed from the matrix")
 
@@ -1049,6 +1059,15 @@ def test_split_reports_equal_fresh_reports_of_t_and_u(typed):
     assert rep_t == pair_report(rs, tuple(range(len(perm))), coords_t)
 
 
+def forbid_elimination(monkeypatch, boom):
+    """Make every binding of linalg.primitive_rref in the coxlen modules
+    call boom (modules bind it by name, with from .linalg import)."""
+    original = coxlen.linalg.primitive_rref
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "coxlen" and getattr(module, "primitive_rref", None) is original:
+            monkeypatch.setattr(module, "primitive_rref", boom)
+
+
 @pytest.mark.parametrize("text", [
     "lambda=(-3,-22,-11,90)",
     "lambda=(-11,51,-60,64)",
@@ -1066,7 +1085,7 @@ def test_f4_reports_and_splits_run_no_span_search(monkeypatch, text):
         raise AssertionError("G2 and F4 read d off the table of root subspaces")
 
     monkeypatch.setattr(coxlen.reflen, "_min_span_subset", boom)
-    monkeypatch.setattr(type(rs.tables), "move_space", boom)
+    forbid_elimination(monkeypatch, boom)
     assert pair_report(rs, perm, coords) == expected
     split = pair_split(rs, perm, coords)
     assert split[2].length == 2 * expected.d and split[3].length == expected.e
@@ -1087,3 +1106,86 @@ def test_witness_over_several_least_root_subspaces(word, coords, least):
     held = list(rs.tables.flats.holding(rs.coroot_lattice.combination(coords), flat))
     assert sum(f.dim == rep.dim for f in held) == least
     assert rep == span_search_report(rs, perm, coords)
+
+
+def check_signed_cycles_against_elimination(rs, perm, coords):
+    """The signed cycles of u give what the elimination of Mov(u) gives:
+    e, the quotient lines (keys, first roots and insertion order), the
+    roots of Mov(u), and the line of the image of lam (None when lam lies
+    in Mov(u))."""
+    basis = move_space(rs.tables, perm)
+    pivots = rref_pivots(basis)
+    weight, home, tops = _signed_cycles(rs.tables, perm)
+    assert len(weight) - len(tops) == len(basis)
+    lines, mask = _cycle_lines(rs, weight, home)
+    assert list(lines.items()) == list(_quotient_lines(rs, basis, pivots).items())
+    assert mask == sum(1 << a for a, r in enumerate(rs.tables.int_roots) if int_residual(basis, pivots, r) is None)
+    mu = rs.coroot_lattice.combination(coords)
+    key, res = _cycle_key(mu, weight, home), int_residual(basis, pivots, mu)
+    assert (int_line_rep(key) if any(key) else None) == (None if res is None else int_line_rep(res))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4"])
+def test_signed_cycles_match_the_elimination_on_all_of_w0(name):
+    rs = root_system(name)
+    rng = random.Random(name)
+    for perm in enumerate_w0(rs).elements:
+        check_signed_cycles_against_elimination(rs, perm, tuple(rng.randint(-2, 2) for _ in range(rs.rank)))
+
+
+@given(st.sampled_from([f"{f}{n}" for f in "ABCD" for n in range(5, 9)]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_signed_cycles_match_the_elimination_at_ranks_5_to_8(name, data):
+    rs = root_system(name)
+    word = data.draw(st.lists(st.integers(0, rs.rank - 1), max_size=3 * rs.rank))
+    coords = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=rs.rank, max_size=rs.rank)))
+    check_signed_cycles_against_elimination(rs, rs.tables.fold((rs.tables.simple[i], 0) for i in word)[0], coords)
+
+
+@pytest.mark.parametrize("name", ["A1", "A3", "B3", "C3", "D2", "D4", "B5"])
+def test_classical_reports_factorisations_and_splits_eliminate_nothing(monkeypatch, name):
+    # the identity, a translation and random elements, each checked
+    # against the span search modulo the elimination before it is
+    # switched off
+    rs = root_system(name)
+    rng = random.Random(name)
+    identity = tuple(range(len(rs.roots)))
+    cases = [(identity, (0,) * rs.rank), (identity, tuple(range(1, rs.rank + 1)))]
+    for _ in range(12):
+        word = [rng.randrange(rs.rank) for _ in range(rng.randrange(3 * rs.rank))]
+        perm, _ = rs.tables.fold((rs.tables.simple[i], 0) for i in word)
+        cases.append((perm, tuple(rng.randint(-3, 3) for _ in range(rs.rank))))
+    expected = [span_search_report(rs, perm, coords) for perm, coords in cases]
+
+    def boom(*args):
+        raise AssertionError("A-D read Mov(u) off the signed cycles of u")
+
+    forbid_elimination(monkeypatch, boom)
+    for (perm, coords), rep in zip(cases, expected):
+        assert pair_report(rs, perm, coords) == rep
+        assert len(pair_factorization(rs, perm, coords)) == rep.length
+        split = pair_split(rs, perm, coords)
+        assert (split[2].length, split[3].length) == (2 * rep.d, rep.e)
+
+
+def test_nullity_cap_refuses_the_dp_before_it_starts(monkeypatch):
+    # unsigned (1, 2, -3, 4, -4): five distinct items give 2^5 count
+    # vectors, each with bitsets of at most 6 returns of 2 * 14 + 1 bits
+    sums = (1, 2, -3, 4, -4)
+    monkeypatch.setattr("coxlen.reflen.DEFAULT_NULLITY_BITS_CAP", 32 * 6 * 29)
+    assert zero_block_count(sums, False) == mask_zero_block_count(sums, False, 0) == 2
+    monkeypatch.setattr("coxlen.reflen.DEFAULT_NULLITY_BITS_CAP", 32 * 6 * 29 - 1)
+    with pytest.raises(BudgetExceeded, match=r"^nullity cap 5567 bits exceeded: 5 sums with sum \|sums\| = 14 need up to 5568 bits$"):
+        zero_block_count(sums, False)
+
+
+def test_wide_coprime_cycle_sums_are_refused_at_once():
+    # the A8 translation by (1000003, -1000003, 2000011, -2000011, 3000017,
+    # -3000017, 1, 2, -3): the gcd of its cycle sums is 1, and the default
+    # cap refuses the DP in place of building bitsets of about 1.2e11 bits
+    A8 = root_system("A8")
+    coords = A8.lattice_coords(vec([1000003, -1000003, 2000011, -2000011, 3000017, -3000017, 1, 2, -3]))
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"^nullity cap \d+ bits exceeded: 9 sums"):
+        pair_report(A8, tuple(range(len(A8.roots))), coords)
+    assert time.perf_counter() - started < 1

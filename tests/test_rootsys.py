@@ -364,3 +364,23 @@ def identity_rows(n):
 
 def test_only_g2_and_f4_carry_a_flat_table():
     assert [name for name in LATTICE_TYPES if root_system(name).tables.flats is not None] == ["G2", "F4"]
+
+
+@pytest.mark.parametrize("name", LATTICE_TYPES)
+def test_coordinate_roots_are_the_documented_roots(name):
+    # per coordinate k, with j = k + 1 (k - 1 for the last): e_k - e_j for
+    # A, e_k for B, 2 e_k for C, e_k - e_j and e_k + e_j for D; none for
+    # G2 and F4
+    rs = root_system(name)
+    t = rs.tables
+    if rs.spec.family in "GF":
+        assert t.coordinate_roots is None
+        return
+    dim = rs.ambient_dim
+    unit = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+    expected = []
+    for k in range(dim):
+        j = k + 1 if k + 1 < dim else k - 1
+        minus, plus = (tuple(x - y for x, y in zip(unit[k], unit[j])), tuple(x + y for x, y in zip(unit[k], unit[j])))
+        expected.append({"A": (minus,), "B": (unit[k],), "C": (tuple(2 * x for x in unit[k]),), "D": (minus, plus)}[rs.spec.family])
+    assert [tuple(t.int_roots[a] for a in group) for group in t.coordinate_roots] == expected
