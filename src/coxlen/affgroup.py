@@ -259,45 +259,41 @@ def is_elliptic(a: AffineElement) -> bool:
     return int_residual(basis, rref_pivots(basis), scaled_ints(a.translation)) is None
 
 
-def _scaled_root_permutation(rs: RootSystem, linear: Mat) -> tuple[int, list[list[int]], tuple[int, ...]]:
-    """(den, rows, perm): linear scaled to the integer rows of den times
-    it, den the lcm of its denominators (linalg.scale_to_ints), and the
-    permutation of root indices (RootTables) that linear induces, perm[b]
-    the index of linear(root b); ValueError if linear does not permute
-    the roots.
-
-    In integers: a root r (integer after scaling) maps to a root iff
-    (den * linear) r is den times an integer root."""
+def _w0_permutation(rs: RootSystem, linear: Mat) -> tuple[int, ...]:
+    """The root permutation of linear, or ValueError unless linear lies in
+    W0.  Only the simple roots a_i are imaged, through the integer rows
+    of den times linear (linalg.scale_to_ints): each image must be den
+    times a root v_i.  While some v_i is negative (negative coroot
+    coordinates), linear s_i sends a_j to s_{v_i}(v_j), an index lookup
+    in RootTables.reflected, and is one shorter than linear if linear is
+    in W0; within |Phi+| such steps the images must become the simple
+    roots.  Then linear agrees on the root span with the word read
+    backwards, and for A_n and G2 it must also fix the all-ones line off
+    the root span: scaled rows sum to den.  Together these prove linear
+    is that element of W0, whose root permutation the word folds to on
+    RootTables.reflected."""
     tables = rs.tables
     den, rows = scale_to_ints(linear)
-    columns = list(zip(*rows))
-    perm = []
-    for r in tables.int_roots:
-        image = [0] * len(linear)
-        for x, col in zip(r, columns, strict=True):
-            if x:
-                image = [y + x * c for y, c in zip(image, col)]
+    if len(rows) != rs.ambient_dim or any(len(row) != rs.ambient_dim for row in rows):
+        raise ValueError("linear part does not preserve the root system")
+    images = []
+    for a in tables.simple:
+        support = [(k, x) for k, x in enumerate(tables.int_roots[a]) if x]
+        image = tuple(sum(row[k] * x for k, x in support) for row in rows)
         b = None if any(y % den for y in image) else tables.int_index.get(tuple(y // den for y in image))
         if b is None:
             raise ValueError("linear part does not preserve the root system")
-        perm.append(b)
-    return den, rows, tuple(perm)
-
-
-def _w0_permutation(rs: RootSystem, linear: Mat) -> tuple[int, ...]:
-    """The root permutation of linear, or ValueError unless linear lies in
-    W0: it is w sigma, sigma a diagram automorphism, and multiplying by s_i
-    while a_i maps to a negative root (negative coroot coordinates) leaves
-    sigma, which must fix the simple roots.  For A_n and G2, linear must
-    also fix the all-ones line off the root span: scaled rows sum to den."""
-    tables = rs.tables
-    den, rows, perm = _scaled_root_permutation(rs, linear)
-    u = perm
-    while (i := next((i for i in tables.simple if sum(tables.coroot_coords[u[i]]) < 0), None)) is not None:
-        u = tuple(map(u.__getitem__, tables.reflected[i]))
-    if (rs.ambient_dim > rs.rank and any(sum(row) != den for row in rows)) or any(u[i] != i for i in tables.simple):
+        images.append(b)
+    coords, word = tables.coroot_coords, []
+    while (i := next((i for i, b in enumerate(images) if sum(coords[b]) < 0), None)) is not None:
+        if 2 * len(word) == len(coords):
+            break
+        moves = tables.reflected[images[i]]
+        images = [moves[b] for b in images]
+        word.append(i)
+    if (rs.ambient_dim > rs.rank and any(sum(row) != den for row in rows)) or images != list(tables.simple):
         raise ValueError("linear part is not an element of W0")
-    return perm
+    return tables.fold((tables.simple[i], 0) for i in reversed(word))[0]
 
 
 def require_group_element(rs, a: AffineElement) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -34,7 +34,9 @@ from .linalg import Vec, mat_vec, vec
 from .reflen import DEFAULT_HURWITZ_BUDGET, pair_split, zero_block_count
 from .rootsys import MAX_RANK, RootSystem, RootSystemSpec, build_root_system
 
-DEFAULT_CLIQUE_VERTEX_CAP = 64
+DEFAULT_CLIQUE_VERTEX_CAP = 256
+DEFAULT_NULL_UNION_CAP = 10**4
+DEFAULT_CLIQUE_CAP = 10**5
 DEFAULT_PROFILE_SIZE_CAP = 22
 
 
@@ -227,11 +229,20 @@ def minimal_null_blocks(v, cap: int | None = None) -> tuple[frozenset[int], ...]
     a singleton.  No block lies inside another of its own weight, so the
     order within a weight does not matter, and each weight's parts are
     built only when the sweep reaches it, the side with fewer of them in
-    full.  Raises BudgetExceeded as soon as there are more than cap."""
+    full.  Raises BudgetExceeded as soon as there are more than cap, and
+    before a weight whose unions, pos[w] * neg[w] of them, would take the
+    number tested above DEFAULT_NULL_UNION_CAP."""
     xs, ys, pos, neg = _sides(v)
     singles = [frozenset([i + 1]) for i, x in enumerate(v) if x == 0]
     confirmed: list[frozenset[int]] = []
+    tested = 0
     for w in sorted(pos.keys() & neg.keys()):
+        tested += pos[w] * neg[w]
+        if tested > DEFAULT_NULL_UNION_CAP:
+            raise BudgetExceeded(
+                f"the minimal null block sweep would test {tested} unions by weight {w} of {max(pos)}, "
+                f"above DEFAULT_NULL_UNION_CAP = {DEFAULT_NULL_UNION_CAP}"
+            )
         few, many = (xs, ys) if pos[w] <= neg[w] else (ys, xs)
         held = list(_parts_of_weight(few, w))
         for a in _parts_of_weight(many, w):
@@ -268,17 +279,29 @@ def null_complex(v, vertex_cap: int = DEFAULT_CLIQUE_VERTEX_CAP) -> NullComplex:
     minimal block, one starting at the lowest missed index.  Hence covering
     the lowest uncovered index by each fitting block starting there, in
     vertex order, lists every clique by the blocks' sorted members, and
-    every branch ends in one.  A stable sort puts fewer blocks first."""
+    every branch ends in one, so the listing stops with BudgetExceeded
+    once it would hold more than DEFAULT_CLIQUE_CAP cliques.  A stable
+    sort puts fewer blocks first."""
     verts = minimal_null_blocks(v, vertex_cap)
     edges = tuple((i, j) for i, j in combinations(range(len(verts)), 2) if not verts[i] & verts[j])
     starting_at = {i: list(bs) for i, bs in groupby(verts, key=min)}
+    cliques: list[tuple[frozenset[int], ...]] = []
 
-    def partitions(rest: frozenset[int]) -> list[tuple[frozenset[int], ...]]:
+    def cover(rest: frozenset[int], head: tuple[frozenset[int], ...]) -> None:
         if not rest:
-            return [()]
-        return [(b,) + tail for b in starting_at[min(rest)] if b <= rest for tail in partitions(rest - b)]
+            if len(cliques) == DEFAULT_CLIQUE_CAP:
+                raise BudgetExceeded(
+                    f"the {len(verts)} minimal null blocks make more than DEFAULT_CLIQUE_CAP = "
+                    f"{DEFAULT_CLIQUE_CAP} maximal cliques"
+                )
+            cliques.append(head)
+            return
+        for b in starting_at[min(rest)]:
+            if b <= rest:
+                cover(rest - b, head + (b,))
 
-    cliques = sorted(partitions(frozenset(range(1, len(v) + 1))), key=len)
+    cover(frozenset(range(1, len(v) + 1)), ())
+    cliques.sort(key=len)
     return NullComplex(vertices=verts, edges=edges, maximal_cliques=tuple(cliques))
 
 

@@ -44,6 +44,12 @@ partition).  Each row holds the space and that count, so classifying
 many lattice points repeats only the tests of lam against the spaces.
 These tables also serve as the reference for types A-D in the tests.
 
+classify_coroots computes f once per W0-orbit of the box, as f_lam is
+W0-invariant: conjugation by w in W0 sends t_lam u to t_{w lam}
+(w u w^-1) with the same d and e.  A point is keyed by the dominant
+point of its orbit, reached by simple reflections on its simple-coroot
+coordinates (_dominant_key).
+
 W0 itself is enumerated, for the oracle, by breadth-first search over
 permutations of the root indices: right multiplication by a simple
 reflection s_i is an index lookup in RootSystem.tables.reflected, and
@@ -65,7 +71,7 @@ from .reflen import zero_block_count
 from .rootsys import Flat, FlatTable, RootSystem, RootTables, flat_table
 
 DEFAULT_W0_CAP = 10**5
-DEFAULT_CLASSIFY_CAP = 10**5
+DEFAULT_CLASSIFY_CAP = 10**6
 CLASSICAL = "ABCD"
 
 
@@ -426,15 +432,49 @@ def is_generic(rs: RootSystem, lam: Vec) -> bool:
     return next(rs.tables.flats.holding(x)).dim == rs.rank
 
 
+def _dominant_key(tables: RootTables):
+    """The map from the simple-coroot coordinates of a lattice point lam to
+    those of the dominant point of its W0-orbit.  While some
+    <a_i, lam> < 0, lam becomes s_i(lam) = lam - <a_i, lam> a_i^vee, which
+    lowers coordinate i and shifts each pairing <a_k, lam> by
+    <a_i, lam> <a_i^vee, a_k> (RootTables.cartan); each step moves lam up
+    in the dominance order, so the walk ends, at the one point of the
+    orbit in the dominant chamber."""
+    simple, cartan = tables.simple, tables.cartan
+    # pairing[j][i] = <a_j^vee, a_i>, and steps[j] its nonzero entries
+    pairing = [[cartan[j][i] for i in simple] for j in simple]
+    steps = [[(k, a) for k, a in enumerate(row) if a] for row in pairing]
+
+    def key(coeffs) -> tuple[int, ...]:
+        c = list(coeffs)
+        p = [sum(x * row[i] for x, row in zip(c, pairing)) for i in range(len(c))]
+        while (i := next((i for i, x in enumerate(p) if x < 0), None)) is not None:
+            x = p[i]
+            c[i] -= x
+            for k, a in steps[i]:
+                p[k] -= x * a
+        return tuple(c)
+
+    return key
+
+
 def classify_coroots(rs: RootSystem, radius: int) -> dict[BivariatePolynomial, tuple[Vec, ...]]:
     """Group the lattice points with simple-coroot coefficients in
     [-radius, radius] by their exact local generating function.  Classes
     appear in first-seen order over the lexicographic coefficient scan;
-    points within a class are sorted.  Where W0 is above DEFAULT_W0_CAP
-    (types A-D, by the partition sum), DEFAULT_CLASSIFY_CAP bounds the
-    terms summed over the whole scan (every point sums at least one); a
-    scan that needs more raises BudgetExceeded.  Elsewhere the scan is
-    uncapped, as the W0 tables bound it."""
+    points within a class are sorted.
+
+    f_lam is constant on W0-orbits: conjugating t_lam u by w in W0 gives
+    t_{w lam} (w u w^-1) with the same d and e, and u -> w u w^-1 permutes
+    W0.  So each point is keyed by the dominant point of its orbit
+    (_dominant_key, one rule for every type) and f is computed once
+    per key, at the first point of the scan that has it.  Where W0 is
+    above DEFAULT_W0_CAP (types A-D, by the partition sum),
+    DEFAULT_CLASSIFY_CAP bounds the terms summed over the orbits computed
+    (each sums at least one), and a box of more points than the cap is
+    refused before the scan; a scan that needs more raises
+    BudgetExceeded.  Elsewhere the scan is uncapped, as the W0 tables
+    bound it."""
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     cap = DEFAULT_CLASSIFY_CAP
@@ -452,14 +492,20 @@ def classify_coroots(rs: RootSystem, radius: int) -> dict[BivariatePolynomial, t
 
     if capped and total > cap:
         raise exceeded(0)
+    orbit_key = _dominant_key(rs.tables)
+    orbits: dict[tuple[int, ...], BivariatePolynomial] = {}
     for done, coeffs in enumerate(iproduct(rng, repeat=rs.rank), 1):
         lam = rs.from_lattice_coords(coeffs)
-        if capped:
-            counts, summed = _partition_counts(rs, lam)
-            terms += summed
-            if terms > cap:
-                raise exceeded(done)
-        else:
-            counts = _local_counts(rs, lam)
-        classes.setdefault(BivariatePolynomial.from_dict(counts), []).append(lam)
+        key = orbit_key(coeffs)
+        f = orbits.get(key)
+        if f is None:
+            if capped:
+                counts, summed = _partition_counts(rs, lam)
+                terms += summed
+                if terms > cap:
+                    raise exceeded(done)
+            else:
+                counts = _local_counts(rs, lam)
+            f = orbits[key] = BivariatePolynomial.from_dict(counts)
+        classes.setdefault(f, []).append(lam)
     return {f: tuple(sorted(pts)) for f, pts in classes.items()}

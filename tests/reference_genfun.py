@@ -1,14 +1,24 @@
-"""Polynomial factors, the W0 tables as the element loop built them, and
-local counts and genericity by the span search, which only the tests
-use."""
+"""Polynomial factors, the W0 tables as the element loop built them,
+local counts and genericity by the span search, and the classification
+that computes f at every point of the box, which only the tests use."""
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product as iproduct
 
-from coxlen.genfun import BivariatePolynomial, enumerate_w0
-from coxlen.linalg import int_residual, is_zero, rref_pivots, scaled_ints
+from coxlen.errors import BudgetExceeded
+from coxlen.genfun import (
+    DEFAULT_CLASSIFY_CAP,
+    DEFAULT_W0_CAP,
+    BivariatePolynomial,
+    _local_counts,
+    _partition_counts,
+    enumerate_w0,
+)
+from coxlen.linalg import Vec, int_residual, is_zero, rref_pivots, scaled_ints
 from coxlen.reflen import _min_span_subset, _quotient_lines
+from coxlen.rootsys import RootSystem
 from reference_rootsys import move_space
 
 
@@ -62,3 +72,42 @@ def span_search_is_generic(rs, lam) -> bool:
     """genfun.is_generic as it was before the null-partition rule and the
     table: the span search of lam over the root lines needs rank lines."""
     return not is_zero(lam) and _min_span_subset(rs.root_lines, scaled_ints(lam), rs.rank)[0] == rs.rank
+
+
+def reference_classify_coroots(rs: RootSystem, radius: int) -> dict[BivariatePolynomial, tuple[Vec, ...]]:
+    """Group the lattice points with simple-coroot coefficients in
+    [-radius, radius] by their exact local generating function.  Classes
+    appear in first-seen order over the lexicographic coefficient scan;
+    points within a class are sorted.  Where W0 is above DEFAULT_W0_CAP
+    (types A-D, by the partition sum), DEFAULT_CLASSIFY_CAP bounds the
+    terms summed over the whole scan (every point sums at least one); a
+    scan that needs more raises BudgetExceeded.  Elsewhere the scan is
+    uncapped, as the W0 tables bound it."""
+    if radius < 0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
+    cap = DEFAULT_CLASSIFY_CAP
+    capped = rs.w0_size > DEFAULT_W0_CAP
+    classes: dict[BivariatePolynomial, list[Vec]] = {}
+    rng = range(-radius, radius + 1)
+    total = len(rng) ** rs.rank
+    terms = 0
+
+    def exceeded(done: int) -> BudgetExceeded:
+        return BudgetExceeded(
+            f"classification cap {cap} exceeded: {terms} terms summed over {done} of "
+            f"{total} lattice points of {rs.spec} at radius {radius}; use a smaller radius"
+        )
+
+    if capped and total > cap:
+        raise exceeded(0)
+    for done, coeffs in enumerate(iproduct(rng, repeat=rs.rank), 1):
+        lam = rs.from_lattice_coords(coeffs)
+        if capped:
+            counts, summed = _partition_counts(rs, lam)
+            terms += summed
+            if terms > cap:
+                raise exceeded(done)
+        else:
+            counts = _local_counts(rs, lam)
+        classes.setdefault(BivariatePolynomial.from_dict(counts), []).append(lam)
+    return {f: tuple(sorted(pts)) for f, pts in classes.items()}

@@ -11,6 +11,7 @@ from coxlen.affgroup import (
     AffineElement,
     AffineReflection,
     AffineSubspace,
+    _w0_permutation,
     compose,
     elliptic_rank,
     fixed_set,
@@ -36,7 +37,15 @@ from coxlen.linalg import (
     vsub,
 )
 from coxlen.rootsys import root_system
-from reference_affgroup import conjugated_by, is_translation, move_set, rebased_normal_form, root_permutation
+from reference_affgroup import (
+    conjugated_by,
+    is_translation,
+    move_set,
+    rebased_normal_form,
+    root_permutation,
+    w0_permutation,
+)
+from w0_matrices import w0_matrices
 
 B2 = root_system("B2")
 G2 = root_system("G2")
@@ -286,25 +295,58 @@ def test_rank_one_products_match_compose(typed, data):
         assert product(word) == w
 
 
-@given(typed_words(), st.data())
-@settings(max_examples=150, deadline=None)
-def test_integer_membership_matches_fraction_predicate(typed, data):
-    rs, word = typed
+@st.composite
+def changed_linear_parts(draw):
+    """A root system of CROSS_TYPES and the linear part of a word in it,
+    as it is or with one entry shifted, all entries doubled, two rows
+    swapped or one row negated."""
+    rs, word = draw(typed_words())
     m = [list(row) for row in compose_fold(rs, word).linear]
     n = rs.ambient_dim
-    change = data.draw(st.sampled_from(["none", "entry", "scale", "swap", "negate"]))
-    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    change = draw(st.sampled_from(["none", "entry", "scale", "swap", "negate"]))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     if change == "entry":
-        m[i][j] += data.draw(st.sampled_from([Q(1), Q(-1), Q(1, 2), Q(-1, 2), Q(1, 3), Q(2, 3)]))
+        m[i][j] += draw(st.sampled_from([Q(1), Q(-1), Q(1, 2), Q(-1, 2), Q(1, 3), Q(2, 3)]))
     elif change == "scale":
         m = [[2 * x for x in row] for row in m]
     elif change == "swap":
         m[i], m[j] = m[j], m[i]
     elif change == "negate":
         m[i] = [-x for x in m[i]]
-    linear = tuple(tuple(row) for row in m)
+    return rs, tuple(tuple(row) for row in m)
+
+
+@given(changed_linear_parts())
+@settings(max_examples=150, deadline=None)
+def test_integer_membership_matches_fraction_predicate(typed):
+    rs, linear = typed
     assert accepts(root_permutation, rs, linear) == fraction_preserves_roots(rs, linear)
     assert accepts(in_group, rs, linear) == fraction_in_w0(rs, linear)
+
+
+def outcome(check, rs, linear):
+    """check(rs, linear), or ValueError if it raises one."""
+    try:
+        return check(rs, linear)
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"])
+def test_simple_root_conversion_matches_the_full_root_scan_on_w0(name):
+    # every element of W0 at rank <= 4, its matrix a product of simple
+    # reflections along its word
+    rs = root_system(name)
+    for linear, perm in zip(w0_matrices(rs), enumerate_w0(rs).elements, strict=True):
+        assert _w0_permutation(rs, linear) == w0_permutation(rs, linear) == perm
+
+
+@given(changed_linear_parts())
+@settings(max_examples=300, deadline=None)
+def test_simple_root_conversion_matches_the_full_root_scan_off_w0(typed):
+    # the same permutation, or a ValueError from both
+    rs, linear = typed
+    assert outcome(_w0_permutation, rs, linear) == outcome(w0_permutation, rs, linear)
 
 
 def test_integer_membership_on_fractional_linear_parts():

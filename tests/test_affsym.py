@@ -240,7 +240,7 @@ def test_nullity_is_the_kernel_and_agrees_with_brute_force_and_the_cliques(v):
 
 
 def test_nullity_answers_sixteen_entries_without_a_cap():
-    # at the default vertex cap of 64 the clique route gives up on
+    # at a vertex cap of 64 the clique route gives up on
     # (1, -1, ..., 8, -8) and on 7 of the 40 random vectors; uncapped, it
     # agrees with the kernel on all of them
     started = time.perf_counter()
@@ -389,6 +389,29 @@ def test_minimal_null_block_cap_raises_as_soon_as_it_is_exceeded():
         minimal_null_blocks(v, cap=len(blocks) - 1)
     with pytest.raises(BudgetExceeded, match="^2 minimal null blocks exceed the vertex cap 1 by weight 1 of 10$"):
         null_complex(v, vertex_cap=1)
+
+
+def test_union_cap_counts_the_unions_the_sweep_tests(monkeypatch):
+    # (1, -1) x 8 joins C(8, w)^2 part pairs at each weight w, C(16, 8) - 1
+    # = 12869 in all, into its 64 minimal blocks
+    v = (1, -1) * 8
+    monkeypatch.setattr(coxlen.affsym, "DEFAULT_NULL_UNION_CAP", 12869)
+    assert len(minimal_null_blocks(v)) == 64
+    monkeypatch.setattr(coxlen.affsym, "DEFAULT_NULL_UNION_CAP", 12868)
+    with pytest.raises(BudgetExceeded, match="^the minimal null block sweep would test 12869 unions by weight 8 of 8, "
+                                             "above DEFAULT_NULL_UNION_CAP = 12868$"):
+        minimal_null_blocks(v)
+
+
+def test_clique_cap_counts_the_cliques_listed(monkeypatch):
+    # the maximal cliques of (1, -1) x 7 are its 7! perfect matchings
+    v = (1, -1) * 7
+    monkeypatch.setattr(coxlen.affsym, "DEFAULT_CLIQUE_CAP", 5040)
+    cx = null_complex(v)
+    assert (len(cx.vertices), len(cx.maximal_cliques), cx.nullity) == (49, 5040, 7)
+    monkeypatch.setattr(coxlen.affsym, "DEFAULT_CLIQUE_CAP", 5039)
+    with pytest.raises(BudgetExceeded, match="^the 49 minimal null blocks make more than DEFAULT_CLIQUE_CAP = 5039 maximal cliques$"):
+        null_complex(v)
 
 
 @given(

@@ -129,7 +129,7 @@ def test_element_path_builds_no_fraction_products(capsys, monkeypatch):
     ]
     for name, element in elements:
         assert parse_element(root_system(name), element) is not None
-    for name in ("_scaled_root_permutation", "linear_move_space"):
+    for name in ("_w0_permutation", "linear_move_space"):
         monkeypatch.setattr(coxlen.affgroup, name, boom)
         monkeypatch.setattr(coxlen.reflen, name, boom, raising=False)
     monkeypatch.setattr(coxlen.rootsys.RootTables, "linear", boom)
@@ -143,11 +143,12 @@ def test_element_path_builds_no_fraction_products(capsys, monkeypatch):
 
 def record_matrix_work(monkeypatch):
     """The root permutations RootTables.linear builds a matrix for, and
-    the matrices _scaled_root_permutation scans back into one."""
+    the matrices _w0_permutation reads back into one."""
     built, linear = [], coxlen.rootsys.RootTables.linear
-    scanned, scan = [], coxlen.affgroup._scaled_root_permutation
+    scanned, scan = [], coxlen.affgroup._w0_permutation
     monkeypatch.setattr(coxlen.rootsys.RootTables, "linear", lambda self, perm: built.append(perm) or linear(self, perm))
-    monkeypatch.setattr(coxlen.affgroup, "_scaled_root_permutation", lambda rs, m: scanned.append(m) or scan(rs, m))
+    for module in (coxlen.affgroup, coxlen.reflen):
+        monkeypatch.setattr(module, "_w0_permutation", lambda rs, m: scanned.append(m) or scan(rs, m))
     return built, scanned
 
 
@@ -323,10 +324,10 @@ def test_genfun_rank_8_without_w0(capsys):
 
 
 def test_genfun_classify_out_of_reach_fails_fast(capsys):
-    code, out, err = run(capsys, "genfun", "--type", "B8", "--classify", "1")
+    code, out, err = run(capsys, "genfun", "--type", "B8", "--classify", "3")
     assert (code, out) == (4, "")
-    assert err.startswith("error: classification cap 100000 exceeded: ")
-    assert err.endswith(" of 6561 lattice points of B8 at radius 1; use a smaller radius\n")
+    assert err.startswith("error: classification cap 1000000 exceeded: ")
+    assert err.endswith(" of 5764801 lattice points of B8 at radius 3; use a smaller radius\n")
 
 
 def test_genfun_needs_an_input(capsys):
@@ -543,7 +544,32 @@ def test_vertex_cap_trips_before_the_basic_blocks_are_built(capsys, top):
     code, _, err = run(capsys, "nullity", "--vector", vector)
     assert time.perf_counter() - started < 2
     assert code == 4
-    assert "minimal null blocks exceed the vertex cap 64 by weight" in err
+    assert "minimal null blocks exceed the vertex cap 256 by weight" in err
+
+
+def test_nullity_answers_a_vector_past_the_old_vertex_cap(capsys):
+    # 86 minimal null blocks, above the old vertex cap of 64, but 87
+    # unions tested and 43 cliques
+    payload = run_json(capsys, "nullity", "--vector", "(3,-1,3,-4,-4,-1,3,-4,3,2)", "--verify", "--json")
+    assert (len(payload["minimal_null_blocks"]), len(payload["maximal_cliques"])) == (86, 43)
+    assert (payload["nullity"], payload["oracle_agrees"]) == (2, True)
+
+
+@pytest.mark.parametrize("k", range(8, 23))
+def test_nullity_of_ones_and_minus_ones_exits_4_at_once(capsys, k):
+    # (1, -1) x k has k^2 minimal null blocks, C(2k, k) - 1 unions to test
+    # and k! cliques: the union cap refuses k <= 16, the vertex cap the rest
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        code, out, err = run(capsys, "nullity", "--vector", "(" + ",".join(["1,-1"] * k) + ")")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 2
+    assert (code, out) == (4, "")
+    assert ("DEFAULT_NULL_UNION_CAP = 10000" if k <= 16 else "the vertex cap 256") in err
+    assert peak < 50 * 2**20
 
 
 @pytest.mark.parametrize("vector,code", [("(" + "1," * 22 + "-22)", 0), ("(" + "1,-1," * 21 + "1,-1)", 4)])

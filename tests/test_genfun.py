@@ -21,6 +21,7 @@ from coxlen import genfun
 from coxlen.errors import BudgetExceeded
 from coxlen.genfun import (
     BivariatePolynomial,
+    _dominant_key,
     _genfun_tables,
     _height_exponents,
     _partition_counts,
@@ -39,7 +40,13 @@ from coxlen.linalg import identity_matrix, mat_mul, vec
 from coxlen.reflen import dimension_report
 from coxlen.rootsys import root_system
 from reference_affgroup import root_permutation
-from reference_genfun import poly_s_plus, reference_genfun_tables, span_search_counts, span_search_is_generic
+from reference_genfun import (
+    poly_s_plus,
+    reference_classify_coroots,
+    reference_genfun_tables,
+    span_search_counts,
+    span_search_is_generic,
+)
 from w0_matrices import w0_matrices, word_matrix
 
 A2 = root_system("A2")
@@ -249,13 +256,13 @@ def test_is_generic_answers_at_rank_8(name, lam, generic):
 
 def test_classify_cap(monkeypatch):
     # the cap holds only where W0 is out of reach; B2 at radius 2 sums
-    # 143 partition-sum terms
+    # 51 partition-sum terms over the W0-orbits it computes
     expected = classify_coroots(B2, 2)
     monkeypatch.setattr(genfun, "DEFAULT_W0_CAP", 7)
-    monkeypatch.setattr(genfun, "DEFAULT_CLASSIFY_CAP", 143)
+    monkeypatch.setattr(genfun, "DEFAULT_CLASSIFY_CAP", 51)
     assert classify_coroots(B2, 2) == expected
-    monkeypatch.setattr(genfun, "DEFAULT_CLASSIFY_CAP", 100)
-    with pytest.raises(BudgetExceeded, match=r"cap 100 exceeded: 1\d\d terms summed over \d+ of 25 lattice points"):
+    monkeypatch.setattr(genfun, "DEFAULT_CLASSIFY_CAP", 50)
+    with pytest.raises(BudgetExceeded, match=r"cap 50 exceeded: 51 terms summed over \d+ of 25 lattice points"):
         classify_coroots(B2, 2)
     monkeypatch.undo()
     # too many points to try: fails before the first one
@@ -430,6 +437,55 @@ def test_classify_a3_radius_2():
     assert sizes == [1, 10, 20, 22, 24, 48]
     total = sum(sizes)
     assert total == 5**3
+
+
+ORBIT_TYPES = ["A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "D4", "G2"]
+
+
+@pytest.mark.parametrize(
+    "name,radius", [(name, radius) for name in ORBIT_TYPES for radius in range(3)] + [("F4", 0), ("F4", 1)]
+)
+def test_orbit_classify_matches_the_per_point_reference(monkeypatch, name, radius):
+    # the same classes in the same order, points sorted within each
+    rs = root_system(name)
+    expected = list(reference_classify_coroots(rs, radius).items())
+    assert list(classify_coroots(rs, radius).items()) == expected
+    if rs.spec.family in "ABCD":
+        # and by the capped path, which sums the partition counts itself
+        monkeypatch.setattr(genfun, "DEFAULT_W0_CAP", 1)
+        assert list(classify_coroots(rs, radius).items()) == expected
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4"])
+def test_orbit_key_is_the_dominant_point_of_the_orbit(name):
+    # w lam has coordinates sum_j c_j (w a_j)^vee for every w in W0; the
+    # key is constant on each orbit of the radius-1 box, lies in it, has
+    # no negative pairing with a simple root, and tells orbits apart
+    rs = root_system(name)
+    tables, key = rs.tables, _dominant_key(rs.tables)
+    group = [[tables.coroot_coords[perm[a]] for a in tables.simple] for perm in enumerate_w0(rs).elements]
+    pairing = [[tables.cartan[j][i] for i in tables.simple] for j in tables.simple]
+    orbits: dict[tuple[int, ...], set] = {}
+    for coeffs in iproduct(range(-1, 2), repeat=rs.rank):
+        orbit = {tuple(sum(c * col[i] for c, col in zip(coeffs, w)) for i in range(rs.rank)) for w in group}
+        k = key(coeffs)
+        assert {key(mu) for mu in orbit} == {k}
+        assert k in orbit
+        assert all(sum(c * row[i] for c, row in zip(k, pairing)) >= 0 for i in range(rs.rank))
+        assert orbits.setdefault(k, orbit) == orbit
+
+
+def test_classify_b8_at_radius_1_answers():
+    # 6,561 points in 33 classes; each class polynomial counts all of W0,
+    # and the origin's is prod (1 + e_i t)
+    rs = root_system("B8")
+    classes = classify_coroots(rs, 1)
+    assert (len(classes), sum(map(len, classes.values()))) == (33, 3**8)
+    assert all(sum(c for _, _, c in f.terms) == rs.w0_size for f in classes)
+    origin = BivariatePolynomial.monomial(0, 0)
+    for e in (1, 3, 5, 7, 9, 11, 13, 15):
+        origin = origin * poly_one_plus(e)
+    assert classes[origin] == (vec([0] * 8),)
 
 
 def test_every_class_count_adds_up():

@@ -63,7 +63,7 @@ from coxlen.reflen import (
     zero_block_count,
 )
 from coxlen.rootsys import root_system
-from reference_affgroup import is_translation, root_permutation
+from reference_affgroup import is_translation, root_permutation, w0_permutation
 from reference_affsym import window_of_element
 from reference_reflen import _root_basis_of_span as reference_root_basis_of_span
 from reference_reflen import _peel_elliptic as reference_move_space_peel
@@ -968,6 +968,9 @@ def test_linear_parts_outside_w0_are_rejected_by_every_public_call(rs, linear):
     for call in (dimension_report, min_factorization, factor_elliptic, translation_elliptic_split):
         with pytest.raises(ValueError, match="^linear part is not an element of W0$"):
             call(rs, w)
+    # and so does the full root scan the conversion replaced
+    with pytest.raises(ValueError, match="^linear part is not an element of W0$"):
+        w0_permutation(rs, linear)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "G2", "F4"])
@@ -990,7 +993,9 @@ def test_public_calls_read_one_report_off_the_root_permutation(monkeypatch):
         monkeypatch.setattr(coxlen.affgroup, name, boom)
         monkeypatch.setattr(coxlen.reflen, name, boom, raising=False)
     calls = []
-    for module, name in ((coxlen.affgroup, "_scaled_root_permutation"), (coxlen.reflen, "pair_report")):
+    # dimension_report reads the conversion through reflen's name for it,
+    # require_group_element through affgroup's
+    for module, name in ((coxlen.affgroup, "_w0_permutation"), (coxlen.reflen, "_w0_permutation"), (coxlen.reflen, "pair_report")):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, f=original, n=name: calls.append(n) or f(*args))
     b3 = root_system("B3")
@@ -1003,10 +1008,10 @@ def test_public_calls_read_one_report_off_the_root_permutation(monkeypatch):
     ]:
         calls.clear()
         call(b3, element)
-        assert calls == ["_scaled_root_permutation", "pair_report"], call.__name__
+        assert calls == ["_w0_permutation", "pair_report"], call.__name__
     calls.clear()
     assert dimension_report(b3, w).length == 3
-    assert calls == ["_scaled_root_permutation"]
+    assert calls == ["_w0_permutation"]
 
 
 # G2 and F4 read d and the witness off the table of root subspaces; the
