@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
+from typing import Sequence
 
 from .linalg import (
     Mat,
@@ -304,12 +305,14 @@ def require_group_element(rs, a: AffineElement) -> tuple[tuple[int, ...], tuple[
         raise ValueError(
             f"element acts on dimension {a.dim}, root system lives in {rs.ambient_dim}"
         )
-    return _w0_permutation(rs, a.linear), require_lattice_coords(rs, a.translation)
+    den, (vi,) = scale_to_ints((a.translation,))
+    return _w0_permutation(rs, a.linear), require_lattice_coords(rs, vi, den)
 
 
-def require_lattice_coords(rs, v: Vec) -> tuple[int, ...]:
-    """lattice_coords of the translation v, or ValueError naming v."""
-    coords = rs.lattice_coords(v)
+def require_lattice_coords(rs, vi: Sequence[int], den: int) -> tuple[int, ...]:
+    """The simple-coroot coordinates of the translation vi / den, for
+    integers vi and den > 0, or ValueError naming it."""
+    coords = rs.scaled_lattice_coords(vi, den)
     if coords is None:
-        raise ValueError("translation part (" + ", ".join(map(str, v)) + ") is not in the coroot lattice")
+        raise ValueError("translation part (" + ", ".join(str(Q(x, den)) for x in vi) + ") is not in the coroot lattice")
     return coords

@@ -16,7 +16,14 @@ Element grammar (for --element):
                                   given integer level
 
 Vectors are comma-separated rationals in parentheses; windows are
-comma-separated integers in brackets.
+comma-separated integers in brackets.  A lambda= or --vector whose
+entries are all integers is read by int, straight into the integer
+coroot-lattice core, and builds no Fraction; other entries (1/2, 1.5,
+2e1) are read by Fraction and scaled to integers.
+
+main parses argv with one parser: the subcommand's, when argv[0] names
+one, else the top-level parser, which prints the help or the usage
+error for an empty argv, -h or an unknown word.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 
 from .errors import BudgetExceeded, ParseError, UnsupportedTypeError
-from .linalg import Vec, vec
+from .linalg import Vec, scale_to_ints
 from .rootsys import RootSystem, root_system
 from .affgroup import AffineElement, require_lattice_coords
 from .reflen import DEFAULT_HURWITZ_BUDGET, pair_factorization, pair_report, pair_split
@@ -63,20 +70,38 @@ def _default_budget() -> int:
     return budget
 
 
-def parse_vector(text: str) -> Vec:
+def _vector_entries(text: str) -> list[str]:
+    """The stripped entries of a vector's text, none of them empty."""
     m = re.fullmatch(r"\s*\(([^()]*)\)\s*", text)
     if not m:
         raise ParseError(f"expected a vector like (1,-1,0), got {text!r}")
     entries = [p.strip() for p in m.group(1).split(",")]
     if "" in entries:
         raise ParseError(f"empty entry in vector {text!r}")
+    return entries
+
+
+def parse_vector(text: str) -> Vec:
     out = []
-    for p in entries:
+    for p in _vector_entries(text):
         try:
             out.append(Q(p))
         except (ValueError, ZeroDivisionError) as ex:
             raise ParseError(f"bad vector entry {p!r}") from ex
-    return vec(out)
+    return tuple(out)
+
+
+def _scaled_vector(text: str) -> tuple[tuple[int, ...], int]:
+    """(vi, den) with vi / den the vector text names, vi in integers.
+    When every entry is a sign and decimal digits, den is 1 and int reads
+    the entries, as Fraction would, with no Fraction built; else (1/2,
+    1.5, 2e1, 1_0) parse_vector's Fractions are scaled by the lcm of
+    their denominators."""
+    entries = _vector_entries(text)
+    if all((p[1:] if p[0] in "+-" else p).isdecimal() for p in entries):
+        return tuple(map(int, entries)), 1
+    den, (vi,) = scale_to_ints((parse_vector(text),))
+    return tuple(vi), den
 
 
 def parse_window_text(text: str) -> Window:
@@ -137,16 +162,16 @@ def _parse(rs: RootSystem, text: str) -> tuple[tuple[int, ...], tuple[int, ...]]
         else:
             raise ParseError(f"unknown element field {key!r}")
     perm, coords = tables.fold((a, 0) for a in word)
-    return perm, coords if lam is None else require_lattice_coords(rs, lam)
+    return perm, coords if lam is None else require_lattice_coords(rs, *lam)
 
 
-def _parse_lambda(rs: RootSystem, text: str) -> Vec:
-    """The vector text names, which must have one coordinate per
+def _parse_lambda(rs: RootSystem, text: str) -> tuple[tuple[int, ...], int]:
+    """_scaled_vector of text, which must have one coordinate per
     dimension of rs's ambient space."""
-    lam = parse_vector(text)
-    if len(lam) != rs.ambient_dim:
-        raise ParseError(f"lambda has {len(lam)} coordinates, {rs.spec} lives in dimension {rs.ambient_dim}")
-    return lam
+    vi, den = _scaled_vector(text)
+    if len(vi) != rs.ambient_dim:
+        raise ParseError(f"lambda has {len(vi)} coordinates, {rs.spec} lives in dimension {rs.ambient_dim}")
+    return vi, den
 
 
 def _reflection_factors(rs: RootSystem, text: str) -> list[tuple[int, int]]:
@@ -283,10 +308,9 @@ def cmd_window(args) -> tuple[dict, list[str]]:
 
 
 def cmd_nullity(args) -> tuple[dict, list[str]]:
-    v = parse_vector(args.vector)
-    if any(x.denominator != 1 for x in v):
+    iv, den = _scaled_vector(args.vector)
+    if den != 1:
         raise ParseError("nullity vectors must have integer entries")
-    iv = tuple(int(x) for x in v)
     cx = null_complex(iv)
     payload = {
         "vector": list(iv),
@@ -336,7 +360,8 @@ def cmd_genfun(args) -> tuple[dict, list[str]]:
         ]
     if args.lam is None:
         raise ParseError("genfun needs either --lambda or --classify")
-    lam = _parse_lambda(rs, args.lam)
+    vi, den = _parse_lambda(rs, args.lam)
+    lam = tuple(Q(x, den) for x in vi)
     f = local_genfun(rs, lam)
     payload = {
         "type": str(rs.spec),
@@ -458,8 +483,28 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by one parser: the subcommand parser that argv[0]
+    names, or the top-level parser when it names none."""
+    parser = _parser()
+    subcommands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        # a two-level parse reports what the subparser leaves over in the
+        # top-level parser's words
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    return _run(_parse_args(sys.argv[1:] if argv is None else list(argv)))
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the parsed command and print its output: the exit code."""
     try:
         if hasattr(args, "budget") and args.budget is None:
             args.budget = _default_budget()

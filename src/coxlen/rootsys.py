@@ -30,7 +30,7 @@ from fractions import Fraction as Q
 from functools import cached_property, lru_cache, reduce
 from math import lcm
 from operator import mul, or_
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import ParseError, UnsupportedTypeError
 from .linalg import Mat, Vec, dot, int_kernel, int_line_rep, primitive_rref, rref_pivots, scale_to_ints, smul, vec
@@ -174,8 +174,13 @@ class RootSystem:
     def lattice_coords(self, v: Vec) -> tuple[int, ...] | None:
         """Integer coordinates of v in the simple-coroot basis, or None
         when v is not in the coroot lattice."""
-        lat = self.coroot_lattice
         vs, (vi,) = scale_to_ints((v,))
+        return self.scaled_lattice_coords(vi, vs)
+
+    def scaled_lattice_coords(self, vi: Sequence[int], vs: int) -> tuple[int, ...] | None:
+        """lattice_coords of the vector vi / vs, for integers vi and
+        vs > 0: the integer core, which builds no Fraction."""
+        lat = self.coroot_lattice
         m = lat.den * vs
         coords = []
         for w in lat.weights:

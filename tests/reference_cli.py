@@ -1,9 +1,13 @@
 """The Fraction parser of --element elements, for cross-checking
 cli.parse_element: a word is built one rank-one Fraction update
 (affgroup.times_reflection) per letter, and a product of reflections by
-affgroup.product.  And the JSON payloads of len, factor and split as the
-commands built them from the public AffineElement API, for
-cross-checking the integer core they run on."""
+affgroup.product.  The Fraction route of lambda= and nullity --vector:
+every entry a Fraction and the coroot coordinates found by
+RootSystem.lattice_coords, for cross-checking the integer route of
+cli._parse and cmd_nullity.  The two-level dispatch of argv, for
+cross-checking cli.main's one parse.  And the JSON payloads of len,
+factor and split as the commands built them from the public
+AffineElement API, for cross-checking the integer core they run on."""
 
 from __future__ import annotations
 
@@ -15,10 +19,11 @@ from coxlen.affgroup import (
     AffineReflection,
     identity_element,
     product,
+    _w0_permutation,
     require_group_element,
     times_reflection,
 )
-from coxlen.cli import parse_vector
+from coxlen.cli import build_parser, parse_vector
 from coxlen.errors import ParseError
 from coxlen.linalg import vadd
 from coxlen.reflen import dimension_report, min_factorization, translation_elliptic_split
@@ -78,6 +83,33 @@ def _parse_reflection_product(rs: RootSystem, text: str) -> AffineElement:
             )
         factors.append(AffineReflection.make(rs.positive_roots[i - 1], j))
     return product(factors)
+
+
+def fraction_pair(rs: RootSystem, text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (root permutation, coroot coordinates) pair of parse_element's
+    element: its matrix read back into a permutation, its Fraction
+    translation into coordinates by RootSystem.lattice_coords; ValueError
+    naming the translation when it is off the coroot lattice."""
+    el = parse_element(rs, text)
+    coords = rs.lattice_coords(el.translation)
+    if coords is None:
+        raise ValueError("translation part (" + ", ".join(map(str, el.translation)) + ") is not in the coroot lattice")
+    return _w0_permutation(rs, el.linear), coords
+
+
+def nullity_vector(text: str) -> tuple[int, ...]:
+    """The integer vector of nullity --vector text, read as Fractions."""
+    v = parse_vector(text)
+    if any(x.denominator != 1 for x in v):
+        raise ParseError("nullity vectors must have integer entries")
+    return tuple(int(x) for x in v)
+
+
+def main(argv: list[str]) -> int:
+    """cli.main with the two-level dispatch: the top-level parser walks
+    argv and hands what follows the subcommand to that subcommand's
+    parser."""
+    return coxlen.cli._run(build_parser().parse_args(argv))
 
 
 def public_payload(rs: RootSystem, command: str, text: str) -> dict:

@@ -11,10 +11,11 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coxlen
@@ -29,8 +30,9 @@ from coxlen.cli import main, parse_element, parse_vector, parse_window_text
 from coxlen.errors import BudgetExceeded, ParseError, UnsupportedTypeError
 from coxlen.genfun import BivariatePolynomial
 from coxlen.rootsys import root_system
+import reference_cli
+from reference_cli import fraction_pair, nullity_vector, public_payload
 from reference_cli import parse_element as fraction_parse_element
-from reference_cli import public_payload
 from reference_genfun import poly_s_plus
 
 
@@ -83,31 +85,121 @@ PARSE_TYPES = (
 )
 
 
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+BAD_ENTRIES = ["x", "1/0", "+", "--1", "+-1", "1__0", "_1", "0x1", "1/-2"]
+
+
+@st.composite
+def entry_texts(draw, x):
+    """The number x as a vector entry, padded with spaces: an integer as
+    written, or as +3, -0, 007, 1_0, in Arabic-Indic digits, as 2e1 or as
+    4/2; a rational as p/q or, for halves, as 1.5 or 15e-1."""
+    x = Q(x)
+    sign, digits = "-" if x < 0 else "", str(abs(x.numerator))
+    if x.denominator != 1:
+        forms = [str(x)]
+        if x.denominator == 2:
+            forms += [str(float(x)), f"{x * 10}e-1"]
+    else:
+        forms = [
+            str(x),
+            "+" + digits if x >= 0 else str(x),
+            "-0" if x == 0 else str(x),
+            sign + "00" + digits,
+            sign + (digits[0] + "_" + digits[1:] if len(digits) > 1 else "0_" + digits),
+            str(x).translate(ARABIC_INDIC),
+            f"{x}e0",
+            f"{2 * x}/2",
+        ]
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    return draw(pad) + draw(st.sampled_from(forms)) + draw(pad)
+
+
+@st.composite
+def vector_texts(draw, xs):
+    """The vector xs as text, each entry drawn by entry_texts; one time in
+    eight, one entry is one of BAD_ENTRIES, which no parser reads."""
+    entries = [draw(entry_texts(x)) for x in xs]
+    if draw(st.sampled_from([False] * 7 + [True])):
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(st.sampled_from(BAD_ENTRIES))
+    return "(" + ",".join(entries) + ")"
+
+
 @st.composite
 def element_texts(draw):
     """A root system of PARSE_TYPES and an element of it as --element
-    text: a word of up to 2 rank + 2 letters with or without a random
-    lattice lambda, in either order, or up to rank + 2 refl(i,j)."""
+    text: a word of up to 2 rank + 2 letters with or without a lambda, in
+    either order, or up to rank + 2 refl(i,j), a third of the draws
+    each.  The lambda is mostly a random lattice point; else a random
+    vector of integers and thirds or halves, mostly off the lattice, or a
+    lattice point with one entry too few or too many; vector_texts
+    writes it."""
     rs = root_system(draw(st.sampled_from(PARSE_TYPES)))
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["refl", "word", "lambda"]))
+    if shape == "refl":
         n = len(rs.positive_roots)
         pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(-3, 3)), min_size=1, max_size=rs.rank + 2))
         return rs, " ".join(f"refl({i},{j})" for i, j in pairs)
     letters = draw(st.lists(st.integers(1, rs.rank), max_size=2 * rs.rank + 2))
     parts = ["word=" + " ".join(f"s{i}" for i in letters)]
-    if draw(st.booleans()):
-        lam = rs.from_lattice_coords(draw(st.lists(st.integers(-4, 4), min_size=rs.rank, max_size=rs.rank)))
-        parts.append("lambda=(" + ",".join(map(str, lam)) + ")")
+    if shape == "lambda":
+        lam = list(rs.from_lattice_coords(draw(st.lists(st.integers(-12, 12), min_size=rs.rank, max_size=rs.rank))))
+        kind = draw(st.sampled_from(["lattice", "lattice", "random", "short", "long"]))
+        if kind == "random":
+            lam = draw(st.lists(st.builds(Q, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3])),
+                                min_size=len(lam), max_size=len(lam)))
+        elif kind == "short":
+            lam.pop()
+        elif kind == "long":
+            lam.append(draw(st.integers(-4, 4)))
+        parts.append("lambda=" + draw(vector_texts(lam)))
     return rs, "; ".join(draw(st.permutations(parts)))
 
 
-@given(element_texts())
-@settings(max_examples=300, deadline=None)
-def test_parse_element_matches_the_fraction_parser(typed):
+def outcome(f, *args):
+    """("ok", what f returns) or (the ValueError's class, its message)."""
+    try:
+        return "ok", f(*args)
+    except ValueError as ex:
+        return type(ex).__name__, str(ex)
+
+
+# nullity --vector texts: zero-sum, now and then with a third or a half
+ZERO_SUM_VECTORS = st.lists(
+    st.builds(Q, st.integers(-4, 4), st.sampled_from([1] * 8 + [2, 3])), min_size=1, max_size=5
+).map(lambda xs: [*xs, -sum(xs)])
+
+
+@given(element_texts(), ZERO_SUM_VECTORS.flatmap(vector_texts))
+@example((root_system("B2"), "lambda=( +3 , -0 ,1); word=s1"), "( 00 ,+3,-3 )")
+@example((root_system("C3"), "word=s3; lambda=(1_0,-٣,+0)"), "(1_0,-1_0)")
+@example((root_system("F4"), "lambda=(1/2,1.5,-0.5,25e-1)"), "(2e1,-20,4/2,-2)")
+@example((root_system("B2"), "lambda=(1,0)"), "(1/2,-1/2)")
+@example((root_system("A2"), "lambda=(1/3,-1/3,0); word=s2"), "(1,-1,0")
+@example((root_system("G2"), "lambda=(1,-1)"), "()")
+@example((root_system("D4"), "lambda=(--1,1,0,0)"), "(+-1,1)")
+@example((root_system("A1"), "lambda=(1,-1); word=s2"), "(1,+,-1)")
+@settings(max_examples=500, deadline=None)
+def test_parse_element_matches_the_fraction_parser(typed, vector):
     # words against times_reflection one letter at a time, refl(i,j)
-    # products against affgroup.product
+    # products against affgroup.product; lambda= and nullity --vector
+    # through the integer route against every entry a Fraction: the same
+    # pair or vector, else the same error
     rs, text = typed
-    assert parse_element(rs, text) == fraction_parse_element(rs, text)
+    got = outcome(coxlen.cli._parse, rs, text)
+    assert got == outcome(fraction_pair, rs, text)
+    if got[0] == "ok":
+        assert parse_element(rs, text) == fraction_parse_element(rs, text)
+
+    expected = outcome(nullity_vector, vector)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["nullity", "--vector", vector, "--json"])
+    if expected[0] == "ok":
+        assert (code, err.getvalue()) == (0, "")
+        assert json.loads(out.getvalue())["vector"] == list(expected[1])
+    else:
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {expected[1]}\n")
 
 
 def test_element_path_builds_no_fraction_products(capsys, monkeypatch):
@@ -1152,6 +1244,90 @@ def test_main_reuses_one_parser_across_calls(capsys, monkeypatch):
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert in_process[0][0] == 4
     assert [code for code, _, _ in in_process[1:]] == [0] * (len(IN_PROCESS_SEQUENCE) - 1)
+
+
+def dispatched(route, argv):
+    """(exit code, stdout, stderr) of route(argv), argparse's exits
+    included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = route(list(argv))
+        except SystemExit as ex:
+            code = ex.code
+    return code, out.getvalue(), err.getvalue()
+
+
+SUBCOMMANDS = ["len", "factor", "split", "window", "nullity", "genfun", "render-svg", "oracle"]
+ELEMENT = ["--type", "B2", "--element", "lambda=(1,1); word=s1"]
+DISPATCH_TABLE = [
+    [],
+    ["frob"],
+    ["-h"],
+    ["--help"],
+    ["-h", "len"],
+    ["--json", "len", *ELEMENT],
+    *([sub, flag] for sub in SUBCOMMANDS for flag in ("-h", "--help")),
+    *([sub, *ELEMENT] for sub in ("len", "factor", "split", "oracle")),
+    ["len", *ELEMENT, "--verify", "--json"],
+    ["split", *ELEMENT, "--budget", "0"],
+    ["window", "--window", "[4,2,0]", "--json"],
+    ["nullity", "--vector", "(-3,-2,-2,-1,1,2,5)"],
+    ["genfun", "--type", "B2", "--lambda", "(3,1)"],
+    ["genfun", "--type", "A2", "--classify", "1", "--json"],
+    ["render-svg", "--type", "B2", "--mode", "classes", "--radius", "1", "--out", "-"],
+    *([sub] for sub in SUBCOMMANDS),
+    ["len", "--type", "A2"],
+    ["len", "--typ", "A2", "--element", "lambda=(1,-1,0)"],
+    ["len", "--json", "--type", "A2", "--element", "lambda=(1,-1,0)"],
+    ["len", "--type", "A2", "--element", "-1"],
+    ["len", "--type", "A2", "--element", "-lambda=(1,-1,0)"],
+    ["len", "--type", "A2", "--element=-lambda=(1,-1,0)"],
+    ["len", "--type", "A2", "--element", "lambda=(1,0,0)"],
+    ["len", "--type", "A2", "--element", "lambda=(1,-1,0)", "--foo", "bar"],
+    ["len", "--type", "A2", "--element", "lambda=(1,-1,0)", "extra"],
+    ["len", "--", "--type", "A2"],
+    ["len", "--type", "Z9", "--element", "lambda=(1)"],
+    ["factor", "--type", "B2"],
+    ["split", *ELEMENT, "--budget", "x"],
+    ["split", *ELEMENT, "--budget", "-1"],
+    ["window", "--window", "[1,1]"],
+    ["nullity", "--vector", "(1/2,-1/2)"],
+    ["genfun", "--type", "B2", "--lambda", "(3,1)", "--classify", "1"],
+    ["render-svg", "--type", "B2", "--mode", "rings", "--out", "-"],
+    ["render-svg", "--type", "B2", "--radius", "nan", "--out", "-"],
+    ["oracle", *ELEMENT, "--level-bound", "-2"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_TABLE, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_main_dispatches_as_the_two_level_parse(monkeypatch, argv):
+    # main hands argv[1:] to the subcommand's parser alone; the two-level
+    # parse walks argv with the top-level parser first
+    monkeypatch.delenv("COXLEN_BUDGET", raising=False)
+    assert dispatched(main, argv) == dispatched(reference_cli.main, argv)
+
+
+DISPATCH_WORDS = [
+    *SUBCOMMANDS, "frob", "-h", "--help", "--", "--type", "--typ", "-t", "A2", "B2", "Z9",
+    "--element", "--element=-1", "lambda=(1,1)", "lambda=(1,-1,0)", "word=s1", "-1",
+    "--json", "--verify", "--budget", "0", "x", "--vector", "(1,-1)", "--window", "[2,0]",
+    "--lambda", "(3,1)", "--classify", "1", "--mode", "classes", "--radius", "--level-bound",
+    "--foo",
+]
+
+
+@given(st.one_of(
+    st.lists(st.sampled_from(DISPATCH_WORDS), max_size=8),
+    st.tuples(st.sampled_from(SUBCOMMANDS), st.lists(st.sampled_from(DISPATCH_WORDS), max_size=7)).map(
+        lambda sub_rest: [sub_rest[0], *sub_rest[1]]
+    ),
+))
+@settings(max_examples=200, deadline=None)
+def test_main_dispatches_token_lists_as_the_two_level_parse(argv):
+    # half the lists start with a subcommand; no --out among the words,
+    # so nothing is written to a file
+    assert dispatched(main, argv) == dispatched(reference_cli.main, argv)
 
 
 @pytest.mark.parametrize("argv, text", [
