@@ -54,7 +54,7 @@ from .affsym import (
 )
 from .genfun import classify_coroots, local_genfun
 from .oracle import _pair_lengths, brute_nullity
-from .render import _require_classes_reach, _require_planar, render_alcoves, render_classes
+from .render import _require_alcoves_reach, _require_classes_reach, _require_planar, render_alcoves, render_classes
 
 
 def _default_budget() -> int:
@@ -176,10 +176,11 @@ def _parse_lambda(rs: RootSystem, text: str) -> tuple[tuple[int, ...], int]:
 
 def _reflection_factors(rs: RootSystem, text: str) -> list[tuple[int, int]]:
     """The (root index, level) pair of each refl(i,j) token: the i-th
-    positive root (1-based) at level j."""
+    positive root (1-based) at level j.  Tokens split at whitespace outside
+    parentheses, so refl(1, 1) is one token."""
     positive = [a for a, p in enumerate(rs.tables.positive) if p]
     factors = []
-    for tok in text.split():
+    for tok in re.findall(r"(?:\([^()]*\)|\S)+", text):
         m = re.fullmatch(r"refl\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)", tok)
         if not m:
             raise ParseError(f"expected refl(i,j), got {tok!r}")
@@ -384,12 +385,14 @@ def cmd_render(args) -> tuple[dict, list[str]]:
         render, radius = render_classes, int(args.radius)
     else:
         raise ParseError(f"radius must be an integer in classes mode, got {args.radius}")
-    # check the type and the classes cap before --out is opened, so that a
-    # failed render leaves the file as it was, and open --out before
-    # rendering, so that a bad path fails at once
+    # check the type and the caps before --out is opened, so that a failed
+    # render leaves the file as it was, and open --out before rendering,
+    # so that a bad path fails at once
     _require_planar(rs)
     if args.mode == "classes":
         _require_classes_reach(radius)
+    else:
+        _require_alcoves_reach(rs, radius)
     if args.out == "-":
         sys.stdout.write(render(rs, radius))
         return {}, []

@@ -72,7 +72,6 @@ from .rootsys import Flat, FlatTable, RootSystem, RootTables, flat_table
 
 DEFAULT_W0_CAP = 10**5
 DEFAULT_CLASSIFY_CAP = 10**6
-CLASSICAL = "ABCD"
 
 
 @dataclass(frozen=True)
@@ -387,7 +386,7 @@ def _partition_counts(rs: RootSystem, lam: Vec) -> tuple[dict[tuple[int, int], i
 
 def _local_counts(rs: RootSystem, lam: Vec) -> dict[tuple[int, int], int]:
     _require_lattice_point(rs, lam)
-    if rs.spec.family in CLASSICAL:
+    if rs.tables.flats is None:
         return _partition_counts(rs, lam)[0]
     return _table_counts(rs, lam)
 
@@ -424,12 +423,12 @@ def is_generic(rs: RootSystem, lam: Vec) -> bool:
     hold lam (FlatTable.holding)."""
     _require_lattice_point(rs, lam)
     x = scaled_ints(lam)
+    if rs.tables.flats is not None:
+        return next(rs.tables.flats.holding(x)).dim == rs.rank
     family = rs.spec.family
     if family == "A":
         return zero_block_count(x, False) == 1
-    if family in CLASSICAL:
-        return zero_block_count(x, True, (1 << len(x)) - 1 if family == "D" else 0) == 0
-    return next(rs.tables.flats.holding(x)).dim == rs.rank
+    return zero_block_count(x, True, (1 << len(x)) - 1 if family == "D" else 0) == 0
 
 
 def _dominant_key(tables: RootTables):

@@ -259,30 +259,16 @@ def brute_reflection_length(
 
 
 def _partitions(n: int):
-    """All set partitions of {1..n} via restricted growth strings."""
-    rgs = [0] * n
-    maxes = [0] * n
-
-    def blocks() -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
-        for i, b in enumerate(rgs):
-            out[b].append(i + 1)
-        return out
-
-    yield blocks()
-    while True:
-        # advance the RGS odometer: digit i may rise to maxes[i-1] + 1
-        i = n - 1
-        while i > 0 and rgs[i] == maxes[i - 1] + 1:
-            i -= 1
-        if i == 0:
-            return
-        rgs[i] += 1
-        maxes[i] = max(maxes[i - 1], rgs[i])
-        for j in range(i + 1, n):
-            rgs[j] = 0
-            maxes[j] = maxes[i]
-        yield blocks()
+    """All set partitions of {1..n}, blocks ordered by least member and
+    each block ascending: n joins a block of a partition of {1..n-1}, or
+    makes a block of its own."""
+    if n == 0:
+        yield []
+        return
+    for part in _partitions(n - 1):
+        for i in range(len(part)):
+            yield [*part[:i], [*part[i], n], *part[i + 1 :]]
+        yield [*part, [n]]
 
 
 def brute_nullity(v) -> int:

@@ -45,6 +45,10 @@ LENGTH_FILLS = ("#f7f7f7", "#d9d9d9", "#b5b5b5", "#8a8a8a", "#5c5c5c")
 # coefficient radius r; the tiling under them grows with the same square
 CLASSES_POINT_CAP = 289
 
+# the most alcoves render_alcoves walks, by _require_alcoves_reach's area
+# bound; the largest render it allows takes about 20 s
+ALCOVES_CAP = 30_000
+
 # colour-blind-safe palette for class colouring, reused cyclically
 CLASS_COLORS = (
     "#4477aa",
@@ -73,6 +77,24 @@ def _require_classes_reach(coeff_radius: int) -> None:
         raise BudgetExceeded(
             f"classes render cap {CLASSES_POINT_CAP} lattice points exceeded: radius {coeff_radius} "
             f"has {side * side}; the largest radius that fits is {(math.isqrt(CLASSES_POINT_CAP) - 1) // 2}"
+        )
+
+
+def _require_alcoves_reach(rs: RootSystem, radius) -> None:
+    """BudgetExceeded, before any work, when the alcoves whose centroid
+    lies within the radius may number more than ALCOVES_CAP.  Each lies
+    within radius + diam A0 of the origin, so at most
+    pi (radius + diam A0)^2 / area(A0) of them do."""
+    basis = _plane_basis(rs)
+    (x1, y1), (x2, y2) = (_to_plane(basis, v) for v in _fundamental_alcove(rs)[1:])
+    area = abs(x1 * y2 - x2 * y1) / 2
+    diam = max(math.hypot(x1, y1), math.hypot(x2, y2), math.hypot(x1 - x2, y1 - y2))
+    reach = radius + diam
+    if math.pi * reach * reach > ALCOVES_CAP * area:
+        fits = math.floor(math.sqrt(ALCOVES_CAP * area / math.pi) - diam)
+        raise BudgetExceeded(
+            f"alcove render cap {ALCOVES_CAP} alcoves exceeded: radius {radius} may hold more; "
+            f"the largest whole radius that fits is {fits}"
         )
 
 
@@ -126,6 +148,7 @@ def enumerate_alcoves(rs: RootSystem, radius) -> list[tuple[AffineElement, tuple
     breadth-first search across shared walls."""
     _require_planar(rs)
     _require_radius("radius", radius)
+    _require_alcoves_reach(rs, radius)
     a0 = _fundamental_alcove(rs)
     walls = _wall_reflections(rs)
     # the centroid lies within radius iff the vertex sum lies within len(a0) * radius
@@ -261,6 +284,7 @@ def render_classes(rs: RootSystem, coeff_radius: int = 2, tiling_radius=None) ->
     # classify_coroots checks coeff_radius; check this one before it runs
     if tiling_radius is not None:
         _require_radius("tiling_radius", tiling_radius)
+        _require_alcoves_reach(rs, tiling_radius)
     basis = _plane_basis(rs)
     classes = classify_coroots(rs, coeff_radius)
     pts_to_color = {}

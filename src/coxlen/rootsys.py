@@ -28,12 +28,11 @@ import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache, reduce
-from math import lcm
 from operator import mul, or_
 from typing import Iterator, Sequence
 
 from .errors import ParseError, UnsupportedTypeError
-from .linalg import Mat, Vec, dot, int_kernel, int_line_rep, primitive_rref, rref_pivots, scale_to_ints, smul, vec
+from .linalg import Mat, Vec, dot, int_kernel, int_line_rep, primitive_rref, rref_pivots, scale_to_ints, smul
 
 MAX_RANK = 8
 
@@ -47,9 +46,7 @@ def _exponents(family: str, rank: int) -> tuple[int, ...]:
         return tuple(sorted(list(range(1, 2 * rank - 2, 2)) + [rank - 1]))
     if family == "G":
         return (1, 5)
-    if family == "F":
-        return (1, 5, 7, 11)
-    raise UnsupportedTypeError(f"unknown family {family!r}")
+    return (1, 5, 7, 11)
 
 
 @dataclass(frozen=True)
@@ -79,40 +76,22 @@ def parse_type_spec(text: str) -> RootSystemSpec:
     return RootSystemSpec(m.group(1).upper(), int(m.group(2)))
 
 
-def _simple_roots(spec: RootSystemSpec) -> list[Vec]:
-    n = spec.rank
-    fam = spec.family
-
-    def e(i: int, dim: int) -> list[Q]:
-        v = [Q(0)] * dim
-        v[i] = Q(1)
-        return v
-
-    def diff(i: int, j: int, dim: int) -> Vec:
-        v = [Q(0)] * dim
-        v[i], v[j] = Q(1), Q(-1)
-        return tuple(v)
-
-    if fam == "A":
-        return [diff(i, i + 1, n + 1) for i in range(n)]
-    if fam == "B":
-        return [diff(i, i + 1, n) for i in range(n - 1)] + [vec(e(n - 1, n))]
-    if fam == "C":
-        return [diff(i, i + 1, n) for i in range(n - 1)] + [smul(2, vec(e(n - 1, n)))]
-    if fam == "D":
-        last = [Q(0)] * n
-        last[n - 2] = last[n - 1] = Q(1)
-        return [diff(i, i + 1, n) for i in range(n - 1)] + [tuple(last)]
+def _simple_roots(spec: RootSystemSpec) -> tuple[int, list[tuple[int, ...]]]:
+    """(scale, the simple roots times scale), in integers: scale is 2 for
+    F4, whose roots have half-integer coordinates, and 1 otherwise.  For
+    A-D the simple roots are e_i - e_(i+1), and for B, C, D the last is
+    e_n, 2 e_n or e_(n-1) + e_n."""
+    n, fam = spec.rank, spec.family
     if fam == "G":
-        return [vec([1, -1, 0]), vec([-2, 1, 1])]
+        return 1, [(1, -1, 0), (-2, 1, 1)]
     if fam == "F":
-        return [
-            vec([0, 1, -1, 0]),
-            vec([0, 0, 1, -1]),
-            vec([0, 0, 0, 1]),
-            vec([Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2)]),
-        ]
-    raise UnsupportedTypeError(fam)
+        return 2, [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
+    dim = n + 1 if fam == "A" else n
+    chain = [tuple(int(k == i) - int(k == i + 1) for k in range(dim)) for i in range(dim - 1)]
+    if fam == "A":
+        return 1, chain
+    tail = {"B": (1,), "C": (2,), "D": (1, 1)}[fam]
+    return 1, chain + [(0,) * (n - len(tail)) + tail]
 
 
 def coroot(alpha: Vec) -> Vec:
@@ -131,7 +110,6 @@ class RootSystem:
     spec: RootSystemSpec
     ambient_dim: int
     roots: Mat                 # all roots, sorted
-    simple_roots: Mat
     exponents: tuple[int, ...]
     w0_size: int
     # read off the closure that built the roots; not part of the identity
@@ -152,6 +130,10 @@ class RootSystem:
         for a in seen:
             seen += [b for b in simple if cartan[a][b] and b not in seen]
         return len(seen) < len(simple)
+
+    @cached_property
+    def simple_roots(self) -> Mat:
+        return tuple(self.roots[a] for a in self.tables.simple)
 
     @cached_property
     def positive_roots(self) -> Mat:
@@ -406,9 +388,7 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
     cartan[b][s_i(x)], coroot coordinates those of b less
     <b^vee, a_i> at i, and height that of b less <a_i^vee, b>.
     """
-    simples = _simple_roots(spec)
-    scale = lcm(*(x.denominator for a in simples for x in a))
-    ints = [tuple(int(x * scale) for x in a) for a in simples]
+    scale, ints = _simple_roots(spec)
     norms = [sum(x * x for x in a) for a in ints]
     rank = len(ints)
     # pairing[b][i] = <a_i^vee, b>, images[b][i] = s_i(b), and each root c
@@ -484,9 +464,8 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
         order *= ex + 1
     return RootSystem(
         spec=spec,
-        ambient_dim=len(simples[0]),
+        ambient_dim=dim,
         roots=roots,
-        simple_roots=tuple(simples),
         exponents=exps,
         w0_size=order,
         tables=tables,

@@ -70,7 +70,7 @@ def parse_element(rs: RootSystem, text: str) -> AffineElement:
 
 
 def _parse_reflection_product(rs: RootSystem, text: str) -> AffineElement:
-    tokens = text.split()
+    tokens = re.findall(r"(?:\([^()]*\)|\S)+", text)
     factors = []
     for tok in tokens:
         m = re.fullmatch(r"refl\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)", tok)

@@ -19,7 +19,8 @@ from coxlen.rootsys import CorootLattice, RootSystem, RootSystemSpec, RootTables
 
 def reference_roots(spec: RootSystemSpec) -> Mat:
     """Close the simple roots under simple reflections, sorted."""
-    simples = _simple_roots(spec)
+    scale, ints = _simple_roots(spec)
+    simples = [tuple(Q(x, scale) for x in a) for a in ints]
     seen: set[Vec] = set(simples) | {tuple(-x for x in s) for s in simples}
     frontier = list(seen)
     while frontier:

@@ -129,17 +129,18 @@ def vector_texts(draw, xs):
 def element_texts(draw):
     """A root system of PARSE_TYPES and an element of it as --element
     text: a word of up to 2 rank + 2 letters with or without a lambda, in
-    either order, or up to rank + 2 refl(i,j), a third of the draws
-    each.  The lambda is mostly a random lattice point; else a random
-    vector of integers and thirds or halves, mostly off the lattice, or a
-    lattice point with one entry too few or too many; vector_texts
-    writes it."""
+    either order, or up to rank + 2 refl(i,j), now and then with spaces
+    inside the parentheses, a third of the draws each.  The lambda is
+    mostly a random lattice point; else a random vector of integers and
+    thirds or halves, mostly off the lattice, or a lattice point with one
+    entry too few or too many; vector_texts writes it."""
     rs = root_system(draw(st.sampled_from(PARSE_TYPES)))
     shape = draw(st.sampled_from(["refl", "word", "lambda"]))
     if shape == "refl":
         n = len(rs.positive_roots)
         pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(-3, 3)), min_size=1, max_size=rs.rank + 2))
-        return rs, " ".join(f"refl({i},{j})" for i, j in pairs)
+        pad = st.sampled_from(["", "", " ", "  "])
+        return rs, " ".join(f"refl({draw(pad)}{i}{draw(pad)},{draw(pad)}{j}{draw(pad)})" for i, j in pairs)
     letters = draw(st.lists(st.integers(1, rs.rank), max_size=2 * rs.rank + 2))
     parts = ["word=" + " ".join(f"s{i}" for i in letters)]
     if shape == "lambda":
@@ -179,6 +180,8 @@ ZERO_SUM_VECTORS = st.lists(
 @example((root_system("G2"), "lambda=(1,-1)"), "()")
 @example((root_system("D4"), "lambda=(--1,1,0,0)"), "(+-1,1)")
 @example((root_system("A1"), "lambda=(1,-1); word=s2"), "(1,+,-1)")
+@example((root_system("B2"), "refl(1, 1) refl( 2 ,0)"), "(0,0)")
+@example((root_system("B2"), "refl(1, 1)refl(2,0)"), "(0,0)")
 @settings(max_examples=500, deadline=None)
 def test_parse_element_matches_the_fraction_parser(typed, vector):
     # words against times_reflection one letter at a time, refl(i,j)
@@ -500,6 +503,25 @@ def test_classes_render_beyond_the_cap_exits_4_before_any_work(tmp_path, capsys,
     # radius 8, the largest that fits, passes the check
     coxlen.render._require_classes_reach(8)
     assert coxlen.render.CLASSES_POINT_CAP == 17 * 17
+
+
+def test_alcove_render_beyond_the_cap_exits_4_before_any_work(tmp_path, capsys, monkeypatch):
+    def boom(*args):
+        raise AssertionError("an alcove render beyond the cap did some work")
+
+    monkeypatch.setattr(coxlen.render, "times_reflection", boom)
+    target = tmp_path / "g2.svg"
+    target.write_bytes(b"<svg/>\n")
+    for spec, radius, fits in (("G2", "1e308", 20), ("G2", "21", 20), ("A2", "52", 51), ("C2", "40", 33)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "render-svg", "--type", spec, "--radius", radius, "--out", str(target))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (4, "")
+        assert err == (
+            f"error: alcove render cap 30000 alcoves exceeded: radius {float(radius)} may hold more; "
+            f"the largest whole radius that fits is {fits}\n"
+        )
+        assert target.read_bytes() == b"<svg/>\n"
 
 
 @pytest.mark.parametrize("radius", ["2.5", "0.5"])

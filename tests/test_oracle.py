@@ -52,7 +52,7 @@ B2 = root_system("B2")
 
 V0 = (-3, -2, -2, -1, 1, 2, 5)
 
-BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877}
+BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147}
 
 
 def refl(rs, i, level):
@@ -69,6 +69,9 @@ def test_partition_generator_hits_bell_numbers(n, count):
         assert key not in seen
         seen.add(key)
         assert sorted(i for b in p for i in b) == list(range(1, n + 1))
+        # blocks ordered by least member, each block ascending
+        assert all(b == sorted(b) for b in p)
+        assert [b[0] for b in p] == sorted(b[0] for b in p)
 
 
 def test_brute_nullity_values_and_guards():

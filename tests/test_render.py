@@ -7,6 +7,7 @@ for B2, ~100 for C2 at r = 2, in line with the exact values.
 """
 
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -14,12 +15,13 @@ import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
 from fractions import Fraction as Q
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import coxlen.render
-from coxlen.errors import UnsupportedTypeError
+from coxlen.errors import BudgetExceeded, UnsupportedTypeError
 from coxlen.genfun import classify_coroots
 from coxlen.reflen import dimension_report
 from coxlen.render import (
@@ -60,6 +62,34 @@ def test_alcoves_are_distinct_group_elements():
     # identity labels the fundamental alcove
     assert alcoves[0][0].is_identity()
     assert len(alcoves[0][1]) == 3  # a triangle
+
+
+# the largest whole radius whose alcoves render.ALCOVES_CAP allows
+ALCOVES_REACH = {"A2": 51, "B2": 47, "C2": 33, "G2": 20}
+
+
+@pytest.mark.parametrize("name", sorted(ALCOVES_REACH))
+def test_alcove_cap_bounds_the_walk(monkeypatch, name):
+    rs = root_system(name)
+    fits = ALCOVES_REACH[name]
+    assert coxlen.render.ALCOVES_CAP == 30_000
+    coxlen.render._require_alcoves_reach(rs, fits)
+    with pytest.raises(BudgetExceeded, match=f"cap 30000 alcoves exceeded: .* that fits is {fits}$"):
+        enumerate_alcoves(rs, fits + 1)
+    # a tiling radius past the cap is refused before the classes are computed
+    monkeypatch.setattr(coxlen.render, "classify_coroots", None)
+    with pytest.raises(BudgetExceeded):
+        render_classes(rs, 1, fits + 1)
+    monkeypatch.undo()
+    # the tiling under the largest box render_classes allows fits too
+    lat = rs.coroot_lattice
+    extent = max(math.hypot(*lat.combination(c)) / lat.den for c in product(range(-8, 9), repeat=2))
+    coxlen.render._require_alcoves_reach(rs, math.ceil(extent) + Q(1, 2))
+    # the area bound is an upper bound: a cap one below the walk's count
+    # refuses its radius
+    monkeypatch.setattr(coxlen.render, "ALCOVES_CAP", FROZEN_COUNTS[name][0] - 1)
+    with pytest.raises(BudgetExceeded):
+        enumerate_alcoves(rs, 2)
 
 
 def test_zero_radius_has_no_alcoves():

@@ -75,6 +75,35 @@ def test_cartan_pairings_are_integers():
                 assert abs(c) <= 3
 
 
+def _bourbaki_simple_roots(family: str, n: int) -> list[tuple]:
+    """Bourbaki's simple roots, Plates I-IX: e_i - e_(i+1), and for B, C, D
+    a last root e_n, 2 e_n or e_(n-1) + e_n; A_n in R^(n+1), G2 in the
+    zero-sum plane of R^3."""
+    if family == "G":
+        return [(1, -1, 0), (-2, 1, 1)]
+    if family == "F":
+        h = Q(1, 2)
+        return [(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (h, -h, -h, -h)]
+    dim = n + 1 if family == "A" else n
+    e = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    chain = [tuple(x - y for x, y in zip(e[i], e[i + 1])) for i in range(dim - 1)]
+    if family == "A":
+        return chain
+    last = {"B": e[-1], "C": tuple(2 * x for x in e[-1]), "D": tuple(x + y for x, y in zip(e[-2], e[-1]))}
+    return chain + [last[family]]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"{f}{n}" for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 2)) for n in range(lo, 9)] + ["G2", "F4"],
+)
+def test_simple_roots_are_bourbaki(name):
+    rs = root_system(name)
+    expected = _bourbaki_simple_roots(name[0], int(name[1:]))
+    assert rs.simple_roots == tuple(expected)
+    assert all(type(x) is Q for a in rs.simple_roots for x in a)
+
+
 def test_a2_lives_in_zero_sum_plane():
     rs = root_system("A2")
     assert rs.ambient_dim == 3
