@@ -14,8 +14,8 @@ Reflection length is computed here without any geometry:
 
 where the relative nullity nu(lam / pi) is the largest number of blocks
 in a partition refinable into cycles of pi whose block sums vanish.
-Nullity is reflen.zero_block_count, the kernel genfun also uses; the
-minimal null blocks and the maximal cliques of their disjointness complex
+Nullity is reflen.zero_block_count, the kernel of the classical d rule
+reflen._null_partition_d, which genfun also reads; the minimal null blocks and the maximal cliques of their disjointness complex
 (null_complex) list the null partitions for the nullity command only.
 
 good_origin_split walks the cycles of pi for a vertex fixed by the

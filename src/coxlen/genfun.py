@@ -19,12 +19,13 @@ signed permutation of [n]) a cycle of size m is negative (sign product
 -1; 2^(m-1) (m-1)! of them, no fixed vector) or positive, with a fixed
 vector v_B in {+-1}^B up to sign: each of its 2^(m-1) classes carries
 (m-1)! cycles.  e = n - k over the k positive cycles, and type D keeps
-only an even number of negative cycles.  In both, d = k - nu with nu
-reflen.zero_block_count of the sums <lam, v_B>, as in affsym.nullity
-(signed cycle types, Carter 1972; null partitions, McCammond-Petersen
-2011).  A DP over the coordinate masks S holds, for each multiset of
-cycle sums, the weighted number of ways to cover S by positive cycles;
-the negative cycles on the other coordinates only contribute a weight.
+only an even number of negative cycles.  In both, d is
+reflen._null_partition_d of the sums <lam, v_B>, the one home of that
+rule (signed cycle types, Carter 1972; null partitions,
+McCammond-Petersen 2011).  A DP over the coordinate masks S holds, for
+each multiset of cycle sums, the weighted number of ways to cover S by
+positive cycles; the negative cycles on the other coordinates only
+contribute a weight.
 
 G2 and F4 read f_lam off lam-independent tables, one row per root
 subspace M that is the move space Im(u - I) of some u in W0: e(u) is
@@ -48,7 +49,8 @@ classify_coroots computes f once per W0-orbit of the box, as f_lam is
 W0-invariant: conjugation by w in W0 sends t_lam u to t_{w lam}
 (w u w^-1) with the same d and e.  A point is keyed by the dominant
 point of its orbit, reached by simple reflections on its simple-coroot
-coordinates (_dominant_key).
+coordinates (_dominant_key).  One bound, DEFAULT_CLASSIFY_CAP on the
+terms summed, holds there for every type.
 
 W0 itself is enumerated, for the oracle, by breadth-first search over
 permutations of the root indices: right multiplication by a simple
@@ -62,16 +64,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import count, product as iproduct
 from math import comb, factorial, prod
 
 from .errors import BudgetExceeded
 from .linalg import Vec, scaled_ints
-from .reflen import zero_block_count
+from .reflen import _null_partition_d
 from .rootsys import Flat, FlatTable, RootSystem, RootTables, flat_table
 
 DEFAULT_W0_CAP = 10**5
-DEFAULT_CLASSIFY_CAP = 10**6
+DEFAULT_CLASSIFY_CAP = 3 * 10**6
 
 
 @dataclass(frozen=True)
@@ -270,10 +272,10 @@ def _require_lattice_point(rs: RootSystem, lam: Vec) -> None:
         )
 
 
-def _table_counts(rs: RootSystem, lam: Vec) -> dict[tuple[int, int], int]:
-    """The coefficients (d, e) -> count of f_lam from the W0 tables: for
-    u with move space M, d + e is the least dimension of a root subspace
-    that contains M and holds lam."""
+def _table_counts(rs: RootSystem, lam: Vec) -> tuple[dict[tuple[int, int], int], int]:
+    """The coefficients (d, e) -> count of f_lam from the W0 tables, and
+    the terms summed (its rows): for u with move space M, d + e is the
+    least dimension of a root subspace that contains M and holds lam."""
     flats, rows = _genfun_tables(rs)
     held = list(flats.holding(scaled_ints(lam)))
     own = {h.mask for h in held}
@@ -283,7 +285,7 @@ def _table_counts(rs: RootSystem, lam: Vec) -> dict[tuple[int, int], int]:
         top = flat.dim if flat.mask in own else next(h.dim for h in held if h.mask & flat.mask == flat.mask)
         key = (top - flat.dim, flat.dim)
         counts[key] = counts.get(key, 0) + mult
-    return counts
+    return counts, len(rows)
 
 
 def _cycle_options(x: list[int], family: str) -> list[list[tuple]]:
@@ -357,10 +359,9 @@ def _partition_counts(rs: RootSystem, lam: Vec) -> tuple[dict[tuple[int, int], i
                 break
             other = (other - 1) & rest
         covers.append(acc)
-    signed = family != "A"
     negative = _negative_covers(n)
     counts: dict[tuple[int, int], int] = {}
-    nus: dict[tuple[tuple[int, ...], int], int] = {}
+    ds: dict[tuple[tuple[int, ...], int], int] = {}
     for mask, cover in enumerate(covers):
         # the coordinates outside mask lie in negative cycles (none in type A)
         even, odd = negative[n - mask.bit_count()]
@@ -376,24 +377,24 @@ def _partition_counts(rs: RootSystem, lam: Vec) -> tuple[dict[tuple[int, int], i
                 sums = tuple(v for v, _ in key)
                 if mask == full:
                     bare = sum(1 << i for i, (_, single) in enumerate(key) if single)
-            nu = nus.get((sums, bare))
-            if nu is None:
-                nu = nus[(sums, bare)] = zero_block_count(sums, signed, bare)
-            k = len(key)
-            counts[(k - nu, n - k)] = counts.get((k - nu, n - k), 0) + ways * weight
+            d = ds.get((sums, bare))
+            if d is None:
+                d = ds[(sums, bare)] = _null_partition_d(family, sums, bare)
+            e = n - len(key)
+            counts[(d, e)] = counts.get((d, e), 0) + ways * weight
     return counts, sum(map(len, covers))
 
 
-def _local_counts(rs: RootSystem, lam: Vec) -> dict[tuple[int, int], int]:
+def _local_counts(rs: RootSystem, lam: Vec) -> tuple[dict[tuple[int, int], int], int]:
     _require_lattice_point(rs, lam)
     if rs.tables.flats is None:
-        return _partition_counts(rs, lam)[0]
+        return _partition_counts(rs, lam)
     return _table_counts(rs, lam)
 
 
 def local_genfun(rs: RootSystem, lam: Vec) -> BivariatePolynomial:
     """f_lam(s, t) = sum of s^d t^e over the elements with translation lam."""
-    return BivariatePolynomial.from_dict(_local_counts(rs, lam))
+    return BivariatePolynomial.from_dict(_local_counts(rs, lam)[0])
 
 
 def spherical_genfun(rs: RootSystem) -> tuple[int, ...]:
@@ -401,7 +402,7 @@ def spherical_genfun(rs: RootSystem) -> tuple[int, ...]:
     length equal to e); computed by counting, not from rs.exponents: the
     e-marginal of f_0, where every term has d = 0."""
     counts = [0] * (rs.rank + 1)
-    for (_, e), mult in _local_counts(rs, (0,) * rs.ambient_dim).items():
+    for (_, e), mult in _local_counts(rs, (0,) * rs.ambient_dim)[0].items():
         counts[e] += mult
     return tuple(counts)
 
@@ -416,19 +417,15 @@ def exponent_product(rs: RootSystem) -> tuple[int, ...]:
 
 def is_generic(rs: RootSystem, lam: Vec) -> bool:
     """lam lies in no proper root subspace, so d(t_lam) = rank.  For A-D
-    this is the null-partition rule at u = 1, whose cycles are the
-    coordinates with sums the entries of lam: d = #coordinates - nu
-    (zero_block_count; type D forbids a free single coordinate, as u has
-    no negative cycle).  For G2 and F4 no root subspace of corank 1 may
-    hold lam (FlatTable.holding)."""
+    this is the null-partition rule (reflen._null_partition_d) at u = 1,
+    whose cycles are the coordinates with sums the entries of lam, every
+    one of size 1 (bare for type D, as u has no negative cycle).  For G2
+    and F4 no root subspace of corank 1 may hold lam (FlatTable.holding)."""
     _require_lattice_point(rs, lam)
     x = scaled_ints(lam)
     if rs.tables.flats is not None:
         return next(rs.tables.flats.holding(x)).dim == rs.rank
-    family = rs.spec.family
-    if family == "A":
-        return zero_block_count(x, False) == 1
-    return zero_block_count(x, True, (1 << len(x)) - 1 if family == "D" else 0) == 0
+    return _null_partition_d(rs.spec.family, x, (1 << len(x)) - 1) == rs.rank
 
 
 def _dominant_key(tables: RootTables):
@@ -467,30 +464,27 @@ def classify_coroots(rs: RootSystem, radius: int) -> dict[BivariatePolynomial, t
     t_{w lam} (w u w^-1) with the same d and e, and u -> w u w^-1 permutes
     W0.  So each point is keyed by the dominant point of its orbit
     (_dominant_key, one rule for every type) and f is computed once
-    per key, at the first point of the scan that has it.  Where W0 is
-    above DEFAULT_W0_CAP (types A-D, by the partition sum),
-    DEFAULT_CLASSIFY_CAP bounds the terms summed over the orbits computed
-    (each sums at least one), and a box of more points than the cap is
-    refused before the scan; a scan that needs more raises
-    BudgetExceeded.  Elsewhere the scan is uncapped, as the W0 tables
-    bound it."""
+    per key, at the first point of the scan that has it.  One bound holds
+    for every type: DEFAULT_CLASSIFY_CAP bounds the terms summed over the
+    orbits computed (partition-sum terms for A-D, table rows for G2 and
+    F4), and a scan that needs more raises BudgetExceeded; a box of more
+    than a tenth as many points is refused before the scan."""
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     cap = DEFAULT_CLASSIFY_CAP
-    capped = rs.w0_size > DEFAULT_W0_CAP
+    # a point costs about ten terms (its orbit key and Fraction point take
+    # 40-55 us, a term 3-6 us, on a 2-vCPU VM), so the box may hold cap // 10
+    bound = cap // 10
     classes: dict[BivariatePolynomial, list[Vec]] = {}
     rng = range(-radius, radius + 1)
     total = len(rng) ** rs.rank
-    terms = 0
-
-    def exceeded(done: int) -> BudgetExceeded:
-        return BudgetExceeded(
-            f"classification cap {cap} exceeded: {terms} terms summed over {done} of "
-            f"{total} lattice points of {rs.spec} at radius {radius}; use a smaller radius"
+    if total > bound:
+        fits = next(r for r in count() if (2 * r + 3) ** rs.rank > bound)
+        raise BudgetExceeded(
+            f"classification cap {bound} lattice points exceeded: radius {radius} of {rs.spec} has {total}; "
+            f"the largest radius that fits is {fits}"
         )
-
-    if capped and total > cap:
-        raise exceeded(0)
+    terms = 0
     orbit_key = _dominant_key(rs.tables)
     orbits: dict[tuple[int, ...], BivariatePolynomial] = {}
     for done, coeffs in enumerate(iproduct(rng, repeat=rs.rank), 1):
@@ -498,13 +492,13 @@ def classify_coroots(rs: RootSystem, radius: int) -> dict[BivariatePolynomial, t
         key = orbit_key(coeffs)
         f = orbits.get(key)
         if f is None:
-            if capped:
-                counts, summed = _partition_counts(rs, lam)
-                terms += summed
-                if terms > cap:
-                    raise exceeded(done)
-            else:
-                counts = _local_counts(rs, lam)
+            counts, summed = _local_counts(rs, lam)
+            terms += summed
+            if terms > cap:
+                raise BudgetExceeded(
+                    f"classification cap {cap} exceeded: {terms} terms summed over {done} of "
+                    f"{total} lattice points of {rs.spec} at radius {radius}; use a smaller radius"
+                )
             f = orbits[key] = BivariatePolynomial.from_dict(counts)
         classes.setdefault(f, []).append(lam)
     return {f: tuple(sorted(pts)) for f, pts in classes.items()}

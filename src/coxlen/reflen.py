@@ -34,13 +34,13 @@ B (the product of its signs is 1), so e = #coordinates - #positive
 cycles, and the image of a vector a in V / Mov(u) is <a, v_B> at the
 largest coordinate of each positive cycle (_cycle_key), the residual of a
 modulo the reduced echelon rows of Mov(u).  A root lies in Mov(u) exactly
-when its image is zero.  For type A, d has a closed form from null
-partitions: d = #cycles of u - nu(mu), where mu_B sums lam over a cycle
-B and nu is the most zero-sum blocks in a partition of the cycles
-(zero_block_count).  The d-search then runs only at that subset size,
-for the witness, and a search that finds another size raises
-AssertionError.  Types B-D try subset sizes k = 1, 2, ... of the
-projected root lines (the span search).
+when its image is zero.  d = #positive cycles - nu(mu_B), mu_B = <mu,
+v_B>, with nu the most zero blocks in a partition of the cycles
+(zero_block_count, signed for B-D): _null_partition_d, the one home of
+that rule, which genfun also reads.  For type A the d-search runs only
+at that subset size, for the witness, and a search that finds another
+size raises AssertionError.  Types B-D try subset sizes k = 1, 2, ... of
+the projected root lines (the span search).
 For each k it walks prefixes of independent lines depth first, keeping
 the target and the remaining lines reduced modulo the prefix as
 canonical integer line representatives (fraction-free elimination).  Of
@@ -274,15 +274,15 @@ def zero_block_count(sums: Sequence[int], signed: bool, bare: int = 0) -> int:
     return k - len(vals) + max(((r & zeros).bit_length() - 1 - off) // width for r in ends)
 
 
-def _null_partition_d(rs: RootSystem, sums: Sequence[int]) -> int | None:
-    """d of the type-A element t_lam u by null partitions, None for the
-    other types and for a translation off the root span: sums are the
-    sums mu_B of the multiple mu of lam over the cycles B of u, and d =
-    #cycles - nu(mu_B) (zero_block_count, unsigned; McCammond-Petersen).
-    """
-    if rs.spec.family != "A" or sum(sums):
-        return None
-    return len(sums) - zero_block_count(sums, False)
+def _null_partition_d(family: str, sums: Sequence[int], bare: int = 0) -> int:
+    """d of the classical element t_lam u of type family by null
+    partitions, the one home of that rule: sums are the images mu_B of a
+    multiple mu of lam on the fixed vectors v_B of the positive cycles B
+    of u, and d = #cycles - nu(mu_B) (zero_block_count).  Type A is
+    unsigned (McCammond-Petersen); B-D are signed (signed cycle types,
+    Carter), and type D alone reads bare, the cycles of size 1 when u has
+    no negative cycle."""
+    return len(sums) - zero_block_count(sums, family != "A", bare if family == "D" else 0)
 
 
 def _signed_cycles(tables, perm: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
@@ -462,7 +462,7 @@ def _span_search(rs: RootSystem, lines, target, sums, max_k: int) -> tuple[int, 
     type A from the sums of lam over the cycles of u."""
     if not any(target):
         return 0, ()
-    rule = _null_partition_d(rs, sums)
+    rule = _null_partition_d("A", sums) if rs.spec.family == "A" and not sum(sums) else None
     d, lifts = _min_span_subset(lines, target, max_k, least=rule or 1)
     if rule not in (None, d):
         raise AssertionError(f"null partitions give d = {rule}, the span search {d}")

@@ -10,10 +10,8 @@ from itertools import product as iproduct
 from coxlen.errors import BudgetExceeded
 from coxlen.genfun import (
     DEFAULT_CLASSIFY_CAP,
-    DEFAULT_W0_CAP,
     BivariatePolynomial,
     _local_counts,
-    _partition_counts,
     enumerate_w0,
 )
 from coxlen.linalg import Vec, int_residual, is_zero, rref_pivots, scaled_ints
@@ -78,15 +76,12 @@ def reference_classify_coroots(rs: RootSystem, radius: int) -> dict[BivariatePol
     """Group the lattice points with simple-coroot coefficients in
     [-radius, radius] by their exact local generating function.  Classes
     appear in first-seen order over the lexicographic coefficient scan;
-    points within a class are sorted.  Where W0 is above DEFAULT_W0_CAP
-    (types A-D, by the partition sum), DEFAULT_CLASSIFY_CAP bounds the
+    points within a class are sorted.  DEFAULT_CLASSIFY_CAP bounds the
     terms summed over the whole scan (every point sums at least one); a
-    scan that needs more raises BudgetExceeded.  Elsewhere the scan is
-    uncapped, as the W0 tables bound it."""
+    scan that needs more raises BudgetExceeded."""
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     cap = DEFAULT_CLASSIFY_CAP
-    capped = rs.w0_size > DEFAULT_W0_CAP
     classes: dict[BivariatePolynomial, list[Vec]] = {}
     rng = range(-radius, radius + 1)
     total = len(rng) ** rs.rank
@@ -98,16 +93,13 @@ def reference_classify_coroots(rs: RootSystem, radius: int) -> dict[BivariatePol
             f"{total} lattice points of {rs.spec} at radius {radius}; use a smaller radius"
         )
 
-    if capped and total > cap:
+    if total > cap:
         raise exceeded(0)
     for done, coeffs in enumerate(iproduct(rng, repeat=rs.rank), 1):
         lam = rs.from_lattice_coords(coeffs)
-        if capped:
-            counts, summed = _partition_counts(rs, lam)
-            terms += summed
-            if terms > cap:
-                raise exceeded(done)
-        else:
-            counts = _local_counts(rs, lam)
+        counts, summed = _local_counts(rs, lam)
+        terms += summed
+        if terms > cap:
+            raise exceeded(done)
         classes.setdefault(BivariatePolynomial.from_dict(counts), []).append(lam)
     return {f: tuple(sorted(pts)) for f, pts in classes.items()}

@@ -421,8 +421,10 @@ def test_genfun_rank_8_without_w0(capsys):
 def test_genfun_classify_out_of_reach_fails_fast(capsys):
     code, out, err = run(capsys, "genfun", "--type", "B8", "--classify", "3")
     assert (code, out) == (4, "")
-    assert err.startswith("error: classification cap 1000000 exceeded: ")
-    assert err.endswith(" of 5764801 lattice points of B8 at radius 3; use a smaller radius\n")
+    assert err == (
+        "error: classification cap 300000 lattice points exceeded: radius 3 of B8 has 5764801; "
+        "the largest radius that fits is 1\n"
+    )
 
 
 def test_genfun_needs_an_input(capsys):

@@ -24,6 +24,7 @@ from coxlen.genfun import (
     _dominant_key,
     _genfun_tables,
     _height_exponents,
+    _local_counts,
     _partition_counts,
     _table_counts,
     classify_coroots,
@@ -192,7 +193,7 @@ def test_partition_sum_matches_w0_tables_on_a_box(name):
     radius = PARTITION_BOX[rs.rank]
     for coeffs in iproduct(range(-radius, radius + 1), repeat=rs.rank):
         lam = rs.from_lattice_coords(coeffs)
-        assert _partition_counts(rs, lam)[0] == _table_counts(rs, lam), coeffs
+        assert _partition_counts(rs, lam)[0] == _table_counts(rs, lam)[0], coeffs
 
 
 @pytest.mark.parametrize("name", ["A6", "D6"])
@@ -201,7 +202,7 @@ def test_partition_sum_matches_w0_tables_on_samples(name):
     rng = random.Random(name)
     for _ in range(6):
         lam = rs.from_lattice_coords([rng.randint(-3, 3) for _ in range(rs.rank)])
-        assert _partition_counts(rs, lam)[0] == _table_counts(rs, lam), lam
+        assert _partition_counts(rs, lam)[0] == _table_counts(rs, lam)[0], lam
 
 
 # d + e is the least dimension of a root subspace above the move space
@@ -214,7 +215,7 @@ def test_table_counts_match_the_span_search_on_a_box(name, radius):
     rs = root_system(name)
     for coeffs in iproduct(range(-radius, radius + 1), repeat=rs.rank):
         lam = rs.from_lattice_coords(coeffs)
-        assert _table_counts(rs, lam) == span_search_counts(rs, lam), coeffs
+        assert _table_counts(rs, lam)[0] == span_search_counts(rs, lam), coeffs
 
 
 GENERIC_TYPES = (
@@ -255,28 +256,80 @@ def test_is_generic_answers_at_rank_8(name, lam, generic):
 
 
 def test_classify_cap(monkeypatch):
-    # the cap holds only where W0 is out of reach; B2 at radius 2 sums
-    # 51 partition-sum terms over the W0-orbits it computes
+    # one bound for every type: A4 at radius 1 sums 1177 partition-sum
+    # terms over the W0-orbits it computes, on 81 lattice points, and a
+    # box may hold a tenth as many points as the cap has terms
+    a4 = root_system("A4")
+    expected = classify_coroots(a4, 1)
+    monkeypatch.setattr(genfun, "DEFAULT_CLASSIFY_CAP", 1177)
+    assert classify_coroots(a4, 1) == expected
+    monkeypatch.setattr(genfun, "DEFAULT_CLASSIFY_CAP", 1176)
+    with pytest.raises(BudgetExceeded) as caught:
+        classify_coroots(a4, 1)
+    assert str(caught.value) == (
+        "classification cap 1176 exceeded: 1177 terms summed over 61 of 81 lattice points of A4 at radius 1; "
+        "use a smaller radius"
+    )
+    # B2 at radius 2 has 25 points: it fits a cap of 250 terms, not 249
     expected = classify_coroots(B2, 2)
-    monkeypatch.setattr(genfun, "DEFAULT_W0_CAP", 7)
-    monkeypatch.setattr(genfun, "DEFAULT_CLASSIFY_CAP", 51)
+    monkeypatch.setattr(genfun, "DEFAULT_CLASSIFY_CAP", 250)
     assert classify_coroots(B2, 2) == expected
-    monkeypatch.setattr(genfun, "DEFAULT_CLASSIFY_CAP", 50)
-    with pytest.raises(BudgetExceeded, match=r"cap 50 exceeded: 51 terms summed over \d+ of 25 lattice points"):
+    monkeypatch.setattr(genfun, "DEFAULT_CLASSIFY_CAP", 249)
+    with pytest.raises(BudgetExceeded) as caught:
         classify_coroots(B2, 2)
+    assert str(caught.value) == (
+        "classification cap 24 lattice points exceeded: radius 2 of B2 has 25; the largest radius that fits is 1"
+    )
     monkeypatch.undo()
     # too many points to try: fails before the first one
-    with pytest.raises(BudgetExceeded, match="0 terms summed over 0 of 5764801 lattice points of B8"):
+    with pytest.raises(BudgetExceeded) as caught:
         classify_coroots(root_system("B8"), 3)
+    assert str(caught.value) == (
+        "classification cap 300000 lattice points exceeded: radius 3 of B8 has 5764801; "
+        "the largest radius that fits is 1"
+    )
 
 
-@pytest.mark.parametrize("name,radius,count", [("A5", 2, 3125), ("F4", 3, 2401)])
-def test_classify_within_w0_reach_is_uncapped(monkeypatch, name, radius, count):
-    # boxes whose W0 fits under DEFAULT_W0_CAP answer however many terms
-    # they sum
-    monkeypatch.setattr(genfun, "DEFAULT_CLASSIFY_CAP", 1)
-    classes = classify_coroots(root_system(name), radius)
-    assert sum(map(len, classes.values())) == count
+@pytest.mark.parametrize("name,radius,points,fits", [
+    ("G2", 600, 1442401, 273),
+    ("B2", 600, 1442401, 273),
+    ("A3", 60, 1771561, 32),
+    ("A7", 3, 823543, 2),
+    ("B6", 4, 531441, 3),
+])
+def test_classify_refuses_a_box_beyond_the_point_bound(name, radius, points, fits):
+    # refused before the scan, for small W0 as for large
+    rs = root_system(name)
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as caught:
+        classify_coroots(rs, radius)
+    assert time.perf_counter() - started < 1
+    assert str(caught.value) == (
+        f"classification cap 300000 lattice points exceeded: radius {radius} of {name} has {points}; "
+        f"the largest radius that fits is {fits}"
+    )
+
+
+@pytest.mark.parametrize("radius,terms,done", [(0, 268, 1), (1, 2412, 41)])
+def test_classify_stops_on_table_terms_as_on_partition_terms(monkeypatch, radius, terms, done):
+    # as A4 does in test_classify_cap
+    rs = root_system("F4")
+    monkeypatch.setattr(genfun, "DEFAULT_CLASSIFY_CAP", terms - 1)
+    with pytest.raises(BudgetExceeded) as caught:
+        classify_coroots(rs, radius)
+    points = (2 * radius + 1) ** rs.rank
+    assert str(caught.value) == (
+        f"classification cap {terms - 1} exceeded: {terms} terms summed over {done} of {points} lattice points "
+        f"of F4 at radius {radius}; use a smaller radius"
+    )
+
+
+@pytest.mark.parametrize("name,rows", [("G2", 8), ("F4", 268)])
+def test_table_terms_are_the_rows_read(name, rows):
+    # G2 sums 8 terms per orbit of at most 12 points, never the ten terms
+    # per point the point bound allows, so that bound always holds first
+    rs = root_system(name)
+    assert _local_counts(rs, (0,) * rs.ambient_dim)[1] == len(_genfun_tables(rs)[1]) == rows
 
 
 @pytest.mark.parametrize("name", ["A5", "B5", "D5", "A6"])
@@ -450,10 +503,12 @@ def test_orbit_classify_matches_the_per_point_reference(monkeypatch, name, radiu
     rs = root_system(name)
     expected = list(reference_classify_coroots(rs, radius).items())
     assert list(classify_coroots(rs, radius).items()) == expected
-    if rs.spec.family in "ABCD":
-        # and by the capped path, which sums the partition counts itself
-        monkeypatch.setattr(genfun, "DEFAULT_W0_CAP", 1)
-        assert list(classify_coroots(rs, radius).items()) == expected
+    # and by one _local_counts call per W0-orbit of the box, for every type
+    calls, local = [], genfun._local_counts
+    monkeypatch.setattr(genfun, "_local_counts", lambda *args: calls.append(args) or local(*args))
+    assert list(classify_coroots(rs, radius).items()) == expected
+    key = _dominant_key(rs.tables)
+    assert len(calls) == len({key(c) for c in iproduct(range(-radius, radius + 1), repeat=rs.rank)})
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4"])

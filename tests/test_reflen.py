@@ -11,6 +11,7 @@ import dataclasses
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations, count
 
@@ -47,6 +48,7 @@ from coxlen.reflen import (
     _index_moves,
     _min_span_subset,
     _move_flat,
+    _null_partition_d,
     _move_mask,
     _peel_elliptic,
     _quotient_lines,
@@ -399,16 +401,20 @@ def test_reach_matches_window_formula(name, expected):
 
 
 @st.composite
-def type_a_pairs(draw):
+def classical_pairs(draw, names, bound):
     """(type name, root permutation, simple-coroot coordinates) of a
-    random A1-A6 element: a word of at most 2 * rank simple reflections
-    and coordinates in [-3, 3]."""
-    name = f"A{draw(st.integers(1, 6))}"
+    random element of one of the types names: a word of at most 2 * rank
+    simple reflections and coordinates in [-bound, bound]."""
+    name = draw(st.sampled_from(names))
     rs = root_system(name)
     word = draw(st.lists(st.integers(0, rs.rank - 1), max_size=2 * rs.rank))
     perm, _ = rs.tables.fold((rs.tables.simple[i], 0) for i in word)
-    coords = tuple(draw(st.lists(st.integers(-3, 3), min_size=rs.rank, max_size=rs.rank)))
+    coords = tuple(draw(st.lists(st.integers(-bound, bound), min_size=rs.rank, max_size=rs.rank)))
     return name, perm, coords
+
+
+def type_a_pairs():
+    return classical_pairs([f"A{n}" for n in range(1, 7)], 3)
 
 
 def full_search_report(rs, perm, coords):
@@ -429,6 +435,25 @@ def test_null_partition_d_matches_the_full_search(case):
     name, perm, coords = case
     rs = root_system(name)
     assert pair_report(rs, perm, coords) == full_search_report(rs, perm, coords)
+
+
+SIGNED_TYPES = [f"{f}{n}" for f in "BC" for n in range(2, 6)] + ["D3", "D4", "D5"]
+
+
+@given(classical_pairs([f"A{n}" for n in range(2, 6)] + SIGNED_TYPES, 6))
+@settings(max_examples=300, deadline=None)
+def test_null_partition_d_is_the_reports_d(case):
+    # the rule on the positive cycles of u, signed for B-D, with bare the
+    # cycles of one coordinate when u has no negative cycle, against the
+    # span search, which B-D still run from size 1
+    name, perm, coords = case
+    rs = root_system(name)
+    weight, home, tops = _signed_cycles(rs.tables, perm)
+    key = _cycle_key(rs.coroot_lattice.combination(coords), weight, home)
+    sizes = Counter(m for v, m in zip(weight, home) if v)
+    bare = sum(1 << i for i, m in enumerate(tops) if sizes[m] == 1) if all(weight) else 0
+    d = _null_partition_d(rs.spec.family, [key[m] for m in tops], bare)
+    assert d == pair_report(rs, perm, coords).d
 
 
 @st.composite
