@@ -45,12 +45,11 @@ partition).  Each row holds the space and that count, so classifying
 many lattice points repeats only the tests of lam against the spaces.
 These tables also serve as the reference for types A-D in the tests.
 
-classify_coroots computes f once per W0-orbit of the box, as f_lam is
-W0-invariant: conjugation by w in W0 sends t_lam u to t_{w lam}
-(w u w^-1) with the same d and e.  A point is keyed by the dominant
-point of its orbit, reached by simple reflections on its simple-coroot
-coordinates (_dominant_key).  One bound, DEFAULT_CLASSIFY_CAP on the
-terms summed, holds there for every type.
+Both paths read lam as integers, x a positive multiple of it: the public
+entries check the lattice once (_require_lattice_point), and
+classify_coroots, which computes f once per W0-orbit of the box, keeps
+each point as den lam (CorootLattice.combination).  Fractions are built
+only for its output.
 
 W0 itself is enumerated, for the oracle, by breadth-first search over
 permutations of the root indices: right multiplication by a simple
@@ -63,6 +62,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import count, product as iproduct
 from math import comb, factorial, prod
@@ -112,10 +112,7 @@ class BivariatePolynomial:
         return BivariatePolynomial.from_dict(d)
 
     def coefficient(self, a: int, b: int) -> int:
-        for ta, tb, c in self.terms:
-            if (ta, tb) == (a, b):
-                return c
-        return 0
+        return next((c for ta, tb, c in self.terms if (ta, tb) == (a, b)), 0)
 
     def uses_s(self) -> bool:
         return any(a > 0 for a, _, _ in self.terms)
@@ -265,19 +262,18 @@ def _genfun_tables(rs: RootSystem) -> tuple[FlatTable, tuple[tuple[Flat, int], .
     return flats, tuple(rows)
 
 
-def _require_lattice_point(rs: RootSystem, lam: Vec) -> None:
+def _require_lattice_point(rs: RootSystem, lam: Vec) -> list[int]:
     if not rs.in_coroot_lattice(lam):
-        raise ValueError(
-            "(" + ", ".join(map(str, lam)) + f") is not in the coroot lattice of {rs.spec}"
-        )
+        raise ValueError("(" + ", ".join(map(str, lam)) + f") is not in the coroot lattice of {rs.spec}")
+    return scaled_ints(lam)
 
 
-def _table_counts(rs: RootSystem, lam: Vec) -> tuple[dict[tuple[int, int], int], int]:
+def _table_counts(rs: RootSystem, x: list[int]) -> tuple[dict[tuple[int, int], int], int]:
     """The coefficients (d, e) -> count of f_lam from the W0 tables, and
     the terms summed (its rows): for u with move space M, d + e is the
-    least dimension of a root subspace that contains M and holds lam."""
+    least dimension of a root subspace that contains M and holds x."""
     flats, rows = _genfun_tables(rs)
-    held = list(flats.holding(scaled_ints(lam)))
+    held = list(flats.holding(x))
     own = {h.mask for h in held}
     counts: dict[tuple[int, int], int] = {}
     for flat, mult in rows:
@@ -333,12 +329,11 @@ def _negative_covers(n: int) -> list[tuple[int, int]]:
     return covers
 
 
-def _partition_counts(rs: RootSystem, lam: Vec) -> tuple[dict[tuple[int, int], int], int]:
+def _partition_counts(rs: RootSystem, x: list[int]) -> tuple[dict[tuple[int, int], int], int]:
     """The coefficients (d, e) -> count of f_lam for types A-D by the
     (signed) set-partition sum, and the number of terms summed (multisets
     of cycle sums over all coordinate masks)."""
     family = rs.spec.family
-    x = scaled_ints(lam)
     n = len(x)
     full = (1 << n) - 1
     options = _cycle_options(x, family)
@@ -385,16 +380,15 @@ def _partition_counts(rs: RootSystem, lam: Vec) -> tuple[dict[tuple[int, int], i
     return counts, sum(map(len, covers))
 
 
-def _local_counts(rs: RootSystem, lam: Vec) -> tuple[dict[tuple[int, int], int], int]:
-    _require_lattice_point(rs, lam)
+def _local_counts(rs: RootSystem, x: list[int]) -> tuple[dict[tuple[int, int], int], int]:
     if rs.tables.flats is None:
-        return _partition_counts(rs, lam)
-    return _table_counts(rs, lam)
+        return _partition_counts(rs, x)
+    return _table_counts(rs, x)
 
 
 def local_genfun(rs: RootSystem, lam: Vec) -> BivariatePolynomial:
     """f_lam(s, t) = sum of s^d t^e over the elements with translation lam."""
-    return BivariatePolynomial.from_dict(_local_counts(rs, lam)[0])
+    return BivariatePolynomial.from_dict(_local_counts(rs, _require_lattice_point(rs, lam))[0])
 
 
 def spherical_genfun(rs: RootSystem) -> tuple[int, ...]:
@@ -402,7 +396,7 @@ def spherical_genfun(rs: RootSystem) -> tuple[int, ...]:
     length equal to e); computed by counting, not from rs.exponents: the
     e-marginal of f_0, where every term has d = 0."""
     counts = [0] * (rs.rank + 1)
-    for (_, e), mult in _local_counts(rs, (0,) * rs.ambient_dim)[0].items():
+    for (_, e), mult in _local_counts(rs, [0] * rs.ambient_dim)[0].items():
         counts[e] += mult
     return tuple(counts)
 
@@ -421,8 +415,7 @@ def is_generic(rs: RootSystem, lam: Vec) -> bool:
     whose cycles are the coordinates with sums the entries of lam, every
     one of size 1 (bare for type D, as u has no negative cycle).  For G2
     and F4 no root subspace of corank 1 may hold lam (FlatTable.holding)."""
-    _require_lattice_point(rs, lam)
-    x = scaled_ints(lam)
+    x = _require_lattice_point(rs, lam)
     if rs.tables.flats is not None:
         return next(rs.tables.flats.holding(x)).dim == rs.rank
     return _null_partition_d(rs.spec.family, x, (1 << len(x)) - 1) == rs.rank
@@ -472,10 +465,9 @@ def classify_coroots(rs: RootSystem, radius: int) -> dict[BivariatePolynomial, t
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     cap = DEFAULT_CLASSIFY_CAP
-    # a point costs about ten terms (its orbit key and Fraction point take
-    # 40-55 us, a term 3-6 us, on a 2-vCPU VM), so the box may hold cap // 10
+    # a point costs about ten terms (its orbit key and integer point take
+    # 12-47 us, a term 2-5 us, on a 2-vCPU VM), so the box may hold cap // 10
     bound = cap // 10
-    classes: dict[BivariatePolynomial, list[Vec]] = {}
     rng = range(-radius, radius + 1)
     total = len(rng) ** rs.rank
     if total > bound:
@@ -485,20 +477,22 @@ def classify_coroots(rs: RootSystem, radius: int) -> dict[BivariatePolynomial, t
             f"the largest radius that fits is {fits}"
         )
     terms = 0
-    orbit_key = _dominant_key(rs.tables)
-    orbits: dict[tuple[int, ...], BivariatePolynomial] = {}
+    orbit_key, lattice = _dominant_key(rs.tables), rs.coroot_lattice
+    classes: dict[BivariatePolynomial, list[list[int]]] = {}
+    orbits: dict[tuple[int, ...], list[list[int]]] = {}
     for done, coeffs in enumerate(iproduct(rng, repeat=rs.rank), 1):
-        lam = rs.from_lattice_coords(coeffs)
+        x = lattice.combination(coeffs)
         key = orbit_key(coeffs)
-        f = orbits.get(key)
-        if f is None:
-            counts, summed = _local_counts(rs, lam)
+        pts = orbits.get(key)
+        if pts is None:
+            counts, summed = _local_counts(rs, x)
             terms += summed
             if terms > cap:
                 raise BudgetExceeded(
                     f"classification cap {cap} exceeded: {terms} terms summed over {done} of "
                     f"{total} lattice points of {rs.spec} at radius {radius}; use a smaller radius"
                 )
-            f = orbits[key] = BivariatePolynomial.from_dict(counts)
-        classes.setdefault(f, []).append(lam)
-    return {f: tuple(sorted(pts)) for f, pts in classes.items()}
+            pts = orbits[key] = classes.setdefault(BivariatePolynomial.from_dict(counts), [])
+        pts.append(x)
+    # every point is den lam with the same den > 0, so the integer order is lam's
+    return {f: tuple(tuple(Q(v, lattice.den) for v in x) for x in sorted(pts)) for f, pts in classes.items()}

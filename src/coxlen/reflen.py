@@ -488,7 +488,12 @@ class DimensionReport:
 
 
 def dimension_report(rs: RootSystem, w: AffineElement) -> DimensionReport:
-    return _report(rs, _w0_permutation(rs, w.linear), scaled_ints(w.translation))
+    perm, mu = _w0_permutation(rs, w.linear), scaled_ints(w.translation)
+    # only A_n and G2 have a root span short of the space: the zero-sum one
+    if rs.ambient_dim > rs.rank and sum(mu):
+        text = ", ".join(map(str, w.translation))
+        raise ValueError(f"translation part ({text}) is not in the root span of {rs.spec}")
+    return _report(rs, perm, mu)
 
 
 def pair_report(rs: RootSystem, perm: tuple[int, ...], coords: tuple[int, ...]) -> DimensionReport:

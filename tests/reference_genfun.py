@@ -97,7 +97,7 @@ def reference_classify_coroots(rs: RootSystem, radius: int) -> dict[BivariatePol
         raise exceeded(0)
     for done, coeffs in enumerate(iproduct(rng, repeat=rs.rank), 1):
         lam = rs.from_lattice_coords(coeffs)
-        counts, summed = _local_counts(rs, lam)
+        counts, summed = _local_counts(rs, scaled_ints(lam))
         terms += summed
         if terms > cap:
             raise exceeded(done)

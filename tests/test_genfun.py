@@ -37,9 +37,9 @@ from coxlen.genfun import (
     poly_one_plus,
     spherical_genfun,
 )
-from coxlen.linalg import identity_matrix, mat_mul, vec
+from coxlen.linalg import identity_matrix, mat_mul, scaled_ints, vec
 from coxlen.reflen import dimension_report
-from coxlen.rootsys import root_system
+from coxlen.rootsys import RootSystem, root_system
 from reference_affgroup import root_permutation
 from reference_genfun import (
     poly_s_plus,
@@ -193,7 +193,7 @@ def test_partition_sum_matches_w0_tables_on_a_box(name):
     radius = PARTITION_BOX[rs.rank]
     for coeffs in iproduct(range(-radius, radius + 1), repeat=rs.rank):
         lam = rs.from_lattice_coords(coeffs)
-        assert _partition_counts(rs, lam)[0] == _table_counts(rs, lam)[0], coeffs
+        assert _partition_counts(rs, scaled_ints(lam))[0] == _table_counts(rs, scaled_ints(lam))[0], coeffs
 
 
 @pytest.mark.parametrize("name", ["A6", "D6"])
@@ -202,7 +202,7 @@ def test_partition_sum_matches_w0_tables_on_samples(name):
     rng = random.Random(name)
     for _ in range(6):
         lam = rs.from_lattice_coords([rng.randint(-3, 3) for _ in range(rs.rank)])
-        assert _partition_counts(rs, lam)[0] == _table_counts(rs, lam)[0], lam
+        assert _partition_counts(rs, scaled_ints(lam))[0] == _table_counts(rs, scaled_ints(lam))[0], lam
 
 
 # d + e is the least dimension of a root subspace above the move space
@@ -215,7 +215,7 @@ def test_table_counts_match_the_span_search_on_a_box(name, radius):
     rs = root_system(name)
     for coeffs in iproduct(range(-radius, radius + 1), repeat=rs.rank):
         lam = rs.from_lattice_coords(coeffs)
-        assert _table_counts(rs, lam)[0] == span_search_counts(rs, lam), coeffs
+        assert _table_counts(rs, scaled_ints(lam))[0] == span_search_counts(rs, lam), coeffs
 
 
 GENERIC_TYPES = (
@@ -496,7 +496,9 @@ ORBIT_TYPES = ["A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "D4", "G2"]
 
 
 @pytest.mark.parametrize(
-    "name,radius", [(name, radius) for name in ORBIT_TYPES for radius in range(3)] + [("F4", 0), ("F4", 1)]
+    "name,radius",
+    [(name, radius) for name in ORBIT_TYPES for radius in range(3)]
+    + [("F4", 0), ("F4", 1), ("G2", 3), ("G2", 4), ("B3", 3), ("C3", 3)],
 )
 def test_orbit_classify_matches_the_per_point_reference(monkeypatch, name, radius):
     # the same classes in the same order, points sorted within each
@@ -509,6 +511,26 @@ def test_orbit_classify_matches_the_per_point_reference(monkeypatch, name, radiu
     assert list(classify_coroots(rs, radius).items()) == expected
     key = _dominant_key(rs.tables)
     assert len(calls) == len({key(c) for c in iproduct(range(-radius, radius + 1), repeat=rs.rank)})
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "D4", "G2", "F4"])
+def test_public_calls_check_the_lattice_once(monkeypatch, name):
+    # classify_coroots keeps its points as integers, with no lattice check
+    # and no Fraction point built in the scan; local_genfun and is_generic
+    # each check lam once
+    rs = root_system(name)
+    lam = rs.from_lattice_coords(range(1, rs.rank + 1))
+    calls = []
+    for method in ("in_coroot_lattice", "from_lattice_coords"):
+        original = getattr(RootSystem, method)
+        monkeypatch.setattr(RootSystem, method, lambda *args, f=original, n=method: calls.append(n) or f(*args))
+    classify_coroots(rs, 1)
+    spherical_genfun(rs)
+    assert calls == []
+    for call in (local_genfun, is_generic):
+        calls.clear()
+        call(rs, lam)
+        assert calls == ["in_coroot_lattice"], call.__name__
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4"])

@@ -617,6 +617,28 @@ def test_dimension_report_fractional_translations(name, word, lam):
     check_against_reference(rs, AffineElement(w.linear, vec(lam)))
 
 
+@pytest.mark.parametrize("name,word,lam", [
+    ("A2", (), (2, 0, 0)),
+    ("A2", (0, 1), (2, 0, 0)),
+    ("A3", (), (1, 1, 1, 1)),
+    ("A3", (0, 2), (1, 1, 1, 1)),
+    ("G2", (), (1, 1, 1)),
+    ("G2", (1,), (Q(1, 3), 0, 0)),
+])
+def test_dimension_report_refuses_translations_off_the_root_span(monkeypatch, name, word, lam):
+    # a ValueError naming the translation, before any search
+    def boom(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(coxlen.reflen, "_report", boom)
+    rs = root_system(name)
+    w = element_of(rs, [AffineReflection.make(rs.simple_roots[i], 0) for i in word])
+    with pytest.raises(ValueError) as caught:
+        dimension_report(rs, AffineElement(w.linear, vec(lam)))
+    text = ", ".join(map(str, lam))
+    assert str(caught.value) == f"translation part ({text}) is not in the root span of {name}"
+
+
 def reference_peel_elliptic(rs, v):
     """factor_elliptic's factors as they were computed on Fraction
     matrices: through the canonical fixed point of fixed_set, peel the
