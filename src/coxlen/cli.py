@@ -52,7 +52,7 @@ from .affsym import (
     proper_basic_null_block_count,
     window_root_system,
 )
-from .genfun import classify_coroots, local_genfun
+from .genfun import _scaled_local_genfun, classify_coroots
 from .oracle import _pair_lengths, brute_nullity
 from .render import _require_alcoves_reach, _require_classes_reach, _require_planar, render_alcoves, render_classes
 
@@ -362,11 +362,10 @@ def cmd_genfun(args) -> tuple[dict, list[str]]:
     if args.lam is None:
         raise ParseError("genfun needs either --lambda or --classify")
     vi, den = _parse_lambda(rs, args.lam)
-    lam = tuple(Q(x, den) for x in vi)
-    f = local_genfun(rs, lam)
+    f = _scaled_local_genfun(rs, vi, den)
     payload = {
         "type": str(rs.spec),
-        "lambda": _vec_json(lam),
+        "lambda": _vec_json([Q(x, den) for x in vi]),
         "polynomial": f.format(),
         "terms": f.to_json_terms(),
         "specialized": list(f.specialize()),

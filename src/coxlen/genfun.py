@@ -27,6 +27,17 @@ each multiset of cycle sums, the weighted number of ways to cover S by
 positive cycles; the negative cycles on the other coordinates only
 contribute a weight.
 
+The DP keys covers by what nu can see, not by the exact sums.  A zero
+block of cycles covers a zero mask of coordinates (sum 0, or for B-D
+some signed sum 0), so only a sum of some block inside a zero mask (a
+live sum) can lie in one.  Every other sum becomes one token
+(_cycle_options): a key holding it has nu = 1 in type A, and for B-D its
+token cycles lie in the free block (_cover_d).  At a generic point no
+zero mask exists, so the covers of a mask differ only in their number of
+cycles, where the exact sums kept one key per cover (about 2 10^5 at
+rank 8).  When every sum is live (lam = 0, or a zero full mask for B-D)
+no token is made.
+
 G2 and F4 read f_lam off lam-independent tables, one row per root
 subspace M that is the move space Im(u - I) of some u in W0: e(u) is
 its dimension and d(t_lam u) + e(u) the least dimension of a root
@@ -46,7 +57,8 @@ many lattice points repeats only the tests of lam against the spaces.
 These tables also serve as the reference for types A-D in the tests.
 
 Both paths read lam as integers, x a positive multiple of it: the public
-entries check the lattice once (_require_lattice_point), and
+entries check the lattice once (_require_lattice_point), the command
+line hands its parsed integers straight to _scaled_local_genfun, and
 classify_coroots, which computes f once per W0-orbit of the box, keeps
 each point as den lam (CorootLattice.combination).  Fractions are built
 only for its output.
@@ -65,7 +77,8 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import count, product as iproduct
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
+from typing import Sequence
 
 from .errors import BudgetExceeded
 from .linalg import Vec, scaled_ints
@@ -262,9 +275,13 @@ def _genfun_tables(rs: RootSystem) -> tuple[FlatTable, tuple[tuple[Flat, int], .
     return flats, tuple(rows)
 
 
+def _off_lattice(rs: RootSystem, lam) -> ValueError:
+    return ValueError("(" + ", ".join(map(str, lam)) + f") is not in the coroot lattice of {rs.spec}")
+
+
 def _require_lattice_point(rs: RootSystem, lam: Vec) -> list[int]:
     if not rs.in_coroot_lattice(lam):
-        raise ValueError("(" + ", ".join(map(str, lam)) + f") is not in the coroot lattice of {rs.spec}")
+        raise _off_lattice(rs, lam)
     return scaled_ints(lam)
 
 
@@ -284,33 +301,97 @@ def _table_counts(rs: RootSystem, x: list[int]) -> tuple[dict[tuple[int, int], i
     return counts, len(rows)
 
 
-def _cycle_options(x: list[int], family: str) -> list[list[tuple]]:
+def _cycle_options(x: list[int], family: str) -> tuple[list[list[tuple]], int | None]:
     """For each nonempty coordinate mask T, the positive cycles on T as
     (item, number of cycles) pairs, one per distinct item: the sum of x
     over T (type A), else |<x, v>| over the fixed-vector classes v, each
     class carrying (|T| - 1)! cycles; type D pairs the item with whether
-    |T| is 1."""
+    |T| is 1.  And the token that stands for every sum nu cannot see, or
+    None when there is none.
+
+    A zero block of cycles covers a zero mask: one whose sum is 0 (type A,
+    a proper mask, as the full one always adds to 0), or whose signed sum
+    is 0 for some signs (B-D).  So a cycle lies in a zero block only if
+    its sum is live: the sum of some block inside a zero mask.  Every
+    other sum becomes the token, below any sum, and _cover_d reads the
+    token cycles as lying in no zero block.  The map is a function of the
+    sum, so covers that were equal stay equal, and at a generic point,
+    where no zero mask exists, the covers of a mask collapse to one per
+    number of cycles (type D also counts the single coordinates)."""
     n = len(x)
-    sums: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(1, 1 << n)]
+    full = (1 << n) - 1
+    sums: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(full)]
     out: list[list[tuple]] = [[]]
-    for block in range(1, 1 << n):
+    for block in range(1, full + 1):
         top = block.bit_length() - 1
-        below = sums[block ^ (1 << top)]
-        # v is +1 on the lowest coordinate of the block
-        signs = (1,) if family == "A" or block == 1 << top else (1, -1)
+        below, step = sums[block ^ (1 << top)], x[top]
         acc = sums[block]
         for v, c in below.items():
-            for sign in signs:
-                acc[v + sign * x[top]] = acc.get(v + sign * x[top], 0) + c
+            acc[v + step] = acc.get(v + step, 0) + c
+        # v is +1 on the lowest coordinate of the block
+        if family != "A" and block != 1 << top:
+            for v, c in below.items():
+                acc[v - step] = acc.get(v - step, 0) + c
         size = block.bit_count()
+        ways = factorial(size - 1)
+        if family == "A":
+            out.append([(v, c * ways) for v, c in acc.items()])
+            continue
         items: dict = {}
         for v, c in acc.items():
-            item = v if family == "A" else abs(v)
-            if family == "D":
-                item = (item, size == 1)
-            items[item] = items.get(item, 0) + c * factorial(size - 1)
+            item = (abs(v), size == 1) if family == "D" else abs(v)
+            items[item] = items.get(item, 0) + c * ways
         out.append(list(items.items()))
-    return out
+    # every sum is live when x is 0 or (B-D) the full mask is a zero mask
+    if not any(x) or family != "A" and 0 in sums[full]:
+        return out, None
+    # inside[T]: T lies in a zero mask; masks come down from full, so a
+    # mask is marked before its submasks are reached.  live holds signed
+    # sums, both signs for B-D, whose items are absolute values
+    live: set[int] = set()
+    inside = [False] * (full + 1)
+    for block in range(full, 0, -1):
+        if inside[block] or block != full and 0 in sums[block]:
+            live.update(sums[block])
+            bits = block
+            while bits:
+                low = bits & -bits
+                inside[block ^ low] = True
+                bits ^= low
+    if family != "A":
+        live.update([-v for v in live])
+    dead = [block for block in range(1, full + 1) if not inside[block] and not live.issuperset(sums[block])]
+    if not dead:
+        return out, None
+    token = -1 - sum(map(abs, x))
+    for block in dead:
+        items = {}
+        for item, c in out[block]:
+            if (item[0] if family == "D" else item) not in live:
+                item = (token, item[1]) if family == "D" else token
+            items[item] = items.get(item, 0) + c
+        out[block] = list(items.items())
+    return out, token
+
+
+def _cover_d(family: str, sums: tuple[int, ...], bare: int, token: int | None) -> int:
+    """_null_partition_d of the cycle sums of a cover, whose leading copies
+    of token stand for sums that lie in no zero block (_cycle_options).
+    Type A puts them in the one block, so nu = 1.  Types B-D put them in
+    the free block, which they make nonempty, so no bare rule binds and
+    nu is that of the other sums; but one bare token cycle may not be the
+    whole free block, so an item too large to cancel stands for it, bare,
+    a multiple of the others' gcd so that zero_block_count can still
+    narrow them."""
+    tokens = sums.count(token)
+    if not tokens:
+        return _null_partition_d(family, sums, bare)
+    if family == "A":
+        return len(sums) - 1
+    rest = sums[tokens:]
+    if tokens == 1 and bare & 1:
+        return _null_partition_d(family, rest + (sum(rest) + (gcd(*rest) or 1),), 1 << len(rest))
+    return tokens + _null_partition_d(family, rest)
 
 
 def _negative_covers(n: int) -> list[tuple[int, int]]:
@@ -336,7 +417,7 @@ def _partition_counts(rs: RootSystem, x: list[int]) -> tuple[dict[tuple[int, int
     family = rs.spec.family
     n = len(x)
     full = (1 << n) - 1
-    options = _cycle_options(x, family)
+    options, token = _cycle_options(x, family)
     # covers[S]: sorted items of the positive cycles -> ways to cover S
     covers: list[dict[tuple, int]] = [{(): 1}]
     for mask in range(1, full + 1):
@@ -374,7 +455,7 @@ def _partition_counts(rs: RootSystem, x: list[int]) -> tuple[dict[tuple[int, int
                     bare = sum(1 << i for i, (_, single) in enumerate(key) if single)
             d = ds.get((sums, bare))
             if d is None:
-                d = ds[(sums, bare)] = _null_partition_d(family, sums, bare)
+                d = ds[(sums, bare)] = _cover_d(family, sums, bare, token)
             e = n - len(key)
             counts[(d, e)] = counts.get((d, e), 0) + ways * weight
     return counts, sum(map(len, covers))
@@ -389,6 +470,15 @@ def _local_counts(rs: RootSystem, x: list[int]) -> tuple[dict[tuple[int, int], i
 def local_genfun(rs: RootSystem, lam: Vec) -> BivariatePolynomial:
     """f_lam(s, t) = sum of s^d t^e over the elements with translation lam."""
     return BivariatePolynomial.from_dict(_local_counts(rs, _require_lattice_point(rs, lam))[0])
+
+
+def _scaled_local_genfun(rs: RootSystem, x: Sequence[int], den: int) -> BivariatePolynomial:
+    """local_genfun at lam = x / den, for integers x and den > 0 (the
+    command line's parsed vector): the lattice check runs on the
+    integers, and Fractions are built only for its refusal."""
+    if rs.scaled_lattice_coords(x, den) is None:
+        raise _off_lattice(rs, (Q(v, den) for v in x))
+    return BivariatePolynomial.from_dict(_local_counts(rs, list(x))[0])
 
 
 def spherical_genfun(rs: RootSystem) -> tuple[int, ...]:

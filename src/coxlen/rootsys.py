@@ -109,7 +109,9 @@ def reflect(alpha: Vec, v: Vec) -> Vec:
 class RootSystem:
     spec: RootSystemSpec
     ambient_dim: int
-    roots: Mat                 # all roots, sorted
+    # all roots, sorted; like every field they follow from spec, so the
+    # hash (read on every lru_cache lookup keyed by the system) skips them
+    roots: Mat = field(hash=False)
     exponents: tuple[int, ...]
     w0_size: int
     # read off the closure that built the roots; not part of the identity

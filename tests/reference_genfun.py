@@ -1,21 +1,28 @@
 """Polynomial factors, the W0 tables as the element loop built them,
 local counts and genericity by the span search, and the classification
-that computes f at every point of the box, which only the tests use."""
+that computes f at every point of the box, which only the tests use.
+
+_cycle_options and _partition_counts are the set-partition sum as it was
+before covers were merged by what nu can see: every cover keeps its exact
+cycle sums, and each distinct multiset of them is one _null_partition_d
+call."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product as iproduct
+from math import factorial
 
 from coxlen.errors import BudgetExceeded
 from coxlen.genfun import (
     DEFAULT_CLASSIFY_CAP,
     BivariatePolynomial,
     _local_counts,
+    _negative_covers,
     enumerate_w0,
 )
 from coxlen.linalg import Vec, int_residual, is_zero, rref_pivots, scaled_ints
-from coxlen.reflen import _min_span_subset, _quotient_lines
+from coxlen.reflen import _min_span_subset, _null_partition_d, _quotient_lines
 from coxlen.rootsys import RootSystem
 from reference_rootsys import move_space
 
@@ -103,3 +110,83 @@ def reference_classify_coroots(rs: RootSystem, radius: int) -> dict[BivariatePol
             raise exceeded(done)
         classes.setdefault(BivariatePolynomial.from_dict(counts), []).append(lam)
     return {f: tuple(sorted(pts)) for f, pts in classes.items()}
+
+
+def _cycle_options(x: list[int], family: str) -> list[list[tuple]]:
+    """For each nonempty coordinate mask T, the positive cycles on T as
+    (item, number of cycles) pairs, one per distinct item: the sum of x
+    over T (type A), else |<x, v>| over the fixed-vector classes v, each
+    class carrying (|T| - 1)! cycles; type D pairs the item with whether
+    |T| is 1."""
+    n = len(x)
+    sums: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(1, 1 << n)]
+    out: list[list[tuple]] = [[]]
+    for block in range(1, 1 << n):
+        top = block.bit_length() - 1
+        below = sums[block ^ (1 << top)]
+        # v is +1 on the lowest coordinate of the block
+        signs = (1,) if family == "A" or block == 1 << top else (1, -1)
+        acc = sums[block]
+        for v, c in below.items():
+            for sign in signs:
+                acc[v + sign * x[top]] = acc.get(v + sign * x[top], 0) + c
+        size = block.bit_count()
+        items: dict = {}
+        for v, c in acc.items():
+            item = v if family == "A" else abs(v)
+            if family == "D":
+                item = (item, size == 1)
+            items[item] = items.get(item, 0) + c * factorial(size - 1)
+        out.append(list(items.items()))
+    return out
+
+
+def _partition_counts(rs: RootSystem, x: list[int]) -> tuple[dict[tuple[int, int], int], int]:
+    """The coefficients (d, e) -> count of f_lam for types A-D by the
+    (signed) set-partition sum, and the number of terms summed (multisets
+    of cycle sums over all coordinate masks)."""
+    family = rs.spec.family
+    n = len(x)
+    full = (1 << n) - 1
+    options = _cycle_options(x, family)
+    # covers[S]: sorted items of the positive cycles -> ways to cover S
+    covers: list[dict[tuple, int]] = [{(): 1}]
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        rest = mask ^ low
+        acc: dict[tuple, int] = {}
+        other = rest
+        while True:
+            block = other | low
+            for key, ways in covers[mask ^ block].items():
+                for item, c in options[block]:
+                    grown = tuple(sorted(key + (item,)))
+                    acc[grown] = acc.get(grown, 0) + ways * c
+            if not other:
+                break
+            other = (other - 1) & rest
+        covers.append(acc)
+    negative = _negative_covers(n)
+    counts: dict[tuple[int, int], int] = {}
+    ds: dict[tuple[tuple[int, ...], int], int] = {}
+    for mask, cover in enumerate(covers):
+        # the coordinates outside mask lie in negative cycles (none in type A)
+        even, odd = negative[n - mask.bit_count()]
+        if family == "A":
+            weight = int(mask == full)
+        else:
+            weight = even if family == "D" else even + odd
+        if not weight:
+            continue
+        for key, ways in cover.items():
+            sums, bare = key, 0
+            if family == "D":
+                sums = tuple(v for v, _ in key)
+                if mask == full:
+                    bare = sum(1 << i for i, (_, single) in enumerate(key) if single)
+            d = ds.get((sums, bare))
+            if d is None:
+                d = ds[(sums, bare)] = _null_partition_d(family, sums, bare)
+            e = n - len(key)
+            counts[(d, e)] = counts.get((d, e), 0) + ways * weight
+    return counts, sum(map(len, covers))

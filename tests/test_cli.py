@@ -22,6 +22,7 @@ import coxlen
 import coxlen.affgroup
 import coxlen.affsym
 import coxlen.cli
+import coxlen.genfun
 import coxlen.oracle
 import coxlen.reflen
 import coxlen.render
@@ -1373,6 +1374,25 @@ def test_genfun_lattice_error_prints_the_vector(capsys):
     code, _, err = run(capsys, "genfun", "--type", "B2", "--lambda", "(1/2,0)", "--json")
     assert code == 2
     assert err == "error: (1/2, 0) is not in the coroot lattice of B2\n"
+
+
+def test_genfun_lambda_stays_on_integers(capsys, monkeypatch):
+    # the parser's integers go straight to the counts: no Fraction lambda
+    # is checked or scaled on the way, and the output and the refusal are
+    # those of the Fraction route
+    cases = [("B2", "(3,1)"), ("C3", "(2,-1,5)"), ("F4", "(-13,26,-38,91)"), ("G2", "(4/3,-5/3,1/3)"),
+             ("F4", "(5,3,2,1)"), ("B2", "(1/2,0)")]
+    expected = [run(capsys, "genfun", "--type", name, "--lambda", lam, "--json") for name, lam in cases]
+    assert [code for code, _, _ in expected] == [0, 0, 0, 0, 2, 2]
+
+    def boom(*args):
+        raise AssertionError("Fraction lambda on the genfun --lambda path")
+
+    for name in ("in_coroot_lattice", "lattice_coords"):
+        monkeypatch.setattr(coxlen.rootsys.RootSystem, name, boom)
+    monkeypatch.setattr(coxlen.genfun, "scaled_ints", boom)
+    monkeypatch.setattr(coxlen.genfun, "local_genfun", boom)
+    assert [run(capsys, "genfun", "--type", name, "--lambda", lam, "--json") for name, lam in cases] == expected
 
 
 # sha256 of the stdout of scripts/make_tables.py, recorded before the move

@@ -41,6 +41,7 @@ from coxlen.linalg import identity_matrix, mat_mul, scaled_ints, vec
 from coxlen.reflen import dimension_report
 from coxlen.rootsys import RootSystem, root_system
 from reference_affgroup import root_permutation
+from reference_genfun import _partition_counts as exact_partition_counts
 from reference_genfun import (
     poly_s_plus,
     reference_classify_coroots,
@@ -205,6 +206,47 @@ def test_partition_sum_matches_w0_tables_on_samples(name):
         assert _partition_counts(rs, scaled_ints(lam))[0] == _table_counts(rs, scaled_ints(lam))[0], lam
 
 
+CROSS_CHECK_TYPES = [f"A{n}" for n in range(1, 7)] + [f"{f}{n}" for f in "BCD" for n in range(2, 7)]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_merged_covers_match_the_exact_cycle_sums(data):
+    # covers merged by what nu can see give the counts of covers kept by
+    # their exact cycle sums, and never sum more terms: narrow points
+    # keep every sum, wide ones merge most, and at 0 every sum is live
+    rs = root_system(data.draw(st.sampled_from(CROSS_CHECK_TYPES)))
+    bound = data.draw(st.sampled_from([0, 2, 40]))
+    coeffs = data.draw(st.lists(st.integers(-bound, bound), min_size=rs.rank, max_size=rs.rank))
+    x = rs.coroot_lattice.combination(coeffs)
+    counts, terms = _partition_counts(rs, x)
+    expected, exact_terms = exact_partition_counts(rs, x)
+    assert counts == expected
+    assert terms <= exact_terms
+
+
+@pytest.mark.parametrize("name,lam,terms", [
+    ("A8", (38, 670, -829, -180, 244, -143, 368, 220, -388), 2305),
+    ("B8", (38, 670, -829, -180, 244, -143, 368, 220), 1025),
+    ("C8", (-708, 556, 445, -1075, 921, -600, -363, 103), 1025),
+    ("D8", (-484, -519, -314, -256, -240, 47, 173, 659), 1376),
+])
+def test_wide_generic_rank_8_is_the_full_deformation(name, lam, terms):
+    # no two cycle sums agree here, so every cover kept its own key (A8
+    # 115,113 terms, B8 and C8 219,920) and took up to seconds; merged,
+    # the covers of a mask T differ only in their number of cycles, so
+    # 1 + sum |T| terms remain (type D also tells single coordinates apart)
+    rs = root_system(name)
+    started = time.perf_counter()
+    f = local_genfun(rs, vec(lam))
+    assert time.perf_counter() - started < 1
+    expected = BivariatePolynomial.monomial(0, 0)
+    for e in rs.exponents:
+        expected = expected * poly_s_plus(e)
+    assert f == expected
+    assert _partition_counts(rs, list(lam))[1] == terms
+
+
 # d + e is the least dimension of a root subspace above the move space
 # that holds lam; the span search it replaced must give the same counts
 TABLE_COUNT_BOXES = [("G2", 3), ("F4", 1), ("A4", 1), ("B4", 1), ("D4", 1)]
@@ -256,18 +298,18 @@ def test_is_generic_answers_at_rank_8(name, lam, generic):
 
 
 def test_classify_cap(monkeypatch):
-    # one bound for every type: A4 at radius 1 sums 1177 partition-sum
+    # one bound for every type: A4 at radius 1 sums 1175 partition-sum
     # terms over the W0-orbits it computes, on 81 lattice points, and a
     # box may hold a tenth as many points as the cap has terms
     a4 = root_system("A4")
     expected = classify_coroots(a4, 1)
-    monkeypatch.setattr(genfun, "DEFAULT_CLASSIFY_CAP", 1177)
+    monkeypatch.setattr(genfun, "DEFAULT_CLASSIFY_CAP", 1175)
     assert classify_coroots(a4, 1) == expected
-    monkeypatch.setattr(genfun, "DEFAULT_CLASSIFY_CAP", 1176)
+    monkeypatch.setattr(genfun, "DEFAULT_CLASSIFY_CAP", 1174)
     with pytest.raises(BudgetExceeded) as caught:
         classify_coroots(a4, 1)
     assert str(caught.value) == (
-        "classification cap 1176 exceeded: 1177 terms summed over 61 of 81 lattice points of A4 at radius 1; "
+        "classification cap 1174 exceeded: 1175 terms summed over 61 of 81 lattice points of A4 at radius 1; "
         "use a smaller radius"
     )
     # B2 at radius 2 has 25 points: it fits a cap of 250 terms, not 249

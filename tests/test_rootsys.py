@@ -5,6 +5,7 @@ each family; they pin down the construction independently of the code
 that produced it.
 """
 
+import dataclasses
 from fractions import Fraction as Q
 from functools import lru_cache
 
@@ -189,6 +190,19 @@ def test_exponents_match_orders():
         assert prod == rs.w0_size
         assert len(rs.exponents) == rs.rank
         assert sum(rs.exponents) == len(rs.positive_roots)
+
+
+@pytest.mark.parametrize("name", ["A3", "B4", "D8", "G2", "F4"])
+def test_equal_systems_hash_equal(name):
+    # the hash, read by every lru_cache keyed by a root system, skips the
+    # roots: a system built afresh hashes as the cached one, and a system
+    # with other roots is unequal, whatever its hash
+    spec = parse_type_spec(name)
+    cached, fresh = build_root_system(spec), build_root_system.__wrapped__(spec)
+    assert fresh is not cached
+    assert fresh == cached and hash(fresh) == hash(cached)
+    other = dataclasses.replace(cached, roots=cached.roots[1:])
+    assert other != cached and hash(other) == hash(cached)
 
 
 def test_d2_is_reducible_and_others_are_not():
